@@ -3,6 +3,7 @@
 package server
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"errors"
@@ -117,17 +118,34 @@ func (s *Server) recoverPanics(next http.Handler) http.Handler {
 // degraded durable log or closure 503 (degraded also hints
 // Retry-After), anything else (parse/validation) 400.
 func (s *Server) httpError(w http.ResponseWriter, err error) {
+	code, msg := s.errorStatus(w, err)
+	writeJSON(w, code, map[string]string{"error": msg})
+}
+
+// ingestError is httpError for the chunked ingest paths, which apply a
+// body chunk by chunk: the error body also carries the status of the
+// chunks already applied when the error cut the request short, so a
+// client can tell a clean rejection ("accepted": 0) from a partial
+// ingest it must not blindly retry.
+func (s *Server) ingestError(w http.ResponseWriter, err error, applied IngestStatus) {
+	code, msg := s.errorStatus(w, err)
+	writeJSON(w, code, struct {
+		Error string `json:"error"`
+		IngestStatus
+	}{msg, applied})
+}
+
+// errorStatus picks the status code and message for err and sets the
+// headers that go with it.
+func (s *Server) errorStatus(w http.ResponseWriter, err error) (int, string) {
 	var maxErr *http.MaxBytesError
 	if errors.As(err, &maxErr) {
-		writeJSON(w, http.StatusRequestEntityTooLarge, map[string]string{
-			"error": fmt.Sprintf("server: request body exceeds the %d-byte limit", maxErr.Limit),
-		})
-		return
+		return http.StatusRequestEntityTooLarge,
+			fmt.Sprintf("server: request body exceeds the %d-byte limit", maxErr.Limit)
 	}
 	if shed := (*admit.ShedError)(nil); errors.As(err, &shed) {
 		w.Header().Set("Retry-After", retryAfterSeconds(shed.RetryAfter))
-		writeJSON(w, http.StatusTooManyRequests, map[string]string{"error": err.Error()})
-		return
+		return http.StatusTooManyRequests, err.Error()
 	}
 	code := http.StatusBadRequest
 	switch {
@@ -148,7 +166,7 @@ func (s *Server) httpError(w http.ResponseWriter, err error) {
 	case errors.Is(err, ErrEngine):
 		code = http.StatusInternalServerError
 	}
-	writeJSON(w, code, map[string]string{"error": err.Error()})
+	return code, err.Error()
 }
 
 // retryAfterSeconds renders a backoff hint in the whole-second form the
@@ -409,13 +427,6 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// jsonEvent mirrors streamio's JSONL wire form.
-type jsonEvent struct {
-	Time  int64   `json:"time"`
-	Key   uint64  `json:"key"`
-	Value float64 `json:"value"`
-}
-
 // ContentTypeFrame is the media type of the binary columnar frame
 // format (internal/wire): POST /ingest accepts it as a request body,
 // and GET /queries/{id}/stream serves it when the client's Accept
@@ -498,36 +509,29 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	case "ndjson":
 		s.ingestNDJSON(w, r)
 	case "csv":
-		// The buffering codecs (CSV, JSON array) must read the whole body
-		// before the first event reaches the pipeline, so they get a hard
-		// body cap; the streaming codecs (NDJSON, frames) hold at most one
-		// chunk and are bounded by admission instead.
-		events, err := streamio.ReadCSV(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-		if err != nil {
-			s.httpError(w, err)
-			return
-		}
-		s.ingestBatch(w, events)
+		s.ingestBuffered(w, r, func(dst []stream.Event, body io.Reader) ([]stream.Event, error) {
+			sc, putScanBuf := streamio.NewLineScanner(body)
+			defer putScanBuf()
+			return streamio.AppendCSV(dst, sc)
+		})
 	case "frame":
 		s.ingestFrames(w, r)
 	default: // JSON array
-		var evs []jsonEvent
-		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)).Decode(&evs); err != nil {
-			s.httpError(w, fmt.Errorf("server: request body: %w", err))
-			return
-		}
-		events := make([]stream.Event, len(evs))
-		for i, e := range evs {
-			events[i] = stream.Event{Time: e.Time, Key: e.Key, Value: e.Value}
-		}
-		s.ingestBatch(w, events)
+		s.ingestBuffered(w, r, func(dst []stream.Event, body io.Reader) ([]stream.Event, error) {
+			dst, err := streamio.AppendJSONArray(dst, body)
+			if err != nil {
+				err = fmt.Errorf("server: request body: %w", err)
+			}
+			return dst, err
+		})
 	}
 }
 
-// frameBatchPool recycles the binary ingest path's event staging batch.
-// Frames carry whole client-side batches (up to wire.MaxFrameRows), so
-// the slices grow larger than the NDJSON staging; oversized ones are
-// dropped instead of pooled.
+// frameBatchPool recycles the event staging batch of the ingest paths
+// that stage more than one ingestChunk at a time: binary frames carry
+// whole client-side batches (up to wire.MaxFrameRows) and the buffering
+// codecs a whole body, so the slices grow larger than the NDJSON
+// staging; oversized ones are dropped instead of pooled.
 var frameBatchPool = sync.Pool{New: func() any {
 	s := make([]stream.Event, 0, 4096)
 	return &s
@@ -535,6 +539,38 @@ var frameBatchPool = sync.Pool{New: func() any {
 
 // frameBatchRetain bounds the pooled staging capacity, in events.
 const frameBatchRetain = 1 << 16
+
+// putFrameBatch returns a staging batch borrowed from frameBatchPool.
+func putFrameBatch(batchp *[]stream.Event) {
+	if cap(*batchp) <= frameBatchRetain {
+		*batchp = (*batchp)[:0]
+		frameBatchPool.Put(batchp)
+	}
+}
+
+// ingestTotal accumulates the status of one chunked ingest request over
+// the chunks applied so far.
+type ingestTotal struct {
+	IngestStatus
+	chunks int
+}
+
+// apply ingests one chunk and folds its status into the total: counts
+// add up, the server-wide readings take the latest chunk's, and the
+// durable bit covers the whole request — every chunk's record must have
+// been fsync-acked.
+func (t *ingestTotal) apply(s *Server, chunk []stream.Event) error {
+	st, err := s.Ingest(chunk)
+	if err != nil {
+		return err
+	}
+	t.Accepted += st.Accepted
+	t.Dropped += st.Dropped
+	t.Late, t.Buffered, t.Epoch = st.Late, st.Buffered, st.Epoch
+	t.Durable = st.Durable && (t.chunks == 0 || t.Durable)
+	t.chunks++
+	return nil
+}
 
 // ingestFrames consumes a stream of binary columnar event frames: the
 // frames' column vectors scatter straight into the pooled staging slice
@@ -550,37 +586,13 @@ func (s *Server) ingestFrames(w http.ResponseWriter, r *http.Request) {
 	fr := wire.NewReader(r.Body)
 	defer fr.Close()
 	batchp := frameBatchPool.Get().(*[]stream.Event)
-	defer func() {
-		if cap(*batchp) <= frameBatchRetain {
-			*batchp = (*batchp)[:0]
-			frameBatchPool.Put(batchp)
-		}
-	}()
+	defer putFrameBatch(batchp)
 	batch := (*batchp)[:0]
-	defer func() { *batchp = batch[:0] }()
+	defer func() { *batchp = batch }()
 	var (
-		total   IngestStatus
-		frames  int
-		flushes int
+		total  ingestTotal
+		frames int
 	)
-	flush := func(chunk []stream.Event) error {
-		st, err := s.Ingest(chunk)
-		if err != nil {
-			return err
-		}
-		total.Accepted += st.Accepted
-		total.Dropped += st.Dropped
-		total.Late, total.Buffered, total.Epoch = st.Late, st.Buffered, st.Epoch
-		// The response's durable bit covers the whole request: every
-		// chunk's record must have been fsync-acked.
-		if flushes == 0 {
-			total.Durable = st.Durable
-		} else {
-			total.Durable = total.Durable && st.Durable
-		}
-		flushes++
-		return nil
-	}
 	for {
 		f, err := fr.Next()
 		if err == io.EOF {
@@ -588,126 +600,103 @@ func (s *Server) ingestFrames(w http.ResponseWriter, r *http.Request) {
 		}
 		frames++
 		if err != nil {
-			s.httpError(w, fmt.Errorf("server: frame %d: %w", frames, err))
+			s.ingestError(w, fmt.Errorf("server: frame %d: %w", frames, err), total.IngestStatus)
 			return
 		}
 		if f.Kind != wire.KindEvents {
-			s.httpError(w, fmt.Errorf("server: frame %d: kind %d is not an event frame", frames, f.Kind))
+			s.ingestError(w, fmt.Errorf("server: frame %d: kind %d is not an event frame", frames, f.Kind), total.IngestStatus)
 			return
 		}
 		batch = f.AppendEvents(batch)
 		for len(batch) >= ingestChunk {
-			if err := flush(batch[:ingestChunk]); err != nil {
-				s.httpError(w, err)
+			if err := total.apply(s, batch[:ingestChunk]); err != nil {
+				s.ingestError(w, err, total.IngestStatus)
 				return
 			}
 			batch = append(batch[:0], batch[ingestChunk:]...)
 		}
 	}
 	if len(batch) > 0 {
-		if err := flush(batch); err != nil {
-			s.httpError(w, err)
+		if err := total.apply(s, batch); err != nil {
+			s.ingestError(w, err, total.IngestStatus)
 			return
 		}
-		batch = batch[:0]
 	}
-	writeJSON(w, http.StatusOK, total)
+	writeJSON(w, http.StatusOK, total.IngestStatus)
 }
 
-func (s *Server) ingestBatch(w http.ResponseWriter, events []stream.Event) {
-	if len(events) == 0 {
-		st, err := s.Ingest(events)
-		if err != nil {
-			s.httpError(w, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, st)
+// ingestBuffered serves the buffering codecs (CSV, JSON array): decode
+// must read the whole body before the first event reaches the pipeline,
+// so the body gets a hard cap — the streaming codecs (NDJSON, frames)
+// hold at most one chunk and are bounded by admission instead. Events
+// decode into the pooled staging slice and are applied in ingestChunk
+// batches.
+func (s *Server) ingestBuffered(w http.ResponseWriter, r *http.Request, decode func([]stream.Event, io.Reader) ([]stream.Event, error)) {
+	batchp := frameBatchPool.Get().(*[]stream.Event)
+	defer putFrameBatch(batchp)
+	events, err := decode((*batchp)[:0], http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	*batchp = events
+	if err != nil {
+		s.httpError(w, err)
 		return
 	}
-	var total IngestStatus
-	for off := 0; off < len(events); off += ingestChunk {
-		end := min(off+ingestChunk, len(events))
-		st, err := s.Ingest(events[off:end])
-		if err != nil {
-			s.httpError(w, err)
+	var total ingestTotal
+	// An empty body still makes one Ingest call: its status is the reply.
+	for off := 0; off == 0 || off < len(events); off += ingestChunk {
+		if err := total.apply(s, events[off:min(off+ingestChunk, len(events))]); err != nil {
+			s.ingestError(w, err, total.IngestStatus)
 			return
 		}
-		total.Accepted += st.Accepted
-		total.Dropped += st.Dropped
-		total.Late, total.Buffered, total.Epoch = st.Late, st.Buffered, st.Epoch
-		if off == 0 {
-			total.Durable = st.Durable
-		} else {
-			total.Durable = total.Durable && st.Durable
-		}
 	}
-	writeJSON(w, http.StatusOK, total)
+	writeJSON(w, http.StatusOK, total.IngestStatus)
 }
 
 // ingestNDJSON consumes an event-per-line stream incrementally, handing
 // the pipeline one batch per ingestChunk lines. The staging batch and
-// scanner buffer are pooled, and lines decode from the scanner's byte
-// slice directly — no per-line string or per-request buffer allocation.
+// scanner buffer are pooled and lines decode in place from the scanner's
+// bytes, so the loop allocates nothing per line.
 func (s *Server) ingestNDJSON(w http.ResponseWriter, r *http.Request) {
 	sc, putScanBuf := streamio.NewLineScanner(r.Body)
 	defer putScanBuf()
 	batchp := ingestBatchPool.Get().(*[]stream.Event)
 	defer ingestBatchPool.Put(batchp)
-	batch := (*batchp)[:0]
-	defer func() { *batchp = batch[:0] }()
-	var (
-		total   IngestStatus
-		line    int
-		flushes int
-	)
-	flush := func() error {
-		if len(batch) == 0 {
-			return nil
-		}
-		st, err := s.Ingest(batch)
-		if err != nil {
-			return err
-		}
-		total.Accepted += st.Accepted
-		total.Dropped += st.Dropped
-		total.Late, total.Buffered, total.Epoch = st.Late, st.Buffered, st.Epoch
-		if flushes == 0 {
-			total.Durable = st.Durable
-		} else {
-			total.Durable = total.Durable && st.Durable
-		}
-		flushes++
-		batch = batch[:0]
-		return nil
+	var total ingestTotal
+	if err := s.decodeNDJSON(sc, (*batchp)[:0], &total); err != nil {
+		s.ingestError(w, err, total.IngestStatus)
+		return
 	}
-	for sc.Scan() {
-		line++
+	writeJSON(w, http.StatusOK, total.IngestStatus)
+}
+
+// decodeNDJSON is ingestNDJSON's loop: it stages sc's event lines into
+// batch (capacity ingestChunk, so it never grows) and applies every full
+// chunk, then the remainder. A decode error leaves the chunk being
+// staged unapplied.
+func (s *Server) decodeNDJSON(sc *bufio.Scanner, batch []stream.Event, total *ingestTotal) error {
+	for line := 1; sc.Scan(); line++ {
 		text := bytes.TrimSpace(sc.Bytes())
 		if len(text) == 0 {
 			continue
 		}
-		var je jsonEvent
-		if err := json.Unmarshal(text, &je); err != nil {
-			s.httpError(w, fmt.Errorf("server: line %d: %w", line, err))
-			return
+		e, err := streamio.DecodeEventJSON(text)
+		if err != nil {
+			return fmt.Errorf("server: line %d: %w", line, err)
 		}
-		batch = append(batch, stream.Event{Time: je.Time, Key: je.Key, Value: je.Value})
+		batch = append(batch, e)
 		if len(batch) >= ingestChunk {
-			if err := flush(); err != nil {
-				s.httpError(w, err)
-				return
+			if err := total.apply(s, batch); err != nil {
+				return err
 			}
+			batch = batch[:0]
 		}
 	}
 	if err := sc.Err(); err != nil {
-		s.httpError(w, err)
-		return
+		return err
 	}
-	if err := flush(); err != nil {
-		s.httpError(w, err)
-		return
+	if len(batch) > 0 {
+		return total.apply(s, batch)
 	}
-	writeJSON(w, http.StatusOK, total)
+	return nil
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {

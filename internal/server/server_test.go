@@ -3,10 +3,15 @@ package server
 import (
 	"bytes"
 	"encoding/gob"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"sort"
+	"strings"
 	"testing"
 
 	"factorwindows/internal/asaql"
@@ -14,6 +19,7 @@ import (
 	"factorwindows/internal/plan"
 	"factorwindows/internal/reorder"
 	"factorwindows/internal/stream"
+	"factorwindows/internal/streamio"
 )
 
 // row is a sequence-free, plan-free normalization of one result, used to
@@ -685,5 +691,117 @@ func TestGateSuppression(t *testing.T) {
 		if r.start < 6 {
 			t.Errorf("query b delivered pre-epoch window [%d,%d)", r.start, r.end)
 		}
+	}
+}
+
+// ingestReply is the body of a POST /ingest response, success or error.
+type ingestReply struct {
+	Error string `json:"error"`
+	IngestStatus
+}
+
+func postIngestBody(t *testing.T, h http.Handler, contentType string, body []byte) (int, ingestReply) {
+	t.Helper()
+	req := httptest.NewRequest("POST", "/ingest", bytes.NewReader(body))
+	req.Header.Set("Content-Type", contentType)
+	rw := httptest.NewRecorder()
+	h.ServeHTTP(rw, req)
+	var reply ingestReply
+	if err := json.Unmarshal(rw.Body.Bytes(), &reply); err != nil {
+		t.Fatalf("ingest reply %q: %v", rw.Body, err)
+	}
+	return rw.Code, reply
+}
+
+// TestIngestFallbackErrorsUnchanged pins the decode kernel's contract at
+// the HTTP surface: a line the fast path declines is encoding/json's to
+// judge, so its status and error string are what they were when every
+// line went through json.Unmarshal.
+func TestIngestFallbackErrorsUnchanged(t *testing.T) {
+	s := New(Config{Shards: 1})
+	defer s.Close()
+	if _, err := s.Register("q", demoQuery1); err != nil {
+		t.Fatal(err)
+	}
+	h := s.Handler()
+	for _, c := range []struct {
+		contentType, body string
+		code              int
+		err               string
+	}{
+		{"application/x-ndjson", `{"time":1.5,"key":1,"value":1}`, 400,
+			"server: line 1: json: cannot unmarshal number 1.5 into Go struct field jsonEvent.time of type int64"},
+		{"application/x-ndjson", "{\"time\":1}\n\n{\"time\":1,\"key\":-1}\n", 400,
+			"server: line 3: json: cannot unmarshal number -1 into Go struct field jsonEvent.key of type uint64"},
+		{"application/x-ndjson", `{"time":1}x`, 400,
+			"server: line 1: invalid character 'x' after top-level value"},
+		{"application/x-ndjson", `{"time":1,"value":01}`, 400,
+			"server: line 1: invalid character '1' after object key:value pair"},
+		{"application/json", `[{"time":1},{"time":x}]`, 400,
+			"server: request body: invalid character 'x' looking for beginning of value"},
+		{"application/json", `[{"time":1},{"time":2}`, 400,
+			"server: request body: unexpected EOF"},
+		// Declined by the fast path, accepted by encoding/json.
+		{"application/x-ndjson", `{"Time":3,"KEY":4,"value":null,"unit":"C"}`, 200, ""},
+		{"application/json", `[{"time":3,"extra":[1,2]},null] trailing`, 200, ""},
+	} {
+		code, reply := postIngestBody(t, h, c.contentType, []byte(c.body))
+		if code != c.code || reply.Error != c.err {
+			t.Errorf("%s %s:\n got %d %q\nwant %d %q", c.contentType, c.body, code, reply.Error, c.code, c.err)
+		}
+	}
+}
+
+// TestIngestErrorReportsAppliedChunks: the chunked ingest paths apply a
+// body ingestChunk events at a time, so an error past the first chunk
+// leaves events applied. The error body must say how many, or a client
+// retrying the whole body double-ingests them unknowingly.
+func TestIngestErrorReportsAppliedChunks(t *testing.T) {
+	events := make([]stream.Event, ingestChunk+10)
+	for i := range events {
+		events[i] = stream.Event{Time: int64(i), Key: 1, Value: 1}
+	}
+	var ndjson, csv, frames bytes.Buffer
+	if err := streamio.WriteJSONL(&ndjson, events[:ingestChunk]); err != nil {
+		t.Fatal(err)
+	}
+	ndjson.WriteString("{\"time\":oops}\n{\"time\":9000000}\n")
+	// A negative time fails Server.Ingest, not the decode, so the
+	// buffering codecs reach their second chunk before the error.
+	events[ingestChunk+5].Time = -1
+	if err := streamio.WriteCSV(&csv, events); err != nil {
+		t.Fatal(err)
+	}
+	if err := streamio.WriteBinary(&frames, events[:ingestChunk]); err != nil {
+		t.Fatal(err)
+	}
+	frames.WriteString("not a frame header")
+
+	for _, c := range []struct {
+		name, contentType string
+		body              []byte
+		errPrefix         string
+	}{
+		{"ndjson", "application/x-ndjson", ndjson.Bytes(), fmt.Sprintf("server: line %d: invalid character 'o'", ingestChunk+1)},
+		{"csv", "text/csv", csv.Bytes(), "server: event 5 has negative time -1"},
+		{"frames", ContentTypeFrame, frames.Bytes(), "server: frame 2: "},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			s := New(Config{Shards: 1})
+			defer s.Close()
+			if _, err := s.Register("q", demoQuery1); err != nil {
+				t.Fatal(err)
+			}
+			code, reply := postIngestBody(t, s.Handler(), c.contentType, c.body)
+			if code != http.StatusBadRequest || !strings.HasPrefix(reply.Error, c.errPrefix) {
+				t.Fatalf("got %d %q, want 400 %q...", code, reply.Error, c.errPrefix)
+			}
+			if reply.Accepted != ingestChunk {
+				t.Errorf("error body reports accepted = %d, want %d", reply.Accepted, ingestChunk)
+			}
+			if got := s.StatsNow().Ingested; got != int64(reply.Accepted) {
+				t.Errorf("/stats ingested = %d, error body accepted = %d", got, reply.Accepted)
+			}
+		})
 	}
 }

@@ -1,12 +1,14 @@
 package server
 
 import (
+	"bufio"
 	"bytes"
 	"io"
 	"testing"
 
 	"factorwindows/internal/reorder"
 	"factorwindows/internal/stream"
+	"factorwindows/internal/streamio"
 	"factorwindows/internal/window"
 	"factorwindows/internal/wire"
 )
@@ -89,5 +91,89 @@ func TestZeroAllocWireSteadyState(t *testing.T) {
 		if allocs := testing.AllocsPerRun(50, poll); allocs != 0 {
 			t.Fatalf("binary stream poll steady state: %v allocs per poll, want 0", allocs)
 		}
+	})
+}
+
+// TestZeroAllocTextIngestSteadyState is the text-codec mirror of the
+// binary ingest guard above: once buffers are warm, decoding one
+// ingestChunk NDJSON or CSV body through the loops the handlers run
+// (decodeNDJSON; streamio.AppendCSV into the staging batch) and pushing
+// it into the engine allocates nothing — text ingest, like binary,
+// allocates only at the HTTP layer. The scanners read into the test's
+// own line buffer: the race detector makes sync.Pool drop entries at
+// random, which would show up here as allocations.
+func TestZeroAllocTextIngestSteadyState(t *testing.T) {
+	// Same shape as the binary guard (4 keys, re-ingest clamped by the
+	// adjust policy); every third value is fractional so both the integer
+	// fast path and strconv.ParseFloat are on the measured path.
+	events := make([]stream.Event, ingestChunk)
+	for i := range events {
+		events[i] = stream.Event{Time: int64(i) / 4, Key: uint64(i % 4), Value: float64(i%97) * 0.25}
+	}
+	newServer := func(t *testing.T) *Server {
+		s := New(Config{Shards: 2, Policy: reorder.Adjust})
+		t.Cleanup(s.Close)
+		if _, err := s.Register("q", "SELECT DeviceID, SUM(T) FROM In GROUP BY DeviceID, Windows(TumblingWindow(tick, 20))"); err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	measure := func(t *testing.T, ingestBody func()) {
+		for i := 0; i < 10; i++ {
+			ingestBody() // warm key table, spans, reorder and scatter buffers
+		}
+		if allocs := testing.AllocsPerRun(50, ingestBody); allocs != 0 {
+			t.Fatalf("text ingest steady state: %v allocs per body, want 0", allocs)
+		}
+	}
+
+	t.Run("ndjson", func(t *testing.T) {
+		s := newServer(t)
+		var body bytes.Buffer
+		if err := streamio.WriteJSONL(&body, events); err != nil {
+			t.Fatal(err)
+		}
+		br := bytes.NewReader(nil)
+		lineBuf := make([]byte, 64<<10)
+		batch := make([]stream.Event, 0, ingestChunk)
+		measure(t, func() {
+			br.Reset(body.Bytes())
+			sc := bufio.NewScanner(br)
+			sc.Buffer(lineBuf, len(lineBuf))
+			var total ingestTotal
+			if err := s.decodeNDJSON(sc, batch, &total); err != nil {
+				t.Fatal(err)
+			}
+			if total.Accepted != ingestChunk {
+				t.Fatalf("accepted %d events, want %d", total.Accepted, ingestChunk)
+			}
+		})
+	})
+
+	t.Run("csv", func(t *testing.T) {
+		s := newServer(t)
+		var body bytes.Buffer
+		if err := streamio.WriteCSV(&body, events); err != nil {
+			t.Fatal(err)
+		}
+		br := bytes.NewReader(nil)
+		lineBuf := make([]byte, 64<<10)
+		batch := make([]stream.Event, 0, ingestChunk)
+		measure(t, func() {
+			br.Reset(body.Bytes())
+			sc := bufio.NewScanner(br)
+			sc.Buffer(lineBuf, len(lineBuf))
+			var err error
+			if batch, err = streamio.AppendCSV(batch[:0], sc); err != nil {
+				t.Fatal(err)
+			}
+			var total ingestTotal
+			if err := total.apply(s, batch); err != nil {
+				t.Fatal(err)
+			}
+			if total.Accepted != ingestChunk {
+				t.Fatalf("accepted %d events, want %d", total.Accepted, ingestChunk)
+			}
+		})
 	})
 }

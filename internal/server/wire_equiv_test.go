@@ -22,6 +22,11 @@ type equivCodec struct {
 
 var equivCodecs = []equivCodec{
 	{"json", "application/json", func(b *bytes.Buffer, es []stream.Event) {
+		type jsonEvent struct {
+			Time  int64   `json:"time"`
+			Key   uint64  `json:"key"`
+			Value float64 `json:"value"`
+		}
 		evs := make([]jsonEvent, len(es))
 		for i, e := range es {
 			evs[i] = jsonEvent{Time: e.Time, Key: e.Key, Value: e.Value}
@@ -38,6 +43,23 @@ var equivCodecs = []equivCodec{
 	{"ndjson", "application/x-ndjson", func(b *bytes.Buffer, es []stream.Event) {
 		if err := streamio.WriteJSONL(b, es); err != nil {
 			panic(err)
+		}
+	}},
+	// The same events in line shapes a hand-written client produces:
+	// reordered keys, whitespace and an exponent-form value stay on the
+	// decode kernel's fast path, a mixed-case key and an unknown key fall
+	// back to encoding/json; one body mixes all of them.
+	{"ndjson-noncanonical", "application/x-ndjson", func(b *bytes.Buffer, es []stream.Event) {
+		shapes := []string{
+			`{"value":%[3]v,"key":%[2]d,"time":%[1]d}`,
+			` { "time" : %[1]d , "key" : %[2]d , "value" : %[3]v } `,
+			"{\"time\":%[1]d,\t\"key\":%[2]d,\"value\":%[3]v}\r",
+			`{"time":%[1]d,"key":%[2]d,"value":%[3]e}`,
+			`{"Time":%[1]d,"key":%[2]d,"value":%[3]v}`,
+			`{"time":%[1]d,"key":%[2]d,"value":%[3]v,"unit":"C"}`,
+		}
+		for i, e := range es {
+			fmt.Fprintf(b, shapes[i%len(shapes)]+"\n", e.Time, e.Key, e.Value)
 		}
 	}},
 	{"binary", ContentTypeFrame, func(b *bytes.Buffer, es []stream.Event) {

@@ -8,7 +8,6 @@ package streamio
 import (
 	"bufio"
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -21,9 +20,10 @@ import (
 )
 
 // scanBufPool recycles scanner line buffers across reads: decoding is on
-// the serving layer's ingest path (the HTTP handlers call ReadCSV per
-// request), so per-call megabyte buffers would dominate its allocation
-// profile. Scanners still grow to maxLine for oversized lines.
+// the serving layer's ingest path (the HTTP handlers build one line
+// scanner per text request), so per-call megabyte buffers would dominate
+// its allocation profile. Scanners still grow to maxLine for oversized
+// lines.
 var scanBufPool = sync.Pool{New: func() any {
 	b := make([]byte, 64<<10)
 	return &b
@@ -70,6 +70,14 @@ func AppendJSONFloat(dst []byte, v float64) []byte {
 		return append(dst, "null"...)
 	}
 	abs := math.Abs(v)
+	// Integral values below 2^53 print as their integer digits in the
+	// shortest 'f' form, so they skip shortest-float formatting. Negative
+	// zero is the one integral value whose form ("-0") an integer loses.
+	if abs < 1<<53 && math.Float64bits(v) != 1<<63 {
+		if iv := int64(v); float64(iv) == v {
+			return strconv.AppendInt(dst, iv, 10)
+		}
+	}
 	format := byte('f')
 	if abs != 0 && (abs < 1e-6 || abs >= 1e21) {
 		format = 'e'
@@ -145,50 +153,16 @@ func NewLineScanner(r io.Reader) (sc *bufio.Scanner, put func()) {
 	return sc, func() { scanBufPool.Put(buf) }
 }
 
-// ReadCSV parses "time,key,value" rows. A first line starting with
-// "time" is treated as a header. Blank lines are skipped.
+// ReadCSV parses "time,key,value" rows; see AppendCSV for the accepted
+// syntax.
 func ReadCSV(r io.Reader) ([]stream.Event, error) {
-	var out []stream.Event
 	sc, put := NewLineScanner(r)
 	defer put()
-	line := 0
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" || (line == 1 && strings.HasPrefix(strings.ToLower(text), "time")) {
-			continue
-		}
-		e, err := parseCSVEvent(text)
-		if err != nil {
-			return nil, fmt.Errorf("streamio: line %d: %w", line, err)
-		}
-		out = append(out, e)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("streamio: %w", err)
+	out, err := AppendCSV(nil, sc)
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
-}
-
-func parseCSVEvent(text string) (stream.Event, error) {
-	var e stream.Event
-	fields := strings.Split(text, ",")
-	if len(fields) != 3 {
-		return e, fmt.Errorf("want time,key,value; got %d fields", len(fields))
-	}
-	t, err := strconv.ParseInt(strings.TrimSpace(fields[0]), 10, 64)
-	if err != nil {
-		return e, fmt.Errorf("time: %v", err)
-	}
-	k, err := strconv.ParseUint(strings.TrimSpace(fields[1]), 10, 64)
-	if err != nil {
-		return e, fmt.Errorf("key: %v", err)
-	}
-	v, err := strconv.ParseFloat(strings.TrimSpace(fields[2]), 64)
-	if err != nil {
-		return e, fmt.Errorf("value: %v", err)
-	}
-	return stream.Event{Time: t, Key: k, Value: v}, nil
 }
 
 // flushEvery bounds how many encoded bytes accumulate in the pooled
@@ -219,31 +193,22 @@ func WriteCSV(w io.Writer, events []stream.Event) error {
 	return err
 }
 
-// jsonEvent is the JSONL wire form of an event.
-type jsonEvent struct {
-	Time  int64   `json:"time"`
-	Key   uint64  `json:"key"`
-	Value float64 `json:"value"`
-}
-
-// ReadJSONL parses one JSON event object per line. Lines decode from
-// the scanner's byte slice directly, avoiding a per-line string copy.
+// ReadJSONL parses one JSON event object per line (DecodeEventJSON);
+// blank lines are skipped.
 func ReadJSONL(r io.Reader) ([]stream.Event, error) {
 	var out []stream.Event
 	sc, put := NewLineScanner(r)
 	defer put()
-	line := 0
-	for sc.Scan() {
-		line++
+	for line := 1; sc.Scan(); line++ {
 		text := bytes.TrimSpace(sc.Bytes())
 		if len(text) == 0 {
 			continue
 		}
-		var je jsonEvent
-		if err := json.Unmarshal(text, &je); err != nil {
+		e, err := DecodeEventJSON(text)
+		if err != nil {
 			return nil, fmt.Errorf("streamio: line %d: %w", line, err)
 		}
-		out = append(out, stream.Event{Time: je.Time, Key: je.Key, Value: je.Value})
+		out = append(out, e)
 	}
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("streamio: %w", err)

@@ -55,6 +55,31 @@ func TestReadCSVHeaderAndBlanks(t *testing.T) {
 	}
 }
 
+// The header is the first non-blank line, wherever that falls, and a
+// byte order mark in front of it (spreadsheet exports) is not data.
+func TestReadCSVHeaderPlacement(t *testing.T) {
+	want := []stream.Event{{Time: 5, Key: 7, Value: 1.5}}
+	for name, in := range map[string]string{
+		"header on line 1":         "time,key,value\n5,7,1.5\n",
+		"no header":                "5,7,1.5\n",
+		"blank line before header": "\n  \ntime,key,value\n5,7,1.5\n",
+		"BOM before header":        "\ufefftime,key,value\n5,7,1.5\n",
+		"BOM, CRLF, capitals":      "\ufeffTime,Key,Value\r\n5,7,1.5\r\n",
+		"BOM before data":          "\ufeff5,7,1.5\n",
+		"BOM line then header":     "\ufeff\ntime,key,value\n5,7,1.5\n",
+	} {
+		got, err := ReadCSV(strings.NewReader(in))
+		if err != nil || !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: got %v, %v", name, got, err)
+		}
+	}
+	// Only the first non-blank line can be a header.
+	if _, err := ReadCSV(strings.NewReader("5,7,1.5\ntime,key,value\n")); err == nil ||
+		!strings.Contains(err.Error(), "line 2: time:") {
+		t.Errorf("header after data: err = %v, want a line 2 time error", err)
+	}
+}
+
 func TestReadCSVErrors(t *testing.T) {
 	cases := []string{
 		"1,2\n",     // wrong arity
