@@ -5,10 +5,12 @@
 // so this adapter is what connects the library to real event feeds.
 //
 // Events may arrive up to Bound ticks later than the maximum timestamp
-// seen so far. The buffer holds events in a min-heap on time and releases
-// everything with time ≤ watermark − Bound as the watermark advances.
-// Events older than that are late: they are either dropped or redirected
-// to a callback (dead-letter queue), matching ASA's drop/adjust policies.
+// seen so far. The buffer holds events in per-tick buckets (tickBuckets)
+// and releases every tick ≤ watermark − Bound as the watermark advances,
+// each tick sorted by key as it leaves: release order is (Time, Key),
+// and events equal in both leave in arrival order. Events older than the
+// horizon are late: they are either dropped or redirected to a callback
+// (dead-letter queue), matching ASA's drop/adjust policies.
 package reorder
 
 import (
@@ -46,8 +48,8 @@ func (p Policy) String() string {
 	return "drop"
 }
 
-// CapPolicy says what to do when the buffer's pending-event heap hits
-// its configured memory cap (SetCap). Either way the heap never grows
+// CapPolicy says what to do when the buffer's pending events hit the
+// configured memory cap (SetCap). Either way the backlog never grows
 // past the cap: overload degrades explicitly instead of growing memory
 // without bound.
 type CapPolicy int
@@ -88,7 +90,7 @@ type Buffer struct {
 	consumer Consumer
 	onLate   func(stream.Event)
 
-	h         eventHeap
+	p         tickBuckets
 	watermark int64 // max event time seen
 	// released is the sealed lateness horizon: every event with time
 	// below it has been emitted or judged late, and no future event
@@ -99,10 +101,10 @@ type Buffer struct {
 	released int64
 	out      []stream.Event
 
-	// cap bounds the heap (0: unbounded); capPolicy picks the overflow
-	// behavior. Both live in server configuration, not State: a restored
-	// checkpoint gets the current deployment's cap via SetCap, not the
-	// one it was taken under.
+	// cap bounds the pending events (0: unbounded); capPolicy picks the
+	// overflow behavior. Both live in server configuration, not State: a
+	// restored checkpoint gets the current deployment's cap via SetCap,
+	// not the one it was taken under.
 	cap         int
 	capPolicy   CapPolicy
 	capDropped  int64
@@ -135,9 +137,8 @@ func New(consumer Consumer, bound int64, policy Policy, onLate func(stream.Event
 // The dominant steady-state batch — already in non-decreasing time
 // order and starting at or past everything buffered — takes a sorted
 // fast path: the whole ≤-horizon prefix (buffered events first, then
-// the batch prefix) releases in one consumer call without any per-event
-// heap traffic, and only the ≤ bound ticks of tail events touch the
-// heap (each an O(1) sift, since they arrive in ascending order).
+// the batch prefix) releases in one consumer call, and only the ≤ bound
+// ticks of tail events are buffered.
 func (b *Buffer) Push(events []stream.Event) {
 	if b.closed {
 		panic("reorder: Push after Close")
@@ -168,16 +169,16 @@ func (b *Buffer) Push(events []stream.Event) {
 	b.release(b.watermark - b.bound)
 }
 
-// capPush inserts e into the heap, enforcing the memory cap first. The
-// watermark must already reflect e: a cap-rejected event still advances
-// the clock (it was seen), it just never reaches the consumer.
+// capPush buffers e, enforcing the memory cap first. The watermark must
+// already reflect e: a cap-rejected event still advances the clock (it
+// was seen), it just never reaches the consumer.
 func (b *Buffer) capPush(e stream.Event) {
-	if b.cap > 0 && b.h.len() >= b.cap {
+	if b.cap > 0 && b.p.len() >= b.cap {
 		if b.capPolicy == RejectNewest {
 			b.capDropped++
 			return
 		}
-		b.forceRelease(b.h.len() - b.cap + 1)
+		b.forceRelease(b.p.len() - b.cap + 1)
 		if e.Time < b.released {
 			// The forced horizon overtook this event; emitting it now
 			// would regress the output clock, so it degrades by the
@@ -190,7 +191,7 @@ func (b *Buffer) capPush(e stream.Event) {
 			e.Time = b.released
 		}
 	}
-	b.h.push(e)
+	b.p.push(e)
 }
 
 // forceRelease seals the horizon upward until at least k buffered
@@ -198,10 +199,10 @@ func (b *Buffer) capPush(e stream.Event) {
 // event sharing the current minimum timestamp, so the output clock
 // never regresses.
 func (b *Buffer) forceRelease(k int) {
-	for k > 0 && b.h.len() > 0 {
-		before := b.h.len()
-		b.release(b.h.min().Time)
-		n := before - b.h.len()
+	for k > 0 && b.p.len() > 0 {
+		before := b.p.len()
+		b.release(b.p.minTick())
+		n := before - b.p.len()
 		k -= n
 		b.capReleased += int64(n)
 	}
@@ -214,9 +215,9 @@ func (b *Buffer) forceRelease(k int) {
 // reports whether it handled the batch.
 //
 // Within equal timestamps the fast path releases buffered events before
-// batch events and batch events in arrival order, whereas the heap path
-// orders by (Time, Key); consumers only rely on non-decreasing times,
-// which both orders satisfy.
+// batch events and batch events in arrival order, whereas the buffered
+// path orders by (Time, Key); consumers only rely on non-decreasing
+// times, which both orders satisfy.
 func (b *Buffer) pushSorted(events []stream.Event) bool {
 	if len(events) == 0 {
 		return true
@@ -240,11 +241,7 @@ func (b *Buffer) pushSorted(events []stream.Event) bool {
 	for p > 0 && events[p-1].Time > horizon {
 		p--
 	}
-	out := b.out[:0]
-	for b.h.len() > 0 && b.h.min().Time <= horizon {
-		out = append(out, b.h.pop())
-	}
-	b.out = out
+	out := b.drain(horizon)
 	if horizon > b.released {
 		b.released = horizon
 	}
@@ -268,7 +265,7 @@ func (b *Buffer) pushSorted(events []stream.Event) bool {
 			b.consumer.Process(events[:p])
 		}
 	}
-	// Tail events (> horizon) enter the heap only after the releasable
+	// Tail events (> horizon) are buffered only after the releasable
 	// prefix went downstream, so a cap-forced release inside capPush can
 	// never emit a tail event ahead of the prefix.
 	for _, e := range events[p:] {
@@ -278,7 +275,7 @@ func (b *Buffer) pushSorted(events []stream.Event) bool {
 }
 
 // mergeLimit caps the release buffer the sorted fast path retains,
-// mirroring the heap path's incremental drain bound.
+// mirroring the buffered path's incremental drain bound.
 const mergeLimit = 16384
 
 // release emits every buffered event with time ≤ horizon, in time order,
@@ -287,28 +284,36 @@ const mergeLimit = 16384
 // an event happened to be emitted there). Arrivals AT the horizon stay
 // admissible: they emit immediately without breaking time order.
 func (b *Buffer) release(horizon int64) {
-	b.out = b.out[:0]
-	for b.h.len() > 0 && b.h.min().Time <= horizon {
-		b.out = append(b.out, b.h.pop())
-	}
+	out := b.drain(horizon)
 	if horizon > b.released {
 		b.released = horizon
 	}
-	if len(b.out) > 0 {
-		b.consumer.Process(b.out)
+	if len(out) > 0 {
+		b.consumer.Process(out)
 	}
 }
 
-// SetCap bounds the pending-event heap at n events (0 removes the
-// bound) with the given overflow policy. Under ReleaseOldest an
-// already-over-cap heap is trimmed immediately (emitting the overflow
-// to the consumer); under RejectNewest an oversized heap only shrinks
-// as the watermark advances, but admits nothing while at or over cap.
+// drain moves every buffered tick ≤ horizon into the recycled release
+// buffer, in (Time, Key) order, and returns it.
+func (b *Buffer) drain(horizon int64) []stream.Event {
+	out := b.out[:0]
+	for b.p.len() > 0 && b.p.minTick() <= horizon {
+		out = b.p.popMin(out)
+	}
+	b.out = out
+	return out
+}
+
+// SetCap bounds the pending events at n (0 removes the bound) with the
+// given overflow policy. Under ReleaseOldest an already-over-cap backlog
+// is trimmed immediately (emitting the overflow to the consumer); under
+// RejectNewest an oversized backlog only shrinks as the watermark
+// advances, but admits nothing while at or over cap.
 func (b *Buffer) SetCap(n int, policy CapPolicy) {
 	b.cap = n
 	b.capPolicy = policy
-	if n > 0 && policy == ReleaseOldest && b.h.len() > n {
-		b.forceRelease(b.h.len() - n)
+	if n > 0 && policy == ReleaseOldest && b.p.len() > n {
+		b.forceRelease(b.p.len() - n)
 	}
 }
 
@@ -353,9 +358,9 @@ func (b *Buffer) Snapshot() State {
 		Seen:        b.seen,
 		CapDropped:  b.capDropped,
 		CapReleased: b.capReleased,
-		// The heap array is copied as-is; the heap property is positional,
-		// so the copy is a valid heap for the restored buffer.
-		Pending: append([]stream.Event(nil), b.h.es...),
+		// Tick order, arrival order within a tick: re-pushing them in
+		// this order rebuilds the same buckets.
+		Pending: b.p.appendPending(nil),
 	}
 }
 
@@ -364,9 +369,10 @@ func (b *Buffer) Snapshot() State {
 // sealed horizon stay late even though the buffer is new, so the
 // consumer's in-order guarantee survives the swap. The state may come
 // from an untrusted checkpoint, so the pending events are validated
-// against the sealed horizon and re-heapified rather than trusted
-// positionally — a tampered State must not make the buffer release
-// out of order.
+// against the sealed horizon and re-pushed rather than trusted
+// positionally — a tampered State (or one written by the heap-based
+// buffer this one replaced, whose Pending is in heap-array order) must
+// not make the buffer release out of order.
 func NewFromState(consumer Consumer, st State, onLate func(stream.Event)) (*Buffer, error) {
 	b, err := New(consumer, st.Bound, st.Policy, onLate)
 	if err != nil {
@@ -383,7 +389,7 @@ func NewFromState(consumer Consumer, st State, onLate func(stream.Event)) (*Buff
 			return nil, fmt.Errorf("reorder: pending event at %d precedes the sealed horizon %d",
 				e.Time, st.Released)
 		}
-		b.h.push(e)
+		b.p.push(e)
 		if e.Time > b.watermark {
 			b.watermark = e.Time
 		}
@@ -405,7 +411,7 @@ func (b *Buffer) Late() int64 { return b.late }
 func (b *Buffer) Seen() int64 { return b.seen }
 
 // Buffered returns the number of events currently held back.
-func (b *Buffer) Buffered() int { return b.h.len() }
+func (b *Buffer) Buffered() int { return b.p.len() }
 
 // CapDropped returns the number of events dropped by the memory cap.
 func (b *Buffer) CapDropped() int64 { return b.capDropped }
@@ -413,60 +419,3 @@ func (b *Buffer) CapDropped() int64 { return b.capDropped }
 // CapReleased returns the number of events the cap force-released
 // early (ReleaseOldest policy).
 func (b *Buffer) CapReleased() int64 { return b.capReleased }
-
-// eventHeap is a typed min-heap of events on (Time, Key) — the key
-// tiebreak keeps release order deterministic for equal timestamps, and
-// the typed implementation avoids container/heap's per-event interface
-// boxing on the ingest hot path.
-type eventHeap struct {
-	es []stream.Event
-}
-
-func (h *eventHeap) len() int           { return len(h.es) }
-func (h *eventHeap) min() *stream.Event { return &h.es[0] }
-
-func (h *eventHeap) less(i, j int) bool {
-	a, b := &h.es[i], &h.es[j]
-	if a.Time != b.Time {
-		return a.Time < b.Time
-	}
-	return a.Key < b.Key
-}
-
-func (h *eventHeap) push(e stream.Event) {
-	h.es = append(h.es, e)
-	// Sift up.
-	i := len(h.es) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !h.less(i, parent) {
-			break
-		}
-		h.es[i], h.es[parent] = h.es[parent], h.es[i]
-		i = parent
-	}
-}
-
-func (h *eventHeap) pop() stream.Event {
-	top := h.es[0]
-	n := len(h.es) - 1
-	h.es[0] = h.es[n]
-	h.es = h.es[:n]
-	// Sift down.
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < n && h.less(l, small) {
-			small = l
-		}
-		if r < n && h.less(r, small) {
-			small = r
-		}
-		if small == i {
-			return top
-		}
-		h.es[i], h.es[small] = h.es[small], h.es[i]
-		i = small
-	}
-}

@@ -299,11 +299,9 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 		buf = append(buf, "null"...)
 	} else {
 		buf = append(buf, '[')
-		for i := range rows {
-			if i > 0 {
-				buf = append(buf, ',')
-			}
-			buf = appendRowJSON(buf, &rows[i])
+		buf = appendRowsJSON(buf, rows, ',')
+		if len(rows) > 0 {
+			buf = buf[:len(buf)-1] // the array has no trailing comma
 		}
 		buf = append(buf, ']')
 	}
@@ -322,23 +320,25 @@ var streamRowPool = sync.Pool{New: func() any {
 	return &s
 }}
 
-// appendRowNDJSON appends one stream row as a JSON object plus newline,
-// byte-compatible with the json.Encoder output it replaces (field order
-// follows the ResultRow struct tags); the fields shared with the batch
-// writers render through streamio's common encoder.
-func appendRowNDJSON(dst []byte, row *ResultRow) []byte {
-	dst = appendRowJSON(dst, row)
-	return append(dst, '\n')
-}
-
-// appendRowJSON appends one result row as a JSON object (no newline);
-// shared by the stream and cursor-read handlers.
-func appendRowJSON(dst []byte, row *ResultRow) []byte {
-	dst = append(dst, `{"seq":`...)
-	dst = strconv.AppendInt(dst, row.Seq, 10)
-	dst = append(dst, ',')
-	dst = streamio.AppendResultFields(dst, row.Range, row.Slide, row.Start, row.End, row.Key, row.Value)
-	return append(dst, '}')
+// appendRowsJSON appends each row as a JSON object followed by sep
+// ('\n' makes the chunk NDJSON), byte-compatible with json.Encoder over
+// ResultRow (field order follows the struct tags) except that a
+// non-finite value renders as null. It is the one row encoder of the
+// stream and cursor-read handlers. The fields after seq go through one
+// streamio.ResultEncoder for the whole chunk, so consecutive rows of one
+// window instance — what a firing puts in the ring — render their
+// shared range/slide/start/end once.
+func appendRowsJSON(dst []byte, rows []ResultRow, sep byte) []byte {
+	var enc streamio.ResultEncoder
+	for i := range rows {
+		row := &rows[i]
+		dst = append(dst, `{"seq":`...)
+		dst = streamio.AppendInt(dst, row.Seq)
+		dst = append(dst, ',')
+		dst = enc.AppendFields(dst, row.Range, row.Slide, row.Start, row.End, row.Key, row.Value)
+		dst = append(dst, '}', sep)
+	}
+	return dst
 }
 
 // acceptsFrames reports whether the request's Accept header asks for
@@ -404,9 +404,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 			if binary {
 				buf = encodeFrameRows(buf, rows)
 			} else {
-				for i := range rows {
-					buf = appendRowNDJSON(buf, &rows[i])
-				}
+				buf = appendRowsJSON(buf, rows, '\n')
 			}
 			*bufp = buf
 			if _, err := w.Write(buf); err != nil {

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"slices"
 	"sync"
 
 	"factorwindows/internal/stream"
@@ -32,10 +33,14 @@ type ring struct {
 	head     int   // index of the oldest row
 	firstSeq int64 // sequence number of rows[head]
 	nextSeq  int64
-	evicted  int64         // rows overwritten before any reader saw them
-	wait     chan struct{} // closed on append, but only once fetched
-	waited   bool          // a waiter fetched wait since its last rotation
-	closed   bool
+	// evicted counts every row overwritten by a newer one, read or not:
+	// a full ring evicts one row per row delivered, however promptly its
+	// readers drain it. What a reader actually lost is the missed count
+	// readAfter hands it.
+	evicted int64
+	wait    chan struct{} // closed on append, but only once fetched
+	waited  bool          // a waiter fetched wait since its last rotation
+	closed  bool
 }
 
 func newRing(capacity int) *ring {
@@ -43,53 +48,67 @@ func newRing(capacity int) *ring {
 }
 
 func (g *ring) append(res stream.Result) {
-	g.mu.Lock()
-	if g.closed {
-		g.mu.Unlock()
-		return
-	}
-	g.appendLocked(res)
-	g.wakeLocked()
-	g.mu.Unlock()
+	g.appendBatch([]stream.Result{res})
 }
 
 // appendBatch delivers one same-window run of rows under a single lock
 // acquisition and a single waiter wakeup — the batched fire path lands
-// here, so a 1000-key instance costs one lock, not a thousand.
+// here, so a 1000-key instance costs one lock, not a thousand. The rows
+// land as contiguous segments: the tail of a ring still filling, then at
+// most two runs over the oldest rows (up to the end of the buffer, and
+// from its start), with the sequence and eviction counters moved once
+// per batch.
 func (g *ring) appendBatch(rs []stream.Result) {
 	if len(rs) == 0 {
 		return
 	}
 	g.mu.Lock()
+	defer g.mu.Unlock()
 	if g.closed {
-		g.mu.Unlock()
 		return
 	}
-	for i := range rs {
-		g.appendLocked(rs[i])
+	seq := g.nextSeq
+	g.nextSeq += int64(len(rs))
+	if room := g.capacity - len(g.rows); room > 0 {
+		n := min(room, len(rs))
+		at := len(g.rows)
+		g.rows = slices.Grow(g.rows, n)[:at+n]
+		fillRows(g.rows[at:], rs[:n], seq)
+		rs, seq = rs[n:], seq+int64(n)
+	}
+	if over := len(rs); over > 0 {
+		// Each of these rows evicts the oldest one. Of a batch larger
+		// than the ring only the last capacity rows outlive the batch;
+		// the others would be overwritten before the lock is released.
+		if skip := over - g.capacity; skip > 0 {
+			g.head = (g.head + skip) % g.capacity
+			rs, seq = rs[skip:], seq+int64(skip)
+		}
+		n := min(len(rs), g.capacity-g.head)
+		fillRows(g.rows[g.head:g.head+n], rs[:n], seq)
+		fillRows(g.rows[:len(rs)-n], rs[n:], seq+int64(n))
+		if g.head += len(rs); g.head >= g.capacity {
+			g.head -= g.capacity
+		}
+		g.firstSeq += int64(over)
+		g.evicted += int64(over)
 	}
 	g.wakeLocked()
-	g.mu.Unlock()
 }
 
-func (g *ring) appendLocked(res stream.Result) {
-	row := ResultRow{
-		Seq:   g.nextSeq,
-		Range: res.W.Range,
-		Slide: res.W.Slide,
-		Start: res.Start,
-		End:   res.End,
-		Key:   res.Key,
-		Value: res.Value,
-	}
-	g.nextSeq++
-	if len(g.rows) < g.capacity {
-		g.rows = append(g.rows, row)
-	} else {
-		g.rows[g.head] = row
-		g.head = (g.head + 1) % g.capacity
-		g.firstSeq++
-		g.evicted++
+// fillRows renders rs into dst (same length) as rows numbered from seq.
+func fillRows(dst []ResultRow, rs []stream.Result, seq int64) {
+	for i := range rs {
+		r := &rs[i]
+		dst[i] = ResultRow{
+			Seq:   seq + int64(i),
+			Range: r.W.Range,
+			Slide: r.W.Slide,
+			Start: r.Start,
+			End:   r.End,
+			Key:   r.Key,
+			Value: r.Value,
+		}
 	}
 }
 
@@ -129,11 +148,18 @@ func (g *ring) readAfterInto(after int64, limit int, buf []ResultRow) (rows []Re
 	if buf == nil {
 		buf = make([]ResultRow, 0, n)
 	}
-	for i := int64(0); i < n; i++ {
-		idx := (g.head + int(start-g.firstSeq+i)) % len(g.rows)
-		buf = append(buf, g.rows[idx])
+	return g.appendRun(buf, int(start-g.firstSeq), int(n)), missed
+}
+
+// appendRun appends n buffered rows to dst, starting off rows past the
+// oldest: one copy up to the end of the buffer and one from its start.
+func (g *ring) appendRun(dst []ResultRow, off, n int) []ResultRow {
+	if off += g.head; off >= len(g.rows) {
+		off -= len(g.rows)
 	}
-	return buf, missed
+	k := min(n, len(g.rows)-off)
+	dst = append(dst, g.rows[off:off+k]...)
+	return append(dst, g.rows[:n-k]...)
 }
 
 // waitCh returns a channel closed on the next append or close. Fetch it
@@ -195,11 +221,7 @@ func (g *ring) exportState(id string) ringState {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	st := ringState{ID: id, FirstSeq: g.firstSeq, NextSeq: g.nextSeq, Evicted: g.evicted}
-	n := len(g.rows)
-	st.Rows = make([]ResultRow, 0, n)
-	for i := 0; i < n; i++ {
-		st.Rows = append(st.Rows, g.rows[(g.head+i)%n])
-	}
+	st.Rows = g.appendRun(make([]ResultRow, 0, len(g.rows)), 0, len(g.rows))
 	return st
 }
 

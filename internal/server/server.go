@@ -382,10 +382,12 @@ type WindowInfo struct {
 }
 
 // QueryInfo is the externally visible state of one registered query.
-// Evicted counts delivered rows overwritten in the result ring before
-// any reader consumed them (backpressure loss on the egress side);
-// events discarded on ingest because no query was live are the server
-// Stats' Dropped counter, a different failure with a different fix.
+// Evicted counts delivered rows overwritten in the result ring by newer
+// ones, read or not: once the ring is full it grows by one per delivered
+// row even when every reader keeps up, so it measures ring turnover, not
+// loss — a reader's loss is the missed count its read hands it. Events
+// discarded on ingest because no query was live are the server Stats'
+// Dropped counter, a different thing with a different fix.
 type QueryInfo struct {
 	ID        string       `json:"id"`
 	SQL       string       `json:"query"`
@@ -1238,12 +1240,13 @@ func (s *Server) ringOf(id string) (*ring, error) {
 	return reg.ring, nil
 }
 
-// Stats is the server-wide state summary. Dropped and Evicted report
-// two different losses: Dropped counts events discarded on ingest
-// because no query was live (nothing existed to compute), Evicted sums
-// result rows overwritten in per-query rings before a reader consumed
-// them (results computed but not picked up in time). Earlier versions
-// folded both stories into one number.
+// Stats is the server-wide state summary. Dropped and Evicted are two
+// different counters: Dropped counts events discarded on ingest because
+// no query was live (nothing existed to compute); Evicted sums result
+// rows overwritten in per-query rings by newer rows, read or not — ring
+// turnover, which grows on a full ring even when every reader keeps up.
+// A reader's loss is the missed count its read hands it. Earlier
+// versions folded both stories into one number.
 type Stats struct {
 	Queries      int     `json:"queries"`
 	Epoch        int64   `json:"epoch"`

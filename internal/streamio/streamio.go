@@ -11,6 +11,8 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -58,6 +60,63 @@ func PutEncodeBuf(b *[]byte) {
 	encodeBufPool.Put(b)
 }
 
+// digitPairs holds "00".."99": AppendUint writes two digits per
+// division.
+const digitPairs = "00010203040506070809" +
+	"10111213141516171819" +
+	"20212223242526272829" +
+	"30313233343536373839" +
+	"40414243444546474849" +
+	"50515253545556575859" +
+	"60616263646566676869" +
+	"70717273747576777879" +
+	"80818283848586878889" +
+	"90919293949596979899"
+
+// pow10 is indexed by digit count − 1.
+var pow10 = [...]uint64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10,
+	1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19}
+
+// AppendUint appends v in decimal, byte-identical to strconv.AppendUint
+// base 10. It sizes the number first and writes the digits straight
+// into dst, two per division — strconv formats into a scratch array
+// and copies, which on the result egress path (seven integers per row)
+// was the largest single cost.
+func AppendUint(dst []byte, v uint64) []byte {
+	// ⌊log10⌋ from the bit length (1233/4096 ≈ log10 2), corrected by one
+	// table compare.
+	n := bits.Len64(v) * 1233 >> 12
+	if v >= pow10[n] {
+		n++
+	}
+	n = max(n, 1) // 0 is one digit
+	end := len(dst) + n
+	dst = slices.Grow(dst, n)[:end]
+	i := end
+	for v >= 100 {
+		q := v / 100
+		d := 2 * (v - 100*q)
+		i -= 2
+		dst[i], dst[i+1] = digitPairs[d], digitPairs[d+1]
+		v = q
+	}
+	if v >= 10 {
+		dst[i-2], dst[i-1] = digitPairs[2*v], digitPairs[2*v+1]
+	} else {
+		dst[i-1] = '0' + byte(v)
+	}
+	return dst
+}
+
+// AppendInt is AppendUint for signed values, byte-identical to
+// strconv.AppendInt base 10.
+func AppendInt(dst []byte, v int64) []byte {
+	if v < 0 {
+		return AppendUint(append(dst, '-'), -uint64(v)) // −MinInt64 wraps to 1<<63, its magnitude
+	}
+	return AppendUint(dst, uint64(v))
+}
+
 // AppendJSONFloat appends v exactly as encoding/json renders a float64
 // (shortest form, 'e' notation outside [1e-6, 1e21) with the exponent's
 // leading zero trimmed), so hand-rolled encoders stay byte-compatible
@@ -75,7 +134,7 @@ func AppendJSONFloat(dst []byte, v float64) []byte {
 	// zero is the one integral value whose form ("-0") an integer loses.
 	if abs < 1<<53 && math.Float64bits(v) != 1<<63 {
 		if iv := int64(v); float64(iv) == v {
-			return strconv.AppendInt(dst, iv, 10)
+			return AppendInt(dst, iv)
 		}
 	}
 	format := byte('f')
@@ -93,24 +152,63 @@ func AppendJSONFloat(dst []byte, v float64) []byte {
 	return dst
 }
 
-// AppendResultFields appends the shared result-row JSON fields
-// ("range" through "value", no surrounding braces), so every wire
-// encoder of result rows — the JSONL writer here and the server's
-// sequence-numbered stream rows — renders them from one place.
-func AppendResultFields(dst []byte, rng, slide, start, end int64, key uint64, value float64) []byte {
+// appendWindowFields appends the result-row fields that are constant
+// across one window instance's rows, `"range":` through `"key":` with
+// the key itself left to the caller. It is the one renderer of these
+// fields: AppendResultFields calls it per row, a ResultEncoder once per
+// run of rows.
+func appendWindowFields(dst []byte, rng, slide, start, end int64) []byte {
 	dst = append(dst, `"range":`...)
-	dst = strconv.AppendInt(dst, rng, 10)
+	dst = AppendInt(dst, rng)
 	dst = append(dst, `,"slide":`...)
-	dst = strconv.AppendInt(dst, slide, 10)
+	dst = AppendInt(dst, slide)
 	dst = append(dst, `,"start":`...)
-	dst = strconv.AppendInt(dst, start, 10)
+	dst = AppendInt(dst, start)
 	dst = append(dst, `,"end":`...)
-	dst = strconv.AppendInt(dst, end, 10)
-	dst = append(dst, `,"key":`...)
-	dst = strconv.AppendUint(dst, key, 10)
+	dst = AppendInt(dst, end)
+	return append(dst, `,"key":`...)
+}
+
+// appendKeyValue finishes a result row's fields after appendWindowFields.
+func appendKeyValue(dst []byte, key uint64, value float64) []byte {
+	dst = AppendUint(dst, key)
 	dst = append(dst, `,"value":`...)
-	dst = AppendJSONFloat(dst, value)
-	return dst
+	return AppendJSONFloat(dst, value)
+}
+
+// AppendResultFields appends the shared result-row JSON fields
+// ("range" through "value", no surrounding braces). Encoders of many
+// rows should use a ResultEncoder, which renders the same bytes and
+// skips the work that repeats from row to row.
+func AppendResultFields(dst []byte, rng, slide, start, end int64, key uint64, value float64) []byte {
+	return appendKeyValue(appendWindowFields(dst, rng, slide, start, end), key, value)
+}
+
+// ResultEncoder renders result rows' JSON fields like AppendResultFields,
+// byte for byte, but keeps the rendered `"range":…,"key":` span of the
+// previous row: a window instance fires its keys as consecutive rows
+// sharing range, slide, start and end, so within such a run each row
+// costs one short copy in place of four integer renderings. Rows that
+// do not repeat cost one extra copy of that span. The zero value is
+// ready to use; an encoder serves one goroutine.
+type ResultEncoder struct {
+	rng, slide, start, end int64
+	n                      int       // length of the kept span; 0: nothing kept yet
+	span                   [120]byte // the span is at most 40 bytes of names and four 20-byte integers
+}
+
+// AppendFields appends one row's fields ("range" through "value", no
+// surrounding braces).
+func (e *ResultEncoder) AppendFields(dst []byte, rng, slide, start, end int64, key uint64, value float64) []byte {
+	if e.n > 0 && rng == e.rng && slide == e.slide && start == e.start && end == e.end {
+		dst = append(dst, e.span[:e.n]...)
+	} else {
+		at := len(dst)
+		dst = appendWindowFields(dst, rng, slide, start, end)
+		e.n = copy(e.span[:], dst[at:])
+		e.rng, e.slide, e.start, e.end = rng, slide, start, end
+	}
+	return appendKeyValue(dst, key, value)
 }
 
 // AppendResultJSONL appends one result row as a JSONL line (the
@@ -281,12 +379,15 @@ func WriteResultsJSONL(w io.Writer, rs []stream.Result) error {
 	bufp := GetEncodeBuf()
 	defer PutEncodeBuf(bufp)
 	buf := (*bufp)[:0]
+	var enc ResultEncoder
 	for _, r := range rs {
 		// Fail loudly on unrepresentable values (see WriteJSONL).
 		if math.IsNaN(r.Value) || math.IsInf(r.Value, 0) {
 			return fmt.Errorf("streamio: unsupported JSON value %v", r.Value)
 		}
-		buf = AppendResultJSONL(buf, r.W.Range, r.W.Slide, r.Start, r.End, r.Key, r.Value)
+		buf = append(buf, '{')
+		buf = enc.AppendFields(buf, r.W.Range, r.W.Slide, r.Start, r.End, r.Key, r.Value)
+		buf = append(buf, '}', '\n')
 		if len(buf) >= flushEvery {
 			if _, err := w.Write(buf); err != nil {
 				return err
