@@ -18,13 +18,11 @@ import (
 
 	"factorwindows/internal/agg"
 	"factorwindows/internal/core"
-	"factorwindows/internal/distinct"
 	"factorwindows/internal/engine"
 	"factorwindows/internal/harness"
 	"factorwindows/internal/multiquery"
 	"factorwindows/internal/parallel"
 	"factorwindows/internal/plan"
-	"factorwindows/internal/quantile"
 	"factorwindows/internal/reorder"
 	"factorwindows/internal/session"
 	"factorwindows/internal/slicing"
@@ -302,7 +300,7 @@ func BenchmarkQuantileSharing(b *testing.B) {
 	events := benchEvents(200_000)
 	b.Run("shared-sketch", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := quantile.Run(set, quantile.Options{Factors: true}, events, &stream.CountingSink{}); err != nil {
+			if _, err := RunQuantile(set, QuantileOptions{Factors: true}, events, &stream.CountingSink{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -336,7 +334,7 @@ func BenchmarkDistinctSharing(b *testing.B) {
 	events := benchEvents(200_000)
 	b.Run("shared-hll", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := distinct.Run(set, distinct.Options{Factors: true}, events, &stream.CountingSink{}); err != nil {
+			if _, err := RunDistinct(set, DistinctOptions{Factors: true}, events, &stream.CountingSink{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -346,7 +344,7 @@ func BenchmarkDistinctSharing(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for _, w := range set.Sorted() {
 				single := window.MustSet(w)
-				if _, err := distinct.Run(single, distinct.Options{}, events, &stream.CountingSink{}); err != nil {
+				if _, err := RunDistinct(single, DistinctOptions{}, events, &stream.CountingSink{}); err != nil {
 					b.Fatal(err)
 				}
 			}

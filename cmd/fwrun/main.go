@@ -10,13 +10,15 @@
 //
 // Plan variants: original (independent evaluation), rewritten
 // (Algorithm 1), factored (Algorithm 3, the default), slicing (the
-// Scotty-style baseline), sliding (per-window incremental aggregation),
-// quantile (sketch-backed phi-quantiles; see -phi) and distinct
-// (HyperLogLog COUNT DISTINCT) — the two holistic-sharing extensions.
-// Engine-based variants accept -shards for key-sharded parallel
-// execution. A WHERE clause in the query filters events before any
-// window sees them. Input is either a file with "time,key,value" CSV
-// rows or JSON lines (-input/-format) or a generated dataset (-dataset).
+// Scotty-style baseline) and sliding (per-window incremental
+// aggregation). Every variant runs every aggregate function, the
+// sketch-backed ones included: PERCENTILE(v, 0.99), COUNT(DISTINCT v) and
+// TOPK(v, 3) share computation under -plan rewritten|factored like SUM
+// does, and the call's parameter reaches every variant. Engine-based
+// variants accept -shards for key-sharded parallel execution. A WHERE
+// clause in the query filters events before any window sees them. Input
+// is either a file with "time,key,value" CSV rows or JSON lines
+// (-input/-format) or a generated dataset (-dataset).
 package main
 
 import (
@@ -27,11 +29,9 @@ import (
 
 	"factorwindows/internal/asaql"
 	"factorwindows/internal/core"
-	"factorwindows/internal/distinct"
 	"factorwindows/internal/engine"
 	"factorwindows/internal/parallel"
 	"factorwindows/internal/plan"
-	"factorwindows/internal/quantile"
 	"factorwindows/internal/slicing"
 	"factorwindows/internal/sliding"
 	"factorwindows/internal/stream"
@@ -50,19 +50,14 @@ func main() {
 		keys       = flag.Int("keys", 4, "generated dataset keys")
 		pace       = flag.Int("pace", 4, "generated events per tick")
 		seed       = flag.Int64("seed", 42, "generated dataset seed")
-		planKind   = flag.String("plan", "factored", "plan variant: original, rewritten, factored, slicing, sliding, quantile, distinct")
+		planKind   = flag.String("plan", "factored", "plan variant: original, rewritten, factored, slicing, sliding")
 		throughput = flag.Bool("throughput", false, "print throughput instead of results")
 		limit      = flag.Int("limit", 20, "max result rows to print (0 = all)")
 		shards     = flag.Int("shards", 1, "key shards for engine-based plans (>1 runs in parallel)")
-		phi        = flag.Float64("phi", 0.5, "quantile for -plan quantile (0.5 = median)")
 	)
 	flag.Parse()
 
 	q, err := loadQuery(*queryText, *queryFile)
-	if err != nil {
-		fatal(err)
-	}
-	set, err := q.Set()
 	if err != nil {
 		fatal(err)
 	}
@@ -92,49 +87,8 @@ func main() {
 	}
 
 	start := time.Now()
-	switch *planKind {
-	case "slicing":
-		if _, err := slicing.Run(set, q.Fn, es, sink); err != nil {
-			fatal(err)
-		}
-	case "sliding":
-		if _, err := sliding.Run(set, q.Fn, es, sink); err != nil {
-			fatal(err)
-		}
-	case "quantile":
-		if _, err := quantile.Run(set, quantile.Options{Phi: *phi, Factors: true}, es, sink); err != nil {
-			fatal(err)
-		}
-	case "distinct":
-		if _, err := distinct.Run(set, distinct.Options{Factors: true}, es, sink); err != nil {
-			fatal(err)
-		}
-	case "original":
-		p, err := plan.NewOriginal(set, q.Fn)
-		if err != nil {
-			fatal(err)
-		}
-		if err := runEngine(p, es, sink, *shards); err != nil {
-			fatal(err)
-		}
-	case "rewritten", "factored":
-		res, err := core.Optimize(set, q.Fn, core.Options{Factors: *planKind == "factored"})
-		if err != nil {
-			fatal(err)
-		}
-		kind := plan.Rewritten
-		if *planKind == "factored" {
-			kind = plan.Factored
-		}
-		p, err := plan.FromGraph(res.Graph, q.Fn, kind)
-		if err != nil {
-			fatal(err)
-		}
-		if err := runEngine(p, es, sink, *shards); err != nil {
-			fatal(err)
-		}
-	default:
-		fatal(fmt.Errorf("unknown -plan %q", *planKind))
+	if err := execute(q, *planKind, es, sink, *shards); err != nil {
+		fatal(err)
 	}
 	elapsed := time.Since(start)
 
@@ -155,13 +109,57 @@ func main() {
 	}
 }
 
-// runEngine executes an engine plan, key-sharded when shards > 1.
-func runEngine(p *plan.Plan, es []stream.Event, sink stream.Sink, shards int) error {
-	if shards > 1 {
-		_, err := parallel.Run(p, es, sink, shards)
+// baseline is the surface the two non-engine executors share.
+type baseline interface {
+	SetParam(float64)
+	Process([]stream.Event)
+	Close()
+}
+
+// execute runs the query's first aggregate call over es under the named
+// plan variant. The call's finalize parameter (φ of PERCENTILE, k of
+// TOPK) reaches every variant, so they all answer the same question.
+func execute(q *asaql.Query, planKind string, es []stream.Event, sink stream.Sink, shards int) error {
+	set, err := q.Set()
+	if err != nil {
 		return err
 	}
-	_, err := engine.Run(p, es, sink)
+	var p *plan.Plan
+	var b baseline
+	switch planKind {
+	case "slicing":
+		b, err = slicing.New(set, q.Fn, sink)
+	case "sliding":
+		b, err = sliding.New(set, q.Fn, sink)
+	case "original":
+		p, err = plan.NewOriginal(set, q.Fn)
+	case "rewritten", "factored":
+		kind := plan.Rewritten
+		if planKind == "factored" {
+			kind = plan.Factored
+		}
+		var res *core.Result
+		if res, err = core.Optimize(set, q.Fn, core.Options{Factors: kind == plan.Factored}); err == nil {
+			p, err = plan.FromGraph(res.Graph, q.Fn, kind)
+		}
+	default:
+		err = fmt.Errorf("unknown -plan %q", planKind)
+	}
+	if err != nil {
+		return err
+	}
+	if b != nil {
+		b.SetParam(q.Param)
+		b.Process(es)
+		b.Close()
+		return nil
+	}
+	p.Param = q.Param
+	if shards > 1 {
+		_, err = parallel.Run(p, es, sink, shards)
+	} else {
+		_, err = engine.Run(p, es, sink)
+	}
 	return err
 }
 

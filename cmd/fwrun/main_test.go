@@ -3,7 +3,10 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
+
+	"factorwindows/internal/stream"
 )
 
 func TestLoadQuery(t *testing.T) {
@@ -52,5 +55,48 @@ func TestLoadEventsGeneratedAndFile(t *testing.T) {
 	}
 	if _, err := loadEvents(filepath.Join(dir, "missing.csv"), "csv", "", 0, 0, 0, 0); err == nil {
 		t.Fatal("missing file must fail")
+	}
+}
+
+// TestPlanVariantsAgreeOnParameterizedQuery runs one PERCENTILE(v, 0.9)
+// query under every -plan variant. All five evaluate the same function
+// with the same parameter, so below the sketch's compaction size they
+// must return the same rows — and those rows must be the 0.9-quantile,
+// not the default median a dropped parameter would answer.
+func TestPlanVariantsAgreeOnParameterizedQuery(t *testing.T) {
+	q, err := loadQuery(`SELECT k, PERCENTILE(v, 0.9) FROM s GROUP BY k,
+		Windows(TumblingWindow(tick, 10), TumblingWindow(tick, 20), HoppingWindow(tick, 20, 10))`, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var es []stream.Event
+	for i := 0; i < 60; i++ {
+		es = append(es, stream.Event{Time: int64(i), Key: uint64(i % 2), Value: float64(i%10 + 1)})
+	}
+	var want []stream.Result
+	for _, kind := range []string{"original", "rewritten", "factored", "slicing", "sliding"} {
+		sink := &stream.CollectingSink{}
+		if err := execute(q, kind, es, sink, 1); err != nil {
+			t.Fatalf("-plan %s: %v", kind, err)
+		}
+		got := sink.Sorted()
+		if want == nil {
+			want = got
+			// W(10,10) instance [0,10), key 0 holds 1,3,5,7,9: rank ⌈0.9·5⌉ is 9.
+			if first := want[0]; first.End != 10 || first.Key != 0 || first.Value != 9 {
+				t.Fatalf("first row %v, want W(10,10) [0,10) key 0 = 9", first)
+			}
+			continue
+		}
+		if !slices.Equal(got, want) {
+			t.Errorf("-plan %s printed\n%v\n-plan original printed\n%v", kind, got, want)
+		}
+	}
+	sharded := &stream.CollectingSink{}
+	if err := execute(q, "factored", es, sharded, 3); err != nil || !slices.Equal(sharded.Sorted(), want) {
+		t.Errorf("-plan factored -shards 3 printed\n%v (%v)\n-plan original printed\n%v", sharded.Sorted(), err, want)
+	}
+	if err := execute(q, "quantile", es, &stream.CollectingSink{}, 1); err == nil {
+		t.Error("-plan quantile is gone and must be refused")
 	}
 }

@@ -2,6 +2,7 @@ package factorwindows
 
 import (
 	"os"
+	"os/exec"
 	"path/filepath"
 	"regexp"
 	"strings"
@@ -127,6 +128,60 @@ func TestDocsRoutesMatchHandler(t *testing.T) {
 	for r := range documented {
 		if !registered[r] {
 			t.Errorf("route %q documented in the README but not registered in handlers.go", r)
+		}
+	}
+}
+
+// TestDocsOffPathPackages keeps ROADMAP's north-star line enforced: an
+// internal package that no build of the server, the worker or the
+// reproduction harness reaches is either wired in, deleted, or argued
+// for in ARCHITECTURE.md's "Off the serving and reproduction path" note
+// — in the same diff. The set `go list -deps` computes must equal the
+// set that note lists.
+func TestDocsOffPathPackages(t *testing.T) {
+	list := func(args ...string) map[string]bool {
+		t.Helper()
+		out, err := exec.Command("go", append([]string{"list"}, args...)...).Output()
+		if err != nil {
+			t.Fatalf("go list %v: %v", args, err)
+		}
+		pkgs := make(map[string]bool)
+		for _, p := range strings.Fields(string(out)) {
+			if rest, ok := strings.CutPrefix(p, "factorwindows/"); ok && strings.HasPrefix(rest, "internal/") {
+				pkgs[rest] = true
+			}
+		}
+		return pkgs
+	}
+	reached := list("-deps", "./cmd/fwserve", "./cmd/fwworker", "./cmd/fwbench")
+	offPath := make(map[string]bool)
+	for p := range list("./internal/...") {
+		if !reached[p] {
+			offPath[p] = true
+		}
+	}
+
+	body, err := os.ReadFile("ARCHITECTURE.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, note, found := strings.Cut(string(body), "### Off the serving and reproduction path")
+	if !found {
+		t.Fatal("ARCHITECTURE.md lost its \"Off the serving and reproduction path\" note")
+	}
+	note, _, _ = strings.Cut(note, "\n#") // up to the next heading
+	listed := make(map[string]bool)
+	for _, m := range regexp.MustCompile("(?m)^- `(internal/[a-z0-9_/]+)`").FindAllStringSubmatch(note, -1) {
+		listed[m[1]] = true
+	}
+	for p := range offPath {
+		if !listed[p] {
+			t.Errorf("%s is reached by none of cmd/fwserve, cmd/fwworker, cmd/fwbench and ARCHITECTURE.md's off-path note does not argue for it: wire it in, delete it, or list it there", p)
+		}
+	}
+	for p := range listed {
+		if !offPath[p] {
+			t.Errorf("ARCHITECTURE.md's off-path note lists %s, but a serving or reproduction command reaches it (or it is gone)", p)
 		}
 	}
 }

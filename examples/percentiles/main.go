@@ -31,30 +31,38 @@ func main() {
 	}
 	events := latencyStream(2_000_000, 8)
 
+	// RunQuantile runs the plan Optimize picks for the Percentile
+	// function; ask it which factor windows that plan keeps.
+	opt, err := fw.Optimize(set, fw.Percentile, fw.Options{Factors: true})
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("factor windows %v, predicted speedup %.2fx\n\n", opt.FactorWindows, opt.PredictedSpeedup)
+
 	for _, phi := range []float64{0.50, 0.95, 0.99} {
 		sink := &fw.CollectingSink{}
 		start := time.Now()
-		runner, err := fw.RunQuantile(set, fw.QuantileOptions{
-			Phi: phi, K: 800, Factors: true,
-		}, events, sink)
+		runner, err := fw.RunQuantile(set, fw.QuantileOptions{Phi: phi, Factors: true}, events, sink)
 		if err != nil {
 			log.Fatal(err)
 		}
 		elapsed := time.Since(start)
-		fmt.Printf("p%02.0f: %d window results in %v (%.1f M events/s, %d sketch merges, factors %v)\n",
+		fmt.Printf("p%02.0f: %d window results in %v (%.1f M events/s, %d state updates)\n",
 			phi*100, len(sink.Results), elapsed.Round(time.Millisecond),
-			float64(len(events))/elapsed.Seconds()/1e6, runner.Merges(), runner.Factors)
+			float64(len(events))/elapsed.Seconds()/1e6, runner.TotalUpdates())
 	}
 
 	// Accuracy check: compare one window's sketch answer to the exact
-	// percentile computed from raw events.
+	// percentile computed from raw events. The sketches are the library
+	// default size (K = 200 values per compactor level), the one the
+	// server and the workers use.
 	sink := &fw.CollectingSink{}
-	if _, err := fw.RunQuantile(set, fw.QuantileOptions{Phi: 0.99, K: 800, Factors: true}, events, sink); err != nil {
+	if _, err := fw.RunQuantile(set, fw.QuantileOptions{Phi: 0.99, Factors: true}, events, sink); err != nil {
 		log.Fatal(err)
 	}
 	res := pickResult(sink, fw.Tumbling(3600))
 	exact, rankErr := windowAccuracy(events, res, 0.99)
-	fmt.Printf("\naccuracy, hour window [%d,%d) key %d:\n", res.Start, res.End, res.Key)
+	fmt.Printf("\naccuracy at the default sketch size (K = 200), hour window [%d,%d) key %d:\n", res.Start, res.End, res.Key)
 	fmt.Printf("  sketch p99: %8.3f ms   exact p99: %8.3f ms\n", res.Value, exact)
 	fmt.Printf("  rank error: %.3f%% (the sketch's guarantee is on rank, not value —\n", 100*rankErr)
 	fmt.Printf("  tail values are sparse, so small rank errors can move the value)\n")

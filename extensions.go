@@ -4,13 +4,12 @@ import (
 	"io"
 
 	"factorwindows/internal/adaptive"
+	"factorwindows/internal/agg"
 	"factorwindows/internal/core"
-	"factorwindows/internal/distinct"
 	"factorwindows/internal/engine"
 	"factorwindows/internal/flinkgen"
 	"factorwindows/internal/multiquery"
 	"factorwindows/internal/parallel"
-	"factorwindows/internal/quantile"
 	"factorwindows/internal/reorder"
 	"factorwindows/internal/session"
 	"factorwindows/internal/sliding"
@@ -89,62 +88,116 @@ func RunSessions(gaps []int64, fn AggFn, events []Event, sink SessionSink) (*Ses
 }
 
 // QuantileOptions configures sketch-backed approximate quantile
-// evaluation (phi, sketch size K, factor windows).
-type QuantileOptions = quantile.Options
+// evaluation.
+type QuantileOptions struct {
+	// Phi is the quantile in (0, 1]; 0 defaults to 0.5 (MEDIAN).
+	Phi float64
+	// Factors enables factor-window exploration (Algorithm 3).
+	Factors bool
+}
 
 // QuantileRunner evaluates approximate phi-quantiles (MEDIAN and friends)
 // over a window set with shared computation: mergeable sketches make the
 // holistic function algebraic, so the optimizer's "partitioned by"
 // sharing — including factor windows — applies. This is the Section
-// III-A future-work extension; answers carry a small rank error governed
-// by QuantileOptions.K (exact below K values per instance).
-type QuantileRunner = quantile.Runner
+// III-A future-work extension, executed by the one engine as the
+// Percentile aggregate: a QuantileRunner is the engine Runner of the
+// optimized plan (TotalUpdates counts the folds and sketch merges).
+// Answers carry a small rank error governed by the library's sketch size
+// (exact below that many values per instance).
+type QuantileRunner = Runner
+
+// sketchPlan optimizes the set for a sketch-backed function and carries
+// the finalize-time parameter onto the plan.
+func sketchPlan(set *WindowSet, fn AggFn, param float64, factors bool) (*Plan, error) {
+	if param != 0 {
+		if err := agg.ValidateParam(fn, param); err != nil {
+			return nil, err
+		}
+	}
+	o, err := Optimize(set, fn, Options{Factors: factors})
+	if err != nil {
+		return nil, err
+	}
+	o.Plan.Param = param
+	return o.Plan, nil
+}
 
 // RunQuantile optimizes the set for a sketch-backed quantile, processes
-// all events, and flushes.
+// all events, and flushes. It is Optimize(set, Percentile, …) with
+// Plan.Param = Phi, run on the engine.
 func RunQuantile(set *WindowSet, opts QuantileOptions, events []Event, sink Sink) (*QuantileRunner, error) {
-	return quantile.Run(set, opts, events, sink)
+	p, err := sketchPlan(set, Percentile, opts.Phi, opts.Factors)
+	if err != nil {
+		return nil, err
+	}
+	return engine.Run(p, events, sink)
 }
 
 // NewQuantileRunner is the incremental form of RunQuantile.
 func NewQuantileRunner(set *WindowSet, opts QuantileOptions, sink Sink) (*QuantileRunner, error) {
-	return quantile.New(set, opts, sink)
+	p, err := sketchPlan(set, Percentile, opts.Phi, opts.Factors)
+	if err != nil {
+		return nil, err
+	}
+	return engine.New(p, sink)
 }
 
 // RestoreQuantileRunner resumes a quantile runner for the identical
-// window set and options from a snapshot taken with its Snapshot method
-// (the sketch-executor analogue of Restore for engine Runners).
+// window set and Factors choice from a snapshot taken with its Snapshot
+// method. Phi is a query-time parameter, not state, so a snapshot may be
+// restored under a different Phi.
 func RestoreQuantileRunner(set *WindowSet, opts QuantileOptions, sink Sink, snapshot []byte) (*QuantileRunner, error) {
-	return quantile.Restore(set, opts, sink, snapshot)
+	p, err := sketchPlan(set, Percentile, opts.Phi, opts.Factors)
+	if err != nil {
+		return nil, err
+	}
+	return engine.Restore(p, sink, snapshot)
 }
 
-// DistinctOptions configures HyperLogLog-backed COUNT DISTINCT (HLL
-// precision P, factor windows).
-type DistinctOptions = distinct.Options
+// DistinctOptions configures HyperLogLog-backed COUNT DISTINCT.
+type DistinctOptions struct {
+	// Factors enables factor-window exploration (Algorithm 3).
+	Factors bool
+}
 
 // DistinctRunner evaluates approximate COUNT(DISTINCT value) per window
 // instance per key with shared computation. Distinct counting is
 // holistic, but HyperLogLog sketches merge exactly (register-wise max),
 // so the optimizer's "partitioned by" sharing applies and — unlike the
 // quantile sketch — sharing introduces no error beyond the HLL's own
-// ≈ 1.04/√(2^P) standard error.
-type DistinctRunner = distinct.Runner
+// ≈ 1.04/√(2^P) standard error. Like QuantileRunner it is the engine
+// Runner, here of the optimized Distinct plan.
+type DistinctRunner = Runner
 
 // RunDistinct optimizes the set for sketch-backed distinct counting,
 // processes all events, and flushes.
 func RunDistinct(set *WindowSet, opts DistinctOptions, events []Event, sink Sink) (*DistinctRunner, error) {
-	return distinct.Run(set, opts, events, sink)
+	p, err := sketchPlan(set, Distinct, 0, opts.Factors)
+	if err != nil {
+		return nil, err
+	}
+	return engine.Run(p, events, sink)
 }
 
 // NewDistinctRunner is the incremental form of RunDistinct.
 func NewDistinctRunner(set *WindowSet, opts DistinctOptions, sink Sink) (*DistinctRunner, error) {
-	return distinct.New(set, opts, sink)
+	p, err := sketchPlan(set, Distinct, 0, opts.Factors)
+	if err != nil {
+		return nil, err
+	}
+	return engine.New(p, sink)
 }
 
 // RestoreDistinctRunner resumes a distinct-count runner for the identical
-// window set and options from a snapshot taken with its Snapshot method.
+// window set and Factors choice from a snapshot taken with its Snapshot
+// method.
 func RestoreDistinctRunner(set *WindowSet, opts DistinctOptions, sink Sink, snapshot []byte) (*DistinctRunner, error) {
-	return distinct.Restore(set, opts, sink, snapshot)
+	p, err := sketchPlan(set, Distinct, 0, opts.Factors)
+	if err != nil {
+		return nil, err
+	}
+	return engine.Restore(p, sink, snapshot)
 }
 
 // ReorderPolicy selects the late-event policy of a ReorderBuffer.

@@ -2,6 +2,7 @@ package factorwindows
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 )
 
@@ -171,5 +172,112 @@ func TestRateMonitorIntegration(t *testing.T) {
 	}
 	if !last.Reoptimize || last.Overpay() <= 1 {
 		t.Fatalf("expected re-optimization advice, got %+v", last)
+	}
+}
+
+// TestRunQuantilePhi pins the quantile the facade answers against the
+// exact rank definition (value at rank ⌈φ·n⌉): 50 values, well below the
+// sketch size, so every answer is exact.
+func TestRunQuantilePhi(t *testing.T) {
+	set, _ := NewWindowSet(Tumbling(50))
+	var events []Event
+	for i := 0; i < 50; i++ {
+		events = append(events, Event{Time: int64(i), Key: 1, Value: float64(i + 1)})
+	}
+	for _, tc := range []struct{ phi, want float64 }{
+		{0, 25}, {0.1, 5}, {0.5, 25}, {0.9, 45}, {1.0, 50},
+	} {
+		sink := &CollectingSink{}
+		if _, err := RunQuantile(set, QuantileOptions{Phi: tc.phi}, events, sink); err != nil {
+			t.Fatal(err)
+		}
+		if len(sink.Results) != 1 || sink.Results[0].Value != tc.want {
+			t.Errorf("phi=%v: got %v, want one row of %v", tc.phi, sink.Results, tc.want)
+		}
+	}
+}
+
+func TestSketchFacadeValidation(t *testing.T) {
+	set, _ := NewWindowSet(Tumbling(10))
+	for _, phi := range []float64{2, -0.5} {
+		if _, err := NewQuantileRunner(set, QuantileOptions{Phi: phi}, &CollectingSink{}); err == nil {
+			t.Errorf("phi %v should fail", phi)
+		}
+	}
+	if _, err := NewQuantileRunner(set, QuantileOptions{}, nil); err == nil {
+		t.Error("nil sink should fail")
+	}
+	if _, err := NewQuantileRunner(nil, QuantileOptions{}, &CollectingSink{}); err == nil {
+		t.Error("nil set should fail")
+	}
+	if _, err := NewDistinctRunner(set, DistinctOptions{}, nil); err == nil {
+		t.Error("nil sink should fail")
+	}
+	if _, err := NewDistinctRunner(nil, DistinctOptions{}, &CollectingSink{}); err == nil {
+		t.Error("nil set should fail")
+	}
+}
+
+// TestSketchFacadeSnapshotRestore drives the Restore…Runner facades on
+// Example 7's set (so a factor window's sketches cross the snapshot): a
+// run cut mid-stream and resumed finishes like the uninterrupted one, a
+// resumed quantile may ask for another φ (it is not state), and a
+// snapshot of another window set or Factors choice is refused.
+func TestSketchFacadeSnapshotRestore(t *testing.T) {
+	set, _ := NewWindowSet(Tumbling(20), Tumbling(30), Tumbling(40))
+	other, _ := NewWindowSet(Tumbling(20), Tumbling(40))
+	events := SyntheticStream(StreamConfig{Events: 9000, Keys: 3, EventsPerTick: 30, Seed: 11})
+	const cut = 4321
+	qopts, dopts := QuantileOptions{Phi: 0.9, Factors: true}, DistinctOptions{Factors: true}
+
+	finish := func(name string, r *Runner, err error, from int, sink *CollectingSink) []Result {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		r.Process(events[from:])
+		r.Close()
+		return sink.Sorted()
+	}
+	whole, split := &CollectingSink{}, &CollectingSink{}
+	r, err := NewQuantileRunner(set, qopts, whole)
+	want := finish("quantile", r, err, 0, whole)
+	r, _ = NewQuantileRunner(set, qopts, split)
+	r.Process(events[:cut])
+	qsnap, _ := r.Snapshot()
+	r, err = RestoreQuantileRunner(set, qopts, split, qsnap)
+	if got := finish("quantile restore", r, err, cut, split); !slices.Equal(got, want) || r.Events() != int64(len(events)) {
+		t.Errorf("resumed quantile run: %d rows over %d events, uninterrupted %d rows", len(got), r.Events(), len(want))
+	}
+
+	whole, split = &CollectingSink{}, &CollectingSink{}
+	r, err = NewDistinctRunner(set, dopts, whole)
+	want = finish("distinct", r, err, 0, whole)
+	r, _ = NewDistinctRunner(set, dopts, split)
+	r.Process(events[:cut])
+	dsnap, _ := r.Snapshot()
+	r, err = RestoreDistinctRunner(set, dopts, split, dsnap)
+	if got := finish("distinct restore", r, err, cut, split); !slices.Equal(got, want) {
+		t.Errorf("resumed distinct run: %d rows, uninterrupted %d rows", len(got), len(want))
+	}
+	if _, err := r.Snapshot(); err == nil {
+		t.Error("Snapshot after Close must fail")
+	}
+
+	sink := &CollectingSink{}
+	if _, err := RestoreQuantileRunner(set, QuantileOptions{Phi: 0.5, Factors: true}, sink, qsnap); err != nil {
+		t.Errorf("restore under a different phi should work: %v", err)
+	}
+	for name, restore := range map[string]func() (*Runner, error){
+		"quantile, other set":    func() (*Runner, error) { return RestoreQuantileRunner(other, qopts, sink, qsnap) },
+		"quantile, no factors":   func() (*Runner, error) { return RestoreQuantileRunner(set, QuantileOptions{}, sink, qsnap) },
+		"quantile blob as HLL":   func() (*Runner, error) { return RestoreDistinctRunner(set, dopts, sink, qsnap) },
+		"distinct, other set":    func() (*Runner, error) { return RestoreDistinctRunner(other, dopts, sink, dsnap) },
+		"distinct, no factors":   func() (*Runner, error) { return RestoreDistinctRunner(set, DistinctOptions{}, sink, dsnap) },
+		"distinct blob, garbage": func() (*Runner, error) { return RestoreDistinctRunner(set, dopts, sink, dsnap[:len(dsnap)/2]) },
+	} {
+		if _, err := restore(); err == nil {
+			t.Errorf("%s: restore accepted the snapshot", name)
+		}
 	}
 }

@@ -4,7 +4,8 @@
 // Aggregates" (Wu, Bernstein, Raizman, Pavlopoulou; ICDE 2022).
 //
 // A query computes one aggregate function (MIN, MAX, SUM, COUNT, AVG,
-// STDEV, MEDIAN) over several correlated windows of the same stream. The
+// STDEV, exact MEDIAN, or the sketch-backed PERCENTILE, COUNT(DISTINCT)
+// and TOPK) over several correlated windows of the same stream. The
 // optimizer builds the window coverage graph (WCG) of the window set,
 // finds the min-cost sharing structure (Algorithm 1), and optionally
 // inserts factor windows — auxiliary windows not in the query that
@@ -31,9 +32,11 @@
 // Beyond the paper, the library implements its stated future-work items:
 // a Steiner-pool factor search (OptimizeSteiner), session-window sharing
 // chains (RunSessions), sketch-backed holistic aggregates with sharing
-// (RunQuantile, RunDistinct), Apache Flink DataStream code generation
-// (Flink), and key-sharded parallel execution (RunParallel). See
-// extensions.go and the "Beyond the paper" section of the README.
+// (the Percentile, Distinct and TopK functions — ordinary plans on the
+// one engine; RunQuantile and RunDistinct are shorthands), Apache Flink
+// DataStream code generation (Flink), and key-sharded parallel execution
+// (RunParallel). See extensions.go and the "Aggregate functions: exact
+// and sketch-backed" section of the README.
 package factorwindows
 
 import (
@@ -78,15 +81,22 @@ func Partitions(w1, w2 Window) bool { return window.Partitions(w1, w2) }
 // AggFn identifies an aggregate function.
 type AggFn = agg.Fn
 
-// The supported aggregate functions.
+// The supported aggregate functions. Median is exact and holistic (the
+// paper's fallback: no sharing). Percentile, Distinct and TopK keep a
+// mergeable sketch per window instance instead, so they share like
+// algebraic functions and answer approximately; Percentile and TopK read
+// their parameter (φ, rank k) from Plan.Param.
 const (
-	Min    = agg.Min
-	Max    = agg.Max
-	Sum    = agg.Sum
-	Count  = agg.Count
-	Avg    = agg.Avg
-	StdDev = agg.StdDev
-	Median = agg.Median
+	Min        = agg.Min
+	Max        = agg.Max
+	Sum        = agg.Sum
+	Count      = agg.Count
+	Avg        = agg.Avg
+	StdDev     = agg.StdDev
+	Median     = agg.Median
+	Percentile = agg.Percentile
+	Distinct   = agg.Distinct
+	TopK       = agg.TopK
 )
 
 // ParseAggFn parses an aggregate function name such as "MIN".
@@ -97,7 +107,8 @@ type Semantics = agg.Semantics
 
 // Semantics values. AutoSemantics (the zero value) derives the relation
 // from the aggregate function: "covered by" for MIN/MAX, "partitioned
-// by" for SUM/COUNT/AVG/STDEV, no sharing for holistic functions.
+// by" for SUM/COUNT/AVG/STDEV and the sketch-backed functions, no
+// sharing for exact MEDIAN.
 const (
 	AutoSemantics = agg.Auto
 	NoSharing     = agg.NoSharing
@@ -173,6 +184,12 @@ func Optimize(set *WindowSet, fn AggFn, opts Options) (*Optimization, error) {
 	if opts.Factors {
 		kind = plan.Factored
 	}
+	return newOptimization(set, fn, res, kind)
+}
+
+// newOptimization rewrites an optimizer result into its executable plan
+// and pairs it with the original plan and the cost bookkeeping.
+func newOptimization(set *WindowSet, fn AggFn, res *core.Result, kind plan.Kind) (*Optimization, error) {
 	p, err := plan.FromGraph(res.Graph, fn, kind)
 	if err != nil {
 		return nil, err
@@ -213,22 +230,7 @@ func OptimizeSteiner(set *WindowSet, fn AggFn, opts Options, poolCap int) (*Opti
 	if err != nil {
 		return nil, err
 	}
-	p, err := plan.FromGraph(res.Graph, fn, plan.Factored)
-	if err != nil {
-		return nil, err
-	}
-	orig, err := plan.NewOriginal(set, fn)
-	if err != nil {
-		return nil, err
-	}
-	speedup, _ := res.Speedup().Float64()
-	return &Optimization{
-		Plan:             p,
-		Original:         orig,
-		PredictedSpeedup: speedup,
-		FactorWindows:    res.FactorWindows,
-		res:              res,
-	}, nil
+	return newOptimization(set, fn, res, plan.Factored)
 }
 
 // Query is a parsed ASA-style declarative query.
@@ -255,7 +257,7 @@ func Compile(q *Query, opts Options) (*Compiled, error) {
 	if len(q.Aggregates) > 1 {
 		return nil, fmt.Errorf("factorwindows: query has %d aggregate calls; use CompileAll", len(q.Aggregates))
 	}
-	return compileFn(q, q.Fn, opts)
+	return compileFn(q, asaql.AggCall{Fn: q.Fn, Param: q.Param}, opts)
 }
 
 // CompileAll compiles a query with one or more aggregate calls, returning
@@ -268,7 +270,7 @@ func CompileAll(q *Query, opts Options) ([]*Compiled, error) {
 	}
 	out := make([]*Compiled, 0, len(q.Aggregates))
 	for _, call := range q.Aggregates {
-		c, err := compileFn(q, call.Fn, opts)
+		c, err := compileFn(q, call, opts)
 		if err != nil {
 			return nil, fmt.Errorf("factorwindows: %v: %w", call.Fn, err)
 		}
@@ -277,15 +279,16 @@ func CompileAll(q *Query, opts Options) ([]*Compiled, error) {
 	return out, nil
 }
 
-func compileFn(q *Query, fn AggFn, opts Options) (*Compiled, error) {
+func compileFn(q *Query, call asaql.AggCall, opts Options) (*Compiled, error) {
 	set, err := q.Set()
 	if err != nil {
 		return nil, err
 	}
-	o, err := Optimize(set, fn, opts)
+	o, err := Optimize(set, call.Fn, opts)
 	if err != nil {
 		return nil, err
 	}
+	o.Plan.Param, o.Original.Param = call.Param, call.Param
 	filter, err := q.Filter()
 	if err != nil {
 		return nil, err

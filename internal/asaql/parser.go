@@ -273,8 +273,10 @@ func (p *parser) parseSelectItem(q *Query) error {
 			}
 			call.Alias = alias.text
 		}
+		// PERCENTILE(v, 0.5), PERCENTILE(v, 0.99) are two calls; only the
+		// same function under the same parameter repeats itself.
 		for _, prev := range q.Aggregates {
-			if prev.Fn == fn {
+			if prev.Fn == fn && prev.Param == param {
 				return fmt.Errorf("asaql: duplicate aggregate %v at offset %d", fn, t.pos)
 			}
 		}

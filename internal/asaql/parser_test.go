@@ -132,6 +132,24 @@ func TestParseSketchAggregates(t *testing.T) {
 	}
 }
 
+// The same parameterized function may appear once per parameter.
+func TestParseSameFunctionTwoParameters(t *testing.T) {
+	q, err := Parse(`SELECT k, PERCENTILE(v, 0.5) AS p50, PERCENTILE(v, 0.99) AS p99, TOPK(v, 2) FROM s GROUP BY k, Windows(TumblingWindow(tick, 4))`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q2, err := Parse(q.String())
+	if err != nil {
+		t.Fatalf("re-parse failed: %v\n%s", err, q.String())
+	}
+	for _, got := range []*Query{q, q2} {
+		if len(got.Aggregates) != 3 || got.Aggregates[0].Param != 0.5 || got.Aggregates[1].Param != 0.99 ||
+			got.Aggregates[1].Fn != agg.Percentile || got.Aggregates[2].Param != 2 || got.Param != 0.5 {
+			t.Fatalf("calls %+v", got.Aggregates)
+		}
+	}
+}
+
 func TestParseSketchAggregateErrors(t *testing.T) {
 	cases := []struct {
 		name string
@@ -168,6 +186,7 @@ func TestParseErrors(t *testing.T) {
 		{"no agg", `SELECT k FROM s GROUP BY k, Windows(TumblingWindow(tick, 5))`, "no aggregate"},
 		{"bad fn", `SELECT k, MODE(v) FROM s GROUP BY k, Windows(TumblingWindow(tick, 5))`, "unknown aggregate"},
 		{"dup aggs", `SELECT k, MIN(v), MIN(v) FROM s GROUP BY k, Windows(TumblingWindow(tick, 5))`, "duplicate aggregate"},
+		{"dup percentile", `SELECT k, PERCENTILE(v), PERCENTILE(v, 0.5) FROM s GROUP BY k, Windows(TumblingWindow(tick, 5))`, "duplicate aggregate"},
 		{"agg columns differ", `SELECT k, MIN(v), MAX(w) FROM s GROUP BY k, Windows(TumblingWindow(tick, 5))`, "differ"},
 		{"two keys", `SELECT a, b, MIN(v) FROM s GROUP BY a, Windows(TumblingWindow(tick, 5))`, "multiple plain columns"},
 		{"key mismatch", `SELECT a, MIN(v) FROM s GROUP BY b, Windows(TumblingWindow(tick, 5))`, "does not match"},

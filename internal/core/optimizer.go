@@ -101,22 +101,6 @@ func resolveSemantics(fn agg.Fn, forced agg.Semantics) (agg.Semantics, error) {
 // Optimize runs the cost-based optimizer over the window set for the
 // given aggregate function.
 func Optimize(set *window.Set, fn agg.Fn, opt Options) (*Result, error) {
-	sem, err := resolveSemantics(fn, opt.Semantics)
-	if err != nil {
-		return nil, err
-	}
-	return OptimizeForced(set, fn, sem, opt)
-}
-
-// OptimizeForced runs the optimizer pipeline under an explicitly chosen
-// coverage semantics, bypassing the soundness check that ties semantics to
-// the aggregate function. It exists for executors that change a function's
-// mergeability themselves — e.g. the approximate-quantile extension
-// (internal/quantile), whose mergeable sketches make the holistic MEDIAN
-// behave algebraically, so "partitioned by" sharing becomes sound even
-// though resolveSemantics would reject it. Callers are responsible for
-// that soundness argument.
-func OptimizeForced(set *window.Set, fn agg.Fn, sem agg.Semantics, opt Options) (*Result, error) {
 	start := time.Now()
 	if !fn.Valid() {
 		return nil, fmt.Errorf("core: invalid aggregate function %v", fn)
@@ -124,8 +108,9 @@ func OptimizeForced(set *window.Set, fn agg.Fn, sem agg.Semantics, opt Options) 
 	if set == nil || set.Len() == 0 {
 		return nil, fmt.Errorf("core: empty window set")
 	}
-	if sem == agg.Auto {
-		sem = agg.SemanticsOf(fn)
+	sem, err := resolveSemantics(fn, opt.Semantics)
+	if err != nil {
+		return nil, err
 	}
 	model := opt.Model
 	if model.Eta == 0 {

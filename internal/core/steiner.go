@@ -77,7 +77,7 @@ func OptimizeSteiner(set *window.Set, fn agg.Fn, opt Options, poolCap int) (*Res
 		}
 		// Algorithm 3's own local optimum can beat the pruned pool
 		// expansion; keep whichever plan is cheapest.
-		a3, err := OptimizeForced(set, fn, sem, Options{Factors: true, Model: model})
+		a3, err := Optimize(set, fn, Options{Factors: true, Semantics: sem, Model: model})
 		if err != nil {
 			return nil, err
 		}

@@ -9,6 +9,7 @@ import (
 	"factorwindows/internal/agg"
 	"factorwindows/internal/core"
 	"factorwindows/internal/plan"
+	"factorwindows/internal/sketch"
 	"factorwindows/internal/stream"
 	"factorwindows/internal/window"
 )
@@ -57,22 +58,50 @@ func TestCheckpointRoundTripOriginal(t *testing.T) {
 	}
 }
 
+// TestCheckpointRoundTripFactored resumes Example 7's factored plan
+// mid-stream, for MIN and for every sketch-backed function at a volume
+// where the quantile sketches of the larger windows have compacted (the
+// serialized sketch must carry its levels and generator state, or the
+// resumed run diverges). The factor window W(10,10) is state like any
+// other operator's but never output: no row may carry it, snapshot or no
+// snapshot.
 func TestCheckpointRoundTripFactored(t *testing.T) {
 	set := window.MustSet(window.Tumbling(20), window.Tumbling(30), window.Tumbling(40))
-	res, err := core.Optimize(set, agg.Min, core.Options{Factors: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := plan.FromGraph(res.Graph, agg.Min, plan.Factored)
-	if err != nil {
-		t.Fatal(err)
-	}
 	r := rand.New(rand.NewSource(2))
-	events := steadyStream(200, 4, r)
-	want := runPlan(t, p, events)
-	for _, cut := range []int{7, 333, len(events) / 2} {
-		got := runWithCheckpoint(t, p, events, cut)
-		sameResults(t, "factored", got, want)
+	sparse := steadyStream(200, 4, r)
+	dense := denseSkewed(200, 2, 12, r) // 480 values per W(40,40) instance per key > K
+	for _, tc := range []struct {
+		fn     agg.Fn
+		param  float64
+		events []stream.Event
+	}{
+		{agg.Min, 0, sparse},
+		{agg.Percentile, 0.9, dense},
+		{agg.Distinct, 0, dense},
+		{agg.TopK, 2, dense},
+	} {
+		res, err := core.Optimize(set, tc.fn, core.Options{Factors: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.FactorWindows) == 0 {
+			t.Fatalf("%v: Example 7's set kept no factor window", tc.fn)
+		}
+		p, err := plan.FromGraph(res.Graph, tc.fn, plan.Factored)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.Param = tc.param
+		want := runPlan(t, p, tc.events)
+		for _, row := range want {
+			if !set.Contains(row.W) {
+				t.Fatalf("%v: factor window %v leaked into the results", tc.fn, row.W)
+			}
+		}
+		for _, cut := range []int{0, 7, 333, len(tc.events) / 2, len(tc.events) - 1} {
+			got := runWithCheckpoint(t, p, tc.events, cut)
+			sameResults(t, "factored "+tc.fn.String(), got, want)
+		}
 	}
 }
 
@@ -130,6 +159,71 @@ func TestCheckpointRejectsWrongPlan(t *testing.T) {
 	}
 }
 
+// reencode serializes a (doctored) decoded snapshot in the v2 codec.
+func reencode(t *testing.T, snap snapshotV2) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	buf.WriteString(snapshotMagicV2)
+	if err := gob.NewEncoder(&buf).Encode(snap); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestRestoreSketchState pins what a sketch plan's snapshot may and may
+// not be restored into. The finalize parameter is not state, so another
+// φ is fine. A sketch blob built with a foreign configuration is not: a
+// KLL merge would concatenate levels of different K and silently lose
+// the error bound, an HLL merge of different precision fails mid-stream
+// — so Restore must reject it up front (Store.SetSketchAt), as it must a
+// sketch row that lost its blob.
+func TestRestoreSketchState(t *testing.T) {
+	set := window.MustSet(window.Tumbling(10), window.Tumbling(20))
+	q, h := sketch.New(2*sketch.DefaultK), sketch.NewHLL(sketch.DefaultP+1)
+	q.Add(1)
+	h.Add(1)
+	foreignK, _ := q.MarshalBinary()
+	foreignP, _ := h.MarshalBinary()
+	for _, tc := range []struct {
+		fn      agg.Fn
+		foreign []byte
+	}{
+		{agg.Percentile, foreignK},
+		{agg.Distinct, foreignP},
+	} {
+		p, _ := plan.NewOriginal(set, tc.fn)
+		r, _ := New(p, &stream.CountingSink{})
+		r.Process([]stream.Event{{Time: 0, Key: 1, Value: 1}, {Time: 1, Key: 1, Value: 2}})
+		data, err := r.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		other, _ := plan.NewOriginal(set, tc.fn)
+		other.Param = 0.9 // DISTINCT ignores it
+		if _, err := Restore(other, &stream.CountingSink{}, data); err != nil {
+			t.Fatalf("%v: restore under another finalize parameter must work: %v", tc.fn, err)
+		}
+		snap, err := decodeSnapshot(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inst := &snap.Nodes[0].Instances[0]
+		native := inst.Sketch[0]
+		inst.Sketch[0] = tc.foreign
+		if _, err := Restore(p, &stream.CountingSink{}, reencode(t, snap)); err == nil {
+			t.Fatalf("%v: a sketch of foreign configuration must be rejected", tc.fn)
+		}
+		inst.Sketch[0] = native[:len(native)/2]
+		if _, err := Restore(p, &stream.CountingSink{}, reencode(t, snap)); err == nil {
+			t.Fatalf("%v: a truncated sketch must be rejected", tc.fn)
+		}
+		inst.Sketch = nil
+		if _, err := Restore(p, &stream.CountingSink{}, reencode(t, snap)); err == nil {
+			t.Fatalf("%v: a sketch row without sketch state must be rejected", tc.fn)
+		}
+	}
+}
+
 func TestSnapshotAfterCloseFails(t *testing.T) {
 	p, _ := plan.NewOriginal(window.MustSet(window.Tumbling(8)), agg.Min)
 	r, _ := New(p, &stream.CountingSink{})
@@ -174,12 +268,7 @@ func TestRestoreRejectsEmptyCell(t *testing.T) {
 		t.Fatal(err)
 	}
 	snap.Nodes[0].Instances[0].Cells[0].Cnt = 0
-	var buf bytes.Buffer
-	buf.WriteString(snapshotMagicV2)
-	if err := gob.NewEncoder(&buf).Encode(snap); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Restore(p, &stream.CountingSink{}, buf.Bytes()); err == nil {
+	if _, err := Restore(p, &stream.CountingSink{}, reencode(t, snap)); err == nil {
 		t.Fatal("snapshot with zero-count cell must be rejected")
 	}
 }

@@ -118,7 +118,7 @@ func New(gaps []int64, fn agg.Fn, sink Sink) (*Runner, error) {
 	}
 	if agg.SketchBacked(fn) {
 		// Session levels aggregate through flat scalar cells; sketch
-		// states live in the windowed executors (engine, sketchrun).
+		// states live in the windowed executors (internal/engine).
 		return nil, fmt.Errorf("session: %v is sketch-backed and not supported over session windows", fn)
 	}
 	sorted := append([]int64(nil), gaps...)

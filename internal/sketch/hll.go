@@ -11,8 +11,8 @@ import (
 // is the register-wise maximum — which makes COUNT(DISTINCT x), a
 // holistic aggregate in the Gray et al. taxonomy, algebraic and therefore
 // shareable under the optimizer's "partitioned by" semantics (the same
-// Section III-A future-work extension internal/quantile provides for
-// MEDIAN). The standard error is ≈ 1.04/√(2^p).
+// Section III-A future-work extension Quantile provides for rank
+// functions). The standard error is ≈ 1.04/√(2^p).
 type HLL struct {
 	p    int
 	regs []uint8

@@ -6,8 +6,9 @@ import (
 	"fmt"
 )
 
-// Binary serialization for both sketches, used by the executors'
-// checkpointing (internal/sketchrun). The wire structs keep the
+// Binary serialization for the sketches, used by the executors'
+// checkpointing and state migration (internal/agg.Store's SketchAt /
+// SetSketchAt). The wire structs keep the
 // on-the-wire shape explicit and decoupled from the in-memory layout.
 
 type quantileWire struct {

@@ -6,10 +6,12 @@
 // recompacting.
 //
 // The sketch is the substrate for the library's approximate-quantile
-// extension (internal/quantile): because sketches merge, holistic rank
-// functions such as MEDIAN become algebraic in the Gray et al. taxonomy
-// (Section III-A of the Factor Windows paper), so the optimizer's
-// "partitioned by" sharing — including factor windows — applies to them.
+// extension (the PERCENTILE aggregate, held in internal/agg.Store side
+// tables and executed by internal/engine): because sketches merge,
+// holistic rank functions such as MEDIAN become algebraic in the Gray et
+// al. taxonomy (Section III-A of the Factor Windows paper), so the
+// optimizer's "partitioned by" sharing — including factor windows —
+// applies to them.
 // The paper lists better support for holistic aggregates as future work;
 // this package is that extension.
 //

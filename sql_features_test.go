@@ -106,3 +106,66 @@ func TestCompileAllNil(t *testing.T) {
 		t.Error("nil query should fail")
 	}
 }
+
+// TestCompileCarriesAggregateParameter pins the finalize parameter of a
+// parameterized call all the way onto the compiled plans: PERCENTILE(v,
+// 0.9) over 1..10 answers 9 (a dropped parameter answers the median, 5),
+// two percentiles in one SELECT answer differently, and TOPK's rank
+// selects the k-th most frequent value.
+func TestCompileCarriesAggregateParameter(t *testing.T) {
+	parse := func(sel string) *Query {
+		t.Helper()
+		q, err := ParseQuery(`SELECT k, ` + sel + ` FROM s GROUP BY k, Windows(TumblingWindow(tick, 10))`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return q
+	}
+	run := func(p *Plan, values ...float64) float64 {
+		t.Helper()
+		var events []Event
+		for i, v := range values {
+			events = append(events, Event{Time: int64(i), Key: 1, Value: v})
+		}
+		sink := &CollectingSink{}
+		if err := Run(p, events, sink); err != nil {
+			t.Fatal(err)
+		}
+		if len(sink.Results) != 1 {
+			t.Fatalf("%d rows, want 1", len(sink.Results))
+		}
+		return sink.Results[0].Value
+	}
+	ramp := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
+
+	c, err := Compile(parse(`PERCENTILE(v, 0.9)`), Options{Factors: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := run(c.Optimization.Plan, ramp...); got != 9 {
+		t.Errorf("PERCENTILE(v, 0.9) over 1..10 = %v on the optimized plan, want 9", got)
+	}
+	if got := run(c.Optimization.Original, ramp...); got != 9 {
+		t.Errorf("PERCENTILE(v, 0.9) over 1..10 = %v on the original plan, want 9", got)
+	}
+
+	both, err := CompileAll(parse(`PERCENTILE(v, 0.5) AS p50, PERCENTILE(v, 0.99) AS p99`), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lo, hi := run(both[0].Optimization.Plan, ramp...), run(both[1].Optimization.Plan, ramp...); lo != 5 || hi != 10 {
+		t.Errorf("p50, p99 over 1..10 = %v, %v; want 5, 10", lo, hi)
+	}
+
+	// Frequencies 5, 3, 2: the mode is 7, the third most frequent value 9.
+	skewed := []float64{7, 7, 7, 7, 7, 8, 8, 8, 9, 9}
+	for k, want := range map[string]float64{`TOPK(v, 1)`: 7, `TOPK(v, 3)`: 9} {
+		c, err := Compile(parse(k), Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := run(c.Optimization.Plan, skewed...); got != want {
+			t.Errorf("%s = %v, want %v", k, got, want)
+		}
+	}
+}
