@@ -64,7 +64,6 @@ func main() {
 		seed     = flag.Int64("seed", 42, "workload generator seed")
 		reps     = flag.Int("reps", 1, "best-of-N repetitions per throughput measurement")
 		fnName   = flag.String("fn", "MIN", "aggregate function")
-		wireMode = flag.String("wire", "", "benchmark the HTTP wire codecs head-to-head instead of an experiment: binary, ndjson, csv, or all")
 		jsonPath = flag.String("json", "", "write machine-readable results to this file")
 		list     = flag.Bool("list", false, "list available experiments and exit")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the experiment run to this file")
@@ -107,32 +106,6 @@ func main() {
 			f.Close()
 		}()
 	}
-	if *wireMode != "" {
-		recs, err := runWire(*wireMode, wireConfig{
-			events: *events, keys: *keys, pace: *pace, reps: *reps,
-			seed: *seed, fn: fn, out: os.Stdout,
-		})
-		if err != nil {
-			fatal(err)
-		}
-		if *jsonPath != "" {
-			doc := struct {
-				Wire      string       `json:"wire"`
-				GoVersion string       `json:"go_version"`
-				Results   []wireRecord `json:"results"`
-			}{*wireMode, runtime.Version(), recs}
-			data, err := json.MarshalIndent(doc, "", "  ")
-			if err != nil {
-				fatal(err)
-			}
-			if err := os.WriteFile(*jsonPath, append(data, '\n'), 0o644); err != nil {
-				fatal(err)
-			}
-			fmt.Fprintf(os.Stderr, "fwbench: wrote %s\n", *jsonPath)
-		}
-		return
-	}
-
 	cfg := harness.Config{
 		Events:        *events,
 		Keys:          *keys,

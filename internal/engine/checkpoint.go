@@ -5,17 +5,21 @@
 // operators must integrate with each engine's state backend — by giving
 // our engine a self-contained state backend.
 //
-// Two codec versions exist. v2 (current) mirrors the columnar store:
-// per instance, a slot vector plus parallel cells (and raw-value
-// buffers for holistic functions), prefixed with a magic header. Live
-// plan migration extended v2 with gob-compatible optional fields — the
-// per-node emit floor and per-instance frozen vectors (imported
-// straddling state whose fire has not happened yet); blobs written
-// before that decode with those fields empty, which is exactly the
-// pre-migration semantics. v1 (the boxed-state era) is a bare gob
-// stream of per-slot agg.State values; Restore detects the missing
-// header and decodes it transparently, so snapshots taken before the
-// columnar refactor keep restoring forever. Snapshot always writes v2.
+// One codec generation exists: a magic header followed by a gob stream
+// that mirrors the columnar store — per instance, a slot vector plus
+// parallel cells (and raw-value buffers for holistic functions, sketch
+// blobs for sketch-backed ones). Live plan migration added gob-optional
+// fields — the per-node emit floor and per-instance frozen vectors
+// (imported straddling state whose fire has not happened yet); blobs
+// written before that decode with those fields empty, which is exactly
+// the pre-migration semantics. Anything without the header — including
+// the boxed-state blobs this repo wrote before the columnar refactor —
+// is rejected with ErrSnapshotVersion.
+//
+// This file is also the engine's only gob site: the canonical migration
+// Export (migrate.go) is encoded and decoded here, so the packages that
+// carry these blobs (parallel, router, shardworker, server) never learn
+// the encoding.
 //
 // A snapshot is only valid for the identical plan (same windows, same
 // sharing structure, same aggregate function); Restore verifies a
@@ -26,6 +30,7 @@ package engine
 import (
 	"bytes"
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"sort"
 
@@ -34,12 +39,15 @@ import (
 	"factorwindows/internal/stream"
 )
 
-// snapshotMagicV2 prefixes every v2 snapshot; v1 blobs are bare gob
-// streams and can never start with it (gob's first byte is a length).
+// snapshotMagicV2 prefixes every snapshot: the codec's version byte.
 const snapshotMagicV2 = "FWSNAP2\n"
 
-// snapshotV2 is the serialized form of a Runner under the columnar
-// codec.
+// ErrSnapshotVersion reports state bytes from a codec generation this
+// build does not read. The serving layers wrap it, so errors.Is finds
+// it under every restore path.
+var ErrSnapshotVersion = errors.New("engine: unsupported snapshot version")
+
+// snapshotV2 is the serialized form of a Runner.
 type snapshotV2 struct {
 	Fingerprint string
 	Events      int64
@@ -84,36 +92,6 @@ type instanceSnapshotV2 struct {
 	FrzSketch [][]byte
 }
 
-// --- v1 (boxed-state era) wire types, kept for backward-compat decode ---
-
-type snapshotV1 struct {
-	Fingerprint string
-	Events      int64
-	Keys        []uint64
-	Nodes       []nodeSnapshotV1
-}
-
-type nodeSnapshotV1 struct {
-	Fingerprint string
-	Base        int64
-	CurEnd      int64
-	HasCur      bool
-	Instances   []instanceSnapshotV1
-	Inputs      int64
-	Updates     int64
-	Fired       int64
-}
-
-type instanceSnapshotV1 struct {
-	M      int64
-	States []slotStateV1
-}
-
-type slotStateV1 struct {
-	Slot  int32
-	State agg.State
-}
-
 // fingerprint identifies the plan shape a snapshot belongs to.
 func planFingerprint(all []*node, fn agg.Fn) string {
 	var b bytes.Buffer
@@ -128,7 +106,7 @@ func nodeFingerprint(n *node) string {
 	return fmt.Sprintf("w=%d/%d,x=%t,c=%d", n.w.Range, n.w.Slide, n.exposed, len(n.children))
 }
 
-// Snapshot serializes the Runner's current state (v2 codec). The Runner
+// Snapshot serializes the Runner's current state. The Runner
 // remains usable; snapshots are consistent at batch boundaries (take
 // them between Process calls).
 func (r *Runner) Snapshot() ([]byte, error) {
@@ -198,58 +176,41 @@ func (r *Runner) Snapshot() ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// decodeSnapshot reads either codec version into the v2 form.
+// decodeSnapshot reads a snapshot blob, rejecting anything that does
+// not carry the current magic header.
 func decodeSnapshot(data []byte) (snapshotV2, error) {
-	if bytes.HasPrefix(data, []byte(snapshotMagicV2)) {
-		var snap snapshotV2
-		err := gob.NewDecoder(bytes.NewReader(data[len(snapshotMagicV2):])).Decode(&snap)
-		if err != nil {
-			return snapshotV2{}, fmt.Errorf("engine: decoding snapshot: %w", err)
-		}
-		return snap, nil
+	if !bytes.HasPrefix(data, []byte(snapshotMagicV2)) {
+		return snapshotV2{}, fmt.Errorf("%w: blob lacks the %q header", ErrSnapshotVersion, snapshotMagicV2)
 	}
-	// No magic header: a v1 (boxed-state) snapshot. Decode the legacy
-	// gob stream and lift every boxed state into its columnar cell.
-	var old snapshotV1
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&old); err != nil {
+	var snap snapshotV2
+	if err := gob.NewDecoder(bytes.NewReader(data[len(snapshotMagicV2):])).Decode(&snap); err != nil {
 		return snapshotV2{}, fmt.Errorf("engine: decoding snapshot: %w", err)
-	}
-	snap := snapshotV2{Fingerprint: old.Fingerprint, Events: old.Events, Keys: old.Keys}
-	for _, on := range old.Nodes {
-		ns := nodeSnapshotV2{
-			Fingerprint: on.Fingerprint,
-			Base:        on.Base,
-			CurEnd:      on.CurEnd,
-			HasCur:      on.HasCur,
-			Inputs:      on.Inputs,
-			Updates:     on.Updates,
-			Fired:       on.Fired,
-		}
-		for _, oi := range on.Instances {
-			is := instanceSnapshotV2{M: oi.M}
-			holistic := false
-			for _, ss := range oi.States {
-				st := ss.State
-				is.Slots = append(is.Slots, ss.Slot)
-				is.Cells = append(is.Cells, agg.Cell{
-					Cnt: st.Cnt, Sum: st.Sum, SumSq: st.SumSq, Min: st.Min, Max: st.Max,
-				})
-				is.Raw = append(is.Raw, st.Vals)
-				holistic = holistic || len(st.Vals) > 0
-			}
-			if !holistic {
-				is.Raw = nil
-			}
-			ns.Instances = append(ns.Instances, is)
-		}
-		snap.Nodes = append(snap.Nodes, ns)
 	}
 	return snap, nil
 }
 
+// EncodeExport serializes a canonical migration export — the blob that
+// rides hello and export control envelopes between router and workers.
+func EncodeExport(ex *Export) ([]byte, error) {
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(ex); err != nil {
+		return nil, fmt.Errorf("engine: encoding export: %w", err)
+	}
+	return buf.Bytes(), nil
+}
+
+// DecodeExport is EncodeExport's inverse.
+func DecodeExport(data []byte) (*Export, error) {
+	ex := new(Export)
+	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(ex); err != nil {
+		return nil, fmt.Errorf("engine: decoding export: %w", err)
+	}
+	return ex, nil
+}
+
 // Restore builds a Runner for p whose state is resumed from a snapshot
-// previously taken on an identical plan — under either codec version.
-// Processing continues from the next batch after the snapshot point.
+// previously taken on an identical plan. Processing continues from the
+// next batch after the snapshot point.
 func Restore(p *plan.Plan, sink stream.Sink, data []byte) (*Runner, error) {
 	r, err := New(p, sink)
 	if err != nil {
@@ -268,10 +229,8 @@ func Restore(p *plan.Plan, sink stream.Sink, data []byte) (*Runner, error) {
 			len(snap.Nodes), len(r.all))
 	}
 	r.events = snap.Events
-	r.keyed.keys = append([]uint64(nil), snap.Keys...)
-	r.keyed.slots = make(map[uint64]int32, len(snap.Keys))
-	for slot, key := range snap.Keys {
-		r.keyed.slots[key] = int32(slot)
+	if err := r.loadKeys(snap.Keys); err != nil {
+		return nil, err
 	}
 	for i, n := range r.all {
 		ns := &snap.Nodes[i]

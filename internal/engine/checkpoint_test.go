@@ -251,24 +251,35 @@ func TestSnapshotPreservesStats(t *testing.T) {
 	}
 }
 
-// TestRestoreRejectsEmptyCell guards the columnar restore invariant:
-// snapshots record only live rows, so a cell with a non-positive count
-// (which would write column values without marking the row occupied,
-// poisoning the recycled span) must be rejected, not absorbed.
+// TestRestoreRejectsEmptyCell guards the restore invariants a decodable
+// blob can still break. Snapshots record only live rows, so a cell with
+// a non-positive count (which would write column values without marking
+// the row occupied, poisoning the recycled span) must be rejected, not
+// absorbed; and the key table must be a bijection, or a key listed
+// twice owns two slots and every instance holding both fires two rows
+// for it.
 func TestRestoreRejectsEmptyCell(t *testing.T) {
 	p, _ := plan.NewOriginal(window.MustSet(window.Tumbling(8)), agg.Sum)
 	r, _ := New(p, &stream.CountingSink{})
-	r.Process([]stream.Event{{Time: 1, Key: 1, Value: 2}})
+	r.Process([]stream.Event{{Time: 1, Key: 1, Value: 2}, {Time: 2, Key: 5, Value: 3}})
 	data, err := r.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap, err := decodeSnapshot(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap.Nodes[0].Instances[0].Cells[0].Cnt = 0
-	if _, err := Restore(p, &stream.CountingSink{}, reencode(t, snap)); err == nil {
-		t.Fatal("snapshot with zero-count cell must be rejected")
+	for _, tc := range []struct {
+		name   string
+		mutate func(*snapshotV2)
+	}{
+		{"zero-count cell", func(s *snapshotV2) { s.Nodes[0].Instances[0].Cells[0].Cnt = 0 }},
+		{"duplicate key", func(s *snapshotV2) { s.Keys[1] = s.Keys[0] }},
+	} {
+		snap, err := decodeSnapshot(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tc.mutate(&snap)
+		if _, err := Restore(p, &stream.CountingSink{}, reencode(t, snap)); err == nil {
+			t.Fatalf("snapshot with a %s must be rejected", tc.name)
+		}
 	}
 }

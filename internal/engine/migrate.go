@@ -89,7 +89,8 @@ type WindowState struct {
 // needs to resume the same windows with no skipped instances. Unlike a
 // Snapshot it is structure-independent — it describes windows, not
 // operators — so it imports into any plan containing the same windows,
-// whatever its sharing structure.
+// whatever its sharing structure. EncodeExport/DecodeExport
+// (checkpoint.go) are its one wire form.
 type Export struct {
 	Fn      agg.Fn
 	Keys    []uint64 // the shared slot→key table
@@ -319,10 +320,8 @@ func (r *Runner) ImportCanonical(ex *Export, freshFloor int64) (int, error) {
 		return 0, fmt.Errorf("engine: export aggregates with %v, plan with %v", ex.Fn, r.fn)
 	}
 	r.events = ex.Events
-	r.keyed.keys = append([]uint64(nil), ex.Keys...)
-	r.keyed.slots = make(map[uint64]int32, len(ex.Keys))
-	for slot, key := range ex.Keys {
-		r.keyed.slots[key] = int32(slot)
+	if err := r.loadKeys(ex.Keys); err != nil {
+		return 0, err
 	}
 	byWindow := make(map[window.Window]*WindowState, len(ex.Windows))
 	for i := range ex.Windows {
@@ -423,22 +422,25 @@ func (n *node) setFrozen(inst *instance, slots []int32, cells []agg.Cell, raw []
 	return nil
 }
 
+// loadKeys installs a carried slot→key table (a snapshot's or an
+// export's) on a fresh Runner. A key listed twice would own two slots,
+// and every instance holding both would fire two rows for it.
+func (r *Runner) loadKeys(keys []uint64) error {
+	r.keyed.keys = append([]uint64(nil), keys...)
+	r.keyed.slots = make(map[uint64]int32, len(keys))
+	for slot, key := range keys {
+		if prev, dup := r.keyed.slots[key]; dup {
+			return fmt.Errorf("engine: key %d appears in slots %d and %d of the carried key table", key, prev, slot)
+		}
+		r.keyed.slots[key] = int32(slot)
+	}
+	return nil
+}
+
 func ceilDiv(a, b int64) int64 {
 	q := a / b
 	if a%b != 0 && (a > 0) == (b > 0) {
 		q++
 	}
 	return q
-}
-
-// RaiseEmitFloor raises every node's exposed-result floor to at least v
-// (never lowers one). It exists for restoring pre-migration-era
-// checkpoints, whose epoch floor lived in the serving layer rather than
-// in the engine snapshot.
-func (r *Runner) RaiseEmitFloor(v int64) {
-	for _, n := range r.all {
-		if v > n.emitFrom {
-			n.emitFrom = v
-		}
-	}
 }

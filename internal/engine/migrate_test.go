@@ -248,3 +248,31 @@ func TestMigrateSnapshotRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// TestImportRejectsDuplicateKey is TestRestoreRejectsEmptyCell's import
+// twin for the key table: an export (it arrives in a hello's State)
+// listing one key in two slots must not import — both slots would fire
+// a row for the same (window, instance, key).
+func TestImportRejectsDuplicateKey(t *testing.T) {
+	p, _ := plan.NewOriginal(window.MustSet(window.Tumbling(10)), agg.Sum)
+	r, _ := New(p, &stream.CountingSink{})
+	r.Process([]stream.Event{{Time: 1, Key: 7, Value: 1}, {Time: 2, Key: 8, Value: 6}})
+	ex, err := r.ExportCanonical(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := EncodeExport(ex)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ex, err = DecodeExport(blob); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := NewMigrated(p, &stream.CountingSink{}, ex, 3); err != nil {
+		t.Fatalf("an intact export must import: %v", err)
+	}
+	ex.Keys[1] = ex.Keys[0]
+	if _, _, err := NewMigrated(p, &stream.CountingSink{}, ex, 3); err == nil {
+		t.Fatal("export with a duplicate key must be rejected")
+	}
+}

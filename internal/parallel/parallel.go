@@ -652,17 +652,41 @@ func (r *Runner) TotalUpdates() int64 {
 	return t
 }
 
-// snapshot is the serialized form of a Runner: one engine snapshot per
-// shard. The shard count is part of the state — the key→shard hash is a
-// pure function of the count, so restoring onto the same count keeps
-// every key's partial aggregates on the shard that owns them. State
-// versioning is inherited from the embedded engine blobs: shards written
-// by the boxed-state (v1) codec migrate to the columnar store on
-// restore (see internal/engine/checkpoint.go).
+// snapshot is the serialized form of a sharded runner — this one or the
+// distributed router, which writes the same envelope: one engine
+// snapshot per shard. The shard count is part of the state — the
+// key→shard hash is a pure function of the count, so restoring onto the
+// same count keeps every key's partial aggregates on the shard that
+// owns them. State versioning is inherited from the embedded engine
+// blobs (see internal/engine/checkpoint.go).
 type snapshot struct {
 	Shards int
 	Events int64
 	State  [][]byte
+}
+
+// EncodeSnapshot wraps per-shard engine snapshots and the ingest
+// counter into the sharded snapshot envelope.
+func EncodeSnapshot(states [][]byte, events int64) ([]byte, error) {
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(snapshot{Shards: len(states), Events: events, State: states}); err != nil {
+		return nil, fmt.Errorf("parallel: encoding snapshot: %w", err)
+	}
+	return buf.Bytes(), nil
+}
+
+// DecodeSnapshot is EncodeSnapshot's inverse: the per-shard engine
+// snapshots (their count is the shard count) and the ingest counter.
+func DecodeSnapshot(data []byte) (states [][]byte, events int64, err error) {
+	var snap snapshot
+	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&snap); err != nil {
+		return nil, 0, fmt.Errorf("parallel: decoding snapshot: %w", err)
+	}
+	if snap.Shards <= 0 || len(snap.State) != snap.Shards {
+		return nil, 0, fmt.Errorf("parallel: snapshot has %d shards, %d states",
+			snap.Shards, len(snap.State))
+	}
+	return snap.State, snap.Events, nil
 }
 
 // Snapshot quiesces the shards (Barrier) and serializes their engine
@@ -676,19 +700,15 @@ func (r *Runner) Snapshot() ([]byte, error) {
 	if err := r.Err(); err != nil {
 		return nil, fmt.Errorf("parallel: Snapshot of failed runner: %w", err)
 	}
-	snap := snapshot{Shards: len(r.shards), Events: r.events}
-	for _, sh := range r.shards {
+	states := make([][]byte, len(r.shards))
+	for i, sh := range r.shards {
 		b, err := sh.runner.Snapshot()
 		if err != nil {
 			return nil, err
 		}
-		snap.State = append(snap.State, b)
+		states[i] = b
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(snap); err != nil {
-		return nil, fmt.Errorf("parallel: encoding snapshot: %w", err)
-	}
-	return buf.Bytes(), nil
+	return EncodeSnapshot(states, r.events)
 }
 
 // ExportCanonical quiesces the shards and exports each shard engine's
@@ -727,18 +747,10 @@ func (r *Runner) ExportCanonical(horizon int64) ([]*engine.Export, error) {
 // instances handed over across all shards.
 func Migrate(p *plan.Plan, sink stream.Sink, n int, exports []*engine.Export, freshFloor int64) (*Runner, int, error) {
 	if exports != nil {
+		if err := CheckExports(exports); err != nil {
+			return nil, 0, err
+		}
 		n = len(exports)
-		if n == 0 {
-			return nil, 0, fmt.Errorf("parallel: empty export set")
-		}
-		for i, ex := range exports[1:] {
-			// One handover, one horizon: shard exports from different
-			// stream positions would resume an inconsistent cut.
-			if ex.Horizon != exports[0].Horizon {
-				return nil, 0, fmt.Errorf("parallel: shard %d exported at horizon %d, shard 0 at %d",
-					i+1, ex.Horizon, exports[0].Horizon)
-			}
-		}
 	}
 	r, err := build(p, sink, n, nil)
 	if err != nil {
@@ -765,33 +777,35 @@ func Migrate(p *plan.Plan, sink stream.Sink, n int, exports []*engine.Export, fr
 	return r, migrated, nil
 }
 
-// RaiseEmitFloor raises every shard engine's exposed-result floor to at
-// least v (see engine.RaiseEmitFloor); for restoring
-// pre-migration-era checkpoints whose epoch floor lived in the serving
-// layer. Call it before driving the Runner.
-func (r *Runner) RaiseEmitFloor(v int64) {
-	for _, sh := range r.shards {
-		sh.runner.RaiseEmitFloor(v)
+// CheckExports validates a per-shard export set as one handover: one
+// export per shard, all cut at the same horizon — shard exports from
+// different stream positions would resume an inconsistent cut.
+func CheckExports(exports []*engine.Export) error {
+	if len(exports) == 0 {
+		return fmt.Errorf("parallel: empty export set")
 	}
+	for i, ex := range exports[1:] {
+		if ex.Horizon != exports[0].Horizon {
+			return fmt.Errorf("parallel: shard %d exported at horizon %d, shard 0 at %d",
+				i+1, ex.Horizon, exports[0].Horizon)
+		}
+	}
+	return nil
 }
 
 // Restore rebuilds a Runner for p from a Snapshot taken on an identical
 // plan. The shard count is taken from the snapshot (it determines key
 // placement); each shard engine verifies the plan fingerprint.
 func Restore(p *plan.Plan, sink stream.Sink, data []byte) (*Runner, error) {
-	var snap snapshot
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&snap); err != nil {
-		return nil, fmt.Errorf("parallel: decoding snapshot: %w", err)
-	}
-	if snap.Shards <= 0 || len(snap.State) != snap.Shards {
-		return nil, fmt.Errorf("parallel: snapshot has %d shards, %d states",
-			snap.Shards, len(snap.State))
-	}
-	r, err := build(p, sink, snap.Shards, snap.State)
+	states, events, err := DecodeSnapshot(data)
 	if err != nil {
 		return nil, err
 	}
-	r.events = snap.Events
+	r, err := build(p, sink, len(states), states)
+	if err != nil {
+		return nil, err
+	}
+	r.events = events
 	return r, nil
 }
 

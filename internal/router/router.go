@@ -41,8 +41,6 @@
 package router
 
 import (
-	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"net"
@@ -128,13 +126,12 @@ const (
 	opEvents = byte(iota)
 	opAdvance
 	opBarrier
-	opFloor
 )
 
 type journalOp struct {
 	kind   byte
 	events []stream.Event
-	value  int64 // advance horizon or floor value
+	value  int64 // advance horizon
 }
 
 // shardState is one shard's session bookkeeping.
@@ -215,16 +212,10 @@ func New(spec Spec, sink stream.Sink) (*Runner, error) {
 	}
 	n := spec.Shards
 	if spec.Exports != nil {
+		if err := parallel.CheckExports(spec.Exports); err != nil {
+			return nil, err
+		}
 		n = len(spec.Exports)
-		if n == 0 {
-			return nil, errors.New("router: empty export set")
-		}
-		for i, ex := range spec.Exports[1:] {
-			if ex.Horizon != spec.Exports[0].Horizon {
-				return nil, fmt.Errorf("router: shard %d exported at horizon %d, shard 0 at %d",
-					i+1, ex.Horizon, spec.Exports[0].Horizon)
-			}
-		}
 	}
 	if spec.Snapshots != nil {
 		if spec.Exports != nil {
@@ -250,11 +241,11 @@ func New(spec Spec, sink stream.Sink) (*Runner, error) {
 		sc := &shardState{idx: i, floor: spec.FreshFloor}
 		switch {
 		case spec.Exports != nil:
-			var buf bytes.Buffer
-			if err := gob.NewEncoder(&buf).Encode(spec.Exports[i]); err != nil {
-				return nil, fmt.Errorf("router: encoding shard %d export: %w", i, err)
+			blob, err := engine.EncodeExport(spec.Exports[i])
+			if err != nil {
+				return nil, fmt.Errorf("router: shard %d: %w", i, err)
 			}
-			sc.state = buf.Bytes()
+			sc.state = blob
 		case spec.Snapshots != nil:
 			sc.state = spec.Snapshots[i]
 			sc.snap = true
@@ -361,29 +352,11 @@ func (e errPoison) Unwrap() error { return e.err }
 // up down.
 func (r *Runner) placeShard(sc *shardState, preferred int) error {
 	tried := make(map[int]bool)
-	next := func() int {
-		if preferred >= 0 && !tried[preferred] && r.workers[preferred].live {
-			return preferred
-		}
-		best, load := -1, 0
-		for wi, w := range r.workers {
-			if !w.live || tried[wi] {
-				continue
-			}
-			n := 0
-			for _, other := range r.shards {
-				if other != sc && !other.down && other.conn != nil && other.worker == wi {
-					n++
-				}
-			}
-			if best == -1 || n < load {
-				best, load = wi, n
-			}
-		}
-		return best
-	}
 	for {
-		wi := next()
+		wi := preferred
+		if wi < 0 || tried[wi] || !r.workers[wi].live {
+			wi = r.leastLoaded(tried)
+		}
 		if wi < 0 {
 			r.shedShard(sc)
 			return sc.downErr
@@ -416,6 +389,49 @@ func (r *Runner) placeShard(sc *shardState, preferred int) error {
 	}
 }
 
+// hostedBy reports whether sc has an open session on worker wi.
+func (sc *shardState) hostedBy(wi int) bool {
+	return !sc.down && sc.conn != nil && sc.worker == wi
+}
+
+// load counts the shard sessions open on worker wi.
+func (r *Runner) load(wi int) int {
+	n := 0
+	for _, sc := range r.shards {
+		if sc.hostedBy(wi) {
+			n++
+		}
+	}
+	return n
+}
+
+// leastLoaded picks the live worker hosting the fewest shard sessions,
+// passing over the ones in skip; -1 when none qualifies. (A shard being
+// placed has no open session, so it never counts against its own
+// candidates.)
+func (r *Runner) leastLoaded(skip map[int]bool) int {
+	best, load := -1, 0
+	for wi, w := range r.workers {
+		if !w.live || skip[wi] {
+			continue
+		}
+		if n := r.load(wi); best == -1 || n < load {
+			best, load = wi, n
+		}
+	}
+	return best
+}
+
+// liveWorker resolves addr to the index of a live worker.
+func (r *Runner) liveWorker(addr string) (int, error) {
+	for i, w := range r.workers {
+		if w.addr == addr && w.live {
+			return i, nil
+		}
+	}
+	return -1, fmt.Errorf("router: no live worker %s", addr)
+}
+
 // shedShard marks sc's key range shed. Collected rows stay pending —
 // they are complete through the last acked barrier (see the shardState
 // invariant) and the next emit phase still owes them to the sink;
@@ -444,7 +460,7 @@ func (r *Runner) retireWorker(wi int) (orphans []*shardState) {
 	}
 	w.live = false
 	for _, sc := range r.shards {
-		if !sc.down && sc.conn != nil && sc.worker == wi {
+		if sc.hostedBy(wi) {
 			r.dropConn(sc)
 			sc.barrierSent = false
 			orphans = append(orphans, sc)
@@ -507,13 +523,6 @@ func (r *Runner) openSession(sc *shardState, wi int) error {
 			}
 		case opAdvance:
 			if err := r.sendCtrl(sc, &wire.Ctrl{Op: wire.CtrlAdvance, Horizon: op.value}); err != nil {
-				return err
-			}
-		case opFloor:
-			if err := r.sendCtrl(sc, &wire.Ctrl{Op: wire.CtrlFloor, Floor: op.value}); err != nil {
-				return err
-			}
-			if _, err := r.readAck(sc, wire.CtrlAck, false); err != nil {
 				return err
 			}
 		case opBarrier:
@@ -731,16 +740,7 @@ func (r *Runner) collectBarrier(sc *shardState) {
 		}
 		switch f.Kind {
 		case wire.KindResults:
-			for j := 0; j < f.Rows(); j++ {
-				_, rng, slide, start, end, key, value := f.Result(j)
-				sc.rows = append(sc.rows, stream.Result{
-					W:     window.Window{Range: rng, Slide: slide},
-					Start: start,
-					End:   end,
-					Key:   key,
-					Value: value,
-				})
-			}
+			sc.appendRows(f)
 		case wire.KindControl:
 			c, done, err := sc.asm.Add(f)
 			if err != nil {
@@ -779,6 +779,20 @@ func (r *Runner) collectBarrier(sc *shardState) {
 			r.shedShard(sc)
 			return
 		}
+	}
+}
+
+// appendRows decodes one result frame onto sc's pending rows.
+func (sc *shardState) appendRows(f wire.Frame) {
+	for j := 0; j < f.Rows(); j++ {
+		_, rng, slide, start, end, key, value := f.Result(j)
+		sc.rows = append(sc.rows, stream.Result{
+			W:     window.Window{Range: rng, Slide: slide},
+			Start: start,
+			End:   end,
+			Key:   key,
+			Value: value,
+		})
 	}
 }
 
@@ -840,60 +854,49 @@ func (r *Runner) ExportCanonical(horizon int64) ([]*engine.Export, error) {
 	}
 	out := make([]*engine.Export, len(r.shards))
 	for i, sc := range r.shards {
-		if sc.down {
-			return nil, sc.downErr
-		}
-		blob, err := r.shardExport(sc, horizon)
+		blob, err := r.fetchState(sc, &wire.Ctrl{Op: wire.CtrlExport, Horizon: horizon})
 		if err != nil {
 			return nil, err
 		}
-		ex := new(engine.Export)
-		if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(ex); err != nil {
-			return nil, fmt.Errorf("router: decoding shard %d export: %w", i, err)
+		if out[i], err = engine.DecodeExport(blob); err != nil {
+			return nil, fmt.Errorf("router: shard %d: %w", i, err)
 		}
-		out[i] = ex
 	}
 	return out, nil
 }
 
-// shardExport fetches one shard's export blob at horizon, retrying
-// across a failover once before giving up.
-func (r *Runner) shardExport(sc *shardState, horizon int64) ([]byte, error) {
+// fetchState asks sc's worker for a state blob — req is an export or a
+// snapshot request, and the reply echoes its op — failing over and
+// re-asking until every worker has had a turn. A worker-reported error
+// is final: another worker would fail identically.
+func (r *Runner) fetchState(sc *shardState, req *wire.Ctrl) ([]byte, error) {
 	for attempt := 0; ; attempt++ {
 		if sc.down {
 			return nil, sc.downErr
 		}
-		err := r.sendCtrl(sc, &wire.Ctrl{Op: wire.CtrlExport, Horizon: horizon})
+		err := r.sendCtrl(sc, req)
 		if err == nil {
 			var c wire.Ctrl
-			c, err = r.readAck(sc, wire.CtrlExport, false)
+			c, err = r.readAck(sc, req.Op, false)
 			if err == nil {
 				return append([]byte(nil), c.State...), nil
 			}
 		}
 		var poison errPoison
 		if errors.As(err, &poison) {
-			return nil, fmt.Errorf("router: shard %d export: %w", sc.idx, poison.err)
+			return nil, fmt.Errorf("router: shard %d %s: %w", sc.idx, req.Op, poison.err)
 		}
 		if attempt >= len(r.workers) {
-			return nil, fmt.Errorf("router: shard %d export: %w", sc.idx, err)
+			return nil, fmt.Errorf("router: shard %d %s: %w", sc.idx, req.Op, err)
 		}
 		r.failoverShard(sc)
 	}
 }
 
-// routerSnapshot is gob-compatible with parallel's snapshot (fields
-// match by name), so a distributed checkpoint restores into an
-// in-process Runner and vice versa — the durable path is topology-
-// independent.
-type routerSnapshot struct {
-	Shards int
-	Events int64
-	State  [][]byte
-}
-
-// Snapshot quiesces the shards and serializes their engine state in the
-// same blob format parallel.Runner.Snapshot writes.
+// Snapshot quiesces the shards and serializes their engine state in
+// parallel's snapshot envelope, so a distributed checkpoint restores
+// into an in-process Runner and vice versa — the durable path is
+// topology-independent.
 func (r *Runner) Snapshot() ([]byte, error) {
 	if r.closed {
 		return nil, errors.New("router: Snapshot after Close")
@@ -902,78 +905,15 @@ func (r *Runner) Snapshot() ([]byte, error) {
 	if err := r.Err(); err != nil {
 		return nil, fmt.Errorf("router: Snapshot of failed runner: %w", err)
 	}
-	snap := routerSnapshot{Shards: r.spec.Shards, Events: r.events}
-	for _, sc := range r.shards {
-		if sc.down {
-			return nil, sc.downErr
+	states := make([][]byte, len(r.shards))
+	for i, sc := range r.shards {
+		blob, err := r.fetchState(sc, &wire.Ctrl{Op: wire.CtrlSnapshot})
+		if err != nil {
+			return nil, err
 		}
-		var blob []byte
-		for attempt := 0; ; attempt++ {
-			if sc.down {
-				return nil, sc.downErr
-			}
-			err := r.sendCtrl(sc, &wire.Ctrl{Op: wire.CtrlSnapshot})
-			if err == nil {
-				var c wire.Ctrl
-				c, err = r.readAck(sc, wire.CtrlSnapshot, false)
-				if err == nil {
-					blob = append([]byte(nil), c.State...)
-					break
-				}
-			}
-			var poison errPoison
-			if errors.As(err, &poison) {
-				return nil, fmt.Errorf("router: shard %d snapshot: %w", sc.idx, poison.err)
-			}
-			if attempt >= len(r.workers) {
-				return nil, fmt.Errorf("router: shard %d snapshot: %w", sc.idx, err)
-			}
-			r.failoverShard(sc)
-		}
-		snap.State = append(snap.State, blob)
+		states[i] = blob
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(snap); err != nil {
-		return nil, fmt.Errorf("router: encoding snapshot: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-// DecodeSnapshot splits a parallel-format snapshot blob into per-shard
-// engine states for Spec.Snapshots.
-func DecodeSnapshot(data []byte) (states [][]byte, events int64, err error) {
-	var snap routerSnapshot
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&snap); err != nil {
-		return nil, 0, fmt.Errorf("router: decoding snapshot: %w", err)
-	}
-	if snap.Shards <= 0 || len(snap.State) != snap.Shards {
-		return nil, 0, fmt.Errorf("router: snapshot has %d shards, %d states", snap.Shards, len(snap.State))
-	}
-	return snap.State, snap.Events, nil
-}
-
-// RaiseEmitFloor raises every shard engine's exposed-result floor to at
-// least v. Call it before driving the Runner.
-func (r *Runner) RaiseEmitFloor(v int64) {
-	for _, sc := range r.shards {
-		if sc.down {
-			continue
-		}
-		sc.journal = append(sc.journal, journalOp{kind: opFloor, value: v})
-		if err := r.sendCtrl(sc, &wire.Ctrl{Op: wire.CtrlFloor, Floor: v}); err != nil {
-			r.failoverShard(sc)
-			continue
-		}
-		if _, err := r.readAck(sc, wire.CtrlAck, false); err != nil {
-			var poison errPoison
-			if errors.As(err, &poison) {
-				r.fail(fmt.Errorf("router: shard %d floor: %w", sc.idx, poison.err))
-				r.shedShard(sc)
-				continue
-			}
-			r.failoverShard(sc)
-		}
-	}
+	return parallel.EncodeSnapshot(states, r.events)
 }
 
 // SetOrderedDrain is a no-op: the router's drain is inherently ordered
@@ -1025,13 +965,7 @@ func (r *Runner) Close() {
 				continue
 			}
 			if f.Kind == wire.KindResults {
-				for j := 0; j < f.Rows(); j++ {
-					_, rng, slide, start, end, key, value := f.Result(j)
-					sc.rows = append(sc.rows, stream.Result{
-						W:     window.Window{Range: rng, Slide: slide},
-						Start: start, End: end, Key: key, Value: value,
-					})
-				}
+				sc.appendRows(f)
 				continue
 			}
 			if f.Kind == wire.KindControl {
@@ -1129,15 +1063,9 @@ func (r *Runner) Rebalance(shard int, addr string) error {
 	if shard < 0 || shard >= len(r.shards) {
 		return fmt.Errorf("router: no shard %d", shard)
 	}
-	wi := -1
-	for i, w := range r.workers {
-		if w.addr == addr && w.live {
-			wi = i
-			break
-		}
-	}
-	if wi < 0 {
-		return fmt.Errorf("router: no live worker %s", addr)
+	wi, err := r.liveWorker(addr)
+	if err != nil {
+		return err
 	}
 	sc := r.shards[shard]
 	if sc.down {
@@ -1181,14 +1109,7 @@ func (r *Runner) Rebalance(shard int, addr string) error {
 		// traffic detect death. Only a target hosting nothing is safe
 		// to retire on this evidence, keeping it out of placement until
 		// an AddWorker revives it.
-		hosts := false
-		for _, other := range r.shards {
-			if !other.down && other.conn != nil && other.worker == wi {
-				hosts = true
-				break
-			}
-		}
-		if !hosts {
+		if r.load(wi) == 0 {
 			r.retireWorker(wi)
 		}
 		return fmt.Errorf("router: rebalance shard %d to %s: %w", shard, addr, err)
@@ -1211,15 +1132,9 @@ func (r *Runner) Drain(addr string) error {
 	if r.closed {
 		return errors.New("router: Drain after Close")
 	}
-	wi := -1
-	for i, w := range r.workers {
-		if w.addr == addr && w.live {
-			wi = i
-			break
-		}
-	}
-	if wi < 0 {
-		return fmt.Errorf("router: no live worker %s", addr)
+	wi, err := r.liveWorker(addr)
+	if err != nil {
+		return err
 	}
 	live := 0
 	for _, w := range r.workers {
@@ -1242,22 +1157,7 @@ func (r *Runner) Drain(addr string) error {
 				continue
 			}
 			remaining = true
-			// Pick the least-loaded other live worker.
-			best, load := -1, 0
-			for ti, w := range r.workers {
-				if !w.live || ti == wi {
-					continue
-				}
-				n := 0
-				for _, other := range r.shards {
-					if !other.down && other.conn != nil && other.worker == ti {
-						n++
-					}
-				}
-				if best == -1 || n < load {
-					best, load = ti, n
-				}
-			}
+			best := r.leastLoaded(map[int]bool{wi: true})
 			if best < 0 {
 				return fmt.Errorf("router: cannot drain %s: no live target", addr)
 			}
@@ -1313,7 +1213,7 @@ func (r *Runner) Topology() Topology {
 	for wi, w := range r.workers {
 		info := WorkerInfo{Addr: w.addr, Live: w.live}
 		for _, sc := range r.shards {
-			if !sc.down && sc.conn != nil && sc.worker == wi {
+			if sc.hostedBy(wi) {
 				info.Shards = append(info.Shards, sc.idx)
 			}
 		}

@@ -1,6 +1,7 @@
 package router_test
 
 import (
+	"bytes"
 	"errors"
 	"math/rand"
 	"net"
@@ -18,6 +19,7 @@ import (
 	"factorwindows/internal/shardworker"
 	"factorwindows/internal/stream"
 	"factorwindows/internal/window"
+	"factorwindows/internal/wire"
 )
 
 // startWorker spawns an in-process shard worker on a loopback listener.
@@ -626,9 +628,9 @@ func TestRouterSnapshotParallelInterop(t *testing.T) {
 	if err != nil {
 		t.Fatalf("parallel.Snapshot: %v", err)
 	}
-	states, restoredEvents, err := router.DecodeSnapshot(blob2)
+	states, restoredEvents, err := parallel.DecodeSnapshot(blob2)
 	if err != nil {
-		t.Fatalf("router.DecodeSnapshot(parallel snapshot): %v", err)
+		t.Fatalf("parallel.DecodeSnapshot: %v", err)
 	}
 	r2, err := router.New(router.Spec{
 		Queries:   testQueries,
@@ -692,6 +694,121 @@ func TestRouterExportMigratesToParallel(t *testing.T) {
 	cont.SetOrderedDrain(true)
 	drive(cont, events[half:], chunk, nil)
 	assertSameResults(t, sink.Results, want)
+}
+
+// dyingConn models a worker that dies holding a request: a failingConn
+// that arms itself once trigger is set and a control envelope of op has
+// been written — that write still goes through, every read after fails.
+type dyingConn struct {
+	failingConn
+	trigger *atomic.Bool
+	op      string
+}
+
+func (c *dyingConn) Write(p []byte) (int, error) {
+	n, err := c.Conn.Write(p)
+	if c.trigger.Load() && bytes.Contains(p, []byte(`"op":"`+c.op+`"`)) {
+		c.armed.Store(true)
+	}
+	return n, err
+}
+
+// TestRouterKillDuringStateFetch kills the hosting worker while the
+// router is fetching state from it — after the snapshot (or export)
+// request is written, before the reply. The fetch must fail over and
+// succeed, and what it returns must be the real thing: the snapshot
+// restores into the in-process engine, the export migrates into it, and
+// the continued run is byte-identical to the uninterrupted reference.
+func TestRouterKillDuringStateFetch(t *testing.T) {
+	events := genEvents(733, 4000, 40)
+	const chunk = 256
+	const shards = 4
+	const half = 2048 // chunk boundary
+	want := reference(t, testQueries, shards, events, chunk)
+	mp := refPlan(t, testQueries)
+	for _, op := range []string{wire.CtrlSnapshot, wire.CtrlExport} {
+		t.Run(op, func(t *testing.T) {
+			addrs := make([]string, 2)
+			for i := range addrs {
+				addrs[i], _ = startWorker(t)
+			}
+			var trigger atomic.Bool
+			sink := &stream.CollectingSink{}
+			r, err := router.New(router.Spec{
+				Queries: testQueries,
+				Fn:      agg.Sum,
+				Eta:     1,
+				Factors: true,
+				Shards:  shards,
+				Workers: addrs,
+				// No compaction: the only export requests on the wire are
+				// the ones ExportCanonical sends.
+				CheckpointEvery: 1000,
+				Dial: func(a string) (net.Conn, error) {
+					conn, err := net.Dial("tcp", a)
+					if err != nil || a != addrs[0] {
+						return conn, err
+					}
+					return &dyingConn{
+						failingConn: failingConn{Conn: conn, armed: new(atomic.Bool)},
+						trigger:     &trigger,
+						op:          op,
+					}, nil
+				},
+			}, sink)
+			if err != nil {
+				t.Fatalf("router.New: %v", err)
+			}
+			var horizon int64
+			for off := 0; off < half; off += chunk {
+				part := events[off : off+chunk]
+				r.Process(part)
+				horizon = part[len(part)-1].Time
+				r.Advance(horizon)
+				r.Barrier()
+			}
+			trigger.Store(true)
+			var resume func() (*parallel.Runner, error)
+			if op == wire.CtrlSnapshot {
+				blob, err := r.Snapshot()
+				if err != nil {
+					t.Fatalf("router.Snapshot through worker death: %v", err)
+				}
+				resume = func() (*parallel.Runner, error) { return parallel.Restore(mp.Combined, sink, blob) }
+			} else {
+				exports, err := r.ExportCanonical(horizon)
+				if err != nil {
+					t.Fatalf("router.ExportCanonical through worker death: %v", err)
+				}
+				resume = func() (*parallel.Runner, error) {
+					cont, _, err := parallel.Migrate(mp.Combined, sink, shards, exports, horizon)
+					return cont, err
+				}
+			}
+			if err := r.Err(); err != nil {
+				t.Fatalf("router: %v", err)
+			}
+			topo := r.Topology()
+			if topo.Failovers < 2 || topo.Workers[0].Live || len(topo.ShedShards) != 0 {
+				t.Fatalf("expected worker 0 retired mid-fetch and its two shards failed over, topology %+v", topo)
+			}
+			// Tear the distributed epoch down and snip its close-flush
+			// rows: the resumed runner owns those open instances now.
+			preClose := len(sink.Results)
+			r.Close()
+			sink.Results = sink.Results[:preClose]
+			cont, err := resume()
+			if err != nil {
+				t.Fatalf("resuming in-process from the fetched state: %v", err)
+			}
+			cont.SetOrderedDrain(true)
+			drive(cont, events[half:], chunk, nil)
+			if err := cont.Err(); err != nil {
+				t.Fatalf("resumed runner: %v", err)
+			}
+			assertSameResults(t, sink.Results, want)
+		})
+	}
 }
 
 // TestRouterTopologyShape sanity-checks the stats surface.

@@ -22,17 +22,16 @@ import (
 	"sort"
 
 	"factorwindows/internal/agg"
+	"factorwindows/internal/engine"
 	"factorwindows/internal/reorder"
 )
 
-// checkpointVersion is the current codec generation: 3 since live plan
-// migration (per-window exposed-result floors moved into the engine
-// snapshots, and the cost-model η became part of the plan's identity).
-// Version-2 blobs are columnar-era checkpoints whose epoch floor lives
-// in MinStart; version-0 blobs are boxed-era (v1) checkpoints — gob
-// leaves the missing fields zero — and both stay restorable: the engine
-// codec migrates their state transparently and the restore path
-// re-applies MinStart as a floor on every window.
+// checkpointVersion is the one codec generation this build reads and
+// writes: 3 since live plan migration (per-window exposed-result floors
+// moved into the engine snapshots, and the cost-model η became part of
+// the plan's identity). Any other version — the boxed-era blobs decode
+// as 0, gob leaving the missing field zero — is rejected with
+// engine.ErrSnapshotVersion before the server's state is touched.
 const checkpointVersion = 3
 
 // checkpoint is the gob-serialized server state.
@@ -54,12 +53,6 @@ type checkpoint struct {
 	Late     int64
 	HasPipe  bool
 	HasCarry bool // Reorder holds a carried horizon but no engine state
-	// MinStart carries the pre-v3 epoch floor: restoring a v1/v2 blob
-	// re-imposes it on every window. v3 blobs restore their per-window
-	// floors from the engine snapshot instead and fill this field with
-	// the release horizon purely as a diagnostic (older builds reject
-	// version 3 outright, so nothing downlevel ever reads it).
-	MinStart int64
 	Reorder  reorder.State
 	Engine   []byte // parallel.Runner snapshot (embeds the shard count)
 }
@@ -107,7 +100,6 @@ func (s *Server) checkpointLocked() ([]byte, error) {
 	switch {
 	case s.pipe != nil:
 		cp.HasPipe = true
-		cp.MinStart = s.pipe.buf.Released()
 		cp.Reorder = s.pipe.buf.Snapshot()
 		eng, err := s.pipe.runner.Snapshot()
 		if err != nil {
@@ -138,9 +130,9 @@ func (s *Server) RestoreCheckpoint(data []byte) error {
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&cp); err != nil {
 		return fmt.Errorf("server: decoding checkpoint: %w", err)
 	}
-	if cp.Version != 0 && cp.Version != 2 && cp.Version != checkpointVersion {
-		return fmt.Errorf("server: checkpoint version %d not supported (this build reads v1, v2 and v%d)",
-			cp.Version, checkpointVersion)
+	if cp.Version != checkpointVersion {
+		return fmt.Errorf("server: checkpoint version %d, this build reads only %d: %w",
+			cp.Version, checkpointVersion, engine.ErrSnapshotVersion)
 	}
 	if cp.Factors != s.cfg.Factors {
 		return fmt.Errorf("%w: checkpoint taken with factors=%t, server runs factors=%t",
@@ -269,13 +261,6 @@ func (s *Server) applyCheckpointLocked(cpp *checkpoint, queries map[string]*regi
 			return fmt.Errorf("server: restoring engine state: %v; re-plan also failed: %w", err, rerr)
 		}
 		return fmt.Errorf("server: restoring engine state (resumed with fresh state): %w", err)
-	}
-	if cp.Version < checkpointVersion {
-		// Pre-migration checkpoints kept the epoch floor in the serving
-		// layer; re-impose it on every window. (v3 engine snapshots carry
-		// per-window floors and must not be flattened to the horizon —
-		// that would suppress the very straddlers migration preserves.)
-		np.runner.RaiseEmitFloor(cp.MinStart)
 	}
 	s.pipe = np
 	return nil

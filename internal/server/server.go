@@ -228,7 +228,6 @@ type execRunner interface {
 	SetOrderedDrain(on bool)
 	ExportCanonical(horizon int64) ([]*engine.Export, error)
 	Snapshot() ([]byte, error)
-	RaiseEmitFloor(v int64)
 }
 
 var (
@@ -736,7 +735,7 @@ func (s *Server) buildPipeline(freshFloor int64, carried *reorder.State, engineS
 			spec.Shards = runtime.GOMAXPROCS(0)
 		}
 		if engineState != nil {
-			states, events, derr := router.DecodeSnapshot(engineState)
+			states, events, derr := parallel.DecodeSnapshot(engineState)
 			if derr != nil {
 				return nil, 0, derr
 			}

@@ -14,9 +14,9 @@
 //
 //	router → worker: event frames (this shard's key subsequence, in
 //	                 arrival order), advance/barrier/export/snapshot/
-//	                 floor/close control frames
-//	worker → router: result frames + ack (barrier, floor), state
-//	                 envelopes (export, snapshot), bye (release, close)
+//	                 release/close control frames
+//	worker → router: result frames + ack (barrier), state envelopes
+//	                 (export, snapshot), bye (release, close)
 //
 // The worker holds results between barriers in a collecting sink and
 // flushes them only when the router asks: the router merges per-shard
@@ -31,8 +31,6 @@
 package shardworker
 
 import (
-	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"net"
@@ -196,6 +194,14 @@ func (w *Worker) session(conn net.Conn) {
 // handle executes one complete control envelope; quit ends the session.
 func (s *session) handle(c *wire.Ctrl) (quit bool) {
 	switch c.Op {
+	case wire.CtrlAdvance, wire.CtrlBarrier, wire.CtrlExport, wire.CtrlSnapshot:
+		// These act on the engine only a hello builds.
+		if s.eng == nil {
+			s.fail(c.Op + " before hello")
+			return true
+		}
+	}
+	switch c.Op {
 	case wire.CtrlHello:
 		if s.eng != nil {
 			s.fail("duplicate hello")
@@ -207,17 +213,9 @@ func (s *session) handle(c *wire.Ctrl) (quit bool) {
 		}
 		return !s.sendCtrl(&wire.Ctrl{Op: wire.CtrlAck})
 	case wire.CtrlAdvance:
-		if s.eng == nil {
-			s.fail("advance before hello")
-			return true
-		}
 		s.eng.Advance(c.Horizon)
 		return false
 	case wire.CtrlBarrier:
-		if s.eng == nil {
-			s.fail("barrier before hello")
-			return true
-		}
 		if !s.flushResults() {
 			return true
 		}
@@ -227,39 +225,24 @@ func (s *session) handle(c *wire.Ctrl) (quit bool) {
 			Events:  s.eng.Events(),
 		})
 	case wire.CtrlExport:
-		if s.eng == nil {
-			s.fail("export before hello")
-			return true
-		}
 		ex, err := s.eng.ExportCanonical(c.Horizon)
 		if err != nil {
 			s.fail(err.Error())
 			return true
 		}
-		var blob bytes.Buffer
-		if err := gob.NewEncoder(&blob).Encode(ex); err != nil {
+		blob, err := engine.EncodeExport(ex)
+		if err != nil {
 			s.fail(err.Error())
 			return true
 		}
-		return !s.sendCtrl(&wire.Ctrl{Op: wire.CtrlExport, State: blob.Bytes()})
+		return !s.sendCtrl(&wire.Ctrl{Op: wire.CtrlExport, State: blob})
 	case wire.CtrlSnapshot:
-		if s.eng == nil {
-			s.fail("snapshot before hello")
-			return true
-		}
 		blob, err := s.eng.Snapshot()
 		if err != nil {
 			s.fail(err.Error())
 			return true
 		}
 		return !s.sendCtrl(&wire.Ctrl{Op: wire.CtrlSnapshot, State: blob})
-	case wire.CtrlFloor:
-		if s.eng == nil {
-			s.fail("floor before hello")
-			return true
-		}
-		s.eng.RaiseEmitFloor(c.Floor)
-		return !s.sendCtrl(&wire.Ctrl{Op: wire.CtrlAck})
 	case wire.CtrlRelease:
 		// The state has been exported elsewhere: drop the engine without
 		// flushing (a flush would emit rows the importing shard will
@@ -322,9 +305,8 @@ func (s *session) hello(c *wire.Ctrl) error {
 	}
 	var ex *engine.Export
 	if len(c.State) > 0 {
-		ex = new(engine.Export)
-		if err := gob.NewDecoder(bytes.NewReader(c.State)).Decode(ex); err != nil {
-			return fmt.Errorf("decoding export state: %w", err)
+		if ex, err = engine.DecodeExport(c.State); err != nil {
+			return err
 		}
 	}
 	eng, _, err := engine.NewMigrated(mp.Combined, s.sink, ex, c.Floor)

@@ -7,7 +7,8 @@
 //
 // The envelope is JSON rather than another columnar layout because
 // control traffic is rare (a handful of frames per ingest barrier) and
-// structural: it carries query sets, gob state blobs, and error text.
+// structural: it carries query sets, opaque state blobs (the engine
+// owns their encoding), and error text.
 // State blobs can exceed a single control frame's payload bound, so
 // AppendCtrl splits State across consecutive frames (More=true on every
 // frame but the last) and CtrlAssembler reassembles them; every other
@@ -36,13 +37,10 @@ const (
 	CtrlBarrier = "barrier"
 	// CtrlExport asks for the engine's canonical migration state at the
 	// given horizon; the reply is an export envelope whose State is the
-	// gob-encoded engine.Export.
+	// encoded engine.Export (engine.EncodeExport).
 	CtrlExport = "export"
 	// CtrlSnapshot asks for an engine snapshot blob (checkpoint codec).
 	CtrlSnapshot = "snapshot"
-	// CtrlFloor raises the engine's exposed-result floor (restoring
-	// pre-migration-era checkpoints); acked.
-	CtrlFloor = "floor"
 	// CtrlRelease ends the session discarding the engine without a
 	// flush — the state has migrated elsewhere and a flush would emit
 	// rows the new host will also emit. The worker replies bye.
@@ -50,7 +48,7 @@ const (
 	// CtrlClose ends the session flushing the engine: open instances
 	// fire, their rows ship as result frames, then bye.
 	CtrlClose = "close"
-	// CtrlAck acknowledges a hello, barrier, or floor.
+	// CtrlAck acknowledges a hello or a barrier.
 	CtrlAck = "ack"
 	// CtrlBye acknowledges a release or close; the worker is about to
 	// drop the connection.
@@ -87,14 +85,13 @@ type Ctrl struct {
 	Factors bool        `json:"factors,omitempty"`
 	Queries []CtrlQuery `json:"queries,omitempty"`
 
-	// Horizon carries the watermark (advance), the export cut (export),
-	// or the floor value (floor).
+	// Horizon carries the watermark (advance) or the export cut (export).
 	Horizon int64 `json:"horizon,omitempty"`
 	// Floor is a hello's exposed-result floor for windows the carried
 	// state does not cover (or all windows, when State is empty).
 	Floor int64 `json:"floor,omitempty"`
 
-	// State is a carried blob: a gob engine.Export (hello, export
+	// State is a carried blob: an encoded engine.Export (hello, export
 	// replies) or an engine snapshot (hello with Snap, snapshot
 	// replies). Split across frames when it exceeds the chunk bound.
 	State []byte `json:"state,omitempty"`

@@ -156,3 +156,102 @@ func exercise(t *testing.T, f Frame) {
 		t.Fatalf("decoded frame has unknown kind %d", f.Kind)
 	}
 }
+
+// FuzzCtrlAssembler pins the control-envelope reassembly a router and a
+// worker run on bytes straight off a socket. Two properties:
+//
+//   - Arbitrary control-frame sequences never panic. data is read twice:
+//     as a raw frame stream (whatever Decode accepts goes to Add, frames
+//     of the wrong kind included), and line by line as control-frame
+//     payloads, so the fuzzer reaches the envelope logic — continuation
+//     ops, More chains, malformed JSON mid-chain — without first having
+//     to guess a frame header. A completed envelope always leaves the
+//     assembler idle.
+//   - AppendCtrl → Add is the identity on State for every length around
+//     the 256 KiB chunk boundaries, with the head frame's fields intact
+//     and exactly as many frames as chunks.
+func FuzzCtrlAssembler(f *testing.F) {
+	f.Add([]byte(`{"op":"barrier"}`), uint32(0))
+	f.Add([]byte(`{"op":"export","more":true,"state":"AAEC"}`+"\n"+`{"op":"export","state":"AwQ="}`), uint32(1))
+	f.Add([]byte(`{"op":"export","more":true}`+"\n"+`{"op":"snapshot"}`+"\n"+`{"op":`), uint32(ctrlStateChunk-1))
+	f.Add(AppendCtrl(nil, 3, &Ctrl{Op: CtrlHello, Shards: 2, State: []byte("blob"), Snap: true}), uint32(ctrlStateChunk))
+	f.Add(AppendEventFrame(nil, []stream.Event{{Time: 1, Key: 2, Value: 3}}), uint32(ctrlStateChunk+1))
+	f.Add([]byte("\n\n"), uint32(2*ctrlStateChunk))
+	f.Add([]byte{0xff}, uint32(2*ctrlStateChunk+1))
+
+	f.Fuzz(func(t *testing.T, data []byte, stateLen uint32) {
+		var asm CtrlAssembler
+		add := func(fr Frame) {
+			if _, done, err := asm.Add(fr); err == nil && done && asm.Pending() {
+				t.Fatal("assembler still pending after completing an envelope")
+			}
+		}
+		for rest := data; ; {
+			fr, r, err := Decode(rest)
+			if err != nil {
+				break
+			}
+			rest = r
+			add(fr)
+		}
+		for _, payload := range bytes.Split(data, []byte{'\n'}) {
+			if len(payload) > MaxFrameRows {
+				continue // AppendControlFrame's own bound; callers never exceed it
+			}
+			fr, _, err := Decode(AppendControlFrame(nil, 0, payload))
+			if err != nil {
+				t.Fatalf("control frame of %d payload bytes does not decode: %v", len(payload), err)
+			}
+			add(fr)
+		}
+
+		// Lengths within a few bytes of the first two chunk boundaries are
+		// taken as given (the seeds sit on them); the rest of the u32
+		// range folds to small states, so most executions stay cheap.
+		n := int(stateLen)
+		if off := n % ctrlStateChunk; n > 2*ctrlStateChunk+8 || (off > 8 && off < ctrlStateChunk-8) {
+			n %= 4096
+		}
+		state := make([]byte, n)
+		for i := range state {
+			if len(data) > 0 {
+				state[i] = data[i%len(data)]
+			}
+			state[i] += byte(i >> 8) // the chunks differ even under a short data
+		}
+		in := Ctrl{Op: CtrlExport, Horizon: 7, Updates: int64(n), State: state}
+		buf := AppendCtrl(nil, 5, &in)
+		var (
+			rt     CtrlAssembler
+			frames int
+			out    Ctrl
+			done   bool
+		)
+		for rest := buf; len(rest) > 0; {
+			if done {
+				t.Fatal("frames left after the envelope completed")
+			}
+			fr, r, err := Decode(rest)
+			if err != nil {
+				t.Fatalf("Decode(AppendCtrl output): %v", err)
+			}
+			rest = r
+			frames++
+			if out, done, err = rt.Add(fr); err != nil {
+				t.Fatalf("Add: %v", err)
+			}
+		}
+		if want := max(1, (n+ctrlStateChunk-1)/ctrlStateChunk); frames != want {
+			t.Fatalf("%d state bytes rode %d frames, want %d", n, frames, want)
+		}
+		if !done || rt.Pending() {
+			t.Fatalf("envelope incomplete after all %d frames", frames)
+		}
+		if out.Op != in.Op || out.Horizon != in.Horizon || out.Updates != in.Updates || out.More {
+			t.Fatalf("head fields changed: %+v", out)
+		}
+		if !bytes.Equal(out.State, state) {
+			t.Fatalf("State of %d bytes came back as %d bytes (or altered)", n, len(out.State))
+		}
+	})
+}
