@@ -530,7 +530,8 @@ func BenchmarkEgress(b *testing.B) {
 		b.ReportMetric(float64(rows)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mrows/s")
 	})
 	// The multiquery case adds the full serving egress: key-sharded
-	// execution, batched sink flushes, and per-window subscriber routing.
+	// execution, run-buffered sink flushes, and per-run subscriber
+	// routing.
 	b.Run("multiquery", func(b *testing.B) {
 		qs := []multiquery.Query{
 			{ID: "q1", Windows: []window.Window{window.Tumbling(2), window.Tumbling(8)}},
@@ -546,7 +547,7 @@ func BenchmarkEgress(b *testing.B) {
 			rows = 0
 			// Shard sinks serialize on the runner's shared-sink lock, so
 			// the plain counter is safe.
-			sink := mp.BatchSink(func(rb multiquery.RoutedBatch) { rows += int64(len(rb.Results)) })
+			sink := mp.RunSink(func(_ []string, run stream.Run) { rows += int64(run.Len()) })
 			runner, err := parallel.New(mp.Combined, sink, 4)
 			if err != nil {
 				b.Fatal(err)

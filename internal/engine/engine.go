@@ -100,13 +100,14 @@ type node struct {
 
 	// Reusable kernel scratch, so the steady-state hot path never
 	// allocates: span bases per sub-aggregate span (hopping fan-out),
-	// live offsets per fired instance, the batch-finalized values, and
-	// the batched result rows one fire hands the sink. Oversized buffers
-	// are dropped after the fire (see capEgressBuffers).
+	// live offsets per fired instance, and the two columns of the run
+	// one fire hands the sink — the batch-finalized values and the
+	// gathered keys. Oversized buffers are dropped after the fire (see
+	// capEgressBuffers).
 	baseBuf []int32
 	liveBuf []int32
 	finBuf  []float64
-	resBuf  []stream.Result
+	keyBuf  []uint64
 
 	// stats
 	inputs  int64 // items consumed (raw events or sub-aggregates)
@@ -552,8 +553,7 @@ func (n *node) ensure(lo, hi int64) {
 // occupancy bitmap yields the live key slots directly; empty windows
 // are not emitted. The whole instance finalizes through one
 // agg.FinalizeSpan kernel call (one function dispatch per fire, not per
-// row), and the result batch assembles in the node's recycled arena
-// before a single EmitAll hands it to the sink.
+// row), and the instance reaches the sink as one stream.Run.
 func (n *node) fire(inst *instance, end int64) {
 	offs := n.store.AppendLive(inst.span, inst.cap, n.liveBuf[:0])
 	n.liveBuf = offs
@@ -605,24 +605,24 @@ func (n *node) fireFrozen(inst *instance, start, end int64, offs []int32) {
 	n.capEgressBuffers()
 }
 
-// emitSpan finalizes the span's live rows and hands the batch to the
-// sink through the node's recycled result arena.
+// emitSpan finalizes the span's live rows and hands them to the sink as
+// one run: the FinalizeSpan column as is, beside the keys gathered into
+// the node's recycled key column. Both are scratch — the run is only
+// valid for the call.
 func (n *node) emitSpan(base int32, offs []int32, start, end int64) {
-	keys := n.shared.keys
 	vals := n.store.FinalizeSpan(base, offs, n.finBuf[:0])
 	n.finBuf = vals
-	rs := n.resBuf
-	if cap(rs) < len(offs) {
-		rs = make([]stream.Result, len(offs))
+	keys := n.keyBuf
+	if cap(keys) < len(offs) {
+		keys = make([]uint64, len(offs))
 	} else {
-		rs = rs[:len(offs)]
+		keys = keys[:len(offs)]
 	}
-	vals = vals[:len(offs)]
 	for i, off := range offs {
-		rs[i] = stream.Result{W: n.w, Start: start, End: end, Key: keys[off], Value: vals[i]}
+		keys[i] = n.shared.keys[off]
 	}
-	n.resBuf = rs
-	stream.EmitAll(n.sink, rs)
+	n.keyBuf = keys
+	stream.EmitRun(n.sink, stream.Run{W: n.w, Start: start, End: end, Keys: keys, Vals: vals[:len(offs)]})
 }
 
 // egressRetain bounds the per-node emission scratch kept across fires,
@@ -634,8 +634,8 @@ func (n *node) emitSpan(base int32, offs []int32, start, end int64) {
 const egressRetain = 4096
 
 func (n *node) capEgressBuffers() {
-	if cap(n.resBuf) > egressRetain {
-		n.resBuf = nil
+	if cap(n.keyBuf) > egressRetain {
+		n.keyBuf = nil
 	}
 	if cap(n.finBuf) > egressRetain {
 		n.finBuf = nil

@@ -172,6 +172,16 @@ func (p *Plan) Run(events []stream.Event, emit func(Routed)) error {
 	return err
 }
 
+// RunSink is the serving layer's result path: emit receives each fired
+// window instance as one stream.Run tagged with the queries subscribed
+// to its window — one route lookup per run, and no per-row window
+// compare, because a run has exactly one window. Unsubscribed runs
+// (factor windows, internals) are dropped. Like the run itself, ids and
+// the columns are only valid for the duration of the callback.
+func (p *Plan) RunSink(emit func(ids []string, run stream.Run)) stream.Sink {
+	return &routingRunSink{plan: p, emit: emit}
+}
+
 // RoutedBatch is one same-window run of result rows tagged with the
 // queries subscribed to that window. Like stream.BatchSink batches, the
 // Results slice is only valid for the duration of the callback —
@@ -181,13 +191,35 @@ type RoutedBatch struct {
 	Results  []stream.Result
 }
 
-// BatchSink is the batched counterpart of Sink: instead of one callback
-// per result row, emit receives whole same-window runs, with the
-// subscriber list resolved once per (window, run) rather than once per
-// row. This is the serving layer's result path — per-row routing is
-// exactly the cost that scales with keys × windows × queries.
+// BatchSink is RunSink's row-form predecessor: emit receives whole
+// same-window runs as []stream.Result, segmented out of row batches by
+// comparing windows. Nothing on the serving path builds row batches any
+// more; it remains for the benchmark harness's staged replay.
 func (p *Plan) BatchSink(emit func(RoutedBatch)) stream.Sink {
 	return &routingBatchSink{plan: p, emit: emit}
+}
+
+// routingRunSink hands each subscribed run to emit as it arrives.
+type routingRunSink struct {
+	plan *Plan
+	emit func(ids []string, run stream.Run)
+
+	// one-row columns of the per-row path, kept here so Emit does not
+	// allocate them per call (sinks serve one goroutine at a time).
+	key [1]uint64
+	val [1]float64
+}
+
+// EmitRun implements stream.RunSink.
+func (s *routingRunSink) EmitRun(r stream.Run) {
+	if ids := s.plan.routes[r.W]; len(ids) > 0 {
+		s.emit(ids, r)
+	}
+}
+
+func (s *routingRunSink) Emit(r stream.Result) {
+	s.key[0], s.val[0] = r.Key, r.Value
+	s.EmitRun(stream.Run{W: r.W, Start: r.Start, End: r.End, Keys: s.key[:], Vals: s.val[:]})
 }
 
 // routingSink tags engine results with their subscriber queries.
@@ -229,6 +261,7 @@ func (s *routingSink) EmitBatch(rs []stream.Result) {
 type routingBatchSink struct {
 	plan *Plan
 	emit func(RoutedBatch)
+	one  [1]stream.Result // Emit's batch, here so it is not allocated per call
 }
 
 func (s *routingBatchSink) Emit(r stream.Result) {
@@ -236,9 +269,8 @@ func (s *routingBatchSink) Emit(r stream.Result) {
 	if len(ids) == 0 {
 		return
 	}
-	var one [1]stream.Result
-	one[0] = r
-	s.emit(RoutedBatch{QueryIDs: ids, Results: one[:]})
+	s.one[0] = r
+	s.emit(RoutedBatch{QueryIDs: ids, Results: s.one[:]})
 }
 
 // EmitBatch implements stream.BatchSink. A shard's flush interleaves

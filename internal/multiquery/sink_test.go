@@ -66,13 +66,57 @@ func TestSinkOnParallelRunner(t *testing.T) {
 	pr.Process(events)
 	pr.Close()
 
-	want, got := flatten(single), flatten(sharded)
-	if len(single) == 0 || len(single) != len(sharded) {
-		t.Fatalf("routed %d single-core, %d sharded", len(single), len(sharded))
-	}
-	for k, n := range want {
-		if got[k] != n {
-			t.Fatalf("routed result %+v: %d sharded vs %d single-core", k, got[k], n)
+	// The run sink — the serving path's — routes whole runs; row for row
+	// it must tag what the per-row sink tags.
+	var runs []Routed
+	rr, err := parallel.New(p.Combined, p.RunSink(func(ids []string, run stream.Run) {
+		for i, k := range run.Keys {
+			runs = append(runs, Routed{QueryIDs: ids, Result: stream.Result{
+				W: run.W, Start: run.Start, End: run.End, Key: k, Value: run.Vals[i]}})
 		}
+	}), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rr.Process(events)
+	rr.Close()
+
+	want := flatten(single)
+	if len(single) == 0 {
+		t.Fatal("single-core run routed nothing")
+	}
+	for name, routed := range map[string][]Routed{"sharded": sharded, "sharded runs": runs} {
+		got := flatten(routed)
+		if len(routed) != len(single) {
+			t.Fatalf("routed %d single-core, %d %s", len(single), len(routed), name)
+		}
+		for k, n := range want {
+			if got[k] != n {
+				t.Fatalf("routed result %+v: %d %s vs %d single-core", k, got[k], name, n)
+			}
+		}
+	}
+}
+
+// TestPerRowEmitDoesNotAllocate: the run and batch sinks' per-row entry
+// points wrap the row in a one-row run (batch) without a per-call heap
+// allocation.
+func TestPerRowEmitDoesNotAllocate(t *testing.T) {
+	p, err := Optimize([]Query{{ID: "a", Windows: []window.Window{window.Tumbling(8)}}}, agg.Sum, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := 0
+	row := stream.Result{W: window.Tumbling(8), Start: 0, End: 8, Key: 3, Value: 1.5}
+	for name, sink := range map[string]stream.Sink{
+		"RunSink":   p.RunSink(func(ids []string, run stream.Run) { rows += run.Len() }),
+		"BatchSink": p.BatchSink(func(rb RoutedBatch) { rows += len(rb.Results) }),
+	} {
+		if allocs := testing.AllocsPerRun(100, func() { sink.Emit(row) }); allocs != 0 {
+			t.Fatalf("%s.Emit: %v allocs per row, want 0", name, allocs)
+		}
+	}
+	if rows == 0 {
+		t.Fatal("no row was routed")
 	}
 }

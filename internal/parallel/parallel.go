@@ -24,66 +24,75 @@ import (
 )
 
 // lockedSink serializes concurrent delivery from the shards onto the
-// user's sink. Batch-capable sinks receive the whole batch in one call
-// under the lock; plain sinks fall back to per-row Emit (still one lock
-// acquisition per batch).
+// user's sink: one lock acquisition per drained buffer or passed-through
+// run. Run-capable sinks receive runs as they are; others get them
+// materialised as rows by stream.EmitRun's fallback.
 type lockedSink struct {
 	mu   sync.Mutex
 	sink stream.Sink
 }
 
-func (s *lockedSink) emitBatch(rs []stream.Result) {
-	if len(rs) == 0 {
+// drain delivers and resets one shard's buffered runs under the lock.
+func (s *lockedSink) drain(buf *stream.RunBuffer) {
+	if buf.Rows() == 0 {
 		return
 	}
 	s.mu.Lock()
 	// Unlock via defer: a panicking user sink poisons its shard, and the
 	// mutex must not stay held or every other shard wedges behind it.
 	defer s.mu.Unlock()
-	stream.EmitAll(s.sink, rs)
+	buf.Drain(s.sink)
 }
 
-// shardSink buffers one shard's emissions and flushes them to the shared
-// sink in batches, so high-cardinality outputs do not serialize the
-// shards on a per-row lock. In ordered mode (SetOrderedDrain) the shard
-// stops flushing on its own below the spill high-water mark; the driving
-// goroutine drains the buffers in shard index order at each Barrier.
+func (s *lockedSink) emitRun(r stream.Run) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	stream.EmitRun(s.sink, r)
+}
+
+// shardSink buffers one shard's emissions as runs and flushes them to
+// the shared sink in batches, so high-cardinality outputs do not
+// serialize the shards on a per-run lock. In ordered mode
+// (SetOrderedDrain) the shard stops flushing on its own below the spill
+// high-water mark; the driving goroutine drains the buffers in shard
+// index order at each Barrier.
 type shardSink struct {
 	out     *lockedSink
-	buf     []stream.Result
+	buf     stream.RunBuffer
 	ordered bool
 }
 
 const shardSinkBatch = 1024
 
-// orderedSpill caps a shard's buffered results in ordered mode. A shard
-// whose buffer crosses it flushes eagerly — memory stays bounded, at the
-// cost of deterministic ordering for that barrier interval. Drivers that
-// barrier per bounded ingest chunk (the server) stay far below it.
+// orderedSpill caps a shard's buffered results, in rows, in ordered
+// mode. A shard whose buffer crosses it flushes eagerly — memory stays
+// bounded, at the cost of deterministic ordering for that barrier
+// interval. Drivers that barrier per bounded ingest chunk (the server)
+// stay far below it.
 const orderedSpill = 1 << 15
 
 func (s *shardSink) Emit(r stream.Result) {
-	s.buf = append(s.buf, r)
-	if len(s.buf) >= s.flushAt() {
+	s.buf.Emit(r)
+	if s.buf.Rows() >= s.flushAt() {
 		s.flush()
 	}
 }
 
-// EmitBatch implements stream.BatchSink: the engine's batched fire path
-// lands here. Small batches coalesce into the shard buffer; a batch
-// already at flush size skips the copy and goes straight through the
-// serialized sink (after flushing the buffer, to keep per-key order) —
-// the batch is only borrowed for the call either way. Ordered mode
-// always copies: a passthrough would interleave with other shards at
-// whatever moment this shard's engine fired.
-func (s *shardSink) EmitBatch(rs []stream.Result) {
-	if !s.ordered && len(rs) >= shardSinkBatch/2 {
+// EmitRun implements stream.RunSink: the engine's fire path lands here.
+// Small runs coalesce into the shard buffer; a run already at flush size
+// skips the copy and goes straight through the serialized sink (after
+// flushing the buffer, to keep per-key order) — the run is only
+// borrowed for the call either way. Ordered mode always copies: a
+// passthrough would interleave with other shards at whatever moment
+// this shard's engine fired.
+func (s *shardSink) EmitRun(r stream.Run) {
+	if !s.ordered && r.Len() >= shardSinkBatch/2 {
 		s.flush()
-		s.out.emitBatch(rs)
+		s.out.emitRun(r)
 		return
 	}
-	s.buf = append(s.buf, rs...)
-	if len(s.buf) >= s.flushAt() {
+	s.buf.Append(r)
+	if s.buf.Rows() >= s.flushAt() {
 		s.flush()
 	}
 }
@@ -95,10 +104,7 @@ func (s *shardSink) flushAt() int {
 	return shardSinkBatch
 }
 
-func (s *shardSink) flush() {
-	s.out.emitBatch(s.buf)
-	s.buf = s.buf[:0]
-}
+func (s *shardSink) flush() { s.out.drain(&s.buf) }
 
 // scatter is one recycled staging area for Process's key partitioning:
 // n per-shard event slices that keep their capacity across uses. The
@@ -491,7 +497,7 @@ func (r *Runner) SetOrderedDrain(on bool) {
 func (r *Runner) drainOrdered() {
 	peak := 0
 	for _, sh := range r.shards {
-		if n := len(sh.sink.buf); n > peak {
+		if n := sh.sink.buf.Rows(); n > peak {
 			peak = n
 		}
 		sh.sink.flush()

@@ -10,11 +10,11 @@
 // function of the ingested events. Keys partition by the same Fibonacci
 // hash (parallel.ShardOf) over the same shard count, each shard's
 // engine is rebuilt deterministically from the same plan inputs, and
-// every Barrier merges per-shard results in shard index order — one
-// EmitAll per non-empty shard, just like parallel.drainOrdered. Worker
-// placement, worker count, failovers, and rebalances are therefore
-// invisible in the output: moving a shard between workers changes which
-// process computes it, never what it emits.
+// every Barrier merges per-shard results in shard index order — each
+// shard's buffered runs drained whole, just like parallel.drainOrdered.
+// Worker placement, worker count, failovers, and rebalances are
+// therefore invisible in the output: moving a shard between workers
+// changes which process computes it, never what it emits.
 //
 // # Failure model
 //
@@ -151,14 +151,15 @@ type shardState struct {
 
 	journal []journalOp
 
-	// rows holds results collected but not yet emitted. Invariant:
-	// outside an active collectBarrier/Close read of THIS shard, rows
-	// is complete through the shard's last acked barrier — so failover
-	// and shedding must keep it (the journaled barrier replays with its
+	// rows holds results collected but not yet emitted, as runs — the
+	// same buffer type parallel's shard sinks drain. Invariant: outside
+	// an active collectBarrier/Close read of THIS shard, rows is
+	// complete through the shard's last acked barrier — so failover and
+	// shedding must keep it (the journaled barrier replays with its
 	// rows discarded; these are the only copy). Only the reader whose
-	// own mid-barrier read failed clears it, because that barrier is
+	// own mid-barrier read failed resets it, because that barrier is
 	// not journaled yet and re-runs live.
-	rows        []stream.Result
+	rows        stream.RunBuffer
 	updates     int64 // engine update counter from the last ack
 	barrierSent bool  // current barrier round written to this session
 	down        bool
@@ -690,14 +691,19 @@ func (r *Runner) Barrier() {
 			}
 		}
 	}
-	// Phase 4: ordered emit, exactly one EmitAll per non-empty shard.
+	// Phase 4: ordered emit, shard by shard, run by run.
+	r.drainOrdered()
+}
+
+// drainOrdered delivers every shard's pending runs to the sink in shard
+// index order and records the largest per-shard backlog, in rows.
+func (r *Runner) drainOrdered() {
 	peak := 0
 	for _, sc := range r.shards {
-		if n := len(sc.rows); n > peak {
+		if n := sc.rows.Rows(); n > peak {
 			peak = n
 		}
-		stream.EmitAll(r.sink, sc.rows)
-		sc.rows = sc.rows[:0]
+		sc.rows.Drain(r.sink)
 	}
 	if p := int64(peak); p > r.egressPeak {
 		r.egressPeak = p
@@ -734,7 +740,7 @@ func (r *Runner) collectBarrier(sc *shardState) {
 		}
 		f, err := sc.fr.Next()
 		if err != nil {
-			sc.rows = sc.rows[:0]
+			sc.rows.Reset()
 			r.failoverShard(sc)
 			continue
 		}
@@ -744,7 +750,7 @@ func (r *Runner) collectBarrier(sc *shardState) {
 		case wire.KindControl:
 			c, done, err := sc.asm.Add(f)
 			if err != nil {
-				sc.rows = sc.rows[:0]
+				sc.rows.Reset()
 				r.failoverShard(sc)
 				continue
 			}
@@ -761,12 +767,12 @@ func (r *Runner) collectBarrier(sc *shardState) {
 				// Worker-side engine failure: poison, like a parallel
 				// shard panic. The shard stops serving; the caller sees
 				// Err and tears the pipeline down.
-				sc.rows = sc.rows[:0]
+				sc.rows.Reset()
 				r.fail(fmt.Errorf("router: shard %d: %s", sc.idx, c.Error))
 				r.shedShard(sc)
 				return
 			default:
-				sc.rows = sc.rows[:0]
+				sc.rows.Reset()
 				r.fail(fmt.Errorf("router: shard %d: unexpected control op %q at barrier", sc.idx, c.Op))
 				r.shedShard(sc)
 				return
@@ -774,7 +780,7 @@ func (r *Runner) collectBarrier(sc *shardState) {
 		default:
 			// Same protocol enforcement readAck applies: a frame kind no
 			// worker should send here is poison, not something to skip.
-			sc.rows = sc.rows[:0]
+			sc.rows.Reset()
 			r.fail(fmt.Errorf("router: shard %d: unexpected frame kind %d at barrier", sc.idx, f.Kind))
 			r.shedShard(sc)
 			return
@@ -782,11 +788,13 @@ func (r *Runner) collectBarrier(sc *shardState) {
 	}
 }
 
-// appendRows decodes one result frame onto sc's pending rows.
+// appendRows decodes one result frame onto sc's pending rows. The frame
+// keeps its per-row header columns; the buffer folds consecutive rows
+// with equal headers back into the runs the worker flushed.
 func (sc *shardState) appendRows(f wire.Frame) {
 	for j := 0; j < f.Rows(); j++ {
 		_, rng, slide, start, end, key, value := f.Result(j)
-		sc.rows = append(sc.rows, stream.Result{
+		sc.rows.Emit(stream.Result{
 			W:     window.Window{Range: rng, Slide: slide},
 			Start: start,
 			End:   end,
@@ -953,7 +961,7 @@ func (r *Runner) Close() {
 			if err != nil {
 				// The dead worker's final flush is lost mid-read; replay
 				// onto a survivor and re-close to regenerate it.
-				sc.rows = sc.rows[:0]
+				sc.rows.Reset()
 				r.failoverShard(sc)
 				if sc.down {
 					break
@@ -971,7 +979,7 @@ func (r *Runner) Close() {
 			if f.Kind == wire.KindControl {
 				c, done, aerr := sc.asm.Add(f)
 				if aerr != nil || (done && c.Op != wire.CtrlBye) {
-					sc.rows = sc.rows[:0]
+					sc.rows.Reset()
 					r.shedShard(sc)
 					break
 				}
@@ -983,23 +991,13 @@ func (r *Runner) Close() {
 			}
 			// Unexpected frame kind: protocol violation, same treatment
 			// as at a barrier.
-			sc.rows = sc.rows[:0]
+			sc.rows.Reset()
 			r.shedShard(sc)
 			break
 		}
 	}
 	r.closed = true
-	peak := 0
-	for _, sc := range r.shards {
-		if n := len(sc.rows); n > peak {
-			peak = n
-		}
-		stream.EmitAll(r.sink, sc.rows)
-		sc.rows = nil
-	}
-	if p := int64(peak); p > r.egressPeak {
-		r.egressPeak = p
-	}
+	r.drainOrdered()
 	r.teardown()
 }
 

@@ -2,7 +2,9 @@ package router_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"io"
 	"math/rand"
 	"net"
 	"reflect"
@@ -327,6 +329,107 @@ func TestRouterKillBetweenBarrierAcks(t *testing.T) {
 		}
 		assertSameResults(t, sink.Results, want)
 	}
+}
+
+// midCollectConn fails a shard session in the middle of a barrier
+// collect: once armed it lets one more whole frame through — the
+// barrier's result frame, which the router appends to the shard's
+// pending rows — and fails the read of the next frame's length prefix,
+// the ack's. It follows the frame boundaries itself (wire.Reader reads a
+// 4-byte prefix, then exactly the body), so where TCP happens to split
+// the bytes does not matter.
+type midCollectConn struct {
+	net.Conn
+	armed      *atomic.Bool
+	passed     int  // frames let through since arming
+	left       int  // bytes of the current frame's body still to deliver
+	kindSeen   bool // the current frame's kind byte has been delivered
+	gotResults *atomic.Bool
+}
+
+func (c *midCollectConn) Read(p []byte) (int, error) {
+	if c.left == 0 {
+		if c.armed.Load() && c.passed == 1 {
+			return 0, errors.New("injected read failure between result frame and ack")
+		}
+		var prefix [4]byte
+		if _, err := io.ReadFull(c.Conn, prefix[:]); err != nil {
+			return 0, err
+		}
+		c.left, c.kindSeen = int(binary.LittleEndian.Uint32(prefix[:])), false
+		if c.armed.Load() {
+			c.passed++
+		}
+		return copy(p, prefix[:]), nil // wire.Reader asks for exactly the prefix
+	}
+	n, err := c.Conn.Read(p[:min(len(p), c.left)])
+	if !c.kindSeen && n >= 4 {
+		// Body offset 3 is the frame kind ('F', 'W', version, kind).
+		if c.kindSeen = true; c.armed.Load() && p[3] == wire.KindResults {
+			c.gotResults.Store(true)
+		}
+	}
+	c.left -= n
+	return n, err
+}
+
+// TestRouterFailoverMidCollectLeavesNoStaleRun: a session that dies
+// after its barrier's result frame was appended to the shard's pending
+// runs, but before the ack, must have those runs — headers and columns
+// both — reset before the barrier re-runs on the survivor. A header (or
+// a column tail) that outlived the reset would surface as duplicated or
+// misattributed rows; the drain must stay identical to the reference.
+func TestRouterFailoverMidCollectLeavesNoStaleRun(t *testing.T) {
+	events := genEvents(311, 4000, 50)
+	const chunk = 256
+	const shards = 4
+	want := reference(t, testQueries, shards, events, chunk)
+	addrs := make([]string, 2)
+	for i := range addrs {
+		addrs[i], _ = startWorker(t)
+	}
+	var armed, gotResults atomic.Bool
+	var dials atomic.Int32
+	sink := &stream.CollectingSink{}
+	r, err := router.New(router.Spec{
+		Queries:         testQueries,
+		Fn:              agg.Sum,
+		Eta:             1,
+		Factors:         true,
+		Shards:          shards,
+		Workers:         addrs,
+		CheckpointEvery: 1000,
+		Dial: func(a string) (net.Conn, error) {
+			conn, err := net.Dial("tcp", a)
+			if err != nil {
+				return nil, err
+			}
+			// Placement dials in shard order: the 2nd dial is shard 1's
+			// session (worker 1's first).
+			if dials.Add(1) == 2 {
+				return &midCollectConn{Conn: conn, armed: &armed, gotResults: &gotResults}, nil
+			}
+			return conn, nil
+		},
+	}, sink)
+	if err != nil {
+		t.Fatalf("router.New: %v", err)
+	}
+	drive(r, events, chunk, func(i int) {
+		if i == 5 {
+			armed.Store(true)
+		}
+	})
+	if err := r.Err(); err != nil {
+		t.Fatalf("router: %v", err)
+	}
+	if !gotResults.Load() {
+		t.Fatal("the session failed before delivering a result frame: not a mid-collect failure")
+	}
+	if topo := r.Topology(); topo.Failovers == 0 || len(topo.ShedShards) != 0 {
+		t.Fatalf("expected a clean failover, topology %+v", topo)
+	}
+	assertSameResults(t, sink.Results, want)
 }
 
 // TestRouterRebalanceRefusedKeepsTarget: a target that refuses the

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"factorwindows/internal/stream"
@@ -104,9 +105,9 @@ func TestRestoreHeapEraServerCheckpoint(t *testing.T) {
 		if len(got) == 0 {
 			t.Fatalf("query %s: restored run produced no rows", id)
 		}
-		if g, w := appendRowsJSON(nil, got, '\n'), appendRowsJSON(nil, want, '\n'); !bytes.Equal(g, w) {
-			t.Fatalf("query %s: %d restored rows differ from the uninterrupted run's %d rows after the cut:\n%s\nwant:\n%s",
-				id, len(got), len(want), g, w)
+		if !slices.Equal(got, want) {
+			t.Fatalf("query %s: %d restored rows differ from the uninterrupted run's %d rows after the cut:\n%v\nwant:\n%v",
+				id, len(got), len(want), got, want)
 		}
 	}
 }

@@ -37,11 +37,13 @@ func refRowsNDJSON(t *testing.T, rows []ResultRow) []byte {
 	return out
 }
 
-// FuzzAppendRowsNDJSON pins the stream's run encoder to the
-// concatenation of per-row json.Marshal output. Eight rows grow from the
-// fuzzed base row; each nibble of shape says which of range, slide,
-// start and end change going into the next row, so runs of every length
-// break on every field, and seq, key and value move on every row.
+// FuzzAppendRowsNDJSON pins the stream's run-native encoder to the
+// concatenation of per-row json.Marshal output, for every split of
+// eight rows into runs. The rows grow from the fuzzed base row with
+// seq, key and value moving on every row; each of the 128 splits cuts
+// them into runs, and at a cut before row i+1 nibble i of shape says
+// which of range, slide, start and end change — possibly none, so
+// adjacent runs with equal headers are covered too.
 func FuzzAppendRowsNDJSON(f *testing.F) {
 	const minInt, maxInt, maxUint = math.MinInt64, math.MaxInt64, math.MaxUint64
 	for _, shape := range []uint32{
@@ -72,28 +74,44 @@ func FuzzAppendRowsNDJSON(f *testing.F) {
 		}
 	}
 	f.Fuzz(func(t *testing.T, seq, rng, slide, start, end int64, key uint64, value float64, shape uint32) {
-		rows := make([]ResultRow, 8)
-		row := ResultRow{Seq: seq, Range: rng, Slide: slide, Start: start, End: end, Key: key, Value: value}
-		for i := range rows {
-			rows[i] = row
-			row.Seq++
-			row.Key = row.Key*31 + 1
-			row.Value = -row.Value * 1.5
-			step := shape >> (4 * i)
-			row.Range += int64(step & 1)
-			row.Slide -= int64(step >> 1 & 1)
-			row.Start += int64(step>>2&1) * 1000
-			row.End ^= int64(step >> 3 & 1)
-		}
-		want := refRowsNDJSON(t, rows)
-		if got := appendRowsJSON(nil, rows, '\n'); !bytes.Equal(got, want) {
-			t.Fatalf("run encoder:\n%s\nper-row json.Marshal:\n%s", got, want)
-		}
-		// Split anywhere, a chunk starts a fresh encoder: same bytes.
-		cut := int(shape % 9)
-		got := appendRowsJSON(appendRowsJSON(nil, rows[:cut], '\n'), rows[cut:], '\n')
-		if !bytes.Equal(got, want) {
-			t.Fatalf("split at %d:\n%s\nper-row json.Marshal:\n%s", cut, got, want)
+		for split := 0; split < 1<<7; split++ {
+			chunk := runChunk{firstSeq: seq}
+			rows := make([]ResultRow, 8)
+			row := ResultRow{Seq: seq, Range: rng, Slide: slide, Start: start, End: end, Key: key, Value: value}
+			for i := range rows {
+				if i == 0 || split>>(i-1)&1 == 1 {
+					if i > 0 {
+						step := shape >> (4 * (i - 1))
+						row.Range += int64(step & 1)
+						row.Slide -= int64(step >> 1 & 1)
+						row.Start += int64(step>>2&1) * 1000
+						row.End ^= int64(step >> 3 & 1)
+					}
+					chunk.runs = append(chunk.runs, chunkRun{rng: row.Range, slide: row.Slide, start: row.Start, end: row.End})
+				}
+				chunk.runs[len(chunk.runs)-1].n++
+				chunk.keys, chunk.vals = append(chunk.keys, row.Key), append(chunk.vals, row.Value)
+				rows[i] = row
+				row.Seq++
+				row.Key = row.Key*31 + 1
+				row.Value = -row.Value * 1.5
+			}
+			want := refRowsNDJSON(t, rows)
+			if got := chunk.appendJSON(nil, '\n'); !bytes.Equal(got, want) {
+				t.Fatalf("split %07b, run encoder:\n%s\nper-row json.Marshal:\n%s", split, got, want)
+			}
+			// The chunk's row form is the rows it was built from (NaN
+			// compares by bits).
+			back := chunk.appendRows(nil)
+			for i := range back {
+				a, b := back[i], rows[i]
+				if math.Float64bits(a.Value) != math.Float64bits(b.Value) {
+					t.Fatalf("split %07b: row %d value %v, want %v", split, i, a.Value, b.Value)
+				}
+				if a.Value, b.Value = 0, 0; a != b {
+					t.Fatalf("split %07b: row %d materialises as %+v, want %+v", split, i, back[i], rows[i])
+				}
+			}
 		}
 	})
 }

@@ -273,14 +273,16 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	rows, missed, err := s.Results(r.PathValue("id"), after, limit)
+	rg, err := s.ringOf(r.PathValue("id"))
 	if err != nil {
 		s.httpError(w, err)
 		return
 	}
+	var chunk runChunk
+	missed := rg.readRuns(after, limit, &chunk)
 	next := after
-	if len(rows) > 0 {
-		next = rows[len(rows)-1].Seq
+	if n := chunk.rows(); n > 0 {
+		next = chunk.firstSeq + int64(n) - 1
 	}
 	// Hand-rolled for the same reason as the stream path: encoding/json
 	// rejects NaN (an under-filled TOPK window), aborting the body after
@@ -295,15 +297,12 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 	buf = append(buf, `,"next":`...)
 	buf = strconv.AppendInt(buf, next, 10)
 	buf = append(buf, `,"results":`...)
-	if rows == nil {
+	if chunk.rows() == 0 {
 		buf = append(buf, "null"...)
 	} else {
 		buf = append(buf, '[')
-		buf = appendRowsJSON(buf, rows, ',')
-		if len(rows) > 0 {
-			buf = buf[:len(buf)-1] // the array has no trailing comma
-		}
-		buf = append(buf, ']')
+		buf = chunk.appendJSON(buf, ',')
+		buf[len(buf)-1] = ']' // the array has no trailing comma
 	}
 	buf = append(buf, '}', '\n')
 	*bufp = buf
@@ -313,30 +312,32 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 // streamChunk is how many buffered rows one stream poll drains.
 const streamChunk = 1024
 
-// streamRowPool recycles the per-connection row staging buffer of
-// handleStream.
-var streamRowPool = sync.Pool{New: func() any {
-	s := make([]ResultRow, 0, streamChunk)
-	return &s
+// runChunkPool recycles the per-connection staging chunk of the stream
+// readers.
+var runChunkPool = sync.Pool{New: func() any {
+	return &runChunk{keys: make([]uint64, 0, streamChunk), vals: make([]float64, 0, streamChunk)}
 }}
 
-// appendRowsJSON appends each row as a JSON object followed by sep
-// ('\n' makes the chunk NDJSON), byte-compatible with json.Encoder over
-// ResultRow (field order follows the struct tags) except that a
+// appendJSON appends each row of the chunk as a JSON object followed by
+// sep ('\n' makes the chunk NDJSON), byte-compatible with json.Encoder
+// over ResultRow (field order follows the struct tags) except that a
 // non-finite value renders as null. It is the one row encoder of the
-// stream and cursor-read handlers. The fields after seq go through one
-// streamio.ResultEncoder for the whole chunk, so consecutive rows of one
-// window instance — what a firing puts in the ring — render their
-// shared range/slide/start/end once.
-func appendRowsJSON(dst []byte, rows []ResultRow, sep byte) []byte {
-	var enc streamio.ResultEncoder
-	for i := range rows {
-		row := &rows[i]
-		dst = append(dst, `{"seq":`...)
-		dst = streamio.AppendInt(dst, row.Seq)
-		dst = append(dst, ',')
-		dst = enc.AppendFields(dst, row.Range, row.Slide, row.Start, row.End, row.Key, row.Value)
-		dst = append(dst, '}', sep)
+// stream and cursor-read handlers, and it is run-native: the
+// `"range":…,"key":` span that a run's rows share is rendered once per
+// run and copied into each row, with no row-to-row comparison.
+func (c *runChunk) appendJSON(dst []byte, sep byte) []byte {
+	var spanBuf [120]byte
+	at := 0
+	for _, r := range c.runs {
+		span := streamio.AppendWindowFields(spanBuf[:0], r.rng, r.slide, r.start, r.end)
+		for end := at + r.n; at < end; at++ {
+			dst = append(dst, `{"seq":`...)
+			dst = streamio.AppendInt(dst, c.firstSeq+int64(at))
+			dst = append(dst, ',')
+			dst = append(dst, span...)
+			dst = streamio.AppendKeyValue(dst, c.keys[at], c.vals[at])
+			dst = append(dst, '}', sep)
+		}
 	}
 	return dst
 }
@@ -353,14 +354,18 @@ func acceptsFrames(r *http.Request) bool {
 	return false
 }
 
-// encodeFrameRows encodes one drained ring run as a single binary
-// result frame. Ring sequence numbers are assigned consecutively and
-// readAfterInto returns a contiguous range, so the frame carries only
-// rows[0].Seq and the per-row sequence column stays off the wire.
-func encodeFrameRows(dst []byte, rows []ResultRow) []byte {
-	enc := wire.BeginResultFrame(dst, 0, rows[0].Seq, len(rows))
-	for i := range rows {
-		enc.SetRow(i, rows[i].Range, rows[i].Slide, rows[i].Start, rows[i].End, rows[i].Key, rows[i].Value)
+// appendFrame encodes the chunk as a single binary result frame under
+// streamID. Ring sequence numbers are consecutive and a chunk is a
+// contiguous range, so the frame carries only the chunk's first
+// sequence number and the per-row sequence column stays off the wire.
+// Each run fills its stretch of the four header columns and copies its
+// stretch of the key and value columns.
+func (c *runChunk) appendFrame(dst []byte, streamID uint32) []byte {
+	enc := wire.BeginResultFrame(dst, streamID, c.firstSeq, c.rows())
+	at := 0
+	for _, r := range c.runs {
+		enc.SetRun(at, r.rng, r.slide, r.start, r.end, c.keys[at:at+r.n], c.vals[at:at+r.n])
+		at += r.n
 	}
 	return enc.Bytes()
 }
@@ -369,8 +374,8 @@ func encodeFrameRows(dst []byte, rows []ResultRow) []byte {
 // names the frame media type, as binary columnar frames (one frame per
 // drained chunk) — blocking for new rows until the client disconnects,
 // the query is unregistered, or the server closes. The wire loop is
-// allocation-free per poll either way: rows drain into a pooled staging
-// buffer, the whole chunk encodes into a pooled byte buffer, and one
+// allocation-free per poll either way: runs drain into a pooled staging
+// chunk, the whole chunk encodes into a pooled byte buffer, and one
 // Write hands it to the response.
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	after, err := cursor(r)
@@ -391,26 +396,25 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	}
 	w.WriteHeader(http.StatusOK)
 	rc := http.NewResponseController(w)
-	rowsp := streamRowPool.Get().(*[]ResultRow)
-	defer func() { *rowsp = (*rowsp)[:0]; streamRowPool.Put(rowsp) }()
+	chunk := runChunkPool.Get().(*runChunk)
+	defer runChunkPool.Put(chunk)
 	bufp := streamio.GetEncodeBuf()
 	defer streamio.PutEncodeBuf(bufp)
 	for {
 		wake := rg.waitCh() // fetch before reading: no missed wakeups
-		rows, _ := rg.readAfterInto(after, streamChunk, (*rowsp)[:0])
-		*rowsp = rows
-		if len(rows) > 0 {
+		rg.readRuns(after, streamChunk, chunk)
+		if n := chunk.rows(); n > 0 {
 			buf := (*bufp)[:0]
 			if binary {
-				buf = encodeFrameRows(buf, rows)
+				buf = chunk.appendFrame(buf, 0)
 			} else {
-				buf = appendRowsJSON(buf, rows, '\n')
+				buf = chunk.appendJSON(buf, '\n')
 			}
 			*bufp = buf
 			if _, err := w.Write(buf); err != nil {
 				return
 			}
-			after = rows[len(rows)-1].Seq
+			after = chunk.firstSeq + int64(n) - 1
 			rc.Flush()
 			continue
 		}

@@ -386,15 +386,19 @@ type WindowInfo struct {
 // row even when every reader keeps up, so it measures ring turnover, not
 // loss — a reader's loss is the missed count its read hands it. Events
 // discarded on ingest because no query was live are the server Stats'
-// Dropped counter, a different thing with a different fix.
+// Dropped counter, a different thing with a different fix. BufferedRows
+// and BufferedRuns are what the ring holds right now: rows readable by
+// cursor, and the runs (fired window instances) they are stored as.
 type QueryInfo struct {
-	ID        string       `json:"id"`
-	SQL       string       `json:"query"`
-	Fn        string       `json:"fn"`
-	Param     float64      `json:"param,omitempty"`
-	Windows   []WindowInfo `json:"windows"`
-	Delivered int64        `json:"delivered"`
-	Evicted   int64        `json:"evicted"`
+	ID           string       `json:"id"`
+	SQL          string       `json:"query"`
+	Fn           string       `json:"fn"`
+	Param        float64      `json:"param,omitempty"`
+	Windows      []WindowInfo `json:"windows"`
+	Delivered    int64        `json:"delivered"`
+	Evicted      int64        `json:"evicted"`
+	BufferedRows int          `json:"buffered_rows"`
+	BufferedRuns int          `json:"buffered_runs"`
 }
 
 func (r *registration) info(fn agg.Fn, param float64) QueryInfo {
@@ -406,6 +410,7 @@ func (r *registration) info(fn agg.Fn, param float64) QueryInfo {
 		qi.Windows = append(qi.Windows, WindowInfo{Name: nw.Name, Range: nw.W.Range, Slide: nw.W.Slide})
 	}
 	qi.Delivered, qi.Evicted = r.ring.counters()
+	qi.BufferedRows, qi.BufferedRuns, _ = r.ring.usage()
 	return qi
 }
 
@@ -786,20 +791,21 @@ func (s *Server) teardown() {
 	s.pipe = nil
 }
 
-// routeSink builds the epoch's result path: the multiquery batch
-// routing sink tags whole same-window runs with their subscribers, the
-// gate mutes the stream during teardown, and each subscriber's ring
-// receives the run in one appendBatch. Epoch-boundary suppression needs
-// no filtering here any more — the engine's per-node emit floors keep
-// partial instances from ever being emitted.
+// routeSink builds the epoch's result path: the multiquery run sink
+// tags each fired instance's run with its subscribers (one lookup per
+// run), the gate mutes the stream during teardown, and each
+// subscriber's ring copies the run's columns in one appendRun.
+// Epoch-boundary suppression needs no filtering here any more — the
+// engine's per-node emit floors keep partial instances from ever being
+// emitted.
 func routeSink(mp *multiquery.Plan, g *gate, rings map[string]*ring) stream.Sink {
-	return mp.BatchSink(func(rb multiquery.RoutedBatch) {
+	return mp.RunSink(func(ids []string, run stream.Run) {
 		if g.muted.Load() {
 			return
 		}
-		for _, id := range rb.QueryIDs {
+		for _, id := range ids {
 			if rg := rings[id]; rg != nil {
-				rg.appendBatch(rb.Results)
+				rg.appendRun(run)
 			}
 		}
 	})
@@ -1298,6 +1304,8 @@ type Stats struct {
 	// when byte budgets are configured; the cap counters when the
 	// reorder buffer is bounded. Degraded mirrors /readyz: the durable
 	// log fail-stopped and mutations shed while reads keep serving.
+	// ResultBufferBytes sums, over the live queries' rings, the bytes of
+	// the result columns and run-header deques they hold right now.
 	Degraded           bool  `json:"degraded,omitempty"`
 	Panics             int64 `json:"panics,omitempty"`
 	AdmitShed          int64 `json:"admit_shed,omitempty"`
@@ -1307,6 +1315,7 @@ type Stats struct {
 	ReorderCapDropped  int64 `json:"reorder_cap_dropped,omitempty"`
 	ReorderCapReleased int64 `json:"reorder_cap_released,omitempty"`
 	EgressPeakRows     int64 `json:"egress_peak_rows,omitempty"`
+	ResultBufferBytes  int64 `json:"result_buffer_bytes"`
 	WALRetries         int64 `json:"wal_retries,omitempty"`
 	WALStagedPeak      int64 `json:"wal_staged_peak,omitempty"`
 
@@ -1341,6 +1350,8 @@ func (s *Server) StatsNow() Stats {
 	for _, reg := range s.queries {
 		_, ev := reg.ring.counters()
 		st.Evicted += ev
+		_, _, bytes := reg.ring.usage()
+		st.ResultBufferBytes += bytes
 	}
 	if s.planEta > 1 {
 		st.Eta = s.planEta

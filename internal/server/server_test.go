@@ -186,6 +186,20 @@ func TestDemoTwoQueries(t *testing.T) {
 	if st.Queries != 2 || st.Ingested != int64(len(events)) || st.EngineEvents != int64(len(events)) {
 		t.Fatalf("stats = %+v", st)
 	}
+	// The rings' footprint is readable off the server: each query's
+	// buffered rows sit in runs of a few keys, and /stats sums the bytes.
+	var rows, runs int
+	for _, qi := range s.Queries() {
+		if qi.BufferedRows != int(qi.Delivered-qi.Evicted) || qi.BufferedRuns == 0 || qi.BufferedRuns > qi.BufferedRows {
+			t.Fatalf("query %s buffers %d rows in %d runs with %d delivered, %d evicted",
+				qi.ID, qi.BufferedRows, qi.BufferedRuns, qi.Delivered, qi.Evicted)
+		}
+		rows, runs = rows+qi.BufferedRows, runs+qi.BufferedRuns
+	}
+	if floor := int64(16*rows + runHdrBytes*runs); st.ResultBufferBytes < floor || st.ResultBufferBytes >= int64(56*rows) {
+		t.Fatalf("result_buffer_bytes = %d for %d rows in %d runs, want at least %d and under the row form's %d",
+			st.ResultBufferBytes, rows, runs, floor, 56*rows)
+	}
 }
 
 // TestEpochSemantics pins the re-planning contract: a query registered

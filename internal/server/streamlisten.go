@@ -389,19 +389,18 @@ func (sc *streamConn) unsubscribe(streamID uint32) {
 }
 
 // streamSub is one subscription's writer loop: the persistent-stream
-// counterpart of handleStream, with the drained runs framed under the
+// counterpart of handleStream, with the drained chunks framed under the
 // subscription's stream id instead of NDJSON. Steady state is
-// allocation-free per poll: pooled row staging, pooled encode buffer,
-// one frame write per drained run.
+// allocation-free per poll: pooled run staging, pooled encode buffer,
+// one frame write per drained chunk.
 func (sc *streamConn) streamSub(streamID uint32, rg *ring, after int64, stop chan struct{}) {
-	rowsp := streamRowPool.Get().(*[]ResultRow)
-	defer func() { *rowsp = (*rowsp)[:0]; streamRowPool.Put(rowsp) }()
+	chunk := runChunkPool.Get().(*runChunk)
+	defer runChunkPool.Put(chunk)
 	bufp := streamio.GetEncodeBuf()
 	defer streamio.PutEncodeBuf(bufp)
 	for {
 		wake := rg.waitCh() // fetch before reading: no missed wakeups
-		rows, missed := rg.readAfterInto(after, streamChunk, (*rowsp)[:0])
-		*rowsp = rows
+		missed := rg.readRuns(after, streamChunk, chunk)
 		if missed > 0 {
 			// Eviction outran this subscriber mid-stream; announce the
 			// hole before delivering what survives.
@@ -410,18 +409,14 @@ func (sc *streamConn) streamSub(streamID uint32, rg *ring, after int64, stop cha
 			})
 			after += missed
 		}
-		if len(rows) > 0 {
-			enc := wire.BeginResultFrame((*bufp)[:0], streamID, rows[0].Seq, len(rows))
-			for i := range rows {
-				enc.SetRow(i, rows[i].Range, rows[i].Slide, rows[i].Start, rows[i].End, rows[i].Key, rows[i].Value)
-			}
-			buf := enc.Bytes()
+		if n := chunk.rows(); n > 0 {
+			buf := chunk.appendFrame((*bufp)[:0], streamID)
 			*bufp = buf
 			if err := sc.write(buf); err != nil {
 				sc.close()
 				return
 			}
-			after = rows[len(rows)-1].Seq
+			after = chunk.firstSeq + int64(n) - 1
 			continue
 		}
 		if rg.isClosed() {

@@ -6,6 +6,9 @@ import (
 	"io"
 	"testing"
 
+	"factorwindows/internal/agg"
+	"factorwindows/internal/core"
+	"factorwindows/internal/multiquery"
 	"factorwindows/internal/reorder"
 	"factorwindows/internal/stream"
 	"factorwindows/internal/streamio"
@@ -14,10 +17,11 @@ import (
 )
 
 // TestZeroAllocWireSteadyState extends the engine's zero-alloc
-// guarantee across the binary wire paths: once buffers are warm,
-// decoding event frames into the engine and encoding drained ring runs
-// into result frames both run without heap allocations — the full
-// binary ingest→engine→egress loop allocates only at the HTTP layer.
+// guarantee across the wire paths: once buffers are warm, decoding
+// event frames into the engine, and draining fired runs into a ring,
+// reading them back as runs and encoding them (as result frames and as
+// NDJSON — the text twin) all run without heap allocations — the full
+// ingest→engine→egress loop allocates only at the HTTP layer.
 func TestZeroAllocWireSteadyState(t *testing.T) {
 	t.Run("ingest", func(t *testing.T) {
 		s := New(Config{Shards: 2, Policy: reorder.Adjust})
@@ -67,31 +71,52 @@ func TestZeroAllocWireSteadyState(t *testing.T) {
 		}
 	})
 
-	t.Run("stream", func(t *testing.T) {
-		rg := newRing(streamChunk)
-		w := window.Tumbling(20)
-		for i := 0; i < streamChunk; i++ {
-			rg.append(stream.Result{
-				W: w, Start: int64(i) * 20, End: int64(i+1) * 20,
-				Key: uint64(i % 64), Value: float64(i%997) + 0.5,
-			})
-		}
-		rows := make([]ResultRow, 0, streamChunk)
-		buf := make([]byte, 0, 1<<16)
-		poll := func() {
-			var n int64
-			rows, n = rg.readAfterInto(-1, streamChunk, rows[:0])
-			_ = n
-			if len(rows) != streamChunk {
-				t.Fatalf("drained %d rows, want %d", len(rows), streamChunk)
+	// The egress half, from the ordered drain to the encoded bytes: a
+	// shard's buffered runs drain through the routing sink into the
+	// ring (RunBuffer → multiquery.RunSink → ring.appendRun), a stream
+	// reader copies them out as runs and encodes them, in both formats.
+	for _, format := range []string{"frame", "ndjson"} {
+		t.Run("stream/"+format, func(t *testing.T) {
+			w := window.Tumbling(20)
+			mp, err := multiquery.Optimize([]multiquery.Query{{ID: "q", Windows: []window.Window{w}}}, agg.Sum, core.Options{})
+			if err != nil {
+				t.Fatal(err)
 			}
-			buf = encodeFrameRows(buf[:0], rows)
-		}
-		poll() // warm
-		if allocs := testing.AllocsPerRun(50, poll); allocs != 0 {
-			t.Fatalf("binary stream poll steady state: %v allocs per poll, want 0", allocs)
-		}
-	})
+			rg := newRing(streamChunk)
+			sink := routeSink(mp, &gate{}, map[string]*ring{"q": rg})
+			// One drain's worth: 16 instances of 64 keys.
+			var fired, shard stream.RunBuffer
+			keys, vals := make([]uint64, 64), make([]float64, 64)
+			for i := 0; i < streamChunk/64; i++ {
+				for k := range keys {
+					keys[k], vals[k] = uint64(k), float64((i*64+k)%997)+0.5
+				}
+				fired.Append(stream.Run{W: w, Start: int64(i) * 20, End: int64(i+1) * 20, Keys: keys, Vals: vals})
+			}
+			chunk := &runChunk{}
+			buf := make([]byte, 0, 1<<17)
+			after := int64(-1)
+			poll := func() {
+				for i := 0; i < fired.Runs(); i++ {
+					shard.Append(fired.Run(i))
+				}
+				shard.Drain(sink)
+				if rg.readRuns(after, streamChunk, chunk); chunk.rows() != streamChunk || len(chunk.runs) != streamChunk/64 {
+					t.Fatalf("drained %d rows in %d runs, want %d in %d", chunk.rows(), len(chunk.runs), streamChunk, streamChunk/64)
+				}
+				after += streamChunk
+				if format == "frame" {
+					buf = chunk.appendFrame(buf[:0], 0)
+				} else {
+					buf = chunk.appendJSON(buf[:0], '\n')
+				}
+			}
+			poll() // warm
+			if allocs := testing.AllocsPerRun(50, poll); allocs != 0 {
+				t.Fatalf("%s stream poll steady state: %v allocs per poll, want 0", format, allocs)
+			}
+		})
+	}
 }
 
 // TestZeroAllocTextIngestSteadyState is the text-codec mirror of the

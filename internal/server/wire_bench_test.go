@@ -148,8 +148,8 @@ func BenchmarkStreamFrame(b *testing.B) {
 }
 
 // BenchmarkStreamFramePoll is the per-poll egress kernel: drain one
-// ring run into the warm staging buffer and encode it as a single
-// result frame. This is the loop body of both the HTTP stream and the
+// chunk of ring runs into the warm staging chunk and encode it as a
+// single result frame. This is the loop body of both the HTTP stream and the
 // persistent listener; steady state is allocation-free.
 func BenchmarkStreamFramePoll(b *testing.B) {
 	rg := newRing(streamChunk)
@@ -160,13 +160,13 @@ func BenchmarkStreamFramePoll(b *testing.B) {
 			Key: uint64(i % 512), Value: float64(i%997) + 0.5,
 		})
 	}
-	rows := make([]ResultRow, 0, streamChunk)
+	chunk := &runChunk{}
 	buf := make([]byte, 0, 1<<16)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rows, _ = rg.readAfterInto(-1, streamChunk, rows[:0])
-		buf = encodeFrameRows(buf[:0], rows)
+		rg.readRuns(-1, streamChunk, chunk)
+		buf = chunk.appendFrame(buf[:0], 0)
 	}
 	b.SetBytes(int64(len(buf)))
 	b.ReportMetric(float64(streamChunk)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mrows/s")

@@ -18,7 +18,7 @@
 //	worker → router: result frames + ack (barrier), state envelopes
 //	                 (export, snapshot), bye (release, close)
 //
-// The worker holds results between barriers in a collecting sink and
+// The worker holds results between barriers in a stream.RunBuffer and
 // flushes them only when the router asks: the router merges per-shard
 // results in shard order to reproduce the single-process engine's
 // ordered drain byte-for-byte.
@@ -137,7 +137,7 @@ type session struct {
 	asm  wire.CtrlAssembler
 
 	eng  *engine.Runner
-	sink *stream.CollectingSink
+	sink *stream.RunBuffer // the engine's sink: runs fired since the last flush
 
 	scratch []stream.Event
 	out     []byte
@@ -294,7 +294,7 @@ func (s *session) hello(c *wire.Ctrl) error {
 		return err
 	}
 	mp.Combined.Param = c.Param
-	s.sink = &stream.CollectingSink{}
+	s.sink = &stream.RunBuffer{}
 	if c.Snap {
 		eng, err := engine.Restore(mp.Combined, s.sink, c.State)
 		if err != nil {
@@ -318,21 +318,30 @@ func (s *session) hello(c *wire.Ctrl) error {
 }
 
 // flushResults ships everything the engine emitted since the last flush
-// as result frames, preserving emission order. Reports write success.
+// as result frames, preserving emission order: each buffered run fills
+// its stretch of a frame's columns (a run may straddle two frames).
+// Reports write success.
 func (s *session) flushResults() bool {
-	rs := s.sink.Results
-	for off := 0; off < len(rs); off += wire.MaxFrameRows {
-		chunk := rs[off:min(off+wire.MaxFrameRows, len(rs))]
-		enc := wire.BeginResultFrame(s.out[:0], 0, 0, len(chunk))
-		for i, r := range chunk {
-			enc.SetRow(i, r.W.Range, r.W.Slide, r.Start, r.End, r.Key, r.Value)
+	run, off := 0, 0 // next row to ship: row off of buffered run
+	for left := s.sink.Rows(); left > 0; {
+		n := min(left, wire.MaxFrameRows)
+		enc := wire.BeginResultFrame(s.out[:0], 0, 0, n)
+		for at := 0; at < n; {
+			r := s.sink.Run(run)
+			k := min(r.Len()-off, n-at)
+			enc.SetRun(at, r.W.Range, r.W.Slide, r.Start, r.End, r.Keys[off:off+k], r.Vals[off:off+k])
+			at += k
+			if off += k; off == r.Len() {
+				run, off = run+1, 0
+			}
 		}
 		s.out = enc.Bytes()
 		if _, err := s.conn.Write(s.out); err != nil {
 			return false
 		}
+		left -= n
 	}
-	s.sink.Results = rs[:0]
+	s.sink.Reset()
 	return true
 }
 

@@ -43,12 +43,13 @@ type Sink interface {
 	Emit(Result)
 }
 
-// BatchSink is the optional batched extension of Sink: executors that
-// fire many results at once probe for it and deliver the whole batch in
-// one call, hoisting the per-result interface dispatch (and, for
-// serialized sinks, the per-result lock) out of the emission loop. The
-// slice is only valid for the duration of the call — implementations
-// must copy what they retain.
+// BatchSink is the optional row-batch extension of Sink: the slicing
+// and sliding baselines, which assemble []Result batches, probe for it
+// (EmitAll) and deliver a whole batch in one call, and EmitRun's
+// fallback hands a run's rows to it in one call. The engine and the
+// serving path speak RunSink instead (run.go). The slice is only valid
+// for the duration of the call — implementations must copy what they
+// retain.
 type BatchSink interface {
 	Sink
 	EmitBatch([]Result)

@@ -152,12 +152,14 @@ func AppendJSONFloat(dst []byte, v float64) []byte {
 	return dst
 }
 
-// appendWindowFields appends the result-row fields that are constant
+// AppendWindowFields appends the result-row fields that are constant
 // across one window instance's rows, `"range":` through `"key":` with
-// the key itself left to the caller. It is the one renderer of these
+// the key itself left to AppendKeyValue. It is the one renderer of these
 // fields: AppendResultFields calls it per row, a ResultEncoder once per
-// run of rows.
-func appendWindowFields(dst []byte, rng, slide, start, end int64) []byte {
+// run of rows it rediscovers by comparing, and the server's stream
+// encoder once per run it is handed (the span is at most 120 bytes: 40
+// of names and four 20-byte integers).
+func AppendWindowFields(dst []byte, rng, slide, start, end int64) []byte {
 	dst = append(dst, `"range":`...)
 	dst = AppendInt(dst, rng)
 	dst = append(dst, `,"slide":`...)
@@ -169,8 +171,8 @@ func appendWindowFields(dst []byte, rng, slide, start, end int64) []byte {
 	return append(dst, `,"key":`...)
 }
 
-// appendKeyValue finishes a result row's fields after appendWindowFields.
-func appendKeyValue(dst []byte, key uint64, value float64) []byte {
+// AppendKeyValue finishes a result row's fields after AppendWindowFields.
+func AppendKeyValue(dst []byte, key uint64, value float64) []byte {
 	dst = AppendUint(dst, key)
 	dst = append(dst, `,"value":`...)
 	return AppendJSONFloat(dst, value)
@@ -181,7 +183,7 @@ func appendKeyValue(dst []byte, key uint64, value float64) []byte {
 // rows should use a ResultEncoder, which renders the same bytes and
 // skips the work that repeats from row to row.
 func AppendResultFields(dst []byte, rng, slide, start, end int64, key uint64, value float64) []byte {
-	return appendKeyValue(appendWindowFields(dst, rng, slide, start, end), key, value)
+	return AppendKeyValue(AppendWindowFields(dst, rng, slide, start, end), key, value)
 }
 
 // ResultEncoder renders result rows' JSON fields like AppendResultFields,
@@ -204,11 +206,11 @@ func (e *ResultEncoder) AppendFields(dst []byte, rng, slide, start, end int64, k
 		dst = append(dst, e.span[:e.n]...)
 	} else {
 		at := len(dst)
-		dst = appendWindowFields(dst, rng, slide, start, end)
+		dst = AppendWindowFields(dst, rng, slide, start, end)
 		e.n = copy(e.span[:], dst[at:])
 		e.rng, e.slide, e.start, e.end = rng, slide, start, end
 	}
-	return appendKeyValue(dst, key, value)
+	return AppendKeyValue(dst, key, value)
 }
 
 // AppendResultJSONL appends one result row as a JSONL line (the

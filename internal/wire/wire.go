@@ -247,6 +247,30 @@ func (e *ResultEncoder) SetRow(i int, rng, slide, start, end int64, key uint64, 
 	put(e.buf[off+5*n:], math.Float64bits(value))
 }
 
+// SetRun writes one run — len(keys) rows sharing rng, slide, start and
+// end — into rows i, i+1, … of the frame, the same bytes per-row SetRow
+// calls would write, with one range check per run and the header read
+// from registers instead of from each row. It stays one pass storing
+// all six columns per row: measured against a fill loop per header
+// column plus a copy per value column, the single pass was faster at
+// every run length from 1 to 1024 rows.
+func (e *ResultEncoder) SetRun(i int, rng, slide, start, end int64, keys []uint64, vals []float64) {
+	if i < 0 || len(keys) != len(vals) || i+len(keys) > e.rows {
+		panic("wire: SetRun out of range")
+	}
+	n := e.rows * colWidth
+	put := binary.LittleEndian.PutUint64
+	for j, k := range keys {
+		off := e.base + (i+j)*colWidth
+		put(e.buf[off:], uint64(rng))
+		put(e.buf[off+n:], uint64(slide))
+		put(e.buf[off+2*n:], uint64(start))
+		put(e.buf[off+3*n:], uint64(end))
+		put(e.buf[off+4*n:], k)
+		put(e.buf[off+5*n:], math.Float64bits(vals[j]))
+	}
+}
+
 // Bytes returns the buffer with the encoded frame appended.
 func (e ResultEncoder) Bytes() []byte { return e.buf }
 

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"math"
+	"math/rand"
 	"testing"
 
 	"factorwindows/internal/stream"
@@ -199,5 +200,59 @@ func TestAppendEventsReuse(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("AppendEvents into warm staging: %v allocs, want 0", allocs)
+	}
+}
+
+// TestSetRunMatchesSetRow: one frame's rows cut into runs at random and
+// written with SetRun must be the bytes per-row SetRow writes — the
+// stream readers encode runs, and every other producer of result frames
+// (and every golden) encodes rows.
+func TestSetRunMatchesSetRow(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	type row struct {
+		rng, slide, start, end int64
+		key                    uint64
+		value                  float64
+	}
+	for trial := 0; trial < 200; trial++ {
+		n := rng.Intn(300)
+		rows := make([]row, n)
+		var cuts []int // run boundaries: a run never spans a header change
+		h := row{rng: 8, slide: 4, start: 0, end: 8}
+		for i := range rows {
+			switch rng.Intn(6) {
+			case 0: // next instance: a new run
+				h.start, h.end = h.start+4, h.end+4
+				cuts = append(cuts, i)
+			case 1: // same header, new run all the same
+				cuts = append(cuts, i)
+			}
+			rows[i] = h
+			rows[i].key = rng.Uint64()
+			rows[i].value = math.Float64frombits(rng.Uint64()) // NaNs and infinities included
+		}
+		if n > 0 && (len(cuts) == 0 || cuts[0] != 0) {
+			cuts = append([]int{0}, cuts...)
+		}
+
+		perRow := BeginResultFrame([]byte("prefix"), 9, int64(trial), n)
+		for i, r := range rows {
+			perRow.SetRow(i, r.rng, r.slide, r.start, r.end, r.key, r.value)
+		}
+		perRun := BeginResultFrame([]byte("prefix"), 9, int64(trial), n)
+		for c, at := range cuts {
+			end := n
+			if c+1 < len(cuts) {
+				end = cuts[c+1]
+			}
+			keys, vals := make([]uint64, 0, end-at), make([]float64, 0, end-at)
+			for _, r := range rows[at:end] {
+				keys, vals = append(keys, r.key), append(vals, r.value)
+			}
+			perRun.SetRun(at, rows[at].rng, rows[at].slide, rows[at].start, rows[at].end, keys, vals)
+		}
+		if !bytes.Equal(perRun.Bytes(), perRow.Bytes()) {
+			t.Fatalf("trial %d: %d rows in %d runs: SetRun bytes differ from SetRow bytes", trial, n, len(cuts))
+		}
 	}
 }
