@@ -24,7 +24,6 @@ import (
 	"factorwindows/internal/parallel"
 	"factorwindows/internal/plan"
 	"factorwindows/internal/reorder"
-	"factorwindows/internal/session"
 	"factorwindows/internal/slicing"
 	"factorwindows/internal/sliding"
 	"factorwindows/internal/stream"
@@ -246,42 +245,6 @@ func BenchmarkAblationSteiner(b *testing.B) {
 			b.ReportMetric(total/float64(b.N), "plan-cost")
 		})
 	}
-}
-
-// BenchmarkSessionSharing measures the multi-gap session chain against
-// naive per-gap evaluation (the session-window extension).
-func BenchmarkSessionSharing(b *testing.B) {
-	r := rand.New(rand.NewSource(11))
-	var events []stream.Event
-	t := int64(0)
-	// Dense per-key activity (4 keys, spacing 0–1) with occasional long
-	// quiet periods: sessions hold hundreds of events, so the chain's
-	// sub-session merges are rare relative to raw adds.
-	for i := 0; i < 300_000; i++ {
-		if r.Intn(500) == 0 {
-			t += int64(200 + r.Intn(200)) // quiet period → session boundary at all gaps
-		} else {
-			t += int64(r.Intn(2))
-		}
-		events = append(events, stream.Event{Time: t, Key: uint64(r.Intn(4)), Value: r.Float64()})
-	}
-	gaps := []int64{5, 15, 45, 135}
-	b.Run("shared-chain", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := session.Run(gaps, agg.Sum, events, &session.CollectingSink{}); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(float64(len(events))*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mevents/s")
-	})
-	b.Run("naive-per-gap", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := session.RunNaive(gaps, agg.Sum, events, &session.CollectingSink{}); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(float64(len(events))*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mevents/s")
-	})
 }
 
 // BenchmarkQuantileSharing measures sketch-backed shared MEDIAN against

@@ -7,31 +7,6 @@ import (
 	fw "factorwindows"
 )
 
-// The session chain shares computation across inactivity gaps: the
-// 10-tick sessions are assembled from the closed 3-tick sessions.
-func ExampleRunSessions() {
-	events := []fw.Event{
-		{Time: 0, Key: 1, Value: 2},
-		{Time: 2, Key: 1, Value: 3},  // within 3 of the previous event
-		{Time: 10, Key: 1, Value: 5}, // splits the 3-gap session, not the 10-gap one
-		{Time: 40, Key: 1, Value: 7}, // splits both
-	}
-	sink := &fw.CollectingSessionSink{}
-	if _, err := fw.RunSessions([]int64{3, 10}, fw.Sum, events, sink); err != nil {
-		fmt.Println(err)
-		return
-	}
-	for _, s := range sink.Sorted() {
-		fmt.Printf("gap=%d [%d,%d) sum=%v\n", s.Gap, s.Start, s.End, s.Value)
-	}
-	// Output:
-	// gap=3 [0,3) sum=5
-	// gap=3 [10,11) sum=5
-	// gap=3 [40,41) sum=7
-	// gap=10 [0,11) sum=10
-	// gap=10 [40,41) sum=7
-}
-
 // Sketch-backed MEDIAN shares sub-aggregates across correlated windows;
 // below K values per instance the answers are exact.
 func ExampleRunQuantile() {

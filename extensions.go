@@ -11,7 +11,6 @@ import (
 	"factorwindows/internal/multiquery"
 	"factorwindows/internal/parallel"
 	"factorwindows/internal/reorder"
-	"factorwindows/internal/session"
 	"factorwindows/internal/sliding"
 	"factorwindows/internal/stream"
 	"factorwindows/internal/streamio"
@@ -56,35 +55,6 @@ func NewParallelRunner(p *Plan, sink Sink, n int) (*ParallelRunner, error) {
 func RunParallel(p *Plan, events []Event, sink Sink, n int) error {
 	_, err := parallel.Run(p, events, sink, n)
 	return err
-}
-
-// SessionResult is one closed session window.
-type SessionResult = session.Result
-
-// SessionSink consumes session results.
-type SessionSink = session.Sink
-
-// CollectingSessionSink stores all session results.
-type CollectingSessionSink = session.CollectingSink
-
-// SessionRunner evaluates an aggregate over several session-window gaps
-// in one pass. Gaps share computation the way correlated windows do:
-// sessions with gap g1 ≤ g2 partition sessions with gap g2 (the session
-// analogue of Theorem 4), so larger gaps merge the sub-aggregates of the
-// smallest gap's sessions instead of re-reading raw events. This extends
-// the paper's approach to one of the window types it lists as future
-// work.
-type SessionRunner = session.Runner
-
-// NewSessionRunner builds an incremental session runner.
-func NewSessionRunner(gaps []int64, fn AggFn, sink SessionSink) (*SessionRunner, error) {
-	return session.New(gaps, fn, sink)
-}
-
-// RunSessions processes all events through a session gap chain and
-// flushes.
-func RunSessions(gaps []int64, fn AggFn, events []Event, sink SessionSink) (*SessionRunner, error) {
-	return session.Run(gaps, fn, events, sink)
 }
 
 // QuantileOptions configures sketch-backed approximate quantile

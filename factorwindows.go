@@ -30,13 +30,13 @@
 // the full reproduction of the paper's evaluation.
 //
 // Beyond the paper, the library implements its stated future-work items:
-// a Steiner-pool factor search (OptimizeSteiner), session-window sharing
-// chains (RunSessions), sketch-backed holistic aggregates with sharing
-// (the Percentile, Distinct and TopK functions — ordinary plans on the
-// one engine; RunQuantile and RunDistinct are shorthands), Apache Flink
-// DataStream code generation (Flink), and key-sharded parallel execution
-// (RunParallel). See extensions.go and the "Aggregate functions: exact
-// and sketch-backed" section of the README.
+// a Steiner-pool factor search (OptimizeSteiner), sketch-backed holistic
+// aggregates with sharing (the Percentile, Distinct and TopK functions —
+// ordinary plans on the one engine; RunQuantile and RunDistinct are
+// shorthands), Apache Flink DataStream code generation (Flink), and
+// key-sharded parallel execution (RunParallel). See extensions.go and
+// the "Aggregate functions: exact and sketch-backed" section of the
+// README.
 package factorwindows
 
 import (

@@ -218,9 +218,8 @@ func ValidateParam(f Fn, p float64) error {
 // State is the boxed partial-aggregate state for one (window instance,
 // key) pair — the compatibility shim over the columnar kernels in
 // store.go. The executors' hot paths use Store rows instead; State
-// remains the convenient form for session windows, checkpoint payloads
-// and tests. Vals is used only by holistic functions and is never
-// pre-reserved for the others.
+// remains the convenient form for test oracles. Vals is used only by
+// holistic functions and is never pre-reserved for the others.
 type State struct {
 	Cnt   int64
 	Sum   float64

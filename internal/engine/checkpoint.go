@@ -17,13 +17,17 @@
 // is rejected with ErrSnapshotVersion.
 //
 // This file is also the engine's only gob site: the canonical migration
-// Export (migrate.go) is encoded and decoded here, so the packages that
-// carry these blobs (parallel, router, shardworker, server) never learn
-// the encoding.
+// Export (migrate.go) is encoded and decoded here under a header of its
+// own, so the packages that carry these blobs (parallel, router,
+// shardworker, server) never learn the encoding, nor which form a blob
+// is — Resume reads that off the header.
 //
 // A snapshot is only valid for the identical plan (same windows, same
 // sharing structure, same aggregate function); Restore verifies a
-// fingerprint before accepting it.
+// fingerprint before accepting it. There it is bit-exact: operator-shaped
+// state continues the plan's own merge order, where the window-shaped
+// export regroups float sums and sketch compactions to fit any plan.
+// Same plan → snapshot, new plan → export.
 
 package engine
 
@@ -41,6 +45,9 @@ import (
 
 // snapshotMagicV2 prefixes every snapshot: the codec's version byte.
 const snapshotMagicV2 = "FWSNAP2\n"
+
+// exportMagicV1 prefixes every encoded Export: foreign bytes fail typed.
+const exportMagicV1 = "FWEXPT1\n"
 
 // ErrSnapshotVersion reports state bytes from a codec generation this
 // build does not read. The serving layers wrap it, so errors.Is finds
@@ -193,6 +200,7 @@ func decodeSnapshot(data []byte) (snapshotV2, error) {
 // rides hello and export control envelopes between router and workers.
 func EncodeExport(ex *Export) ([]byte, error) {
 	var buf bytes.Buffer
+	buf.WriteString(exportMagicV1)
 	if err := gob.NewEncoder(&buf).Encode(ex); err != nil {
 		return nil, fmt.Errorf("engine: encoding export: %w", err)
 	}
@@ -201,11 +209,34 @@ func EncodeExport(ex *Export) ([]byte, error) {
 
 // DecodeExport is EncodeExport's inverse.
 func DecodeExport(data []byte) (*Export, error) {
+	if !bytes.HasPrefix(data, []byte(exportMagicV1)) {
+		return nil, fmt.Errorf("%w: blob lacks the %q header", ErrSnapshotVersion, exportMagicV1)
+	}
 	ex := new(Export)
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(ex); err != nil {
+	if err := gob.NewDecoder(bytes.NewReader(data[len(exportMagicV1):])).Decode(ex); err != nil {
 		return nil, fmt.Errorf("engine: decoding export: %w", err)
 	}
 	return ex, nil
+}
+
+// Resume compiles p and resumes it from a carried state blob, reading the
+// form off its header: a snapshot restores, an encoded export migrates,
+// an empty blob starts fresh, anything else fails with
+// ErrSnapshotVersion. freshFloor is the exposed-result floor of windows
+// the state does not cover (a snapshot covers all of its plan's).
+func Resume(p *plan.Plan, sink stream.Sink, state []byte, freshFloor int64) (*Runner, error) {
+	if bytes.HasPrefix(state, []byte(snapshotMagicV2)) {
+		return Restore(p, sink, state)
+	}
+	var ex *Export
+	if len(state) > 0 {
+		var err error
+		if ex, err = DecodeExport(state); err != nil {
+			return nil, err
+		}
+	}
+	r, _, err := NewMigrated(p, sink, ex, freshFloor)
+	return r, err
 }
 
 // Restore builds a Runner for p whose state is resumed from a snapshot

@@ -20,19 +20,28 @@
 //
 // The router journals everything it sends each shard (event batches,
 // watermarks, barrier points) and periodically compacts the journal by
-// asking the worker for a canonical export (engine.ExportCanonical —
-// the PR 5 migration state). When a worker dies, each of its shards is
-// replayed onto a surviving worker: hello with the last export, then
-// the journal tail. Journaled barriers are re-run and their regenerated
+// asking the worker for an engine snapshot (engine.Snapshot — the
+// checkpoint codec). When a worker dies, each of its shards is replayed
+// onto a surviving worker: hello with the last snapshot, then the
+// journal tail. Journaled barriers are re-run and their regenerated
 // rows discarded — they were already delivered — so delivery stays
 // exactly-once and byte-identical through worker death. When no worker
 // can take a shard, that key range is shed (ShardDownError; events for
 // it are dropped and counted) while every other shard keeps serving —
 // the PR 9 degradation playbook applied to placement.
 //
-// Rebalancing is the same machinery invoked deliberately: export the
+// Rebalancing is the same machinery invoked deliberately: snapshot the
 // shard, hello the target worker with the blob, release the source
-// session without flushing. Zero-gap, like a re-plan.
+// session without flushing. Zero-gap, and exact: the target resumes the
+// identical plan from the identical operator state, counters included.
+//
+// Every move that keeps the plan — compaction, failover, rebalance,
+// drain, Snapshot — carries the engine snapshot: operator-shaped, so the
+// plan's merge order (every float sum, every sketch compaction)
+// continues bit for bit, and it needs no cut point. Only the re-plan
+// handover (ExportCanonical) carries the window-shaped canonical export,
+// which enters any plan at the price of regrouping those merges. The
+// router never looks inside either; engine.Resume reads the header.
 //
 // The router is fully synchronous and single-goroutine: every method
 // must be called from the goroutine driving the pipeline (the server
@@ -76,7 +85,7 @@ func (e *ShardDownError) Unwrap() error { return ErrShardDown }
 // plan inputs every worker rebuilds the joint plan from, the shard
 // placement, and optionally the state carried in from the previous
 // epoch (a canonical export per shard) or a checkpoint (one engine
-// snapshot per shard).
+// snapshot per shard) — either way the shards' opaque hello payload.
 type Spec struct {
 	// Queries, Fn, Param, Eta, Factors are the plan inputs — the same
 	// values the server's own multiquery.Optimize call uses, so every
@@ -100,7 +109,7 @@ type Spec struct {
 	// FreshFloor suppresses results of window instances starting before
 	// it for windows with no carried state (multiquery's new-query
 	// contract), and Exports resumes the previous epoch's canonical
-	// state per shard (its horizon also seeds the router's watermark).
+	// state per shard.
 	FreshFloor int64
 	Exports    []*engine.Export
 
@@ -113,10 +122,10 @@ type Spec struct {
 	// Dial opens a worker connection; nil defaults to net.Dial("tcp").
 	Dial func(addr string) (net.Conn, error)
 
-	// CheckpointEvery compacts each shard's replay journal with a
-	// canonical export every that-many barriers (0 defaults to 16).
+	// CheckpointEvery compacts each shard's replay journal with an
+	// engine snapshot every that-many barriers (0 defaults to 16).
 	// Smaller keeps failover replay short; larger spends less time
-	// exporting.
+	// snapshotting.
 	CheckpointEvery int64
 }
 
@@ -142,11 +151,10 @@ type shardState struct {
 	fr     *wire.Reader
 	asm    wire.CtrlAssembler
 
-	// state/snap/floor are the hello payload: the canonical export (or
-	// engine snapshot) the session resumes from, and the fresh floor
-	// for windows it does not cover.
+	// state/floor are the hello payload: the blob the session resumes
+	// from (opaque here; the engine reads its form off its header), and
+	// the fresh floor for windows it does not cover.
 	state []byte
-	snap  bool
 	floor int64
 
 	journal []journalOp
@@ -183,12 +191,8 @@ type Runner struct {
 	shards  []*shardState
 	workers []*workerState
 
-	events     int64
-	horizon    int64
-	hasHorizon bool
-	lastTime   int64 // highest routed event time
-	hasTime    bool  // any event routed yet
-	barriers   int64
+	events   int64
+	barriers int64
 
 	failure error
 
@@ -211,23 +215,32 @@ func New(spec Spec, sink stream.Sink) (*Runner, error) {
 	if len(spec.Queries) == 0 {
 		return nil, errors.New("router: no queries")
 	}
-	n := spec.Shards
+	r := &Runner{spec: spec, sink: sink, dial: spec.Dial, events: spec.Events}
+	// Either carrier becomes one opaque blob per shard.
+	states := spec.Snapshots
 	if spec.Exports != nil {
+		if states != nil {
+			return nil, errors.New("router: both exports and snapshots carried")
+		}
 		if err := parallel.CheckExports(spec.Exports); err != nil {
 			return nil, err
 		}
-		n = len(spec.Exports)
-	}
-	if spec.Snapshots != nil {
-		if spec.Exports != nil {
-			return nil, errors.New("router: both exports and snapshots carried")
+		for i, ex := range spec.Exports {
+			blob, err := engine.EncodeExport(ex)
+			if err != nil {
+				return nil, fmt.Errorf("router: shard %d: %w", i, err)
+			}
+			states = append(states, blob)
+			r.events += ex.Events
 		}
-		n = len(spec.Snapshots)
+	}
+	n := spec.Shards
+	if states != nil {
+		n = len(states)
 	}
 	if n <= 0 {
 		return nil, fmt.Errorf("router: %d shards", n)
 	}
-	r := &Runner{spec: spec, sink: sink, dial: spec.Dial}
 	r.spec.Shards = n
 	if r.dial == nil {
 		r.dial = func(addr string) (net.Conn, error) { return net.Dial("tcp", addr) }
@@ -240,27 +253,10 @@ func New(spec Spec, sink stream.Sink) (*Runner, error) {
 	}
 	for i := 0; i < n; i++ {
 		sc := &shardState{idx: i, floor: spec.FreshFloor}
-		switch {
-		case spec.Exports != nil:
-			blob, err := engine.EncodeExport(spec.Exports[i])
-			if err != nil {
-				return nil, fmt.Errorf("router: shard %d: %w", i, err)
-			}
-			sc.state = blob
-		case spec.Snapshots != nil:
-			sc.state = spec.Snapshots[i]
-			sc.snap = true
+		if states != nil {
+			sc.state = states[i]
 		}
 		r.shards = append(r.shards, sc)
-	}
-	if spec.Exports != nil {
-		for _, ex := range spec.Exports {
-			r.events += ex.Events
-		}
-		r.horizon = spec.Exports[0].Horizon
-		r.hasHorizon = true
-	} else if spec.Snapshots != nil {
-		r.events = spec.Events
 	}
 	for i, sc := range r.shards {
 		preferred := i % len(r.workers)
@@ -327,7 +323,6 @@ func (r *Runner) helloCtrl(sc *shardState) *wire.Ctrl {
 		Factors: r.spec.Factors,
 		Floor:   sc.floor,
 		State:   sc.state,
-		Snap:    sc.snap,
 	}
 	for _, q := range r.spec.Queries {
 		cq := wire.CtrlQuery{ID: q.ID}
@@ -606,12 +601,6 @@ func (r *Runner) Process(events []stream.Event) {
 	if len(events) == 0 {
 		return
 	}
-	// Batches are in-order, so the last event carries the batch maximum;
-	// it backs the compaction cut when no watermark has arrived yet.
-	if t := events[len(events)-1].Time; !r.hasTime || t > r.lastTime {
-		r.lastTime = t
-	}
-	r.hasTime = true
 	n := r.spec.Shards
 	parts := make([][]stream.Event, n)
 	if n == 1 {
@@ -645,8 +634,6 @@ func (r *Runner) Advance(t int64) {
 	if r.closed {
 		panic("router: Advance after Close")
 	}
-	r.horizon = t
-	r.hasHorizon = true
 	for _, sc := range r.shards {
 		if sc.down {
 			continue
@@ -676,15 +663,12 @@ func (r *Runner) Barrier() {
 		r.collectBarrier(sc)
 	}
 	r.barriers++
-	// Phase 3: journal compaction on the checkpoint cadence. The export
-	// is the engine's complete canonical state at the cut point — every
-	// journaled op up to here is absorbed by it, and this barrier's rows
-	// are already collected above (the worker flushed before exporting),
-	// so a failover after compaction regenerates nothing twice. The cut
-	// works without a watermark too (see exportHorizon), so a pipeline
-	// that barriers but never Advances still compacts instead of
-	// journaling every event batch forever.
-	if r.canCheckpoint() && r.barriers%r.spec.CheckpointEvery == 0 {
+	// Phase 3: journal compaction on the checkpoint cadence. The
+	// snapshot is the engine's whole state as it stands — it absorbs every
+	// journaled op, and this barrier's rows are already collected above,
+	// so a failover after compaction regenerates nothing twice. It needs
+	// no cut point: a pipeline that never Advances compacts like any other.
+	if r.barriers%r.spec.CheckpointEvery == 0 {
 		for _, sc := range r.shards {
 			if !sc.down {
 				r.checkpointShard(sc)
@@ -804,54 +788,31 @@ func (sc *shardState) appendRows(f wire.Frame) {
 	}
 }
 
-// exportHorizon is the cut point for journal compaction: the release
-// horizon when one exists, else the highest routed event time — valid
-// without a watermark because the engine applies events on arrival and
-// the in-order contract keeps every future event at or above it.
-func (r *Runner) exportHorizon() int64 {
-	if r.hasHorizon {
-		return r.horizon
-	}
-	return r.lastTime
-}
-
-// canCheckpoint reports whether a compaction cut point exists yet. A
-// restored-but-idle pipeline (no event routed, no watermark) has none:
-// its engines may hold state far ahead of time zero, and exporting at
-// zero could materialize every instance index up to that state.
-func (r *Runner) canCheckpoint() bool { return r.hasHorizon || r.hasTime }
-
-// checkpointShard compacts sc's journal into a canonical export at the
-// current cut point (exportHorizon). Best-effort: a transport failure
-// fails over (the old journal still replays) and a worker-reported
-// failure poisons.
+// checkpointShard compacts sc's journal into an engine snapshot, the
+// state its later sessions (failover replay, rebalance target) resume
+// from. Best-effort: a transport failure fails over and asks again (the
+// old journal replays first), and a worker-reported failure poisons.
 func (r *Runner) checkpointShard(sc *shardState) {
-	if err := r.sendCtrl(sc, &wire.Ctrl{Op: wire.CtrlExport, Horizon: r.exportHorizon()}); err != nil {
-		r.failoverShard(sc)
-		return
-	}
-	c, err := r.readAck(sc, wire.CtrlExport, false)
+	blob, err := r.fetchState(sc, &wire.Ctrl{Op: wire.CtrlSnapshot})
 	if err != nil {
 		var poison errPoison
 		if errors.As(err, &poison) {
-			r.fail(fmt.Errorf("router: shard %d export: %w", sc.idx, poison.err))
+			r.fail(err)
 			r.shedShard(sc)
-			return
 		}
-		r.failoverShard(sc)
 		return
 	}
-	sc.state = append([]byte(nil), c.State...)
-	sc.snap = false
+	sc.state = blob
 	sc.journal = nil
 }
 
 // ExportCanonical quiesces the shards and returns each one's canonical
 // migration state at horizon — the distributed face of
-// parallel.ExportCanonical, feeding the same zero-gap re-plan handover.
-// It fails if any key range is shed: a partial export would silently
-// drop the shed range's open state, so the caller (the server's
-// re-plan) must degrade explicitly instead.
+// parallel.ExportCanonical, feeding the same zero-gap re-plan handover:
+// the one place the router asks a worker for an export, because here the
+// state enters a different plan. It fails if any key range is shed: a
+// partial export would silently drop the shed range's open state, so the
+// caller (the server's re-plan) must degrade explicitly instead.
 func (r *Runner) ExportCanonical(horizon int64) ([]*engine.Export, error) {
 	if r.closed {
 		return nil, errors.New("router: ExportCanonical after Close")
@@ -892,7 +853,7 @@ func (r *Runner) fetchState(sc *shardState, req *wire.Ctrl) ([]byte, error) {
 		}
 		var poison errPoison
 		if errors.As(err, &poison) {
-			return nil, fmt.Errorf("router: shard %d %s: %w", sc.idx, req.Op, poison.err)
+			return nil, fmt.Errorf("router: shard %d %s: %w", sc.idx, req.Op, poison)
 		}
 		if attempt >= len(r.workers) {
 			return nil, fmt.Errorf("router: shard %d %s: %w", sc.idx, req.Op, err)
@@ -1051,9 +1012,10 @@ func (r *Runner) AddWorker(addr string) error {
 }
 
 // Rebalance moves one shard to the worker at addr, zero-gap: quiesce,
-// export the shard's canonical state, open a session on the target with
-// it, release the source session without flushing. The result stream is
-// unaffected — placement is invisible to the determinism contract.
+// snapshot the shard's engine, open a session on the target with the
+// blob, release the source session without flushing. The result stream
+// and the engine's counters are unaffected — placement is invisible to
+// the determinism contract.
 func (r *Runner) Rebalance(shard int, addr string) error {
 	if r.closed {
 		return errors.New("router: Rebalance after Close")
@@ -1072,8 +1034,8 @@ func (r *Runner) Rebalance(shard int, addr string) error {
 	if sc.worker == wi {
 		return nil
 	}
-	// Quiesce so the export cut is a barrier boundary, then compact the
-	// journal into an export — the "frame transfer" of the migration.
+	// Quiesce so the snapshot sits on a barrier boundary, then compact
+	// the journal into it — the "frame transfer" of the move.
 	r.Barrier()
 	if err := r.Err(); err != nil {
 		return err
@@ -1081,14 +1043,12 @@ func (r *Runner) Rebalance(shard int, addr string) error {
 	if sc.down {
 		return sc.downErr
 	}
-	if r.canCheckpoint() {
-		r.checkpointShard(sc)
-		if sc.down {
-			return sc.downErr
-		}
-		if err := r.Err(); err != nil {
-			return err
-		}
+	r.checkpointShard(sc)
+	if sc.down {
+		return sc.downErr
+	}
+	if err := r.Err(); err != nil {
+		return err
 	}
 	old, oldFr, oldWorker := sc.conn, sc.fr, sc.worker
 	sc.conn, sc.fr = nil, nil
@@ -1191,7 +1151,7 @@ type Topology struct {
 	// JournaledEvents counts event rows currently held in per-shard
 	// replay journals — the failover replay backlog, bounded by the
 	// compaction cadence. Unbounded growth here means compaction is
-	// not running (no cut point yet) or not keeping up.
+	// not keeping up.
 	JournaledEvents int64 `json:"journaled_events,omitempty"`
 }
 

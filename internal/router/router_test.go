@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"math"
 	"math/rand"
 	"net"
 	"reflect"
@@ -22,6 +23,7 @@ import (
 	"factorwindows/internal/stream"
 	"factorwindows/internal/window"
 	"factorwindows/internal/wire"
+	"factorwindows/internal/workload"
 )
 
 // startWorker spawns an in-process shard worker on a loopback listener.
@@ -42,14 +44,63 @@ var testQueries = []multiquery.Query{
 	{ID: "q2", Windows: []window.Window{{Range: 24, Slide: 8}}},
 }
 
+// nestedQueries chains tumbling windows (T20 feeds T40 feeds T80 in the
+// joint plan), so at any move some parent instance is open over state
+// its children have not received yet.
+var nestedQueries = []multiquery.Query{
+	{ID: "q1", Windows: []window.Window{{Range: 20, Slide: 20}, {Range: 40, Slide: 40}}},
+	{ID: "q2", Windows: []window.Window{{Range: 80, Slide: 80}}},
+}
+
+// load is one input the suites run under: a query set, an aggregate and
+// a seeded stream. events gets the (seed, n, keys) the suite has always
+// passed genEvents.
+type load struct {
+	name   string
+	qs     []multiquery.Query
+	fn     agg.Fn
+	param  float64
+	events func(seed int64, n, keys int) []stream.Event
+}
+
+// intSum is the input every suite started with: integer values, whose
+// sums are exact in float64 under any association.
+var intSum = load{name: "int-sum", qs: testQueries, fn: agg.Sum, events: genEvents}
+
+// moveLoads adds the order-sensitive inputs (workload.OrderSensitive) to
+// the suites that move a shard's state mid-stream: a move must not
+// change one bit of float sums or of compacting quantile sketches, nor
+// lose an engine counter.
+var moveLoads = []load{
+	intSum,
+	// 10 keys × 5 events per tick: 10 / 20 / 40 values per key per
+	// T20 / T40 / T80 instance — enough addends that regrouping them
+	// rounds differently.
+	{name: "float-sum", qs: nestedQueries, fn: agg.Sum,
+		events: func(seed int64, n, _ int) []stream.Event {
+			return workload.OrderSensitive(workload.StreamConfig{Events: n, Keys: 10, EventsPerTick: 5, Seed: seed})
+		}},
+	// 8 keys × 40 values per key per tick: 800 = 4·k values per key in
+	// every T20 instance, so all three windows' KLL sketches compact.
+	// (The suites' move and kill points are ones at which a restored
+	// engine recycles the store rows the uninterrupted one does; where
+	// it would not, a compacting sketch also depends on the generator
+	// state its recycled row was left in — ROADMAP, small debts.)
+	{name: "dense-percentile", qs: nestedQueries, fn: agg.Percentile, param: 0.5,
+		events: func(seed int64, n, _ int) []stream.Event {
+			return workload.OrderSensitive(workload.StreamConfig{Events: 12 * n, Keys: 8, EventsPerTick: 320, Seed: seed})
+		}},
+}
+
 // refPlan builds the single-process reference plan from the same inputs
 // the workers rebuild theirs from.
-func refPlan(t *testing.T, qs []multiquery.Query) *multiquery.Plan {
+func refPlan(t *testing.T, ld load) *multiquery.Plan {
 	t.Helper()
-	mp, err := multiquery.Optimize(qs, agg.Sum, core.Options{Factors: true, Model: cost.Model{Eta: 1}})
+	mp, err := multiquery.Optimize(ld.qs, ld.fn, core.Options{Factors: true, Model: cost.Model{Eta: 1}})
 	if err != nil {
 		t.Fatalf("optimize: %v", err)
 	}
+	mp.Combined.Param = ld.param
 	return mp
 }
 
@@ -88,10 +139,10 @@ func drive(r driven, events []stream.Event, chunk int, between func(i int)) {
 }
 
 // reference runs the in-process parallel engine over events and returns
-// its ordered result sequence.
-func reference(t *testing.T, qs []multiquery.Query, shards int, events []stream.Event, chunk int) []stream.Result {
+// its ordered result sequence and its engine update counter.
+func reference(t *testing.T, ld load, shards int, events []stream.Event, chunk int) ([]stream.Result, int64) {
 	t.Helper()
-	mp := refPlan(t, qs)
+	mp := refPlan(t, ld)
 	sink := &stream.CollectingSink{}
 	ref, _, err := parallel.Migrate(mp.Combined, sink, shards, nil, 0)
 	if err != nil {
@@ -102,36 +153,55 @@ func reference(t *testing.T, qs []multiquery.Query, shards int, events []stream.
 	if err := ref.Err(); err != nil {
 		t.Fatalf("reference runner: %v", err)
 	}
-	return sink.Results
+	return sink.Results, ref.TotalUpdates()
 }
 
-func newRouter(t *testing.T, qs []multiquery.Query, shards int, addrs []string, every int64) (*router.Runner, *stream.CollectingSink) {
-	t.Helper()
-	sink := &stream.CollectingSink{}
-	r, err := router.New(router.Spec{
-		Queries:         qs,
-		Fn:              agg.Sum,
+// spec is ld's router configuration; tests needing a Dial set it on the
+// copy.
+func (ld load) spec(shards int, addrs []string, every int64) router.Spec {
+	return router.Spec{
+		Queries:         ld.qs,
+		Fn:              ld.fn,
+		Param:           ld.param,
 		Eta:             1,
 		Factors:         true,
 		Shards:          shards,
 		Workers:         addrs,
 		CheckpointEvery: every,
-	}, sink)
+	}
+}
+
+func newRouter(t *testing.T, ld load, shards int, addrs []string, every int64) (*router.Runner, *stream.CollectingSink) {
+	t.Helper()
+	sink := &stream.CollectingSink{}
+	r, err := router.New(ld.spec(shards, addrs, every), sink)
 	if err != nil {
 		t.Fatalf("router.New: %v", err)
 	}
 	return r, sink
 }
 
+// assertSameResults requires got to be want row for row, values compared
+// by bit pattern; it reports how many rows differ before failing, since
+// "3 of 18,589" is what an inexact state move looks like.
 func assertSameResults(t *testing.T, got, want []stream.Result) {
 	t.Helper()
 	if len(got) != len(want) {
 		t.Fatalf("got %d results, want %d", len(got), len(want))
 	}
+	first, diff := -1, 0
 	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("result %d: got %+v, want %+v", i, got[i], want[i])
+		g, w := got[i], want[i]
+		g.Value, w.Value = 0, 0
+		if g != w || math.Float64bits(got[i].Value) != math.Float64bits(want[i].Value) {
+			if diff++; first < 0 {
+				first = i
+			}
 		}
+	}
+	if diff > 0 {
+		t.Fatalf("%d of %d results differ; first is result %d: got %+v, want %+v",
+			diff, len(want), first, got[first], want[first])
 	}
 }
 
@@ -142,13 +212,13 @@ func TestRouterMatchesParallel(t *testing.T) {
 	events := genEvents(401, 4000, 40)
 	const chunk = 256
 	for _, shards := range []int{1, 4, 7} {
-		want := reference(t, testQueries, shards, events, chunk)
+		want, _ := reference(t, intSum, shards, events, chunk)
 		for _, nWorkers := range []int{1, 2, 4} {
 			addrs := make([]string, nWorkers)
 			for i := range addrs {
 				addrs[i], _ = startWorker(t)
 			}
-			r, sink := newRouter(t, testQueries, shards, addrs, 4)
+			r, sink := newRouter(t, intSum, shards, addrs, 4)
 			drive(r, events, chunk, nil)
 			if err := r.Err(); err != nil {
 				t.Fatalf("shards=%d workers=%d: %v", shards, nWorkers, err)
@@ -159,35 +229,43 @@ func TestRouterMatchesParallel(t *testing.T) {
 }
 
 // TestRouterWorkerKillFailover kills a worker mid-stream: its shards
-// replay onto survivors and the output stays byte-identical.
+// replay onto survivors and the output stays byte-identical, engine
+// counters included.
 func TestRouterWorkerKillFailover(t *testing.T) {
-	events := genEvents(77, 6000, 60)
 	const chunk = 256
 	const shards = 7
-	want := reference(t, testQueries, shards, events, chunk)
-	for _, every := range []int64{1, 4, 1000} { // checkpoint cadences: every barrier, periodic, never-yet
-		addrs := make([]string, 3)
-		workers := make([]*shardworker.Worker, 3)
-		for i := range addrs {
-			addrs[i], workers[i] = startWorker(t)
-		}
-		r, sink := newRouter(t, testQueries, shards, addrs, every)
-		drive(r, events, chunk, func(i int) {
-			if i == 9 {
-				workers[1].Close() // mid-stream kill, between barriers
+	for _, ld := range moveLoads {
+		t.Run(ld.name, func(t *testing.T) {
+			events := ld.events(77, 6000, 60)
+			want, wantUpdates := reference(t, ld, shards, events, chunk)
+			for _, every := range []int64{1, 4, 1000} { // checkpoint cadences: every barrier, periodic, never-yet
+				addrs := make([]string, 3)
+				workers := make([]*shardworker.Worker, 3)
+				for i := range addrs {
+					addrs[i], workers[i] = startWorker(t)
+				}
+				r, sink := newRouter(t, ld, shards, addrs, every)
+				drive(r, events, chunk, func(i int) {
+					if i == 9 {
+						workers[1].Close() // mid-stream kill, between barriers
+					}
+				})
+				if err := r.Err(); err != nil {
+					t.Fatalf("every=%d: router: %v", every, err)
+				}
+				assertSameResults(t, sink.Results, want)
+				if got := r.TotalUpdates(); got != wantUpdates {
+					t.Fatalf("every=%d: TotalUpdates = %d after the failover, reference %d", every, got, wantUpdates)
+				}
+				topo := r.Topology()
+				if topo.Failovers == 0 {
+					t.Fatalf("every=%d: kill did not register a failover: %+v", every, topo)
+				}
+				if len(topo.ShedShards) != 0 {
+					t.Fatalf("every=%d: shards shed despite live workers: %+v", every, topo)
+				}
 			}
 		})
-		if err := r.Err(); err != nil {
-			t.Fatalf("every=%d: router: %v", every, err)
-		}
-		assertSameResults(t, sink.Results, want)
-		topo := r.Topology()
-		if topo.Failovers == 0 {
-			t.Fatalf("every=%d: kill did not register a failover: %+v", every, topo)
-		}
-		if len(topo.ShedShards) != 0 {
-			t.Fatalf("every=%d: shards shed despite live workers: %+v", every, topo)
-		}
 	}
 }
 
@@ -195,47 +273,58 @@ func TestRouterWorkerKillFailover(t *testing.T) {
 // blocked reading its barrier acks, exercising the mid-collect failover
 // path (sibling shards on the dead worker re-send the barrier).
 func TestRouterKillDuringBarrier(t *testing.T) {
-	events := genEvents(13, 4000, 50)
 	const shards = 4
-	half := len(events) / 2
-	// The ordered drain's sequence depends on the barrier schedule, so
-	// the reference must share this test's two-barrier cadence.
-	mp := refPlan(t, testQueries)
-	refSink := &stream.CollectingSink{}
-	ref, _, err := parallel.Migrate(mp.Combined, refSink, shards, nil, 0)
-	if err != nil {
-		t.Fatalf("parallel.Migrate: %v", err)
+	for _, ld := range moveLoads {
+		t.Run(ld.name, func(t *testing.T) {
+			events := ld.events(13, 4000, 50)
+			// Off every window boundary of every load, so instances of all
+			// three nested windows are open at the state fetch.
+			half := len(events)/2 + 37
+			// The ordered drain's sequence depends on the barrier schedule, so
+			// the reference must share this test's two-barrier cadence.
+			mp := refPlan(t, ld)
+			refSink := &stream.CollectingSink{}
+			ref, _, err := parallel.Migrate(mp.Combined, refSink, shards, nil, 0)
+			if err != nil {
+				t.Fatalf("parallel.Migrate: %v", err)
+			}
+			ref.SetOrderedDrain(true)
+			ref.Process(events[:half])
+			ref.Advance(events[half-1].Time)
+			ref.Barrier()
+			ref.Process(events[half:])
+			ref.Advance(events[len(events)-1].Time)
+			ref.Barrier()
+			ref.Close()
+			want := refSink.Results
+			addrs := make([]string, 2)
+			workers := make([]*shardworker.Worker, 2)
+			for i := range addrs {
+				addrs[i], workers[i] = startWorker(t)
+			}
+			// Compact at every barrier, so the replay onto the survivor
+			// starts from the state fetched at the first one.
+			r, sink := newRouter(t, ld, shards, addrs, 1)
+			r.Process(events[:half])
+			r.Advance(events[half-1].Time)
+			r.Barrier()
+			// Kill between Process and Barrier: the events for worker 0's
+			// shards are journaled but their barrier ack will never come; the
+			// collect phase must fail over and re-run the barrier elsewhere.
+			r.Process(events[half:])
+			workers[0].Close()
+			r.Advance(events[len(events)-1].Time)
+			r.Barrier()
+			r.Close()
+			if err := r.Err(); err != nil {
+				t.Fatalf("router: %v", err)
+			}
+			assertSameResults(t, sink.Results, want)
+			if got, w := r.TotalUpdates(), ref.TotalUpdates(); got != w {
+				t.Fatalf("TotalUpdates = %d after the failover, reference %d", got, w)
+			}
+		})
 	}
-	ref.SetOrderedDrain(true)
-	ref.Process(events[:half])
-	ref.Advance(events[half-1].Time)
-	ref.Barrier()
-	ref.Process(events[half:])
-	ref.Advance(events[len(events)-1].Time)
-	ref.Barrier()
-	ref.Close()
-	want := refSink.Results
-	addrs := make([]string, 2)
-	workers := make([]*shardworker.Worker, 2)
-	for i := range addrs {
-		addrs[i], workers[i] = startWorker(t)
-	}
-	r, sink := newRouter(t, testQueries, shards, addrs, 2)
-	r.Process(events[:half])
-	r.Advance(events[half-1].Time)
-	r.Barrier()
-	// Kill between Process and Barrier: the events for worker 0's
-	// shards are journaled but their barrier ack will never come; the
-	// collect phase must fail over and re-run the barrier elsewhere.
-	r.Process(events[half:])
-	workers[0].Close()
-	r.Advance(events[len(events)-1].Time)
-	r.Barrier()
-	r.Close()
-	if err := r.Err(); err != nil {
-		t.Fatalf("router: %v", err)
-	}
-	assertSameResults(t, sink.Results, want)
 }
 
 // failingConn wraps a session's connection so its reads fail once armed
@@ -283,51 +372,51 @@ func faultDialer(addr string, nth int, armed *atomic.Bool) func(string) (net.Con
 // emit. The failover must keep those rows (the replay regenerates and
 // discards them) or they are permanently lost.
 func TestRouterKillBetweenBarrierAcks(t *testing.T) {
-	events := genEvents(271, 4000, 50)
 	const chunk = 256
 	const shards = 4
-	want := reference(t, testQueries, shards, events, chunk)
-	for _, every := range []int64{3, 1000} { // with and without compaction in play
-		addrs := make([]string, 2)
-		for i := range addrs {
-			addrs[i], _ = startWorker(t)
-		}
-		var armed atomic.Bool
-		sink := &stream.CollectingSink{}
-		// Session dials during placement run in shard order, so the 2nd
-		// dial to worker 0 is shard 2's session.
-		r, err := router.New(router.Spec{
-			Queries:         testQueries,
-			Fn:              agg.Sum,
-			Eta:             1,
-			Factors:         true,
-			Shards:          shards,
-			Workers:         addrs,
-			CheckpointEvery: every,
-			Dial:            faultDialer(addrs[0], 2, &armed),
-		}, sink)
-		if err != nil {
-			t.Fatalf("router.New: %v", err)
-		}
-		drive(r, events, chunk, func(i int) {
-			if i == 5 {
-				// Arm between barriers: the next Barrier's phase 1 writes
-				// still land, shard 0 acks and journals the barrier, then
-				// shard 2's collect read fails and fails both over.
-				armed.Store(true)
+	for _, ld := range moveLoads {
+		t.Run(ld.name, func(t *testing.T) {
+			events := ld.events(271, 4000, 50)
+			want, wantUpdates := reference(t, ld, shards, events, chunk)
+			for _, every := range []int64{3, 1000} { // with and without compaction in play
+				addrs := make([]string, 2)
+				for i := range addrs {
+					addrs[i], _ = startWorker(t)
+				}
+				var armed atomic.Bool
+				sink := &stream.CollectingSink{}
+				// Session dials during placement run in shard order, so the 2nd
+				// dial to worker 0 is shard 2's session.
+				spec := ld.spec(shards, addrs, every)
+				spec.Dial = faultDialer(addrs[0], 2, &armed)
+				r, err := router.New(spec, sink)
+				if err != nil {
+					t.Fatalf("router.New: %v", err)
+				}
+				drive(r, events, chunk, func(i int) {
+					if i == 5 {
+						// Arm between barriers: the next Barrier's phase 1 writes
+						// still land, shard 0 acks and journals the barrier, then
+						// shard 2's collect read fails and fails both over.
+						armed.Store(true)
+					}
+				})
+				if err := r.Err(); err != nil {
+					t.Fatalf("every=%d: router: %v", every, err)
+				}
+				topo := r.Topology()
+				if topo.Failovers < 2 {
+					t.Fatalf("every=%d: expected both of worker 0's shards failed over, topology %+v", every, topo)
+				}
+				if len(topo.ShedShards) != 0 {
+					t.Fatalf("every=%d: shards shed despite a live worker: %+v", every, topo)
+				}
+				assertSameResults(t, sink.Results, want)
+				if got := r.TotalUpdates(); got != wantUpdates {
+					t.Fatalf("every=%d: TotalUpdates = %d after the failover, reference %d", every, got, wantUpdates)
+				}
 			}
 		})
-		if err := r.Err(); err != nil {
-			t.Fatalf("every=%d: router: %v", every, err)
-		}
-		topo := r.Topology()
-		if topo.Failovers < 2 {
-			t.Fatalf("every=%d: expected both of worker 0's shards failed over, topology %+v", every, topo)
-		}
-		if len(topo.ShedShards) != 0 {
-			t.Fatalf("every=%d: shards shed despite a live worker: %+v", every, topo)
-		}
-		assertSameResults(t, sink.Results, want)
 	}
 }
 
@@ -383,7 +472,7 @@ func TestRouterFailoverMidCollectLeavesNoStaleRun(t *testing.T) {
 	events := genEvents(311, 4000, 50)
 	const chunk = 256
 	const shards = 4
-	want := reference(t, testQueries, shards, events, chunk)
+	want, _ := reference(t, intSum, shards, events, chunk)
 	addrs := make([]string, 2)
 	for i := range addrs {
 		addrs[i], _ = startWorker(t)
@@ -439,7 +528,7 @@ func TestRouterRebalanceRefusedKeepsTarget(t *testing.T) {
 	events := genEvents(52, 3000, 40)
 	const chunk = 256
 	const shards = 4
-	want := reference(t, testQueries, shards, events, chunk)
+	want, _ := reference(t, intSum, shards, events, chunk)
 	addrs := make([]string, 2)
 	for i := range addrs {
 		addrs[i], _ = startWorker(t)
@@ -514,15 +603,15 @@ func TestRouterRebalanceRefusedKeepsTarget(t *testing.T) {
 
 // TestRouterCompactsWithoutWatermark: a pipeline that ingests and
 // barriers but never Advances must still compact its replay journals
-// (the export cuts at the highest routed event time), keep the
-// journaled backlog bounded, and stay byte-identical through a worker
-// kill replayed from those watermark-less checkpoints.
+// (a snapshot needs no cut point), keep the journaled backlog bounded,
+// and stay byte-identical through a worker kill replayed from those
+// watermark-less checkpoints.
 func TestRouterCompactsWithoutWatermark(t *testing.T) {
 	events := genEvents(613, 5000, 40)
 	const chunk = 250
 	const shards = 4
 	// Reference driven with the same Advance-free cadence.
-	mp := refPlan(t, testQueries)
+	mp := refPlan(t, intSum)
 	refSink := &stream.CollectingSink{}
 	ref, _, err := parallel.Migrate(mp.Combined, refSink, shards, nil, 0)
 	if err != nil {
@@ -541,7 +630,7 @@ func TestRouterCompactsWithoutWatermark(t *testing.T) {
 	for i := range addrs {
 		addrs[i], workers[i] = startWorker(t)
 	}
-	r, sink := newRouter(t, testQueries, shards, addrs, 2)
+	r, sink := newRouter(t, intSum, shards, addrs, 2)
 	for i, off := 0, 0; off < len(events); i, off = i+1, off+chunk {
 		r.Process(events[off : off+chunk])
 		r.Barrier()
@@ -574,7 +663,7 @@ func TestRouterCompactsWithoutWatermark(t *testing.T) {
 func TestRouterShedTypedError(t *testing.T) {
 	events := genEvents(5, 1000, 30)
 	addr, w := startWorker(t)
-	r, _ := newRouter(t, testQueries, 4, []string{addr}, 4)
+	r, _ := newRouter(t, intSum, 4, []string{addr}, 4)
 	r.Process(events[:500])
 	r.Advance(events[499].Time)
 	r.Barrier()
@@ -628,42 +717,50 @@ func TestRouterShedTypedError(t *testing.T) {
 // added after start, then drain it back out — without disturbing the
 // output stream.
 func TestRouterScaleOutIn(t *testing.T) {
-	events := genEvents(99, 6000, 50)
 	const chunk = 256
 	const shards = 7
-	want := reference(t, testQueries, shards, events, chunk)
-	addrs := make([]string, 2)
-	for i := range addrs {
-		addrs[i], _ = startWorker(t)
-	}
-	var late string
-	r, sink := newRouter(t, testQueries, shards, addrs, 4)
-	drive(r, events, chunk, func(i int) {
-		switch i {
-		case 5: // scale out: add a worker and move two shards onto it
-			late, _ = startWorker(t)
-			if err := r.AddWorker(late); err != nil {
-				t.Fatalf("AddWorker: %v", err)
+	for _, ld := range moveLoads {
+		t.Run(ld.name, func(t *testing.T) {
+			events := ld.events(99, 6000, 50)
+			want, wantUpdates := reference(t, ld, shards, events, chunk)
+			addrs := make([]string, 2)
+			for i := range addrs {
+				addrs[i], _ = startWorker(t)
 			}
-			if err := r.Rebalance(0, late); err != nil {
-				t.Fatalf("Rebalance(0): %v", err)
+			var late string
+			r, sink := newRouter(t, ld, shards, addrs, 4)
+			drive(r, events, chunk, func(i int) {
+				switch i {
+				case 5: // scale out: add a worker and move two shards onto it
+					late, _ = startWorker(t)
+					if err := r.AddWorker(late); err != nil {
+						t.Fatalf("AddWorker: %v", err)
+					}
+					if err := r.Rebalance(0, late); err != nil {
+						t.Fatalf("Rebalance(0): %v", err)
+					}
+					if err := r.Rebalance(3, late); err != nil {
+						t.Fatalf("Rebalance(3): %v", err)
+					}
+				case 15: // scale back in
+					if err := r.Drain(late); err != nil {
+						t.Fatalf("Drain: %v", err)
+					}
+				}
+			})
+			if err := r.Err(); err != nil {
+				t.Fatalf("router: %v", err)
 			}
-			if err := r.Rebalance(3, late); err != nil {
-				t.Fatalf("Rebalance(3): %v", err)
+			assertSameResults(t, sink.Results, want)
+			// A move carries the engine's counters with its state.
+			if got := r.TotalUpdates(); got != wantUpdates {
+				t.Fatalf("TotalUpdates = %d after the moves, reference %d", got, wantUpdates)
 			}
-		case 15: // scale back in
-			if err := r.Drain(late); err != nil {
-				t.Fatalf("Drain: %v", err)
+			topo := r.Topology()
+			if topo.Rebalances < 2 {
+				t.Fatalf("expected at least 2 rebalances, topology %+v", topo)
 			}
-		}
-	})
-	if err := r.Err(); err != nil {
-		t.Fatalf("router: %v", err)
-	}
-	assertSameResults(t, sink.Results, want)
-	topo := r.Topology()
-	if topo.Rebalances < 2 {
-		t.Fatalf("expected at least 2 rebalances, topology %+v", topo)
+		})
 	}
 }
 
@@ -678,14 +775,14 @@ func TestRouterSnapshotParallelInterop(t *testing.T) {
 	// The split point must sit on a chunk boundary so both runs share
 	// the reference's barrier schedule.
 	const half = 2048
-	want := reference(t, testQueries, shards, events, chunk)
+	want, _ := reference(t, intSum, shards, events, chunk)
 
 	// Distributed first half → snapshot → in-process second half.
 	addrs := make([]string, 2)
 	for i := range addrs {
 		addrs[i], _ = startWorker(t)
 	}
-	r, sink := newRouter(t, testQueries, shards, addrs, 4)
+	r, sink := newRouter(t, intSum, shards, addrs, 4)
 	for off := 0; off < half; off += chunk {
 		part := events[off:min(off+chunk, half)]
 		r.Process(part)
@@ -702,7 +799,7 @@ func TestRouterSnapshotParallelInterop(t *testing.T) {
 	preClose := len(sink.Results)
 	r.Close()
 	sink.Results = sink.Results[:preClose]
-	mp := refPlan(t, testQueries)
+	mp := refPlan(t, intSum)
 	cont, err := parallel.Restore(mp.Combined, sink, blob)
 	if err != nil {
 		t.Fatalf("parallel.Restore(router snapshot): %v", err)
@@ -764,10 +861,10 @@ func TestRouterExportMigratesToParallel(t *testing.T) {
 	events := genEvents(311, 3000, 30)
 	const chunk = 256
 	const shards = 4
-	want := reference(t, testQueries, shards, events, chunk)
+	want, _ := reference(t, intSum, shards, events, chunk)
 	addrs := []string{""}
 	addrs[0], _ = startWorker(t)
-	r, sink := newRouter(t, testQueries, shards, addrs, 4)
+	r, sink := newRouter(t, intSum, shards, addrs, 4)
 	half := 1536 // chunk boundary
 	var horizon int64
 	for off := 0; off < half; off += chunk {
@@ -789,7 +886,7 @@ func TestRouterExportMigratesToParallel(t *testing.T) {
 	preClose := len(sink.Results)
 	r.Close()
 	sink.Results = sink.Results[:preClose]
-	mp := refPlan(t, testQueries)
+	mp := refPlan(t, intSum)
 	cont, _, err := parallel.Migrate(mp.Combined, sink, shards, exports, horizon)
 	if err != nil {
 		t.Fatalf("parallel.Migrate(router exports): %v", err)
@@ -822,32 +919,35 @@ func (c *dyingConn) Write(p []byte) (int, error) {
 // succeed, and what it returns must be the real thing: the snapshot
 // restores into the in-process engine, the export migrates into it, and
 // the continued run is byte-identical to the uninterrupted reference.
+//
+// The snapshot fetch runs under every load — with compaction every 3
+// barriers the first request to die holding is the compaction's own, so
+// the failover replays from a fetched state and the fetch is asked
+// again. The export fetch runs under the integer load only: an export
+// enters a plan by folding open parents early, so on order-sensitive
+// data it is exact against a reference that re-plans at the same
+// horizon (*/migrate_test.go), not against an uninterrupted one.
 func TestRouterKillDuringStateFetch(t *testing.T) {
-	events := genEvents(733, 4000, 40)
 	const chunk = 256
 	const shards = 4
 	const half = 2048 // chunk boundary
-	want := reference(t, testQueries, shards, events, chunk)
-	mp := refPlan(t, testQueries)
-	for _, op := range []string{wire.CtrlSnapshot, wire.CtrlExport} {
-		t.Run(op, func(t *testing.T) {
-			addrs := make([]string, 2)
-			for i := range addrs {
-				addrs[i], _ = startWorker(t)
+	for _, ld := range moveLoads {
+		events := ld.events(733, 4000, 40)
+		want, wantUpdates := reference(t, ld, shards, events, chunk)
+		mp := refPlan(t, ld)
+		for _, op := range []string{wire.CtrlSnapshot, wire.CtrlExport} {
+			if op == wire.CtrlExport && ld.name != intSum.name {
+				continue
 			}
-			var trigger atomic.Bool
-			sink := &stream.CollectingSink{}
-			r, err := router.New(router.Spec{
-				Queries: testQueries,
-				Fn:      agg.Sum,
-				Eta:     1,
-				Factors: true,
-				Shards:  shards,
-				Workers: addrs,
-				// No compaction: the only export requests on the wire are
-				// the ones ExportCanonical sends.
-				CheckpointEvery: 1000,
-				Dial: func(a string) (net.Conn, error) {
+			t.Run(ld.name+"/"+op, func(t *testing.T) {
+				addrs := make([]string, 2)
+				for i := range addrs {
+					addrs[i], _ = startWorker(t)
+				}
+				var trigger atomic.Bool
+				sink := &stream.CollectingSink{}
+				spec := ld.spec(shards, addrs, 3)
+				spec.Dial = func(a string) (net.Conn, error) {
 					conn, err := net.Dial("tcp", a)
 					if err != nil || a != addrs[0] {
 						return conn, err
@@ -857,60 +957,66 @@ func TestRouterKillDuringStateFetch(t *testing.T) {
 						trigger:     &trigger,
 						op:          op,
 					}, nil
-				},
-			}, sink)
-			if err != nil {
-				t.Fatalf("router.New: %v", err)
-			}
-			var horizon int64
-			for off := 0; off < half; off += chunk {
-				part := events[off : off+chunk]
-				r.Process(part)
-				horizon = part[len(part)-1].Time
-				r.Advance(horizon)
-				r.Barrier()
-			}
-			trigger.Store(true)
-			var resume func() (*parallel.Runner, error)
-			if op == wire.CtrlSnapshot {
-				blob, err := r.Snapshot()
+				}
+				r, err := router.New(spec, sink)
 				if err != nil {
-					t.Fatalf("router.Snapshot through worker death: %v", err)
+					t.Fatalf("router.New: %v", err)
 				}
-				resume = func() (*parallel.Runner, error) { return parallel.Restore(mp.Combined, sink, blob) }
-			} else {
-				exports, err := r.ExportCanonical(horizon)
+				var horizon int64
+				for off := 0; off < half; off += chunk {
+					part := events[off : off+chunk]
+					r.Process(part)
+					horizon = part[len(part)-1].Time
+					r.Advance(horizon)
+					r.Barrier()
+				}
+				trigger.Store(true)
+				var resume func() (*parallel.Runner, error)
+				if op == wire.CtrlSnapshot {
+					blob, err := r.Snapshot()
+					if err != nil {
+						t.Fatalf("router.Snapshot through worker death: %v", err)
+					}
+					resume = func() (*parallel.Runner, error) { return parallel.Restore(mp.Combined, sink, blob) }
+				} else {
+					exports, err := r.ExportCanonical(horizon)
+					if err != nil {
+						t.Fatalf("router.ExportCanonical through worker death: %v", err)
+					}
+					resume = func() (*parallel.Runner, error) {
+						cont, _, err := parallel.Migrate(mp.Combined, sink, shards, exports, horizon)
+						return cont, err
+					}
+				}
+				if err := r.Err(); err != nil {
+					t.Fatalf("router: %v", err)
+				}
+				topo := r.Topology()
+				if topo.Failovers < 2 || topo.Workers[0].Live || len(topo.ShedShards) != 0 {
+					t.Fatalf("expected worker 0 retired mid-fetch and its two shards failed over, topology %+v", topo)
+				}
+				// Tear the distributed epoch down and snip its close-flush
+				// rows: the resumed runner owns those open instances now.
+				preClose := len(sink.Results)
+				r.Close()
+				sink.Results = sink.Results[:preClose]
+				cont, err := resume()
 				if err != nil {
-					t.Fatalf("router.ExportCanonical through worker death: %v", err)
+					t.Fatalf("resuming in-process from the fetched state: %v", err)
 				}
-				resume = func() (*parallel.Runner, error) {
-					cont, _, err := parallel.Migrate(mp.Combined, sink, shards, exports, horizon)
-					return cont, err
+				cont.SetOrderedDrain(true)
+				drive(cont, events[half:], chunk, nil)
+				if err := cont.Err(); err != nil {
+					t.Fatalf("resumed runner: %v", err)
 				}
-			}
-			if err := r.Err(); err != nil {
-				t.Fatalf("router: %v", err)
-			}
-			topo := r.Topology()
-			if topo.Failovers < 2 || topo.Workers[0].Live || len(topo.ShedShards) != 0 {
-				t.Fatalf("expected worker 0 retired mid-fetch and its two shards failed over, topology %+v", topo)
-			}
-			// Tear the distributed epoch down and snip its close-flush
-			// rows: the resumed runner owns those open instances now.
-			preClose := len(sink.Results)
-			r.Close()
-			sink.Results = sink.Results[:preClose]
-			cont, err := resume()
-			if err != nil {
-				t.Fatalf("resuming in-process from the fetched state: %v", err)
-			}
-			cont.SetOrderedDrain(true)
-			drive(cont, events[half:], chunk, nil)
-			if err := cont.Err(); err != nil {
-				t.Fatalf("resumed runner: %v", err)
-			}
-			assertSameResults(t, sink.Results, want)
-		})
+				assertSameResults(t, sink.Results, want)
+				// A snapshot carries the operators' counters; an export
+				// describes windows and starts them afresh.
+				if got := cont.TotalUpdates(); op == wire.CtrlSnapshot && got != wantUpdates {
+					t.Fatalf("TotalUpdates = %d after resuming the snapshot, reference %d", got, wantUpdates)
+				}
+			})
+		}
 	}
 }
 
@@ -920,7 +1026,7 @@ func TestRouterTopologyShape(t *testing.T) {
 	for i := range addrs {
 		addrs[i], _ = startWorker(t)
 	}
-	r, _ := newRouter(t, testQueries, 4, addrs, 4)
+	r, _ := newRouter(t, intSum, 4, addrs, 4)
 	defer r.Close()
 	topo := r.Topology()
 	if len(topo.Workers) != 2 {

@@ -13,6 +13,7 @@ import (
 	"factorwindows/internal/router"
 	"factorwindows/internal/shardworker"
 	"factorwindows/internal/stream"
+	"factorwindows/internal/workload"
 )
 
 // The distributed serving property: a server executing on fwworker
@@ -68,9 +69,67 @@ var distQueries = []string{
 	`SELECT DeviceID, SUM(T) FROM In GROUP BY DeviceID, Windows(HoppingWindow(tick, 24, 8))`,
 }
 
-func registerDistQueries(t *testing.T, h http.Handler) {
+// nestedDistQueries is the same two-query shape over chained tumbling
+// windows (T20 feeds T40 feeds T80), so at any topology change some
+// parent instance is open over state its children have not seen.
+func nestedDistQueries(aggregate string) []string {
+	return []string{
+		`SELECT DeviceID, ` + aggregate + ` FROM In GROUP BY DeviceID, Windows(
+			TumblingWindow(tick, 20), TumblingWindow(tick, 40))`,
+		`SELECT DeviceID, ` + aggregate + ` FROM In GROUP BY DeviceID, Windows(TumblingWindow(tick, 80))`,
+	}
+}
+
+// distLoad is one input the distributed suites run under: a query pair
+// and the ingest script generator. The integer load is the one they
+// started with; the other two are order-sensitive
+// (workload.OrderSensitive) — float sums that round differently when
+// regrouped, and quantile sketches holding ≥ 4·k values per key per
+// instance — and catch a state move that is correct only up to
+// reassociation.
+type distLoad struct {
+	name    string
+	queries []string
+	// keys/perTick/scale shape the order-sensitive stream (scale
+	// multiplies the script's events per batch); perTick 0 selects the
+	// integer script.
+	keys, perTick, scale int
+}
+
+var distLoads = []distLoad{
+	{name: "int-sum", queries: distQueries},
+	{name: "float-sum", queries: nestedDistQueries("SUM(T)"), keys: 6, perTick: 7, scale: 1},
+	// 400 values per key per tick: 8,000 per key in a T20 instance, and a
+	// script of 16 × 2,400 events spans 24 ticks — every topology change
+	// lands inside the first instance of all three windows, where a
+	// restored engine recycles exactly the store rows an uninterrupted one
+	// does (past that, a compacting sketch's answer also depends on the
+	// generator state its recycled row was left in, which no state form
+	// carries: ROADMAP, small debts).
+	{name: "dense-percentile", queries: nestedDistQueries("PERCENTILE(T, 0.5)"), keys: 4, perTick: 1600, scale: 20},
+}
+
+// batches builds the load's deterministic ingest script — distBatches
+// for the integer load, else the order-sensitive stream cut into the
+// same number of batches and closed by the same far-future sentinel.
+func (l distLoad) batches(seed int64, batches, per int) [][]stream.Event {
+	if l.perTick == 0 {
+		return distBatches(seed, batches, per)
+	}
+	per *= l.scale
+	events := workload.OrderSensitive(workload.StreamConfig{
+		Events: batches * per, Keys: l.keys, EventsPerTick: l.perTick, Seed: seed,
+	})
+	out := make([][]stream.Event, 0, batches+1)
+	for off := 0; off < len(events); off += per {
+		out = append(out, events[off:off+per])
+	}
+	return append(out, []stream.Event{{Time: events[len(events)-1].Time + (1 << 16)}})
+}
+
+func registerDistQueries(t *testing.T, h http.Handler, queries []string) {
 	t.Helper()
-	for i, q := range distQueries {
+	for i, q := range queries {
 		rw := httptest.NewRecorder()
 		req := httptest.NewRequest("POST", fmt.Sprintf("/queries?id=q%d", i+1), strings.NewReader(q))
 		h.ServeHTTP(rw, req)
@@ -103,8 +162,7 @@ func collectStreams(t *testing.T, s *Server, h http.Handler) map[string][]byte {
 	t.Helper()
 	s.Close()
 	out := map[string][]byte{}
-	for i := range distQueries {
-		id := fmt.Sprintf("q%d", i+1)
+	for _, id := range []string{"q1", "q2"} {
 		out["ndjson:"+id] = drainStream(t, h, id, "")
 		out["bin:"+id] = drainStream(t, h, id, ContentTypeFrame)
 	}
@@ -113,12 +171,12 @@ func collectStreams(t *testing.T, s *Server, h http.Handler) map[string][]byte {
 
 // runDistScript runs the whole script on a fresh server and returns
 // its drained streams.
-func runDistScript(t *testing.T, cfg Config, batches [][]stream.Event, between func(i int)) map[string][]byte {
+func runDistScript(t *testing.T, cfg Config, queries []string, batches [][]stream.Event, between func(i int)) map[string][]byte {
 	t.Helper()
 	s := New(cfg)
 	defer s.Close()
 	h := s.Handler()
-	registerDistQueries(t, h)
+	registerDistQueries(t, h, queries)
 	playDist(t, s, batches, 0, between)
 	return collectStreams(t, s, h)
 }
@@ -140,18 +198,20 @@ func assertSameStreams(t *testing.T, got, want map[string][]byte) {
 // geometry grid: random window workload × shards 1/4/7 × workers 1/2/4,
 // every distributed run byte-identical to the single-process server.
 func TestDistributedServerEquivalence(t *testing.T) {
-	batches := distBatches(17, 12, 150)
-	for _, shards := range []int{1, 4, 7} {
-		ref := runDistScript(t, Config{Shards: shards, ResultBuffer: 1 << 12}, batches, nil)
-		for _, workers := range []int{1, 2, 4} {
-			t.Run(fmt.Sprintf("shards=%d/workers=%d", shards, workers), func(t *testing.T) {
-				addrs, _ := startShardWorkers(t, workers)
-				got := runDistScript(t, Config{
-					Shards: shards, ResultBuffer: 1 << 12,
-					Workers: addrs, WorkerCheckpointEvery: 4,
-				}, batches, nil)
-				assertSameStreams(t, got, ref)
-			})
+	for _, ld := range distLoads {
+		batches := ld.batches(17, 12, 150)
+		for _, shards := range []int{1, 4, 7} {
+			ref := runDistScript(t, Config{Shards: shards, ResultBuffer: 1 << 12}, ld.queries, batches, nil)
+			for _, workers := range []int{1, 2, 4} {
+				t.Run(fmt.Sprintf("%s/shards=%d/workers=%d", ld.name, shards, workers), func(t *testing.T) {
+					addrs, _ := startShardWorkers(t, workers)
+					got := runDistScript(t, Config{
+						Shards: shards, ResultBuffer: 1 << 12,
+						Workers: addrs, WorkerCheckpointEvery: 4,
+					}, ld.queries, batches, nil)
+					assertSameStreams(t, got, ref)
+				})
+			}
 		}
 	}
 }
@@ -159,36 +219,50 @@ func TestDistributedServerEquivalence(t *testing.T) {
 // TestDistributedServerScaleOutIn grows the topology mid-stream (admit
 // a third worker, migrate two shards onto it) and later drains a
 // worker — all through POST /topology — without perturbing one byte of
-// the result streams.
+// the result streams, or losing one engine update from /stats: a move
+// carries the shard engine's counters with its state.
 func TestDistributedServerScaleOutIn(t *testing.T) {
-	batches := distBatches(31, 16, 120)
-	ref := runDistScript(t, Config{Shards: 6, ResultBuffer: 1 << 12}, batches, nil)
+	for _, ld := range distLoads {
+		t.Run(ld.name, func(t *testing.T) {
+			batches := ld.batches(31, 16, 120)
+			ref := runDistScript(t, Config{Shards: 6, ResultBuffer: 1 << 12}, ld.queries, batches, nil)
 
-	addrs, _ := startShardWorkers(t, 3)
-	s := New(Config{Shards: 6, ResultBuffer: 1 << 12, Workers: addrs[:2], WorkerCheckpointEvery: 3})
-	defer s.Close()
-	h := s.Handler()
-	registerDistQueries(t, h)
-	playDist(t, s, batches, 0, func(i int) {
-		switch i {
-		case 5:
-			postTopology(t, h, fmt.Sprintf(`{"op":"add-worker","addr":%q}`, addrs[2]), http.StatusOK)
-			postTopology(t, h, fmt.Sprintf(`{"op":"move","shard":0,"addr":%q}`, addrs[2]), http.StatusOK)
-			postTopology(t, h, fmt.Sprintf(`{"op":"move","shard":3,"addr":%q}`, addrs[2]), http.StatusOK)
-		case 12:
-			postTopology(t, h, fmt.Sprintf(`{"op":"drain","addr":%q}`, addrs[0]), http.StatusOK)
-		}
-	})
-	topo := s.TopologyNow()
-	if topo == nil || topo.Rebalances < 2 {
-		t.Fatalf("topology after scale-out/in: %+v", topo)
+			addrs, _ := startShardWorkers(t, 3)
+			s := New(Config{Shards: 6, ResultBuffer: 1 << 12, Workers: addrs[:2], WorkerCheckpointEvery: 3})
+			defer s.Close()
+			h := s.Handler()
+			registerDistQueries(t, h, ld.queries)
+			// topology applies one mutation and checks /stats' engine
+			// update counter did not go backwards across it.
+			topology := func(body string) {
+				before := s.StatsNow().Updates
+				postTopology(t, h, body, http.StatusOK)
+				if after := s.StatsNow().Updates; after < before || before == 0 {
+					t.Fatalf("engine_updates went %d → %d across POST /topology %s", before, after, body)
+				}
+			}
+			playDist(t, s, batches, 0, func(i int) {
+				switch i {
+				case 5:
+					topology(fmt.Sprintf(`{"op":"add-worker","addr":%q}`, addrs[2]))
+					topology(fmt.Sprintf(`{"op":"move","shard":0,"addr":%q}`, addrs[2]))
+					topology(fmt.Sprintf(`{"op":"move","shard":3,"addr":%q}`, addrs[2]))
+				case 12:
+					topology(fmt.Sprintf(`{"op":"drain","addr":%q}`, addrs[0]))
+				}
+			})
+			topo := s.TopologyNow()
+			if topo == nil || topo.Rebalances < 2 {
+				t.Fatalf("topology after scale-out/in: %+v", topo)
+			}
+			for _, w := range topo.Workers {
+				if w.Addr == addrs[0] && (w.Live || len(w.Shards) != 0) {
+					t.Fatalf("drained worker still placed: %+v", w)
+				}
+			}
+			assertSameStreams(t, collectStreams(t, s, h), ref)
+		})
 	}
-	for _, w := range topo.Workers {
-		if w.Addr == addrs[0] && (w.Live || len(w.Shards) != 0) {
-			t.Fatalf("drained worker still placed: %+v", w)
-		}
-	}
-	assertSameStreams(t, collectStreams(t, s, h), ref)
 }
 
 // TestDistributedServerWorkerKill severs one of three workers
@@ -196,39 +270,43 @@ func TestDistributedServerScaleOutIn(t *testing.T) {
 // the client-visible streams stay byte-identical, with the failover
 // visible in the topology counters.
 func TestDistributedServerWorkerKill(t *testing.T) {
-	batches := distBatches(23, 16, 120)
-	ref := runDistScript(t, Config{Shards: 5, ResultBuffer: 1 << 12}, batches, nil)
+	for _, ld := range distLoads {
+		t.Run(ld.name, func(t *testing.T) {
+			batches := ld.batches(23, 16, 120)
+			ref := runDistScript(t, Config{Shards: 5, ResultBuffer: 1 << 12}, ld.queries, batches, nil)
 
-	addrs, ws := startShardWorkers(t, 3)
-	var topo *router.Topology
-	s := New(Config{Shards: 5, ResultBuffer: 1 << 12, Workers: addrs, WorkerCheckpointEvery: 3})
-	defer s.Close()
-	h := s.Handler()
-	registerDistQueries(t, h)
-	playDist(t, s, batches, 0, func(i int) {
-		if i == 9 {
-			ws[1].Close()
-		}
-		if i == len(batches)-1 {
-			topo = s.TopologyNow()
-		}
-	})
-	if topo == nil || topo.Failovers == 0 {
-		t.Fatalf("kill left no failover trace: %+v", topo)
+			addrs, ws := startShardWorkers(t, 3)
+			var topo *router.Topology
+			s := New(Config{Shards: 5, ResultBuffer: 1 << 12, Workers: addrs, WorkerCheckpointEvery: 3})
+			defer s.Close()
+			h := s.Handler()
+			registerDistQueries(t, h, ld.queries)
+			playDist(t, s, batches, 0, func(i int) {
+				if i == 9 {
+					ws[1].Close()
+				}
+				if i == len(batches)-1 {
+					topo = s.TopologyNow()
+				}
+			})
+			if topo == nil || topo.Failovers == 0 {
+				t.Fatalf("kill left no failover trace: %+v", topo)
+			}
+			if len(topo.ShedShards) != 0 || topo.ShedEvents != 0 {
+				t.Fatalf("failover shed instead of recovering: %+v", topo)
+			}
+			live := 0
+			for _, w := range topo.Workers {
+				if w.Live {
+					live++
+				}
+			}
+			if live != 2 {
+				t.Fatalf("%d live workers after killing one of three", live)
+			}
+			assertSameStreams(t, collectStreams(t, s, h), ref)
+		})
 	}
-	if len(topo.ShedShards) != 0 || topo.ShedEvents != 0 {
-		t.Fatalf("failover shed instead of recovering: %+v", topo)
-	}
-	live := 0
-	for _, w := range topo.Workers {
-		if w.Live {
-			live++
-		}
-	}
-	if live != 2 {
-		t.Fatalf("%d live workers after killing one of three", live)
-	}
-	assertSameStreams(t, collectStreams(t, s, h), ref)
 }
 
 // TestDistributedCheckpointInterop proves checkpoint portability across
@@ -238,46 +316,50 @@ func TestDistributedServerWorkerKill(t *testing.T) {
 // single process is the scale-to-zero path; the reverse is scale-out
 // of an existing deployment.)
 func TestDistributedCheckpointInterop(t *testing.T) {
-	batches := distBatches(41, 10, 150)
-	const half = 5
+	for _, ld := range distLoads {
+		t.Run(ld.name, func(t *testing.T) {
+			batches := ld.batches(41, 10, 150)
+			const half = 5
 
-	// checkpointAfterHalf plays the script prefix on a fresh server and
-	// captures its checkpoint.
-	checkpointAfterHalf := func(cfg Config) []byte {
-		s := New(cfg)
-		defer s.Close()
-		registerDistQueries(t, s.Handler())
-		playDist(t, s, batches[:half], 0, nil)
-		cp, err := s.Checkpoint()
-		if err != nil {
-			t.Fatalf("checkpoint: %v", err)
-		}
-		return cp
+			// checkpointAfterHalf plays the script prefix on a fresh server and
+			// captures its checkpoint.
+			checkpointAfterHalf := func(cfg Config) []byte {
+				s := New(cfg)
+				defer s.Close()
+				registerDistQueries(t, s.Handler(), ld.queries)
+				playDist(t, s, batches[:half], 0, nil)
+				cp, err := s.Checkpoint()
+				if err != nil {
+					t.Fatalf("checkpoint: %v", err)
+				}
+				return cp
+			}
+			// continueFrom restores a checkpoint on a fresh server, plays the
+			// script suffix, and drains the streams the new epoch produced.
+			continueFrom := func(cfg Config, cp []byte) map[string][]byte {
+				s := New(cfg)
+				defer s.Close()
+				h := s.Handler()
+				if err := s.RestoreCheckpoint(cp); err != nil {
+					t.Fatalf("restore: %v", err)
+				}
+				playDist(t, s, batches, half, nil)
+				return collectStreams(t, s, h)
+			}
+
+			single := Config{Shards: 4, ResultBuffer: 1 << 12}
+			cpSingle := checkpointAfterHalf(single)
+
+			addrs, _ := startShardWorkers(t, 2)
+			distributed := Config{Shards: 4, ResultBuffer: 1 << 12, Workers: addrs, WorkerCheckpointEvery: 2}
+			cpDistributed := checkpointAfterHalf(distributed)
+
+			want := continueFrom(single, cpSingle)
+			assertSameStreams(t, continueFrom(distributed, cpSingle), want)
+			assertSameStreams(t, continueFrom(single, cpDistributed), want)
+			assertSameStreams(t, continueFrom(distributed, cpDistributed), want)
+		})
 	}
-	// continueFrom restores a checkpoint on a fresh server, plays the
-	// script suffix, and drains the streams the new epoch produced.
-	continueFrom := func(cfg Config, cp []byte) map[string][]byte {
-		s := New(cfg)
-		defer s.Close()
-		h := s.Handler()
-		if err := s.RestoreCheckpoint(cp); err != nil {
-			t.Fatalf("restore: %v", err)
-		}
-		playDist(t, s, batches, half, nil)
-		return collectStreams(t, s, h)
-	}
-
-	single := Config{Shards: 4, ResultBuffer: 1 << 12}
-	cpSingle := checkpointAfterHalf(single)
-
-	addrs, _ := startShardWorkers(t, 2)
-	distributed := Config{Shards: 4, ResultBuffer: 1 << 12, Workers: addrs, WorkerCheckpointEvery: 2}
-	cpDistributed := checkpointAfterHalf(distributed)
-
-	want := continueFrom(single, cpSingle)
-	assertSameStreams(t, continueFrom(distributed, cpSingle), want)
-	assertSameStreams(t, continueFrom(single, cpDistributed), want)
-	assertSameStreams(t, continueFrom(distributed, cpDistributed), want)
 }
 
 // postTopology POSTs one topology mutation and requires the given
@@ -319,7 +401,7 @@ func TestTopologyEndpointValidation(t *testing.T) {
 	postTopology(t, dh, fmt.Sprintf(`{"op":"drain","addr":%q}`, addrs[0]), http.StatusConflict)
 	postTopology(t, dh, `{"op":"drain","addr":"127.0.0.1:9"}`, http.StatusNotFound)
 
-	registerDistQueries(t, dh)
+	registerDistQueries(t, dh, distQueries)
 	playDist(t, d, distBatches(7, 2, 50), 0, nil)
 	if st := d.StatsNow(); st.Topology == nil || len(st.Topology.Workers) != 1 {
 		t.Fatalf("distributed stats topology: %+v", st.Topology)

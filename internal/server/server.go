@@ -716,11 +716,12 @@ func (s *Server) buildPipeline(freshFloor int64, carried *reorder.State, engineS
 	migrated := 0
 	if len(s.workers) > 0 {
 		// Distributed tier: the same plan inputs go to every worker so
-		// each shard rebuilds the identical plan, and the same state
-		// forms (canonical exports, gob engine snapshots) carry across —
-		// a checkpoint taken in-process restores onto workers and vice
-		// versa. The migrated-instance count stays inside the workers'
-		// imports and is not reported here.
+		// each shard rebuilds the identical plan, and the same two state
+		// forms carry across, one job each — canonical exports after a
+		// re-plan, engine snapshots when restoring a checkpoint (taken
+		// in-process or on workers alike); the router moves shards by
+		// snapshot thereafter. The migrated-instance count stays inside
+		// the workers' imports and is not reported here.
 		spec := router.Spec{
 			Queries:         qs,
 			Fn:              s.fn,

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"encoding/gob"
 	"errors"
 	"net/http"
 	"net/http/httptest"
@@ -26,7 +27,11 @@ import (
 // snapshots, a 3-shard parallel envelope of them, and a version-0
 // server checkpoint (two SUM queries, 4 shards, factors on, reorder
 // bound 4). Restoring them was dropped by decision (ROADMAP item 3);
-// they stay committed as negative fixtures.
+// they stay committed as negative fixtures. The sixth case is built in
+// place: an export as it was encoded before exports carried a header (a
+// bare gob stream — what a worker of the previous build would put in a
+// hello), which must fail the same typed way at both doors an export
+// comes through.
 func TestSnapshotVersionRejected(t *testing.T) {
 	set := window.MustSet(window.Tumbling(20), window.Tumbling(30), window.Tumbling(40))
 	original := func(t *testing.T, fn agg.Fn) *plan.Plan {
@@ -65,6 +70,36 @@ func TestSnapshotVersionRejected(t *testing.T) {
 			}
 		})
 	}
+	t.Run("headerless_export", func(t *testing.T) {
+		p := original(t, agg.Sum)
+		r, err := engine.New(p, &stream.CountingSink{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.Process([]stream.Event{{Time: 1, Key: 7, Value: 1.5}, {Time: 2, Key: 8, Value: 6}})
+		ex, err := r.ExportCanonical(3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var bare bytes.Buffer
+		if err := gob.NewEncoder(&bare).Encode(ex); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := engine.DecodeExport(bare.Bytes()); !errors.Is(err, engine.ErrSnapshotVersion) {
+			t.Fatalf("DecodeExport error = %v, want one wrapping engine.ErrSnapshotVersion", err)
+		}
+		if _, err := engine.Resume(p, &stream.CountingSink{}, bare.Bytes(), 0); !errors.Is(err, engine.ErrSnapshotVersion) {
+			t.Fatalf("Resume error = %v, want one wrapping engine.ErrSnapshotVersion", err)
+		}
+		// The same export under its header resumes.
+		blob, err := engine.EncodeExport(ex)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := engine.Resume(p, &stream.CountingSink{}, blob, 3); err != nil {
+			t.Fatalf("Resume of a headed export: %v", err)
+		}
+	})
 }
 
 // restoreMustNotMutate feeds data to a serving server — over POST

@@ -5,10 +5,11 @@
 // One accepted connection is one shard session. The router opens a
 // session with a hello control frame carrying the plan inputs (query
 // set, aggregate, cost-model η, factor toggle) and optionally carried
-// state — a canonical export when the shard migrated from elsewhere, or
-// an engine snapshot when restoring a checkpoint. The worker rebuilds
-// the joint plan deterministically from those inputs (the same
-// multiquery.Optimize call the server makes, so the plan — and
+// state — an opaque blob for engine.Resume: an engine snapshot when the
+// shard continues the same plan (checkpoint restore, failover,
+// rebalance), a canonical export when a re-plan handed it over. The
+// worker rebuilds the joint plan deterministically from those inputs (the
+// same multiquery.Optimize call the server makes, so the plan — and
 // therefore every emitted row — is a pure function of the inputs), then
 // streams:
 //
@@ -244,8 +245,8 @@ func (s *session) handle(c *wire.Ctrl) (quit bool) {
 		}
 		return !s.sendCtrl(&wire.Ctrl{Op: wire.CtrlSnapshot, State: blob})
 	case wire.CtrlRelease:
-		// The state has been exported elsewhere: drop the engine without
-		// flushing (a flush would emit rows the importing shard will
+		// The state has moved elsewhere: drop the engine without
+		// flushing (a flush would emit rows the shard's new host will
 		// also emit).
 		s.sendCtrl(&wire.Ctrl{Op: wire.CtrlBye})
 		return true
@@ -294,26 +295,12 @@ func (s *session) hello(c *wire.Ctrl) error {
 		return err
 	}
 	mp.Combined.Param = c.Param
-	s.sink = &stream.RunBuffer{}
-	if c.Snap {
-		eng, err := engine.Restore(mp.Combined, s.sink, c.State)
-		if err != nil {
-			return err
-		}
-		s.eng = eng
-		return nil
-	}
-	var ex *engine.Export
-	if len(c.State) > 0 {
-		if ex, err = engine.DecodeExport(c.State); err != nil {
-			return err
-		}
-	}
-	eng, _, err := engine.NewMigrated(mp.Combined, s.sink, ex, c.Floor)
+	sink := &stream.RunBuffer{}
+	eng, err := engine.Resume(mp.Combined, sink, c.State, c.Floor)
 	if err != nil {
 		return err
 	}
-	s.eng = eng
+	s.eng, s.sink = eng, sink
 	return nil
 }
 

@@ -25,8 +25,9 @@ import (
 const (
 	// CtrlHello opens a shard session: plan inputs (queries, fn, param,
 	// η, factors), the shard's identity, and optionally carried state —
-	// a canonical export (migration) or an engine snapshot (restore).
-	// The worker replies with an ack, or an error naming what failed.
+	// an opaque blob for engine.Resume (a snapshot continues the same
+	// plan, an export enters a new one). The worker replies with an ack,
+	// or an error naming what failed.
 	CtrlHello = "hello"
 	// CtrlAdvance broadcasts the release horizon (watermark). Pipelined:
 	// no reply.
@@ -37,13 +38,16 @@ const (
 	CtrlBarrier = "barrier"
 	// CtrlExport asks for the engine's canonical migration state at the
 	// given horizon; the reply is an export envelope whose State is the
-	// encoded engine.Export (engine.EncodeExport).
+	// encoded engine.Export (engine.EncodeExport). Sent for one job only:
+	// the re-plan handover, where the state must enter a different plan.
 	CtrlExport = "export"
-	// CtrlSnapshot asks for an engine snapshot blob (checkpoint codec).
+	// CtrlSnapshot asks for an engine snapshot blob (checkpoint codec) —
+	// what every same-plan move carries: server checkpoints, journal
+	// compaction (hence failover replay), rebalance and drain.
 	CtrlSnapshot = "snapshot"
 	// CtrlRelease ends the session discarding the engine without a
-	// flush — the state has migrated elsewhere and a flush would emit
-	// rows the new host will also emit. The worker replies bye.
+	// flush — the state has moved elsewhere and a flush would emit rows
+	// the new host will also emit. The worker replies bye.
 	CtrlRelease = "release"
 	// CtrlClose ends the session flushing the engine: open instances
 	// fire, their rows ship as result frames, then bye.
@@ -85,19 +89,16 @@ type Ctrl struct {
 	Factors bool        `json:"factors,omitempty"`
 	Queries []CtrlQuery `json:"queries,omitempty"`
 
-	// Horizon carries the watermark (advance) or the export cut (export).
+	// Horizon carries the watermark (advance) or the re-plan cut (export).
 	Horizon int64 `json:"horizon,omitempty"`
 	// Floor is a hello's exposed-result floor for windows the carried
 	// state does not cover (or all windows, when State is empty).
 	Floor int64 `json:"floor,omitempty"`
 
-	// State is a carried blob: an encoded engine.Export (hello, export
-	// replies) or an engine snapshot (hello with Snap, snapshot
-	// replies). Split across frames when it exceeds the chunk bound.
+	// State is a carried blob — an engine snapshot or an encoded
+	// engine.Export; the engine's header says which, no carrier does.
+	// Split across frames when it exceeds the chunk bound.
 	State []byte `json:"state,omitempty"`
-	// Snap marks a hello's State as an engine snapshot rather than a
-	// canonical export.
-	Snap bool `json:"snap,omitempty"`
 	// More marks a continuation: the next control frame on this stream
 	// extends State.
 	More bool `json:"more,omitempty"`

@@ -51,7 +51,6 @@ func TestCtrlRoundTripSingleFrame(t *testing.T) {
 		Horizon: 99,
 		Floor:   -5,
 		State:   []byte("small blob"),
-		Snap:    true,
 		Updates: 11,
 		Events:  22,
 	}
@@ -77,7 +76,7 @@ func TestCtrlRoundTripSingleFrame(t *testing.T) {
 	if got.Op != in.Op || got.Shard != in.Shard || got.Shards != in.Shards ||
 		got.Fn != in.Fn || got.Param != in.Param || got.Eta != in.Eta ||
 		got.Factors != in.Factors || got.Horizon != in.Horizon || got.Floor != in.Floor ||
-		got.Snap != in.Snap || got.Updates != in.Updates || got.Events != in.Events {
+		got.Updates != in.Updates || got.Events != in.Events {
 		t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", got, in)
 	}
 	if !bytes.Equal(got.State, in.State) {

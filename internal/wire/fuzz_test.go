@@ -174,7 +174,12 @@ func FuzzCtrlAssembler(f *testing.F) {
 	f.Add([]byte(`{"op":"barrier"}`), uint32(0))
 	f.Add([]byte(`{"op":"export","more":true,"state":"AAEC"}`+"\n"+`{"op":"export","state":"AwQ="}`), uint32(1))
 	f.Add([]byte(`{"op":"export","more":true}`+"\n"+`{"op":"snapshot"}`+"\n"+`{"op":`), uint32(ctrlStateChunk-1))
-	f.Add(AppendCtrl(nil, 3, &Ctrl{Op: CtrlHello, Shards: 2, State: []byte("blob"), Snap: true}), uint32(ctrlStateChunk))
+	f.Add(AppendCtrl(nil, 3, &Ctrl{Op: CtrlHello, Shards: 2, State: []byte("blob")}), uint32(ctrlStateChunk))
+	// A hello whose State is a snapshot-headed blob one chunk and a bit
+	// long: the shape every compaction, failover and rebalance hello has
+	// once a shard's state outgrows a frame.
+	f.Add(AppendCtrl(nil, 4, &Ctrl{Op: CtrlHello, Shards: 2, Floor: 9,
+		State: append([]byte("FWSNAP2\n"), make([]byte, ctrlStateChunk+17)...)}), uint32(3))
 	f.Add(AppendEventFrame(nil, []stream.Event{{Time: 1, Key: 2, Value: 3}}), uint32(ctrlStateChunk+1))
 	f.Add([]byte("\n\n"), uint32(2*ctrlStateChunk))
 	f.Add([]byte{0xff}, uint32(2*ctrlStateChunk+1))

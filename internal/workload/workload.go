@@ -159,6 +159,20 @@ func Synthetic(cfg StreamConfig) []stream.Event {
 	return events
 }
 
+// OrderSensitive is Synthetic with non-integer values (uniform in
+// [0, 1000)): float SUM/AVG/STDEV round differently when regrouped, and
+// at ≥ 4·k values per key per instance (r·EventsPerTick/Keys for range
+// r; KLL's k = 200) PERCENTILE sketches compact. The state-movement
+// suites share it: a move must not change one bit of the results.
+func OrderSensitive(cfg StreamConfig) []stream.Event {
+	events := Synthetic(cfg)
+	rng := rand.New(rand.NewSource(cfg.Seed))
+	for i := range events {
+		events[i].Value = rng.Float64() * 1000
+	}
+	return events
+}
+
 // DEBSLike generates a manufacturing-sensor stream standing in for the
 // DEBS 2012 Grand Challenge data used by the paper (Real-32M): one
 // "electrical power main-phase" style channel with slow level shifts and
