@@ -128,7 +128,8 @@ func CellFinal(f Fn, c *Cell) float64 {
 }
 
 // storeKind is the function-specialized kernel selector, resolved once
-// at store construction.
+// at store construction. The four scalar-column kinds come first:
+// MergeSpan's dense path is kind <= storeSumSq.
 type storeKind uint8
 
 const (
@@ -408,7 +409,8 @@ func (s *Store) Clear(base, cap int32) {
 
 // spanWordMask returns the bits of occupancy word w that fall inside
 // the row interval [lo, hi) — the edge-word masking shared by every
-// span bitmap walk (AppendLive's scan and Clear's bulk reset). The
+// span bitmap walk (AppendLive's scan, Clear's bulk reset and
+// mergeDense's bulk set). The
 // right-edge shift is safe because callers only visit words up to
 // (hi-1)>>6, which excludes the hi&63 == 0 case for the last word.
 func spanWordMask(lo, hi, w int32) uint64 {
@@ -864,8 +866,21 @@ func (s *Store) MergeBases(bases []int32, slot int32, src *Store, srcRow int32) 
 // hand-off a fired parent instance makes to a child operator sharing
 // the same key-slot numbering. One dispatch covers the span; holistic
 // stores carry raw values (the engine's MEDIAN fallback). Offsets must
-// address live src rows (AppendLive output); empty rows are skipped.
+// be strictly increasing and address live src rows (AppendLive output);
+// empty rows are skipped. src may be this store (the spans must not
+// overlap).
+//
+// A fully-live span — offs is the identity prefix 0…k−1, which for
+// strictly increasing offsets is exactly offs[k−1] == k−1 — of a MIN,
+// MAX, SUM or STDEV store merges as contiguous column sweeps
+// (mergeDense), with the same per-row compare, count add and empty-row
+// skip as the row loop below. Sparse spans, MEDIAN and the sketch kinds
+// take the row loop.
 func (s *Store) MergeSpan(dstBase int32, src *Store, srcBase int32, offs []int32) {
+	if k := len(offs); k > 0 && offs[k-1] == int32(k-1) && s.kind <= storeSumSq {
+		s.mergeDense(dstBase, src, srcBase, int32(k))
+		return
+	}
 	switch s.kind {
 	case storeMin:
 		for _, off := range offs {
@@ -939,6 +954,103 @@ func (s *Store) MergeSpan(dstBase int32, src *Store, srcBase int32, offs []int32
 			s.occ[d>>6] |= 1 << (uint(d) & 63)
 		}
 	}
+}
+
+// mergeDense is MergeSpan over the k rows of a fully-live span for the
+// scalar kinds: one loop per kind over column slices cut once, so there
+// is no offset indirection and no per-row bounds check, MIN and MAX
+// select without a branch (pick), and the destination's occupancy bits
+// are set a word at a time. Row i does exactly what the row loop does at
+// offset i, in the same order, so the results are bit-identical. Only
+// when an empty source row was skipped (an identity offset naming a
+// dead row) are occupancy bits set per merged row instead.
+func (s *Store) mergeDense(dstBase int32, src *Store, srcBase, k int32) {
+	// Every column is re-cut to len(sc): that, not the k they were cut
+	// with, is what lets the compiler drop the per-row bounds checks.
+	sc := src.cnt[srcBase : srcBase+k]
+	dc := s.cnt[dstBase : dstBase+k]
+	dc = dc[:len(sc)]
+	skipped := false
+	switch s.kind {
+	case storeMin:
+		sv, dv := src.min[srcBase:srcBase+k], s.min[dstBase:dstBase+k]
+		sv, dv = sv[:len(sc)], dv[:len(sc)]
+		for i, c := range sc {
+			if c == 0 {
+				skipped = true
+				continue
+			}
+			dv[i] = pick(sv[i] < dv[i], dc[i] == 0, sv[i], dv[i])
+			dc[i] += c
+		}
+	case storeMax:
+		sv, dv := src.max[srcBase:srcBase+k], s.max[dstBase:dstBase+k]
+		sv, dv = sv[:len(sc)], dv[:len(sc)]
+		for i, c := range sc {
+			if c == 0 {
+				skipped = true
+				continue
+			}
+			dv[i] = pick(sv[i] > dv[i], dc[i] == 0, sv[i], dv[i])
+			dc[i] += c
+		}
+	case storeSum:
+		sv, dv := src.sum[srcBase:srcBase+k], s.sum[dstBase:dstBase+k]
+		sv, dv = sv[:len(sc)], dv[:len(sc)]
+		for i, c := range sc {
+			if c == 0 {
+				skipped = true
+				continue
+			}
+			dv[i] += sv[i]
+			dc[i] += c
+		}
+	case storeSumSq:
+		sv, dv := src.sum[srcBase:srcBase+k], s.sum[dstBase:dstBase+k]
+		sq, dq := src.sumsq[srcBase:srcBase+k], s.sumsq[dstBase:dstBase+k]
+		sv, dv, sq, dq = sv[:len(sc)], dv[:len(sc)], sq[:len(sc)], dq[:len(sc)]
+		for i, c := range sc {
+			if c == 0 {
+				skipped = true
+				continue
+			}
+			dv[i] += sv[i]
+			dq[i] += sq[i]
+			dc[i] += c
+		}
+	}
+	if skipped {
+		for i, c := range sc {
+			if c != 0 {
+				d := dstBase + int32(i)
+				s.occ[d>>6] |= 1 << (uint(d) & 63)
+			}
+		}
+		return
+	}
+	lo, hi := dstBase, dstBase+k
+	for w := lo >> 6; w <= (hi-1)>>6; w++ {
+		s.occ[w] |= spanWordMask(lo, hi, w)
+	}
+}
+
+// pick is the dense loops' branch-free form of the row loop's "if the
+// destination is empty or the source is better, take the source": it
+// returns v when either flag is set and d otherwise. Whether a MIN or
+// MAX improves is data-dependent, so a branch on it mispredicts about as
+// often as it is taken. The bits are selected, never computed, so NaN
+// payloads and signed zeros come through unchanged.
+func pick(better, dstEmpty bool, v, d float64) float64 {
+	m := -(b2u(better) | b2u(dstEmpty))
+	vb, db := math.Float64bits(v), math.Float64bits(d)
+	return math.Float64frombits(db ^ (db^vb)&m)
+}
+
+func b2u(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // MergeRawAt folds src's row srcRow into row dst for any function,

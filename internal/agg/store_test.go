@@ -1,8 +1,10 @@
 package agg
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"factorwindows/internal/sketch"
@@ -313,6 +315,158 @@ func TestFinalizeSpanMatchesScalar(t *testing.T) {
 		buf = s.FinalizeSpan(base, live, buf)
 		if buf[0] != 42 || len(buf) != 1+len(live) {
 			t.Fatalf("%v: FinalizeSpan did not append to the caller's buffer", fn)
+		}
+	}
+}
+
+// mergeSpecials are the bit patterns a merge must carry exactly: NaNs
+// with two payloads and both signs, signed zeros, infinities, subnormals
+// and the extremes.
+var mergeSpecials = []float64{
+	math.NaN(), math.Float64frombits(0x7ff0000000000001), math.Float64frombits(0xfff8000000000000),
+	0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1),
+	math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, 1e308, -1e308,
+}
+
+// cloneStore deep-copies the scalar columns and the occupancy bitmap —
+// enough to run one merge on two identical stores.
+func cloneStore(s *Store) *Store {
+	c := *s
+	c.cnt, c.occ = slices.Clone(s.cnt), slices.Clone(s.occ)
+	c.min, c.max = slices.Clone(s.min), slices.Clone(s.max)
+	c.sum, c.sumsq = slices.Clone(s.sum), slices.Clone(s.sumsq)
+	return &c
+}
+
+// diffStores names the first row or occupancy word where a and b differ,
+// comparing float columns bit for bit; "" means identical. One pattern
+// is exempt: two NaNs in a column an addition wrote (sum, sumsq). NaN +
+// NaN yields one operand's payload, and which one depends on the
+// operand order the compiler picks for the commutative add — it differs
+// between a -race build and a plain one — so it is not a property of
+// the kernel. MIN and MAX copy values and are compared bit for bit.
+func diffStores(a, b *Store) string {
+	if a.rows != b.rows {
+		return fmt.Sprintf("rows %d vs %d", a.rows, b.rows)
+	}
+	for w := range a.occ {
+		if a.occ[w] != b.occ[w] {
+			return fmt.Sprintf("occupancy word %d: %#x vs %#x", w, a.occ[w], b.occ[w])
+		}
+	}
+	cols := []struct {
+		name   string
+		a, b   []float64
+		summed bool
+	}{{"min", a.min, b.min, false}, {"max", a.max, b.max, false}, {"sum", a.sum, b.sum, true}, {"sumsq", a.sumsq, b.sumsq, true}}
+	for row := int32(0); row < a.rows; row++ {
+		if a.cnt[row] != b.cnt[row] {
+			return fmt.Sprintf("row %d: cnt %d vs %d", row, a.cnt[row], b.cnt[row])
+		}
+		for _, col := range cols {
+			if len(col.a) == 0 {
+				continue
+			}
+			x, y := col.a[row], col.b[row]
+			if math.Float64bits(x) != math.Float64bits(y) && !(col.summed && math.IsNaN(x) && math.IsNaN(y)) {
+				return fmt.Sprintf("row %d %s: %#x vs %#x", row, col.name, math.Float64bits(x), math.Float64bits(y))
+			}
+		}
+	}
+	return ""
+}
+
+// TestMergeSpanDenseMatchesRows checks MergeSpan's dense path against a
+// per-row MergeAt reference, bit for bit, for the four kinds it serves
+// (SUM's columns also back COUNT and AVG, SUMSQ's back STDEV). Spans
+// start off 64-row boundaries and cross occupancy words, neighbouring
+// spans hold live rows, cells carry counts above one and the float
+// patterns a merge can mangle (NaN payloads, ±0, ±Inf, subnormals,
+// ±1e308), and half the trials merge within one store (src == s, the
+// way fireFrozen and the migration export call it). Some identity spans
+// name empty source rows: the contract lets MergeSpan skip them, and the
+// dense path must skip them exactly as the row loop does, leaving their
+// destination values, counts and occupancy bits alone. Sparse offsets
+// (a shifted identity, a random subset) run beside them and must take
+// the row loop to the same answer.
+func TestMergeSpanDenseMatchesRows(t *testing.T) {
+	r := rand.New(rand.NewSource(33))
+	val := func() float64 {
+		if r.Intn(3) == 0 {
+			return mergeSpecials[r.Intn(len(mergeSpecials))]
+		}
+		return (r.Float64() - 0.5) * math.Pow(10, float64(r.Intn(40)-20))
+	}
+	fill := func(s *Store, base, n int32, pLive float64) {
+		for row := base; row < base+n; row++ {
+			if r.Float64() < pLive {
+				s.SetCellAt(row, Cell{Cnt: 1 + int64(r.Intn(5)), Min: val(), Max: val(), Sum: val(), SumSq: val()})
+			}
+		}
+	}
+	// span pads s with a few live spans of random size, so the span it
+	// then returns starts at an arbitrary row, not on a word boundary.
+	span := func(s *Store, n int32) (int32, int32) {
+		for i := r.Intn(4); i > 0; i-- {
+			b, c := s.Alloc(1 + int32(r.Intn(90)))
+			fill(s, b, c, 0.5)
+		}
+		return s.Alloc(n)
+	}
+	for _, fn := range []Fn{Min, Max, Sum, StdDev} {
+		for trial := 0; trial < 400; trial++ {
+			k := 1 + int32(r.Intn(200))
+			dst := NewStore(fn)
+			src := dst
+			if trial%2 == 1 {
+				src = NewStore(fn)
+			}
+			dstBase, dstCap := span(dst, k)
+			srcBase, srcCap := span(src, k)
+			fill(dst, dstBase, dstCap, 0.5)
+			pSrc := 1.0
+			if trial%4 < 2 {
+				pSrc = 0.8 // empty source rows inside the span
+			}
+			fill(src, srcBase, k, pSrc)
+			fill(src, srcBase+k, srcCap-k, 0.5)
+
+			var offs []int32
+			switch trial % 8 {
+			case 6: // shifted identity 1…k−1: the last offset is not k−1
+				for off := int32(1); off < k; off++ {
+					offs = append(offs, off)
+				}
+			case 7: // a random strictly increasing subset
+				for off := int32(0); off < k; off++ {
+					if r.Intn(2) == 0 {
+						offs = append(offs, off)
+					}
+				}
+			default: // identity prefix: the dense path
+				for off := int32(0); off < k; off++ {
+					offs = append(offs, off)
+				}
+			}
+
+			ref := cloneStore(dst)
+			refSrc := ref
+			if src != dst {
+				refSrc = cloneStore(src)
+			}
+			dst.MergeSpan(dstBase, src, srcBase, offs)
+			for _, off := range offs {
+				ref.MergeAt(dstBase+off, refSrc, srcBase+off)
+			}
+			if d := diffStores(dst, ref); d != "" {
+				t.Fatalf("%v trial %d (k=%d, dst base %d, src base %d, same store %t, %d offsets): %s",
+					fn, trial, k, dstBase, srcBase, src == dst, len(offs), d)
+			}
+			if src != dst {
+				if d := diffStores(src, refSrc); d != "" {
+					t.Fatalf("%v trial %d: the source store changed: %s", fn, trial, d)
+				}
+			}
 		}
 	}
 }

@@ -193,6 +193,7 @@ type Runner struct {
 
 	events   int64
 	barriers int64
+	partLen  []int // Process's per-shard event counts, reused across batches
 
 	failure error
 
@@ -606,6 +607,22 @@ func (r *Runner) Process(events []stream.Event) {
 	if n == 1 {
 		parts[0] = append([]stream.Event(nil), events...)
 	} else {
+		// Count first, then give every part one allocation of its exact
+		// size. The journal holds a part until compaction, so parts stay
+		// fresh allocations per batch (pooled ones inflate the live heap),
+		// but none of them grows append by append.
+		if len(r.partLen) != n {
+			r.partLen = make([]int, n)
+		}
+		clear(r.partLen)
+		for i := range events {
+			r.partLen[parallel.ShardOf(events[i].Key, n)]++
+		}
+		for s, c := range r.partLen {
+			if c > 0 {
+				parts[s] = make([]stream.Event, 0, c)
+			}
+		}
 		for i := range events {
 			s := parallel.ShardOf(events[i].Key, n)
 			parts[s] = append(parts[s], events[i])

@@ -24,6 +24,11 @@ func FuzzDecodeFrame(f *testing.F) {
 		{Time: 1, Key: 7, Value: 21.5},
 		{Time: 2, Key: 7, Value: math.Inf(-1)},
 	}))
+	f.Add(AppendEventFrame(nil, []stream.Event{
+		{Time: math.MinInt64, Key: math.MaxUint64, Value: math.Float64frombits(0x7ff0000000000001)}, // signalling NaN
+		{Time: math.MaxInt64, Key: 0, Value: math.Float64frombits(0xfff8000000000bad)},
+		{Time: 0, Key: 1, Value: math.Copysign(0, -1)},
+	}))
 	enc := BeginResultFrame(nil, 9, 420, 2)
 	enc.SetRow(0, 20, 20, 0, 20, 3, 1.5)
 	enc.SetRow(1, 20, 20, 20, 40, 3, math.NaN())
@@ -134,17 +139,30 @@ func TestDecodeRejectsRowsOverflow(t *testing.T) {
 
 // exercise touches every accessor of a successfully decoded frame, so
 // the fuzzer catches any row-count/payload-length mismatch as an
-// out-of-range panic.
+// out-of-range panic. For event frames it is also the oracle for the
+// one-sweep decode: AppendEvents row i must be Event(i) bit for bit
+// (NaN payloads included), appended after a caller's prefix that it
+// leaves untouched.
 func exercise(t *testing.T, f Frame) {
 	t.Helper()
 	n := f.Rows()
 	switch f.Kind {
 	case KindEvents:
-		for i := 0; i < n; i++ {
-			_ = f.Event(i)
-		}
-		if got := f.AppendEvents(nil); len(got) != n {
-			t.Fatalf("AppendEvents returned %d events, Rows says %d", len(got), n)
+		prefix := stream.Event{Time: -1, Key: 0xfeed, Value: math.Float64frombits(0x7ff8dead)}
+		grown := f.AppendEvents([]stream.Event{prefix})
+		inPlace := f.AppendEvents(append(make([]stream.Event, 0, 1+n), prefix))
+		for _, got := range [][]stream.Event{grown, inPlace} {
+			if len(got) != 1+n {
+				t.Fatalf("AppendEvents returned %d events after a 1-event prefix, Rows says %d", len(got), n)
+			}
+			if !sameEvent(got[0], prefix) {
+				t.Fatalf("AppendEvents overwrote the prefix: %+v", got[0])
+			}
+			for i := 0; i < n; i++ {
+				if e := f.Event(i); !sameEvent(got[1+i], e) {
+					t.Fatalf("row %d: AppendEvents %+v, Event %+v", i, got[1+i], e)
+				}
+			}
 		}
 	case KindResults:
 		for i := 0; i < n; i++ {
@@ -155,6 +173,11 @@ func exercise(t *testing.T, f Frame) {
 	default:
 		t.Fatalf("decoded frame has unknown kind %d", f.Kind)
 	}
+}
+
+// sameEvent compares events field by field, the value by its bits.
+func sameEvent(a, b stream.Event) bool {
+	return a.Time == b.Time && a.Key == b.Key && math.Float64bits(a.Value) == math.Float64bits(b.Value)
 }
 
 // FuzzCtrlAssembler pins the control-envelope reassembly a router and a

@@ -203,6 +203,24 @@ func TestAppendEventsReuse(t *testing.T) {
 	}
 }
 
+// BenchmarkAppendEvents decodes one 4,096-row events frame into a warm
+// staging slice — the per-batch decode every binary ingest, WAL replay
+// and shard worker pays before any engine runs.
+func BenchmarkAppendEvents(b *testing.B) {
+	const rows = 4096
+	f, _, err := Decode(AppendEventFrame(nil, sampleEvents(rows)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	batch := make([]stream.Event, 0, rows)
+	b.SetBytes(rows * eventCols * colWidth)
+	b.ReportAllocs()
+	for b.Loop() {
+		batch = f.AppendEvents(batch[:0])
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows), "ns/event")
+}
+
 // TestSetRunMatchesSetRow: one frame's rows cut into runs at random and
 // written with SetRun must be the bytes per-row SetRow writes — the
 // stream readers encode runs, and every other producer of result frames
