@@ -42,16 +42,22 @@ func Flink(p *Plan, opts FlinkOptions) (string, error) {
 // The paper's experiments are single-core; this is the production
 // scale-out: the stream partitions by key hash, every shard runs the
 // identical rewritten plan, and the union of shard outputs equals the
-// single-core output exactly.
+// single-core output exactly. It is the same runner the server and the
+// distributed tier drive, over goroutine shards here.
 type ParallelRunner = parallel.Runner
 
 // NewParallelRunner compiles the plan onto n key shards (n ≤ 0 selects
-// GOMAXPROCS).
+// GOMAXPROCS). Delivery is unordered: shards flush results to the sink
+// as their buffers fill, interleaved across shards (each key's rows stay
+// in order), which keeps the shards off a shared barrier. Call
+// SetOrderedDrain(true) before the first Process for the server's
+// reproducible shard-ordered sequence, visible at each Barrier.
 func NewParallelRunner(p *Plan, sink Sink, n int) (*ParallelRunner, error) {
 	return parallel.New(p, sink, n)
 }
 
-// RunParallel executes the plan over all events on n key shards.
+// RunParallel executes the plan over all events on n key shards, with
+// NewParallelRunner's unordered delivery.
 func RunParallel(p *Plan, events []Event, sink Sink, n int) error {
 	_, err := parallel.Run(p, events, sink, n)
 	return err

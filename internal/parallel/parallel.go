@@ -8,6 +8,27 @@
 // single-core output exactly. Sharding composes with every optimization
 // in the library — each shard executes the same min-cost, factor-window
 // plan.
+//
+// # One runner, two shard kinds
+//
+// Runner is the repository's one shard-execution tier. It owns what
+// every sharded execution shares: the key partition (ShardOf) into a
+// recycled scatter, the watermark broadcast, the barrier (started on
+// every shard, then awaited in shard index order), the drain of each
+// shard's buffered runs into the sink in shard index order with the
+// egress peak, the snapshot envelope, the canonical export and Close.
+// It drives its shards through the Shard interface and never asks which
+// kind it drives:
+//
+//   - New, Restore and Migrate build goroutine shards: one engine per
+//     shard on its own goroutine, fed through an SPSC ring, a panic
+//     poisoning only that shard. SetOrderedDrain picks their delivery:
+//     results held for the barrier drain, or flushed by the shards as
+//     they fill.
+//   - internal/router builds remote shards: one frame session per shard
+//     on a worker process, with placement, the replay journal and
+//     failover behind the same interface, handed to Drive. They always
+//     hold results for the barrier drain.
 package parallel
 
 import (
@@ -23,23 +44,70 @@ import (
 	"factorwindows/internal/stream"
 )
 
-// lockedSink serializes concurrent delivery from the shards onto the
-// user's sink: one lock acquisition per drained buffer or passed-through
-// run. Run-capable sinks receive runs as they are; others get them
-// materialised as rows by stream.EmitRun's fallback.
+// Shard is one key partition a Runner drives: an engine behind some
+// transport. The Runner calls every method from its driving goroutine.
+type Shard interface {
+	// Send hands the shard its part of a batch, in time order. The
+	// events are borrowed: the shard calls part.Done once it no longer
+	// reads them.
+	Send(part Part)
+	// Watermark delivers a watermark: no later event has Time < t.
+	Watermark(t int64)
+	// StartBarrier asks the shard to finish everything sent before it;
+	// AwaitBarrier waits for that and returns the results the shard has
+	// buffered since the last drain, which the Runner drains and resets.
+	StartBarrier()
+	AwaitBarrier() *stream.RunBuffer
+	// EngineSnapshot and Export read the shard engine's state; the
+	// Runner barriers first, so the shard is quiescent.
+	EngineSnapshot() ([]byte, error)
+	Export(horizon int64) (*engine.Export, error)
+	// Updates is the engine's state-update counter as of the last
+	// barrier (or close).
+	Updates() int64
+	// StartClose asks the shard to flush its engine (open instances
+	// fire) and end; AwaitClose waits for that and returns the final
+	// results.
+	StartClose()
+	AwaitClose() *stream.RunBuffer
+	// Err reports the shard's first unrecoverable failure.
+	Err() error
+}
+
+// Part is one shard's share of a Process batch, borrowed from the
+// Runner's recycled scatter.
+type Part struct {
+	Events []stream.Event
+	sc     *scatter
+}
+
+// Done hands the part back; its events must not be read afterwards.
+func (p Part) Done() {
+	if p.sc != nil {
+		p.sc.release()
+	}
+}
+
+// lockedSink serializes delivery onto the user's sink: the Runner's
+// drain and, for goroutine shards flushing on their own, the shards. One
+// lock acquisition per drained buffer or passed-through run. Run-capable
+// sinks receive runs as they are; others get them materialised as rows
+// by stream.EmitRun's fallback.
 type lockedSink struct {
 	mu   sync.Mutex
 	sink stream.Sink
+	// ordered is the goroutine shards' delivery policy (SetOrderedDrain).
+	ordered bool
 }
 
-// drain delivers and resets one shard's buffered runs under the lock.
+// drain delivers and resets one buffer of runs under the lock.
 func (s *lockedSink) drain(buf *stream.RunBuffer) {
 	if buf.Rows() == 0 {
 		return
 	}
 	s.mu.Lock()
-	// Unlock via defer: a panicking user sink poisons its shard, and the
-	// mutex must not stay held or every other shard wedges behind it.
+	// Unlock via defer: a panicking user sink poisons the runner, and the
+	// mutex must not stay held or every shard wedges behind it.
 	defer s.mu.Unlock()
 	buf.Drain(s.sink)
 }
@@ -50,16 +118,15 @@ func (s *lockedSink) emitRun(r stream.Run) {
 	stream.EmitRun(s.sink, r)
 }
 
-// shardSink buffers one shard's emissions as runs and flushes them to
-// the shared sink in batches, so high-cardinality outputs do not
-// serialize the shards on a per-run lock. In ordered mode
-// (SetOrderedDrain) the shard stops flushing on its own below the spill
-// high-water mark; the driving goroutine drains the buffers in shard
-// index order at each Barrier.
+// shardSink buffers one goroutine shard's emissions as runs. Unordered,
+// it flushes them to the shared sink in batches, so high-cardinality
+// outputs do not serialize the shards on a per-run lock. Ordered
+// (SetOrderedDrain), it stops flushing on its own below the spill
+// high-water mark and the Runner drains the buffers in shard index order
+// at each Barrier.
 type shardSink struct {
-	out     *lockedSink
-	buf     stream.RunBuffer
-	ordered bool
+	out *lockedSink
+	buf stream.RunBuffer
 }
 
 const shardSinkBatch = 1024
@@ -86,7 +153,7 @@ func (s *shardSink) Emit(r stream.Result) {
 // passthrough would interleave with other shards at whatever moment
 // this shard's engine fired.
 func (s *shardSink) EmitRun(r stream.Run) {
-	if !s.ordered && r.Len() >= shardSinkBatch/2 {
+	if !s.out.ordered && r.Len() >= shardSinkBatch/2 {
 		s.flush()
 		s.out.emitRun(r)
 		return
@@ -98,7 +165,7 @@ func (s *shardSink) EmitRun(r stream.Run) {
 }
 
 func (s *shardSink) flushAt() int {
-	if s.ordered {
+	if s.out.ordered {
 		return orderedSpill
 	}
 	return shardSinkBatch
@@ -109,9 +176,9 @@ func (s *shardSink) flush() { s.out.drain(&s.buf) }
 // scatter is one recycled staging area for Process's key partitioning:
 // n per-shard event slices that keep their capacity across uses. The
 // shards hand a scatter back to the Runner's free list once every shard
-// holding a part has consumed it (pending counts the outstanding
-// parts), double-buffering the steady state: one scatter fills while
-// the previous drains.
+// holding a part has called Done (pending counts the outstanding parts),
+// double-buffering the steady state: one scatter fills while the
+// previous drains.
 type scatter struct {
 	owner   *Runner
 	parts   [][]stream.Event
@@ -138,35 +205,14 @@ func (sc *scatter) release() {
 // the few in flight that the shard rings let the driver run ahead by.
 const scatterDepth = 4
 
-// shardMsg is one unit of work for a shard loop: an event batch, a
-// watermark advance (advanceSet), or a barrier request (ack non-nil)
-// asking the shard to flush its sink and acknowledge that everything
-// sent before it has been processed.
+// shardMsg is one unit of work for a goroutine shard: an event part, a
+// watermark advance (advanceSet), or a barrier asking the shard to
+// acknowledge that everything sent before it has been processed.
 type shardMsg struct {
-	events     []stream.Event
-	sc         *scatter // owner of events, released after processing
+	part       Part
 	advance    int64
 	advanceSet bool
-	ack        *barrierAck
-}
-
-// barrierAck is the Runner's reusable barrier acknowledgement: one
-// countdown shared by all shards and one buffered completion channel,
-// re-armed per Barrier call instead of allocating len(shards) fresh
-// channels every time (servers barrier once per ingest poll). Barriers
-// serialize on the driving goroutine, which always drains done before
-// re-arming, so the last shard's send never blocks.
-type barrierAck struct {
-	pending atomic.Int32
-	done    chan struct{}
-}
-
-// complete records one shard's acknowledgement; the last shard signals
-// the waiting driver.
-func (a *barrierAck) complete() {
-	if a.pending.Add(-1) == 0 {
-		a.done <- struct{}{}
-	}
+	barrier    bool
 }
 
 // ringSize is the per-shard SPSC ring capacity (messages). It bounds
@@ -277,69 +323,203 @@ func (q *spscRing) close() {
 	}
 }
 
-// shard is one engine instance fed by its own persistent worker
-// goroutine, parked on its SPSC ring while idle.
+// shard is the goroutine Shard: one engine instance fed by its own
+// persistent worker goroutine, parked on its SPSC ring while idle.
 type shard struct {
-	owner  *Runner
-	runner *engine.Runner
-	sink   *shardSink
-	in     *spscRing
-	done   chan struct{}
+	runner  *engine.Runner
+	sink    *shardSink
+	in      *spscRing
+	acked   chan struct{} // one token per barrier, for the driving goroutine
+	done    chan struct{}
+	failure atomic.Pointer[error]
+}
+
+// loop drives one shard. The engine enforces its input contract with
+// panics; a restored-from-hostile-bytes or otherwise corrupt state must
+// not take the whole process down, so a panicking shard is poisoned
+// instead: the failure is recorded and the shard keeps draining its ring
+// (acking barriers, handing parts back) so the Runner never blocks.
+func (sh *shard) loop() {
+	defer close(sh.done)
+	if sh.consume() {
+		sh.finish()
+		return
+	}
+	for {
+		msg, ok := sh.in.pop()
+		if !ok {
+			return
+		}
+		sh.settle(msg)
+	}
+}
+
+// settle completes what the Runner waits on for msg: its barrier token
+// and its part.
+func (sh *shard) settle(msg shardMsg) {
+	if msg.barrier {
+		sh.acked <- struct{}{}
+	}
+	msg.part.Done()
+}
+
+// consume processes messages until the input ring closes (true) or a
+// panic poisons the shard (false). The message being processed when a
+// panic hits is settled by the recovery path, after the failure is
+// recorded, so the Runner is never left waiting on a token or a part
+// the drain loop will not see again, and sees the failure once it has
+// them.
+func (sh *shard) consume() (ok bool) {
+	var cur shardMsg
+	defer func() {
+		if p := recover(); p != nil {
+			sh.fail(fmt.Errorf("parallel: shard failed: %v", p))
+			sh.settle(cur)
+		}
+	}()
+	for {
+		msg, ok := sh.in.pop()
+		if !ok {
+			return true
+		}
+		cur = msg
+		switch {
+		case msg.barrier:
+			if !sh.sink.out.ordered {
+				sh.sink.flush()
+			}
+		case msg.advanceSet:
+			sh.runner.Advance(msg.advance)
+		default:
+			sh.runner.Process(msg.part.Events)
+		}
+		cur = shardMsg{}
+		sh.settle(msg)
+	}
+}
+
+// finish flushes the shard engine once its ring has closed.
+func (sh *shard) finish() {
+	defer func() {
+		if p := recover(); p != nil {
+			sh.fail(fmt.Errorf("parallel: shard failed in flush: %v", p))
+		}
+	}()
+	sh.runner.Close()
+	if !sh.sink.out.ordered {
+		sh.sink.flush()
+	}
+}
+
+// fail records the shard's first failure; only its own goroutine calls it.
+func (sh *shard) fail(err error) {
+	if sh.failure.Load() == nil {
+		sh.failure.Store(&err)
+	}
+}
+
+func (sh *shard) Send(part Part) { sh.in.push(shardMsg{part: part}) }
+
+func (sh *shard) Watermark(t int64) { sh.in.push(shardMsg{advance: t, advanceSet: true}) }
+
+func (sh *shard) StartBarrier() { sh.in.push(shardMsg{barrier: true}) }
+
+// AwaitBarrier returns the shard's buffer: empty unless ordered, since
+// an unordered shard flushes before it acks.
+func (sh *shard) AwaitBarrier() *stream.RunBuffer {
+	<-sh.acked
+	return &sh.sink.buf
+}
+
+func (sh *shard) EngineSnapshot() ([]byte, error) { return sh.runner.Snapshot() }
+
+func (sh *shard) Export(horizon int64) (*engine.Export, error) {
+	return sh.runner.ExportCanonical(horizon)
+}
+
+func (sh *shard) Updates() int64 { return sh.runner.TotalUpdates() }
+
+func (sh *shard) StartClose() { sh.in.close() }
+
+func (sh *shard) AwaitClose() *stream.RunBuffer {
+	<-sh.done
+	return &sh.sink.buf
+}
+
+func (sh *shard) Err() error {
+	if p := sh.failure.Load(); p != nil {
+		return *p
+	}
+	return nil
 }
 
 // Runner fans events out to key-sharded engines. Feed it with Process
 // (events in non-decreasing time order, as for the engine) and finish
-// with Close; Process, Advance, Barrier, Snapshot and Close must all be
-// called from the single goroutine driving the Runner (the shard rings
-// are single-producer). Results arrive on the sink concurrently; their
-// order is deterministic per key but interleaved across shards — unless
-// SetOrderedDrain is on, in which case Barrier and Close deliver the
-// shard buffers in shard index order.
+// with Close; every method except EgressPeak must be called from the
+// single goroutine driving the Runner. Each Barrier and the final Close
+// deliver the shards' buffered results in shard index order. Goroutine
+// shards may also deliver on their own, concurrently and interleaved
+// across shards, unless SetOrderedDrain is on.
 type Runner struct {
-	shards  []*shard
-	closed  bool
-	ordered bool
-	events  int64
+	shards []Shard
+	bufs   []*stream.RunBuffer // the buffers the last barrier or close returned
+	out    *lockedSink
+	closed bool
+	events int64
 
 	// freeScatter recycles Process's staging buffers (see scatter).
 	freeScatter chan *scatter
 
-	// ack is the reusable barrier acknowledgement (see barrierAck).
-	ack barrierAck
-
 	// egressPeak is the high-water mark of any single shard's buffered
-	// result rows, sampled at ordered-drain points (atomic: read by
-	// /stats without the driving goroutine's cooperation). Bounded by
-	// orderedSpill, which is the egress-scratch budget /stats reports
-	// against.
+	// result rows, sampled at drain points (atomic: read by /stats
+	// without the driving goroutine's cooperation).
 	egressPeak atomic.Int64
 
-	mu      sync.Mutex
+	// failure is the first sink panic the drain recovered.
 	failure error
 }
 
-// New compiles the plan onto n key shards (n ≤ 0 selects GOMAXPROCS).
-// Every shard runs an identical copy of the plan; sink must be safe for
-// the wrapper's serialized access only (the Runner locks around it).
-func New(p *plan.Plan, sink stream.Sink, n int) (*Runner, error) {
-	return build(p, sink, n, nil)
+// Drive returns a Runner over shards, which ShardOf indexes: shard i
+// receives the keys ShardOf maps to i of len(shards). events seeds the
+// ingest counter (a restored checkpoint's). sink receives every drained
+// result, from the driving goroutine.
+func Drive(shards []Shard, sink stream.Sink, events int64) *Runner {
+	return newRunner(shards, &lockedSink{sink: sink}, events)
 }
 
-// build compiles or restores the shard engines and starts their loops.
-// When snaps is non-nil it must hold one engine snapshot per shard.
-func build(p *plan.Plan, sink stream.Sink, n int, snaps [][]byte) (*Runner, error) {
+func newRunner(shards []Shard, out *lockedSink, events int64) *Runner {
+	return &Runner{
+		shards:      shards,
+		bufs:        make([]*stream.RunBuffer, len(shards)),
+		out:         out,
+		events:      events,
+		freeScatter: make(chan *scatter, scatterDepth),
+	}
+}
+
+// New compiles the plan onto n goroutine shards (n ≤ 0 selects
+// GOMAXPROCS). Every shard runs an identical copy of the plan; sink must
+// be safe for the wrapper's serialized access only (the Runner locks
+// around it).
+func New(p *plan.Plan, sink stream.Sink, n int) (*Runner, error) {
+	r, _, err := build(p, sink, n, nil)
+	return r, err
+}
+
+// build compiles or restores the goroutine shard engines and starts
+// their loops. When snaps is non-nil it must hold one engine snapshot
+// per shard.
+func build(p *plan.Plan, sink stream.Sink, n int, snaps [][]byte) (*Runner, []*shard, error) {
 	if sink == nil {
-		return nil, fmt.Errorf("parallel: nil sink")
+		return nil, nil, fmt.Errorf("parallel: nil sink")
 	}
 	if n <= 0 {
 		n = runtime.GOMAXPROCS(0)
 	}
 	ls := &lockedSink{sink: sink}
-	r := &Runner{
-		freeScatter: make(chan *scatter, scatterDepth),
-		ack:         barrierAck{done: make(chan struct{}, 1)},
-	}
-	for i := 0; i < n; i++ {
+	local := make([]*shard, n)
+	shards := make([]Shard, n)
+	for i := range local {
 		ss := &shardSink{out: ls}
 		var er *engine.Runner
 		var err error
@@ -349,169 +529,94 @@ func build(p *plan.Plan, sink stream.Sink, n int, snaps [][]byte) (*Runner, erro
 			er, err = engine.Restore(p, ss, snaps[i])
 		}
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		sh := &shard{
-			owner:  r,
+		local[i] = &shard{
 			runner: er,
 			sink:   ss,
 			in:     newSPSCRing(),
+			acked:  make(chan struct{}, 1),
 			done:   make(chan struct{}),
 		}
-		r.shards = append(r.shards, sh)
+		shards[i] = local[i]
 	}
-	for _, sh := range r.shards {
+	for _, sh := range local {
 		go sh.loop()
 	}
-	return r, nil
+	return newRunner(shards, ls, 0), local, nil
 }
 
-// loop drives one shard. The engine enforces its input contract with
-// panics; a restored-from-hostile-bytes or otherwise corrupt state must
-// not take the whole process down, so a panicking shard is poisoned
-// instead: the failure is recorded on the Runner and the shard keeps
-// draining its ring (acking barriers) so the driver never blocks.
-func (sh *shard) loop() {
-	defer close(sh.done)
-	if err := sh.consume(); err != nil {
-		sh.owner.fail(err)
-		for {
-			msg, ok := sh.in.pop()
-			if !ok {
-				return
-			}
-			if msg.ack != nil {
-				msg.ack.complete()
-			}
-			if msg.sc != nil {
-				msg.sc.release()
-			}
-		}
-	}
-	if err := sh.finish(); err != nil {
-		sh.owner.fail(err)
+// fail records the Runner's first failure of its own (a sink panic).
+func (r *Runner) fail(err error) {
+	if r.failure == nil {
+		r.failure = err
 	}
 }
 
-// consume processes messages until the input ring closes or a panic
-// poisons the shard. The message being processed when a panic hits is
-// settled by the recovery path — its barrier ack completes and its
-// scatter part releases — so the driver is never left waiting on an ack
-// (or a scatter) the drain loop will not see again.
-func (sh *shard) consume() (err error) {
-	var cur shardMsg
-	defer func() {
-		if p := recover(); p != nil {
-			err = fmt.Errorf("parallel: shard failed: %v", p)
-			if cur.ack != nil {
-				cur.ack.complete()
-			}
-			if cur.sc != nil {
-				cur.sc.release()
-			}
-		}
-	}()
-	for {
-		msg, ok := sh.in.pop()
-		if !ok {
-			return nil
-		}
-		cur = msg
-		switch {
-		case msg.ack != nil:
-			if !sh.sink.ordered {
-				sh.sink.flush()
-			}
-			cur.ack = nil
-			msg.ack.complete()
-		case msg.advanceSet:
-			sh.runner.Advance(msg.advance)
-		default:
-			sh.runner.Process(msg.events)
-			if msg.sc != nil {
-				cur.sc = nil
-				msg.sc.release()
-			}
-		}
-		cur = shardMsg{}
+// Err returns the first failure: a sink panic recovered by the drain,
+// else the lowest-indexed shard's — a corrupt restored state or an
+// input-contract violation surfaces here instead of as a process crash.
+// A failed shard stops executing and discards its input, so on a
+// non-nil Err the Runner's output is incomplete and the caller should
+// tear it down. Call Err after a Barrier (or Close) to observe failures
+// from everything already sent.
+func (r *Runner) Err() error {
+	if r.failure != nil {
+		return r.failure
 	}
-}
-
-// finish flushes the shard engine once its ring has closed.
-func (sh *shard) finish() (err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			err = fmt.Errorf("parallel: shard failed in flush: %v", p)
+	for _, sh := range r.shards {
+		if err := sh.Err(); err != nil {
+			return err
 		}
-	}()
-	sh.runner.Close()
-	if !sh.sink.ordered {
-		sh.sink.flush()
 	}
 	return nil
 }
 
-func (r *Runner) fail(err error) {
-	r.mu.Lock()
-	if r.failure == nil {
-		r.failure = err
-	}
-	r.mu.Unlock()
-}
+// SetOrderedDrain makes the cross-shard result order deterministic:
+// goroutine shards stop flushing their buffers to the sink on their own
+// (below the orderedSpill high-water mark), so each Barrier — and the
+// final Close — delivers everything in shard index order on the driving
+// goroutine. Given a fixed ingest batch cadence the sink then sees one
+// reproducible result sequence, which is what lets the server promise
+// byte-identical result streams regardless of which wire codec carried
+// the events, and stable ring sequence numbers for stream resume.
+// Results become visible only at barriers, so callers must barrier at
+// their ingest cadence (the server barriers every chunk). Remote shards
+// hold their results for the barrier either way and ignore it. Call it
+// right after construction, before the first Process; flipping it
+// mid-stream races with the shard goroutines.
+func (r *Runner) SetOrderedDrain(on bool) { r.out.ordered = on }
 
-// Err returns the first failure any shard hit — a corrupt restored
-// state or an input-contract violation surfaces here as a recovered
-// panic instead of a process crash. A failed shard stops executing and
-// discards its input, so on a non-nil Err the Runner's output is
-// incomplete and the caller should tear it down. Call Err after a
-// Barrier (or Close) to observe failures from everything already sent.
-func (r *Runner) Err() error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.failure
-}
-
-// SetOrderedDrain makes the Runner's cross-shard result order
-// deterministic: shards stop flushing their buffers to the sink on
-// their own (below the orderedSpill high-water mark), and each Barrier
-// — and the final Close — drains them in shard index order on the
-// driving goroutine instead. Given a fixed ingest batch cadence the
-// sink then sees one reproducible result sequence, which is what lets
-// the server promise byte-identical result streams regardless of which
-// wire codec carried the events, and stable ring sequence numbers for
-// stream resume. Results become visible only at barriers, so callers
-// must barrier at their ingest cadence (the server barriers every
-// chunk). Call it right after construction, before the first Process;
-// flipping it mid-stream races with the shard goroutines.
-func (r *Runner) SetOrderedDrain(on bool) {
-	r.ordered = on
-	for _, sh := range r.shards {
-		sh.sink.ordered = on
-	}
-}
-
-// drainOrdered flushes every shard's buffered results in shard index
-// order. Only called from the driving goroutine while the shard loops
-// are quiescent (after a barrier ack or Close join), which is what
-// makes touching the shard-owned buffers safe.
-func (r *Runner) drainOrdered() {
-	peak := 0
-	for _, sh := range r.shards {
-		if n := sh.sink.buf.Rows(); n > peak {
-			peak = n
+// drain delivers the buffers the last barrier or close collected, in
+// shard index order, and records the largest as the egress peak. A sink
+// that panics poisons the Runner (Err) instead of unwinding through the
+// caller; the undelivered results are dropped.
+func (r *Runner) drain() {
+	defer func() {
+		if p := recover(); p != nil {
+			r.fail(fmt.Errorf("parallel: sink failed: %v", p))
+			for _, buf := range r.bufs {
+				buf.Reset()
+			}
 		}
-		sh.sink.flush()
+	}()
+	peak := 0
+	for _, buf := range r.bufs {
+		peak = max(peak, buf.Rows())
 	}
 	if p := int64(peak); p > r.egressPeak.Load() {
 		r.egressPeak.Store(p)
 	}
+	for _, buf := range r.bufs {
+		r.out.drain(buf)
+	}
 }
 
 // EgressPeak reports the high-water mark of per-shard buffered result
-// rows observed at ordered-drain points — the server's egress-scratch
-// telemetry. In ordered mode it is bounded by OrderedSpill; unordered
-// runners flush on their own schedule and report only what barriers
-// happened to observe.
+// rows observed at drain points — the server's egress-scratch
+// telemetry. In ordered mode it is bounded by OrderedSpill for
+// goroutine shards; unordered ones flush on their own and leave the
+// drain nothing to observe.
 func (r *Runner) EgressPeak() int64 { return r.egressPeak.Load() }
 
 // OrderedSpill exposes the per-shard buffered-result bound so budget
@@ -519,25 +624,19 @@ func (r *Runner) EgressPeak() int64 { return r.egressPeak.Load() }
 const OrderedSpill = orderedSpill
 
 // ShardOf maps a key to its shard in [0, n) via a Fibonacci hash,
-// spreading clustered key spaces (0, 1, 2, ...) evenly. Exported so
-// remote shard placements (the distributed router) partition keys
-// exactly as an in-process Runner with the same shard count would —
-// the distributed/local byte-identity property depends on it.
+// spreading clustered key spaces (0, 1, 2, ...) evenly. Every Runner
+// partitions keys with it, whatever its shards are, so two Runners with
+// the same shard count place every key — and its state — identically.
 func ShardOf(key uint64, n int) int {
 	h := key * 0x9e3779b97f4a7c15
 	return int((h >> 32) % uint64(n))
-}
-
-// shardOf maps a key to its shard via the shared Fibonacci hash.
-func (r *Runner) shardOf(key uint64) int {
-	return ShardOf(key, len(r.shards))
 }
 
 // Process partitions one in-order batch by key hash and hands each shard
 // its subsequence (which therefore stays in time order). The input slice
 // is not retained: events are staged into a recycled scatter (per-shard
 // buffers that keep their capacity and return through a free list once
-// every shard has consumed its part), so steady-state fan-out allocates
+// every shard is done with its part), so steady-state fan-out allocates
 // nothing. The single-shard path stages through the same buffers instead
 // of copying the batch afresh per call.
 func (r *Runner) Process(events []stream.Event) {
@@ -554,7 +653,7 @@ func (r *Runner) Process(events []stream.Event) {
 		sc.parts[0] = append(sc.parts[0], events...)
 	} else {
 		for i := range events {
-			s := r.shardOf(events[i].Key)
+			s := ShardOf(events[i].Key, n)
 			sc.parts[s] = append(sc.parts[s], events[i])
 		}
 	}
@@ -570,7 +669,7 @@ func (r *Runner) Process(events []stream.Event) {
 	sc.pending.Store(live + 1)
 	for i, part := range sc.parts {
 		if len(part) > 0 {
-			r.shards[i].in.push(shardMsg{events: part, sc: sc})
+			r.shards[i].Send(Part{Events: part, sc: sc})
 		}
 	}
 	sc.release()
@@ -597,49 +696,44 @@ func (r *Runner) Advance(t int64) {
 		panic("parallel: Advance after Close")
 	}
 	for _, sh := range r.shards {
-		sh.in.push(shardMsg{advance: t, advanceSet: true})
+		sh.Watermark(t)
 	}
 }
 
 // Barrier blocks until every shard has processed all batches handed to
-// Process before the call and flushed its buffered results to the sink.
-// After it returns the shard loops are quiescent (blocked on their input
-// channels), so reading aggregate counters such as TotalUpdates — or
-// taking a Snapshot — is race-free until the next Process call. Long-
-// running callers (servers) use it to make results visible promptly
-// instead of waiting for the per-shard batch buffers to fill.
+// Process before the call, then delivers their buffered results in shard
+// index order. The barrier starts on every shard before any is awaited,
+// so the shards finish concurrently. After it returns the shards are
+// quiescent, so reading aggregate counters such as TotalUpdates — or
+// taking a Snapshot — is race-free until the next Process call.
+// Long-running callers (servers) use it to make results visible
+// promptly instead of waiting for the per-shard batch buffers to fill.
 func (r *Runner) Barrier() {
 	if r.closed {
 		return
 	}
-	// Re-arm the reusable ack: barriers serialize on the driving
-	// goroutine and the previous call drained done, so no allocation and
-	// no leftover token.
-	r.ack.pending.Store(int32(len(r.shards)))
 	for _, sh := range r.shards {
-		sh.in.push(shardMsg{ack: &r.ack})
+		sh.StartBarrier()
 	}
-	<-r.ack.done
-	if r.ordered {
-		r.drainOrdered()
+	for i, sh := range r.shards {
+		r.bufs[i] = sh.AwaitBarrier()
 	}
+	r.drain()
 }
 
-// Close flushes every shard and waits for all pending results.
+// Close flushes every shard and delivers the final results.
 func (r *Runner) Close() {
 	if r.closed {
 		return
 	}
 	r.closed = true
 	for _, sh := range r.shards {
-		sh.in.close()
+		sh.StartClose()
 	}
-	for _, sh := range r.shards {
-		<-sh.done
+	for i, sh := range r.shards {
+		r.bufs[i] = sh.AwaitClose()
 	}
-	if r.ordered {
-		r.drainOrdered()
-	}
+	r.drain()
 }
 
 // Events returns the number of raw events accepted.
@@ -649,18 +743,17 @@ func (r *Runner) Events() int64 { return r.events }
 func (r *Runner) Shards() int { return len(r.shards) }
 
 // TotalUpdates sums per-instance state updates across all shards (the
-// engine's cost-model work counter). Valid after Close.
+// engine's cost-model work counter). Valid after a Barrier or Close.
 func (r *Runner) TotalUpdates() int64 {
 	var t int64
 	for _, sh := range r.shards {
-		t += sh.runner.TotalUpdates()
+		t += sh.Updates()
 	}
 	return t
 }
 
-// snapshot is the serialized form of a sharded runner — this one or the
-// distributed router, which writes the same envelope: one engine
-// snapshot per shard. The shard count is part of the state — the
+// snapshot is the serialized form of a Runner, whatever its shards: one
+// engine snapshot per shard. The shard count is part of the state — the
 // key→shard hash is a pure function of the count, so restoring onto the
 // same count keeps every key's partial aggregates on the shard that
 // owns them. State versioning is inherited from the embedded engine
@@ -697,7 +790,9 @@ func DecodeSnapshot(data []byte) (states [][]byte, events int64, err error) {
 
 // Snapshot quiesces the shards (Barrier) and serializes their engine
 // state. Like engine.Snapshot it is consistent at batch boundaries: take
-// it between Process calls, from the goroutine driving the Runner.
+// it between Process calls, from the goroutine driving the Runner. The
+// envelope is the same whatever the shards are, so a checkpoint taken
+// on one kind restores onto the other.
 func (r *Runner) Snapshot() ([]byte, error) {
 	if r.closed {
 		return nil, fmt.Errorf("parallel: Snapshot after Close")
@@ -708,7 +803,7 @@ func (r *Runner) Snapshot() ([]byte, error) {
 	}
 	states := make([][]byte, len(r.shards))
 	for i, sh := range r.shards {
-		b, err := sh.runner.Snapshot()
+		b, err := sh.EngineSnapshot()
 		if err != nil {
 			return nil, err
 		}
@@ -734,7 +829,7 @@ func (r *Runner) ExportCanonical(horizon int64) ([]*engine.Export, error) {
 	}
 	out := make([]*engine.Export, len(r.shards))
 	for i, sh := range r.shards {
-		ex, err := sh.runner.ExportCanonical(horizon)
+		ex, err := sh.Export(horizon)
 		if err != nil {
 			return nil, err
 		}
@@ -758,14 +853,14 @@ func Migrate(p *plan.Plan, sink stream.Sink, n int, exports []*engine.Export, fr
 		}
 		n = len(exports)
 	}
-	r, err := build(p, sink, n, nil)
+	r, local, err := build(p, sink, n, nil)
 	if err != nil {
 		return nil, 0, err
 	}
 	// The shard loops are already parked on their rings, but no message
 	// has been pushed yet: mutations here happen-before the first push.
 	migrated := 0
-	for i, sh := range r.shards {
+	for i, sh := range local {
 		var ex *engine.Export
 		if exports != nil {
 			ex = exports[i]
@@ -807,7 +902,7 @@ func Restore(p *plan.Plan, sink stream.Sink, data []byte) (*Runner, error) {
 	if err != nil {
 		return nil, err
 	}
-	r, err := build(p, sink, len(states), states)
+	r, _, err := build(p, sink, len(states), states)
 	if err != nil {
 		return nil, err
 	}

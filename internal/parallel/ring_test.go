@@ -146,3 +146,41 @@ func TestBarrierSurvivesPanickingSink(t *testing.T) {
 	}
 	r.Close()
 }
+
+// TestBarrierSurvivesPanickingSinkOrdered is the ordered-drain twin:
+// there the sink runs on the driving goroutine, inside the Runner's
+// drain, which must recover the panic into Err instead of unwinding it
+// through Barrier — and Close must not re-raise it either.
+func TestBarrierSurvivesPanickingSinkOrdered(t *testing.T) {
+	set := window.MustSet(window.Tumbling(2))
+	p, err := plan.NewOriginal(set, agg.Count)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := New(p, panicSink{}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.SetOrderedDrain(true)
+	var events []stream.Event
+	for tick := int64(0); tick < 64; tick++ {
+		events = append(events, stream.Event{Time: tick, Key: uint64(tick % 8), Value: 1})
+	}
+	r.Process(events)
+	for _, step := range []struct {
+		name string
+		call func()
+	}{{"Barrier", r.Barrier}, {"Close", r.Close}} {
+		func() {
+			defer func() {
+				if p := recover(); p != nil {
+					t.Fatalf("%s panicked with the sink's panic: %v", step.name, p)
+				}
+			}()
+			step.call()
+		}()
+		if err := r.Err(); err == nil {
+			t.Fatalf("a sink panic in the ordered drain must surface via Err after %s", step.name)
+		}
+	}
+}

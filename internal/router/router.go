@@ -3,32 +3,43 @@
 // run across worker processes speaking the binary frame protocol (see
 // internal/shardworker for the other side).
 //
+// # One runner, remote shards
+//
+// The router is not a second runner. Its Runner embeds the one
+// parallel.Runner — key partition, watermark broadcast, barrier, ordered
+// drain, snapshot envelope, canonical export and Close exist there only
+// — and supplies that runner's shards: one frame session per shard on a
+// worker (parallel.Shard). What is genuinely remote stays here:
+// placement, the replay journal and its snapshot compaction, failover,
+// shedding, and the topology operations (AddWorker, Rebalance, Drain,
+// Topology).
+//
 // # Determinism contract
 //
-// The router honors the exact contract parallel's ordered drain
-// promises the server: the result sequence the sink sees is a pure
-// function of the ingested events. Keys partition by the same Fibonacci
-// hash (parallel.ShardOf) over the same shard count, each shard's
-// engine is rebuilt deterministically from the same plan inputs, and
-// every Barrier merges per-shard results in shard index order — each
-// shard's buffered runs drained whole, just like parallel.drainOrdered.
-// Worker placement, worker count, failovers, and rebalances are
-// therefore invisible in the output: moving a shard between workers
-// changes which process computes it, never what it emits.
+// The result sequence the sink sees is a pure function of the ingested
+// events, and equal to an in-process Runner's ordered drain with the same
+// shard count: keys partition by the same hash over the same count, each
+// shard's engine is rebuilt deterministically from the same plan inputs,
+// a remote shard holds its results for the barrier, and the runner
+// drains the shards in index order. Worker placement, worker count,
+// failovers, and rebalances are therefore invisible in the output:
+// moving a shard between workers changes which process computes it,
+// never what it emits.
 //
 // # Failure model
 //
-// The router journals everything it sends each shard (event batches,
-// watermarks, barrier points) and periodically compacts the journal by
-// asking the worker for an engine snapshot (engine.Snapshot — the
-// checkpoint codec). When a worker dies, each of its shards is replayed
-// onto a surviving worker: hello with the last snapshot, then the
-// journal tail. Journaled barriers are re-run and their regenerated
-// rows discarded — they were already delivered — so delivery stays
-// exactly-once and byte-identical through worker death. When no worker
-// can take a shard, that key range is shed (ShardDownError; events for
-// it are dropped and counted) while every other shard keeps serving —
-// the PR 9 degradation playbook applied to placement.
+// The router journals everything it sends each shard (event frames as
+// written, watermarks, barrier points) and periodically compacts the
+// journal by asking the worker for an engine snapshot (engine.Snapshot —
+// the checkpoint codec). When a worker dies, each of its shards is
+// replayed onto a surviving worker: hello with the last snapshot, then
+// the journal tail, its event frames written back verbatim. Journaled
+// barriers are re-run and their regenerated rows discarded — they were
+// already delivered — so delivery stays exactly-once and byte-identical
+// through worker death. When no worker can take a shard, that key range
+// is shed (ShardDownError; events for it are dropped and counted) while
+// every other shard keeps serving — the server's degradation playbook
+// applied to placement.
 //
 // Rebalancing is the same machinery invoked deliberately: snapshot the
 // shard, hello the target worker with the blob, release the source
@@ -46,7 +57,7 @@
 // The router is fully synchronous and single-goroutine: every method
 // must be called from the goroutine driving the pipeline (the server
 // serializes on its own mutex). Workers still execute concurrently —
-// barrier writes fan out to all shards before any ack is awaited.
+// the runner starts a barrier on every shard before awaiting any.
 package router
 
 import (
@@ -82,10 +93,10 @@ func (e *ShardDownError) Error() string {
 func (e *ShardDownError) Unwrap() error { return ErrShardDown }
 
 // Spec describes one epoch of a distributed pipeline: the deterministic
-// plan inputs every worker rebuilds the joint plan from, the shard
-// placement, and optionally the state carried in from the previous
-// epoch (a canonical export per shard) or a checkpoint (one engine
-// snapshot per shard) — either way the shards' opaque hello payload.
+// plan inputs every worker rebuilds the joint plan from, the workers,
+// and optionally the state carried in from the previous epoch (a
+// canonical export per shard) or a checkpoint (one engine snapshot per
+// shard) — either way the shards' opaque hello payload.
 type Spec struct {
 	// Queries, Fn, Param, Eta, Factors are the plan inputs — the same
 	// values the server's own multiquery.Optimize call uses, so every
@@ -101,10 +112,9 @@ type Spec struct {
 	// pure function of the count, so state must keep its count).
 	Shards int
 
-	// Workers are the worker addresses. Assign maps shard → worker
-	// index; nil defaults to round-robin (shard i on worker i mod N).
+	// Workers are the worker addresses; shard i starts on worker i mod
+	// len(Workers).
 	Workers []string
-	Assign  []int
 
 	// FreshFloor suppresses results of window instances starting before
 	// it for windows with no carried state (multiquery's new-query
@@ -139,12 +149,16 @@ const (
 
 type journalOp struct {
 	kind   byte
-	events []stream.Event
-	value  int64 // advance horizon
+	frames []byte // opEvents: the event frames exactly as written
+	rows   int    // opEvents: the events they carry
+	value  int64  // opAdvance: the horizon
 }
 
-// shardState is one shard's session bookkeeping.
+// shardState is one remote shard: a session on a worker, and the
+// bookkeeping that lets the session move. It is the parallel.Shard the
+// embedded runner drives.
 type shardState struct {
+	r      *Runner
 	idx    int
 	worker int // index into Runner.workers; meaningless when down
 	conn   net.Conn
@@ -157,23 +171,27 @@ type shardState struct {
 	state []byte
 	floor int64
 
-	journal []journalOp
+	journal  []journalOp
+	barriers int64 // barriers acked: the compaction cadence counts these
 
-	// rows holds results collected but not yet emitted, as runs — the
-	// same buffer type parallel's shard sinks drain. Invariant: outside
-	// an active collectBarrier/Close read of THIS shard, rows is
-	// complete through the shard's last acked barrier — so failover and
-	// shedding must keep it (the journaled barrier replays with its
-	// rows discarded; these are the only copy). Only the reader whose
-	// own mid-barrier read failed resets it, because that barrier is
-	// not journaled yet and re-runs live.
-	rows        stream.RunBuffer
-	updates     int64 // engine update counter from the last ack
-	barrierSent bool  // current barrier round written to this session
-	down        bool
-	downErr     *ShardDownError
+	// rows holds results collected but not yet drained, as runs — the
+	// same buffer type parallel's goroutine shards hold. Invariant:
+	// outside an active collect of THIS shard, rows is complete through
+	// the shard's last acked barrier — so failover and shedding must
+	// keep it (the journaled barrier replays with its rows discarded;
+	// these are the only copy). Only the collect whose own read failed
+	// resets it, because that barrier is not journaled yet and re-runs
+	// live.
+	rows    stream.RunBuffer
+	updates int64 // engine update counter from the last ack or bye
+	// awaiting is the op written to this session whose reply is still
+	// owed (CtrlBarrier or CtrlClose); "" when none.
+	awaiting string
+	down     bool
+	downErr  *ShardDownError
+	err      error // worker-reported failure: poisons the runner
 
-	out []byte // write scratch
+	out []byte // control write scratch
 }
 
 type workerState struct {
@@ -181,26 +199,21 @@ type workerState struct {
 	live bool
 }
 
-// Runner drives N worker processes as one deterministic sharded engine.
-// It implements the same surface parallel.Runner offers the server.
+// Runner drives N worker processes as one deterministic sharded engine:
+// the embedded parallel.Runner over remote shards, plus the topology
+// operations.
 type Runner struct {
+	*parallel.Runner
+
 	spec Spec
-	sink stream.Sink
 	dial func(addr string) (net.Conn, error)
 
 	shards  []*shardState
 	workers []*workerState
 
-	events   int64
-	barriers int64
-	partLen  []int // Process's per-shard event counts, reused across batches
-
-	failure error
-
 	shedEvents int64
 	failovers  int64
 	rebalances int64
-	egressPeak int64
 
 	closed bool
 }
@@ -216,7 +229,8 @@ func New(spec Spec, sink stream.Sink) (*Runner, error) {
 	if len(spec.Queries) == 0 {
 		return nil, errors.New("router: no queries")
 	}
-	r := &Runner{spec: spec, sink: sink, dial: spec.Dial, events: spec.Events}
+	r := &Runner{spec: spec, dial: spec.Dial}
+	events := spec.Events
 	// Either carrier becomes one opaque blob per shard.
 	states := spec.Snapshots
 	if spec.Exports != nil {
@@ -232,7 +246,7 @@ func New(spec Spec, sink stream.Sink) (*Runner, error) {
 				return nil, fmt.Errorf("router: shard %d: %w", i, err)
 			}
 			states = append(states, blob)
-			r.events += ex.Events
+			events += ex.Events
 		}
 	}
 	n := spec.Shards
@@ -252,31 +266,22 @@ func New(spec Spec, sink stream.Sink) (*Runner, error) {
 	for _, addr := range spec.Workers {
 		r.workers = append(r.workers, &workerState{addr: addr, live: true})
 	}
-	for i := 0; i < n; i++ {
-		sc := &shardState{idx: i, floor: spec.FreshFloor}
+	shards := make([]parallel.Shard, n)
+	for i := range shards {
+		sc := &shardState{r: r, idx: i, floor: spec.FreshFloor}
 		if states != nil {
 			sc.state = states[i]
 		}
 		r.shards = append(r.shards, sc)
+		shards[i] = sc
 	}
 	for i, sc := range r.shards {
-		preferred := i % len(r.workers)
-		if spec.Assign != nil {
-			if len(spec.Assign) != n {
-				r.teardown()
-				return nil, fmt.Errorf("router: %d assignments for %d shards", len(spec.Assign), n)
-			}
-			preferred = spec.Assign[i]
-			if preferred < 0 || preferred >= len(r.workers) {
-				r.teardown()
-				return nil, fmt.Errorf("router: shard %d assigned to worker %d of %d", i, preferred, len(r.workers))
-			}
-		}
-		if err := r.placeShard(sc, preferred); err != nil {
+		if err := r.placeShard(sc, i%len(r.workers)); err != nil {
 			r.teardown()
 			return nil, fmt.Errorf("router: placing shard %d: %w", i, err)
 		}
 	}
+	r.Runner = parallel.Drive(shards, sink, events)
 	return r, nil
 }
 
@@ -299,18 +304,22 @@ func (r *Runner) dropConn(sc *shardState) {
 	sc.asm = wire.CtrlAssembler{}
 }
 
-// fail poisons the Runner: like a parallel shard panic, the caller
-// observes it via Err after the current Barrier and tears down.
-func (r *Runner) fail(err error) {
-	if r.failure == nil {
-		r.failure = err
+// fail records the shard's first worker-reported (or protocol) failure,
+// which the runner's Err reports — as opposed to worker death, which the
+// router absorbs by failover or shedding.
+func (sc *shardState) fail(err error) {
+	if sc.err == nil {
+		sc.err = err
 	}
 }
 
-// Err returns the first unrecoverable failure — a worker-reported
-// engine error (corrupt state, contract violation), as opposed to
-// worker death, which the router absorbs by failover or shedding.
-func (r *Runner) Err() error { return r.failure }
+// poison fails the shard and sheds it: another worker would fail it
+// identically. The rows of the collect in progress go with it.
+func (sc *shardState) poison(err error) {
+	sc.rows.Reset()
+	sc.fail(err)
+	sc.r.shedShard(sc)
+}
 
 // helloCtrl builds the session-opening envelope for sc.
 func (r *Runner) helloCtrl(sc *shardState) *wire.Ctrl {
@@ -345,7 +354,7 @@ func (e errPoison) Unwrap() error { return e.err }
 // placeShard connects sc to a live worker — preferred first, then by
 // load — replaying its journal. Transport failures retire the worker
 // and move on; a worker-reported error is poison and sheds the shard
-// after poisoning the Runner. Returns non-nil only when the shard ends
+// after poisoning the runner. Returns non-nil only when the shard ends
 // up down.
 func (r *Runner) placeShard(sc *shardState, preferred int) error {
 	tried := make(map[int]bool)
@@ -364,13 +373,13 @@ func (r *Runner) placeShard(sc *shardState, preferred int) error {
 			sc.worker = wi
 			sc.down = false
 			sc.downErr = nil
-			sc.barrierSent = false
+			sc.awaiting = ""
 			return nil
 		}
 		r.dropConn(sc)
 		var poison errPoison
 		if errors.As(err, &poison) {
-			r.fail(fmt.Errorf("router: shard %d: %w", sc.idx, poison.err))
+			sc.fail(fmt.Errorf("router: shard %d: %w", sc.idx, poison.err))
 			r.shedShard(sc)
 			return sc.downErr
 		}
@@ -431,8 +440,8 @@ func (r *Runner) liveWorker(addr string) (int, error) {
 
 // shedShard marks sc's key range shed. Collected rows stay pending —
 // they are complete through the last acked barrier (see the shardState
-// invariant) and the next emit phase still owes them to the sink;
-// callers abandoning a partial mid-barrier read clear sc.rows first.
+// invariant) and the next drain still owes them to the sink; callers
+// abandoning a partial mid-barrier read clear sc.rows first.
 func (r *Runner) shedShard(sc *shardState) {
 	r.dropConn(sc)
 	addr := ""
@@ -442,14 +451,14 @@ func (r *Runner) shedShard(sc *shardState) {
 	sc.down = true
 	sc.downErr = &ShardDownError{Shard: sc.idx, Addr: addr}
 	sc.journal = nil
-	sc.barrierSent = false
+	sc.awaiting = ""
 }
 
 // retireWorker marks a worker dead and severs its connected sessions.
 // The caller re-places the orphaned shards. Only shards with an open
 // connection are orphaned: a shard whose worker index merely points at
-// wi with no session (mid-placement, or never placed) is someone else's
-// responsibility.
+// wi with no session (mid-placement, closed, or never placed) is
+// someone else's responsibility.
 func (r *Runner) retireWorker(wi int) (orphans []*shardState) {
 	w := r.workers[wi]
 	if !w.live {
@@ -459,7 +468,7 @@ func (r *Runner) retireWorker(wi int) (orphans []*shardState) {
 	for _, sc := range r.shards {
 		if sc.hostedBy(wi) {
 			r.dropConn(sc)
-			sc.barrierSent = false
+			sc.awaiting = ""
 			orphans = append(orphans, sc)
 		}
 	}
@@ -470,12 +479,12 @@ func (r *Runner) retireWorker(wi int) (orphans []*shardState) {
 // is retired and every shard it hosted (sc included) is re-placed.
 //
 // Pending rows are deliberately left alone. A sibling shard that
-// already acked the current barrier holds collected-but-unemitted rows,
+// already acked the current barrier holds collected-but-undrained rows,
 // and its journal already ends with that barrier, so the replay re-runs
 // it with the regenerated rows discarded — the rows in hand are the
-// only copy and the emit phase still owes them to the sink. The caller
-// whose own mid-barrier read failed clears its rows itself (that
-// barrier is not journaled yet and re-runs live).
+// only copy and the drain still owes them to the sink. The collect
+// whose own read failed clears its rows itself (that barrier is not
+// journaled yet and re-runs live).
 func (r *Runner) failoverShard(sc *shardState) {
 	orphans := r.retireWorker(sc.worker)
 	if orphans == nil {
@@ -502,10 +511,10 @@ func (r *Runner) openSession(sc *shardState, wi int) error {
 	sc.conn = conn
 	sc.fr = wire.NewReader(conn)
 	sc.asm = wire.CtrlAssembler{}
-	if err := r.sendCtrl(sc, r.helloCtrl(sc)); err != nil {
+	if err := sc.sendCtrl(r.helloCtrl(sc)); err != nil {
 		return err
 	}
-	if _, err := r.readAck(sc, wire.CtrlAck, false); err != nil {
+	if _, err := sc.readAck(wire.CtrlAck, false); err != nil {
 		return err
 	}
 	// Replay the journal: the worker re-derives exactly the state the
@@ -515,18 +524,18 @@ func (r *Runner) openSession(sc *shardState, wi int) error {
 	for _, op := range sc.journal {
 		switch op.kind {
 		case opEvents:
-			if err := r.sendEvents(sc, op.events); err != nil {
+			if _, err := sc.conn.Write(op.frames); err != nil {
 				return err
 			}
 		case opAdvance:
-			if err := r.sendCtrl(sc, &wire.Ctrl{Op: wire.CtrlAdvance, Horizon: op.value}); err != nil {
+			if err := sc.sendCtrl(&wire.Ctrl{Op: wire.CtrlAdvance, Horizon: op.value}); err != nil {
 				return err
 			}
 		case opBarrier:
-			if err := r.sendCtrl(sc, &wire.Ctrl{Op: wire.CtrlBarrier}); err != nil {
+			if err := sc.sendCtrl(&wire.Ctrl{Op: wire.CtrlBarrier}); err != nil {
 				return err
 			}
-			if _, err := r.readAck(sc, wire.CtrlAck, true); err != nil {
+			if _, err := sc.readAck(wire.CtrlAck, true); err != nil {
 				return err
 			}
 		}
@@ -535,29 +544,17 @@ func (r *Runner) openSession(sc *shardState, wi int) error {
 }
 
 // sendCtrl writes one control envelope on sc's session.
-func (r *Runner) sendCtrl(sc *shardState, c *wire.Ctrl) error {
+func (sc *shardState) sendCtrl(c *wire.Ctrl) error {
 	sc.out = wire.AppendCtrl(sc.out[:0], uint32(sc.idx), c)
 	_, err := sc.conn.Write(sc.out)
 	return err
-}
-
-// sendEvents writes an event batch, chunked to the frame row bound.
-func (r *Runner) sendEvents(sc *shardState, events []stream.Event) error {
-	for off := 0; off < len(events); off += wire.MaxFrameRows {
-		chunk := events[off:min(off+wire.MaxFrameRows, len(events))]
-		sc.out = wire.AppendEventFrame(sc.out[:0], chunk)
-		if _, err := sc.conn.Write(sc.out); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // readAck reads sc's session until a control envelope of op arrives and
 // returns it. discardRows accepts (and drops) result frames on the way
 // — the journal-replay barrier case; otherwise a result frame is a
 // protocol violation. A CtrlError envelope returns errPoison.
-func (r *Runner) readAck(sc *shardState, op string, discardRows bool) (wire.Ctrl, error) {
+func (sc *shardState) readAck(op string, discardRows bool) (wire.Ctrl, error) {
 	for {
 		f, err := sc.fr.Next()
 		if err != nil {
@@ -590,202 +587,166 @@ func (r *Runner) readAck(sc *shardState, op string, discardRows bool) (wire.Ctrl
 	}
 }
 
-// Process partitions one in-order batch by the shared key hash and
-// routes each shard its subsequence. Events for shed shards are dropped
-// and counted. Mirrors parallel.Runner.Process's asynchrony: no worker
+// Send journals the shard's part and writes it, encoded once: the
+// frames written are the frames journaled, so a failover replays these
+// bytes verbatim. A shed shard's part is dropped and counted. No worker
 // round-trip happens here.
-func (r *Runner) Process(events []stream.Event) {
-	if r.closed {
-		panic("router: Process after Close")
-	}
-	r.events += int64(len(events))
-	if len(events) == 0 {
+func (sc *shardState) Send(part parallel.Part) {
+	if sc.down {
+		sc.r.shedEvents += int64(len(part.Events))
+		part.Done()
 		return
 	}
-	n := r.spec.Shards
-	parts := make([][]stream.Event, n)
-	if n == 1 {
-		parts[0] = append([]stream.Event(nil), events...)
-	} else {
-		// Count first, then give every part one allocation of its exact
-		// size. The journal holds a part until compaction, so parts stay
-		// fresh allocations per batch (pooled ones inflate the live heap),
-		// but none of them grows append by append.
-		if len(r.partLen) != n {
-			r.partLen = make([]int, n)
-		}
-		clear(r.partLen)
-		for i := range events {
-			r.partLen[parallel.ShardOf(events[i].Key, n)]++
-		}
-		for s, c := range r.partLen {
-			if c > 0 {
-				parts[s] = make([]stream.Event, 0, c)
-			}
-		}
-		for i := range events {
-			s := parallel.ShardOf(events[i].Key, n)
-			parts[s] = append(parts[s], events[i])
-		}
-	}
-	for i, part := range parts {
-		if len(part) == 0 {
-			continue
-		}
-		sc := r.shards[i]
-		if sc.down {
-			r.shedEvents += int64(len(part))
-			continue
-		}
-		// Journal first: if the write fails, the failover replay must
-		// include this batch.
-		sc.journal = append(sc.journal, journalOp{kind: opEvents, events: part})
-		if err := r.sendEvents(sc, part); err != nil {
-			r.failoverShard(sc)
-		}
+	// One fresh buffer per part: the journal holds it until compaction,
+	// and pooled ones would inflate the live heap.
+	frames := wire.AppendEventFrames(nil, part.Events)
+	rows := len(part.Events)
+	part.Done()
+	// Journal first: if the write fails, the failover replay must
+	// include this batch.
+	sc.journal = append(sc.journal, journalOp{kind: opEvents, frames: frames, rows: rows})
+	if _, err := sc.conn.Write(frames); err != nil {
+		sc.r.failoverShard(sc)
 	}
 }
 
-// Advance broadcasts the release horizon to every live shard.
-func (r *Runner) Advance(t int64) {
-	if r.closed {
-		panic("router: Advance after Close")
-	}
-	for _, sc := range r.shards {
-		if sc.down {
-			continue
-		}
-		sc.journal = append(sc.journal, journalOp{kind: opAdvance, value: t})
-		if err := r.sendCtrl(sc, &wire.Ctrl{Op: wire.CtrlAdvance, Horizon: t}); err != nil {
-			r.failoverShard(sc)
-		}
-	}
-}
-
-// Barrier flushes every shard and merges the results into the sink in
-// shard index order — the distributed drainOrdered. After it returns,
-// counters are consistent and (absent failures) every result produced
-// by prior Process/Advance calls has been emitted.
-func (r *Runner) Barrier() {
-	if r.closed {
+// Watermark journals and sends the release horizon.
+func (sc *shardState) Watermark(t int64) {
+	if sc.down {
 		return
 	}
-	// Phase 1: fan the barrier out to every live shard before awaiting
-	// any ack, so the workers flush concurrently.
-	for _, sc := range r.shards {
-		r.ensureBarrierSent(sc)
-	}
-	// Phase 2: collect per shard, in shard index order.
-	for _, sc := range r.shards {
-		r.collectBarrier(sc)
-	}
-	r.barriers++
-	// Phase 3: journal compaction on the checkpoint cadence. The
-	// snapshot is the engine's whole state as it stands — it absorbs every
-	// journaled op, and this barrier's rows are already collected above,
-	// so a failover after compaction regenerates nothing twice. It needs
-	// no cut point: a pipeline that never Advances compacts like any other.
-	if r.barriers%r.spec.CheckpointEvery == 0 {
-		for _, sc := range r.shards {
-			if !sc.down {
-				r.checkpointShard(sc)
-			}
-		}
-	}
-	// Phase 4: ordered emit, shard by shard, run by run.
-	r.drainOrdered()
-}
-
-// drainOrdered delivers every shard's pending runs to the sink in shard
-// index order and records the largest per-shard backlog, in rows.
-func (r *Runner) drainOrdered() {
-	peak := 0
-	for _, sc := range r.shards {
-		if n := sc.rows.Rows(); n > peak {
-			peak = n
-		}
-		sc.rows.Drain(r.sink)
-	}
-	if p := int64(peak); p > r.egressPeak {
-		r.egressPeak = p
+	sc.journal = append(sc.journal, journalOp{kind: opAdvance, value: t})
+	if err := sc.sendCtrl(&wire.Ctrl{Op: wire.CtrlAdvance, Horizon: t}); err != nil {
+		sc.r.failoverShard(sc)
 	}
 }
 
-// ensureBarrierSent writes the current barrier round to sc if it has
-// not been written yet, failing over (and retrying on the new session)
-// until written or shed.
-func (r *Runner) ensureBarrierSent(sc *shardState) {
-	for !sc.down && !sc.barrierSent {
-		if err := r.sendCtrl(sc, &wire.Ctrl{Op: wire.CtrlBarrier}); err != nil {
+// StartBarrier writes the barrier; the worker flushes while the runner
+// starts the others.
+func (sc *shardState) StartBarrier() { sc.r.ensureSent(sc, wire.CtrlBarrier) }
+
+// AwaitBarrier collects the barrier's results and, on the checkpoint
+// cadence, compacts the journal into an engine snapshot. The snapshot
+// is the engine's whole state as it stands — it absorbs every journaled
+// op, and this barrier's rows are already collected, so a failover
+// after compaction regenerates nothing twice. It needs no cut point: a
+// pipeline that never Advances compacts like any other.
+func (sc *shardState) AwaitBarrier() *stream.RunBuffer {
+	if c, ok := sc.r.collect(sc, wire.CtrlBarrier, wire.CtrlAck); ok {
+		sc.updates = c.Updates
+		sc.journal = append(sc.journal, journalOp{kind: opBarrier})
+		if sc.barriers++; sc.barriers%sc.r.spec.CheckpointEvery == 0 {
+			sc.r.checkpointShard(sc)
+		}
+	}
+	return &sc.rows
+}
+
+// StartClose asks the worker to flush the engine and end the session.
+func (sc *shardState) StartClose() {
+	sc.r.closed = true
+	sc.r.ensureSent(sc, wire.CtrlClose)
+}
+
+// AwaitClose collects the final flush, then severs the session.
+func (sc *shardState) AwaitClose() *stream.RunBuffer {
+	if c, ok := sc.r.collect(sc, wire.CtrlClose, wire.CtrlBye); ok {
+		sc.updates = c.Updates
+	}
+	sc.r.dropConn(sc)
+	return &sc.rows
+}
+
+// EngineSnapshot fetches the shard engine's snapshot.
+func (sc *shardState) EngineSnapshot() ([]byte, error) {
+	return sc.r.fetchState(sc, &wire.Ctrl{Op: wire.CtrlSnapshot})
+}
+
+// Export fetches the shard engine's canonical export — the one place
+// the router asks a worker for one, because here the state enters a
+// different plan. A shed shard fails it: a partial export would
+// silently drop the shed range's open state, so the caller (the
+// server's re-plan) must degrade explicitly instead.
+func (sc *shardState) Export(horizon int64) (*engine.Export, error) {
+	blob, err := sc.r.fetchState(sc, &wire.Ctrl{Op: wire.CtrlExport, Horizon: horizon})
+	if err != nil {
+		return nil, err
+	}
+	ex, err := engine.DecodeExport(blob)
+	if err != nil {
+		return nil, fmt.Errorf("router: shard %d: %w", sc.idx, err)
+	}
+	return ex, nil
+}
+
+// Updates is the engine update counter as of the last ack or bye.
+func (sc *shardState) Updates() int64 { return sc.updates }
+
+func (sc *shardState) Err() error { return sc.err }
+
+// ensureSent writes op (a barrier or a close) to sc's session unless
+// this session already has it, failing over (and retrying on the new
+// session) until written or shed.
+func (r *Runner) ensureSent(sc *shardState, op string) {
+	for !sc.down && sc.awaiting != op {
+		if err := sc.sendCtrl(&wire.Ctrl{Op: op}); err != nil {
 			r.failoverShard(sc)
 			continue
 		}
-		sc.barrierSent = true
+		sc.awaiting = op
 	}
 }
 
-// collectBarrier reads sc's result frames until the barrier ack. A
-// transport failure mid-read triggers failover: the journal replay
-// regenerates (and discards) prior barriers, then the current barrier
-// is re-sent and re-read fresh.
-func (r *Runner) collectBarrier(sc *shardState) {
+// collect reads sc's session until the reply to op (a barrier's ack, a
+// close's bye) arrives, appending result frames to the shard's pending
+// rows. A transport failure mid-read fails over: the rows read so far
+// are reset, the journal replay regenerates (and discards) earlier
+// barriers, and op is re-sent and re-read fresh — a failover inside a
+// sibling's collect may likewise have moved this shard with op unsent.
+// A worker-reported error or a protocol violation poisons the shard.
+// ok is false when the shard ended up down.
+func (r *Runner) collect(sc *shardState, op, reply string) (c wire.Ctrl, ok bool) {
 	for {
+		r.ensureSent(sc, op)
 		if sc.down {
-			return
-		}
-		// A failover inside ensureBarrierSent or a sibling's collect may
-		// have reassigned us with the barrier still unsent.
-		r.ensureBarrierSent(sc)
-		if sc.down {
-			return
+			return wire.Ctrl{}, false
 		}
 		f, err := sc.fr.Next()
+		if err == nil {
+			switch f.Kind {
+			case wire.KindResults:
+				sc.appendRows(f)
+				continue
+			case wire.KindControl:
+				var done bool
+				if c, done, err = sc.asm.Add(f); err == nil && !done {
+					continue
+				}
+			default:
+				// Same protocol enforcement readAck applies: a frame kind
+				// no worker should send here is poison, not something to
+				// skip.
+				sc.poison(fmt.Errorf("router: shard %d: unexpected frame kind %d awaiting %q", sc.idx, f.Kind, reply))
+				return wire.Ctrl{}, false
+			}
+		}
 		if err != nil {
 			sc.rows.Reset()
 			r.failoverShard(sc)
 			continue
 		}
-		switch f.Kind {
-		case wire.KindResults:
-			sc.appendRows(f)
-		case wire.KindControl:
-			c, done, err := sc.asm.Add(f)
-			if err != nil {
-				sc.rows.Reset()
-				r.failoverShard(sc)
-				continue
-			}
-			if !done {
-				continue
-			}
-			switch c.Op {
-			case wire.CtrlAck:
-				sc.updates = c.Updates
-				sc.journal = append(sc.journal, journalOp{kind: opBarrier})
-				sc.barrierSent = false
-				return
-			case wire.CtrlError:
-				// Worker-side engine failure: poison, like a parallel
-				// shard panic. The shard stops serving; the caller sees
-				// Err and tears the pipeline down.
-				sc.rows.Reset()
-				r.fail(fmt.Errorf("router: shard %d: %s", sc.idx, c.Error))
-				r.shedShard(sc)
-				return
-			default:
-				sc.rows.Reset()
-				r.fail(fmt.Errorf("router: shard %d: unexpected control op %q at barrier", sc.idx, c.Op))
-				r.shedShard(sc)
-				return
-			}
+		switch c.Op {
+		case reply:
+			sc.awaiting = ""
+			return c, true
+		case wire.CtrlError:
+			// Worker-side engine failure: poison, like a goroutine shard's
+			// panic. The caller sees Err and tears the pipeline down.
+			sc.poison(fmt.Errorf("router: shard %d: %s", sc.idx, c.Error))
 		default:
-			// Same protocol enforcement readAck applies: a frame kind no
-			// worker should send here is poison, not something to skip.
-			sc.rows.Reset()
-			r.fail(fmt.Errorf("router: shard %d: unexpected frame kind %d at barrier", sc.idx, f.Kind))
-			r.shedShard(sc)
-			return
+			sc.poison(fmt.Errorf("router: shard %d: unexpected control op %q awaiting %q", sc.idx, c.Op, reply))
 		}
+		return wire.Ctrl{}, false
 	}
 }
 
@@ -814,41 +775,13 @@ func (r *Runner) checkpointShard(sc *shardState) {
 	if err != nil {
 		var poison errPoison
 		if errors.As(err, &poison) {
-			r.fail(err)
+			sc.fail(err)
 			r.shedShard(sc)
 		}
 		return
 	}
 	sc.state = blob
 	sc.journal = nil
-}
-
-// ExportCanonical quiesces the shards and returns each one's canonical
-// migration state at horizon — the distributed face of
-// parallel.ExportCanonical, feeding the same zero-gap re-plan handover:
-// the one place the router asks a worker for an export, because here the
-// state enters a different plan. It fails if any key range is shed: a
-// partial export would silently drop the shed range's open state, so the
-// caller (the server's re-plan) must degrade explicitly instead.
-func (r *Runner) ExportCanonical(horizon int64) ([]*engine.Export, error) {
-	if r.closed {
-		return nil, errors.New("router: ExportCanonical after Close")
-	}
-	r.Barrier()
-	if err := r.Err(); err != nil {
-		return nil, fmt.Errorf("router: ExportCanonical of failed runner: %w", err)
-	}
-	out := make([]*engine.Export, len(r.shards))
-	for i, sc := range r.shards {
-		blob, err := r.fetchState(sc, &wire.Ctrl{Op: wire.CtrlExport, Horizon: horizon})
-		if err != nil {
-			return nil, err
-		}
-		if out[i], err = engine.DecodeExport(blob); err != nil {
-			return nil, fmt.Errorf("router: shard %d: %w", i, err)
-		}
-	}
-	return out, nil
 }
 
 // fetchState asks sc's worker for a state blob — req is an export or a
@@ -860,10 +793,10 @@ func (r *Runner) fetchState(sc *shardState, req *wire.Ctrl) ([]byte, error) {
 		if sc.down {
 			return nil, sc.downErr
 		}
-		err := r.sendCtrl(sc, req)
+		err := sc.sendCtrl(req)
 		if err == nil {
 			var c wire.Ctrl
-			c, err = r.readAck(sc, req.Op, false)
+			c, err = sc.readAck(req.Op, false)
 			if err == nil {
 				return append([]byte(nil), c.State...), nil
 			}
@@ -878,127 +811,6 @@ func (r *Runner) fetchState(sc *shardState, req *wire.Ctrl) ([]byte, error) {
 		r.failoverShard(sc)
 	}
 }
-
-// Snapshot quiesces the shards and serializes their engine state in
-// parallel's snapshot envelope, so a distributed checkpoint restores
-// into an in-process Runner and vice versa — the durable path is
-// topology-independent.
-func (r *Runner) Snapshot() ([]byte, error) {
-	if r.closed {
-		return nil, errors.New("router: Snapshot after Close")
-	}
-	r.Barrier()
-	if err := r.Err(); err != nil {
-		return nil, fmt.Errorf("router: Snapshot of failed runner: %w", err)
-	}
-	states := make([][]byte, len(r.shards))
-	for i, sc := range r.shards {
-		blob, err := r.fetchState(sc, &wire.Ctrl{Op: wire.CtrlSnapshot})
-		if err != nil {
-			return nil, err
-		}
-		states[i] = blob
-	}
-	return parallel.EncodeSnapshot(states, r.events)
-}
-
-// SetOrderedDrain is a no-op: the router's drain is inherently ordered
-// (that is its reason to exist). Present for interface parity with
-// parallel.Runner.
-func (r *Runner) SetOrderedDrain(bool) {}
-
-// Close flushes every shard engine (open window instances fire) and
-// merges the final rows in shard index order, then severs the sessions.
-func (r *Runner) Close() {
-	if r.closed {
-		return
-	}
-	// Fan out like Barrier: every worker flushes concurrently.
-	type pending struct{ sc *shardState }
-	var sent []pending
-	for _, sc := range r.shards {
-		if sc.down {
-			continue
-		}
-		if err := r.sendCtrl(sc, &wire.Ctrl{Op: wire.CtrlClose}); err != nil {
-			r.failoverShard(sc)
-			if sc.down {
-				continue
-			}
-			if err := r.sendCtrl(sc, &wire.Ctrl{Op: wire.CtrlClose}); err != nil {
-				r.shedShard(sc)
-				continue
-			}
-		}
-		sent = append(sent, pending{sc})
-	}
-	for _, p := range sent {
-		sc := p.sc
-		for !sc.down {
-			f, err := sc.fr.Next()
-			if err != nil {
-				// The dead worker's final flush is lost mid-read; replay
-				// onto a survivor and re-close to regenerate it.
-				sc.rows.Reset()
-				r.failoverShard(sc)
-				if sc.down {
-					break
-				}
-				if err := r.sendCtrl(sc, &wire.Ctrl{Op: wire.CtrlClose}); err != nil {
-					r.shedShard(sc)
-					break
-				}
-				continue
-			}
-			if f.Kind == wire.KindResults {
-				sc.appendRows(f)
-				continue
-			}
-			if f.Kind == wire.KindControl {
-				c, done, aerr := sc.asm.Add(f)
-				if aerr != nil || (done && c.Op != wire.CtrlBye) {
-					sc.rows.Reset()
-					r.shedShard(sc)
-					break
-				}
-				if !done {
-					continue
-				}
-				sc.updates = c.Updates
-				break
-			}
-			// Unexpected frame kind: protocol violation, same treatment
-			// as at a barrier.
-			sc.rows.Reset()
-			r.shedShard(sc)
-			break
-		}
-	}
-	r.closed = true
-	r.drainOrdered()
-	r.teardown()
-}
-
-// Events returns the number of raw events accepted (shed ones included:
-// they were accepted, then dropped by degradation).
-func (r *Runner) Events() int64 { return r.events }
-
-// Shards returns the key-partition count.
-func (r *Runner) Shards() int { return r.spec.Shards }
-
-// TotalUpdates sums the per-shard engine update counters as of each
-// shard's last barrier ack.
-func (r *Runner) TotalUpdates() int64 {
-	var t int64
-	for _, sc := range r.shards {
-		t += sc.updates
-	}
-	return t
-}
-
-// EgressPeak reports the high-water mark of per-shard buffered result
-// rows observed at merge points, mirroring parallel's telemetry.
-func (r *Runner) EgressPeak() int64 { return r.egressPeak }
 
 // ShedError returns a typed error describing the first shed key range,
 // or nil when every shard is serving. Degradation, not poison: the
@@ -1090,7 +902,7 @@ func (r *Runner) Rebalance(shard int, addr string) error {
 		return fmt.Errorf("router: rebalance shard %d to %s: %w", shard, addr, err)
 	}
 	sc.worker = wi
-	sc.barrierSent = false
+	sc.awaiting = ""
 	r.rebalances++
 	// Release the source: its engine state has moved, so it must not
 	// flush. Best-effort — the source may already be gone.
@@ -1182,7 +994,7 @@ func (r *Runner) Topology() Topology {
 	}
 	for _, sc := range r.shards {
 		for _, op := range sc.journal {
-			t.JournaledEvents += int64(len(op.events))
+			t.JournaledEvents += int64(op.rows)
 		}
 	}
 	for wi, w := range r.workers {

@@ -1020,6 +1020,42 @@ func TestRouterKillDuringStateFetch(t *testing.T) {
 	}
 }
 
+// panicSink panics on every delivery — a hostile user sink.
+type panicSink struct{}
+
+func (panicSink) Emit(stream.Result) { panic("sink exploded") }
+
+// TestRouterSurvivesPanickingSink: the router's results reach the sink
+// through the runner's ordered drain on the driving goroutine, which
+// must recover a sink panic into Err — poison, like a goroutine shard's
+// — instead of unwinding it through Barrier or Close.
+func TestRouterSurvivesPanickingSink(t *testing.T) {
+	events := genEvents(17, 2000, 30)
+	addr, _ := startWorker(t)
+	r, err := router.New(intSum.spec(4, []string{addr}, 4), panicSink{})
+	if err != nil {
+		t.Fatalf("router.New: %v", err)
+	}
+	r.Process(events)
+	r.Advance(events[len(events)-1].Time)
+	for _, step := range []struct {
+		name string
+		call func()
+	}{{"Barrier", r.Barrier}, {"Close", r.Close}} {
+		func() {
+			defer func() {
+				if p := recover(); p != nil {
+					t.Fatalf("%s panicked with the sink's panic: %v", step.name, p)
+				}
+			}()
+			step.call()
+		}()
+		if err := r.Err(); err == nil {
+			t.Fatalf("a sink panic must surface via Err after %s", step.name)
+		}
+	}
+}
+
 // TestRouterTopologyShape sanity-checks the stats surface.
 func TestRouterTopologyShape(t *testing.T) {
 	addrs := make([]string, 2)

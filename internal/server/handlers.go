@@ -25,13 +25,13 @@ import (
 
 // ingestChunk is how many events every ingest codec groups into one
 // engine batch. One shared granularity matters beyond tuning: the
-// watermark advances per engine batch, and together with the runner's
-// ordered drain (parallel.SetOrderedDrain, one shard-ordered flush per
-// batch) the batch cadence fully decides how result rows land in the
-// rings — so it must not depend on which Content-Type carried the
-// events (the cross-codec equivalence test pins this). Chunks also
-// release the ingest lock between each other so concurrent clients
-// interleave.
+// watermark advances per engine batch, and together with the shard
+// runner's drain (one shard-ordered delivery per batch barrier, for
+// goroutine and worker shards alike) the batch cadence fully decides
+// how result rows land in the rings — so it must not depend on which
+// Content-Type carried the events (the cross-codec equivalence test
+// pins this). Chunks also release the ingest lock between each other so
+// concurrent clients interleave.
 const ingestChunk = 8192
 
 // ingestBatchPool recycles the per-request event staging batch (the

@@ -208,38 +208,15 @@ type gate struct {
 	muted atomic.Bool
 }
 
-// execRunner is the execution tier under the reorder buffer: the
-// in-process key-sharded parallel.Runner, or the distributed
-// router.Runner speaking the frame protocol to fwworker processes.
-// Both honor the same contract — ordered drain determinism, canonical
-// export/snapshot for zero-gap re-plans and checkpoints, poison
-// reported through Err — so everything above the runner is oblivious
-// to where the shard engines live.
-type execRunner interface {
-	Process(events []stream.Event)
-	Advance(t int64)
-	Barrier()
-	Close()
-	Err() error
-	Events() int64
-	Shards() int
-	TotalUpdates() int64
-	EgressPeak() int64
-	SetOrderedDrain(on bool)
-	ExportCanonical(horizon int64) ([]*engine.Export, error)
-	Snapshot() ([]byte, error)
-}
-
-var (
-	_ execRunner = (*parallel.Runner)(nil)
-	_ execRunner = (*router.Runner)(nil)
-)
-
 // pipeline is one epoch's execution stack: reorder buffer → key-sharded
-// runner → routing sink → per-query rings.
+// runner → routing sink → per-query rings. The runner is the one shard
+// tier whichever shards it drives — goroutines in process, or sessions
+// on fwworker processes, in which case router is the same runner's
+// topology face (placement, failover, rebalance); nil in process.
 type pipeline struct {
 	plan   *multiquery.Plan
-	runner execRunner
+	runner *parallel.Runner
+	router *router.Runner
 	buf    *reorder.Buffer
 	gate   *gate
 	rings  map[string]*ring // immutable snapshot of the epoch's queries
@@ -712,7 +689,8 @@ func (s *Server) buildPipeline(freshFloor int64, carried *reorder.State, engineS
 		rings[id] = s.queries[id].ring
 	}
 	sink := routeSink(mp, g, rings)
-	var runner execRunner
+	var runner *parallel.Runner
+	var rr *router.Runner
 	migrated := 0
 	if len(s.workers) > 0 {
 		// Distributed tier: the same plan inputs go to every worker so
@@ -748,7 +726,9 @@ func (s *Server) buildPipeline(freshFloor int64, carried *reorder.State, engineS
 			spec.Snapshots, spec.Events = states, events
 			spec.Exports = nil
 		}
-		runner, err = router.New(spec, sink)
+		if rr, err = router.New(spec, sink); err == nil {
+			runner = rr.Runner
+		}
 	} else if engineState != nil {
 		runner, err = parallel.Restore(mp.Combined, sink, engineState)
 	} else {
@@ -761,7 +741,8 @@ func (s *Server) buildPipeline(freshFloor int64, carried *reorder.State, engineS
 	// draining makes the cross-shard result order — and therefore ring
 	// sequence numbers and the bytes of both stream encodings — a pure
 	// function of the ingested events. The cross-codec equivalence test
-	// and binary stream resume both lean on this.
+	// and binary stream resume both lean on this. (Remote shards drain
+	// ordered regardless.)
 	runner.SetOrderedDrain(true)
 	var buf *reorder.Buffer
 	if carried != nil {
@@ -780,7 +761,7 @@ func (s *Server) buildPipeline(freshFloor int64, carried *reorder.State, engineS
 	if s.cfg.ReorderCap > 0 {
 		buf.SetCap(s.cfg.ReorderCap, s.cfg.ReorderCapPolicy)
 	}
-	return &pipeline{plan: mp, runner: runner, buf: buf, gate: g, rings: rings}, migrated, nil
+	return &pipeline{plan: mp, runner: runner, router: rr, buf: buf, gate: g, rings: rings}, migrated, nil
 }
 
 // teardown discards the current pipeline: its flush of open window
@@ -973,7 +954,7 @@ func (s *Server) AddWorker(addr string) error {
 		return errors.New("server: empty worker address")
 	}
 	if s.pipe != nil {
-		if err := s.pipe.runner.(*router.Runner).AddWorker(addr); err != nil {
+		if err := s.pipe.router.AddWorker(addr); err != nil {
 			return fmt.Errorf("%w: %v", ErrConflict, err)
 		}
 	} else if s.hasWorker(addr) {
@@ -1002,7 +983,7 @@ func (s *Server) MoveShard(shard int, addr string) error {
 	if s.pipe == nil {
 		return fmt.Errorf("%w: no live pipeline (register queries first)", ErrConflict)
 	}
-	rr := s.pipe.runner.(*router.Runner)
+	rr := s.pipe.router
 	err := rr.Rebalance(shard, addr)
 	if perr := rr.Err(); perr != nil {
 		return s.poisonLocked(perr)
@@ -1032,7 +1013,7 @@ func (s *Server) DrainWorker(addr string) error {
 		return fmt.Errorf("%w: worker %s", ErrNotFound, addr)
 	}
 	if s.pipe != nil {
-		rr := s.pipe.runner.(*router.Runner)
+		rr := s.pipe.router
 		err := rr.Drain(addr)
 		if perr := rr.Err(); perr != nil {
 			return s.poisonLocked(perr)
@@ -1058,11 +1039,9 @@ func (s *Server) DrainWorker(addr string) error {
 func (s *Server) TopologyNow() *router.Topology {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.pipe != nil {
-		if rr, ok := s.pipe.runner.(*router.Runner); ok {
-			t := rr.Topology()
-			return &t
-		}
+	if s.pipe != nil && s.pipe.router != nil {
+		t := s.pipe.router.Topology()
+		return &t
 	}
 	return nil
 }
@@ -1412,8 +1391,8 @@ func (s *Server) StatsNow() Stats {
 		st.CombinedCost = s.pipe.plan.CombinedCost
 		st.SeparateCost = s.pipe.plan.SeparateCost
 		st.EgressPeakRows = s.pipe.runner.EgressPeak()
-		if rr, ok := s.pipe.runner.(*router.Runner); ok {
-			topo := rr.Topology()
+		if s.pipe.router != nil {
+			topo := s.pipe.router.Topology()
 			st.Topology = &topo
 		}
 	}

@@ -150,18 +150,33 @@ func AppendCtrl(dst []byte, streamID uint32, c *Ctrl) []byte {
 	return dst
 }
 
+// maxCtrlState caps the State one envelope may assemble from a More
+// chain: 64 MiB. Sizing: no shard state this system can carry is
+// larger — POST /restore accepts a checkpoint of at most 64 MiB whole
+// (the server's maxRestoreBody) with every shard's snapshot inside it —
+// while the largest shard snapshot measured (2,048 keys) is 150 KB,
+// over 400× below the cap. A chain that would pass it comes from a
+// broken or hostile peer, and without it a peer that can reach a
+// worker's port could grow the buffer until the process dies.
+const maxCtrlState = 64 << 20
+
 // CtrlAssembler reassembles a Ctrl from its control frames. Feed every
 // control frame to Add; it returns the completed envelope once the last
 // chunk lands (immediately, for single-frame envelopes).
 type CtrlAssembler struct {
 	cur *Ctrl
+	// limit replaces maxCtrlState when positive, so tests can reach the
+	// cap without 64 MiB chains.
+	limit int
 }
 
 // Pending reports whether a partially assembled envelope is in flight.
 func (a *CtrlAssembler) Pending() bool { return a.cur != nil }
 
 // Add decodes one control frame. done is true when a complete envelope
-// is ready; until then the assembler buffers continuation chunks.
+// is ready; until then the assembler buffers continuation chunks. A
+// chain whose State would pass maxCtrlState fails with ErrTooLarge and
+// resets the assembler; the session it arrived on should hang up.
 func (a *CtrlAssembler) Add(f Frame) (c Ctrl, done bool, err error) {
 	if f.Kind != KindControl {
 		return Ctrl{}, false, fmt.Errorf("%w: expected a control frame, got kind %d", ErrKind, f.Kind)
@@ -178,7 +193,9 @@ func (a *CtrlAssembler) Add(f Frame) (c Ctrl, done bool, err error) {
 		head.More = false
 		// The head's State slice aliases the reader's frame buffer; the
 		// continuation appends below must not scribble over it.
-		head.State = append([]byte(nil), next.State...)
+		if head.State, err = a.extend(nil, next.State); err != nil {
+			return Ctrl{}, false, err
+		}
 		a.cur = &head
 		return Ctrl{}, false, nil
 	}
@@ -187,11 +204,34 @@ func (a *CtrlAssembler) Add(f Frame) (c Ctrl, done bool, err error) {
 		a.cur = nil
 		return Ctrl{}, false, fmt.Errorf("wire: control continuation op %q inside %q", next.Op, op)
 	}
-	a.cur.State = append(a.cur.State, next.State...)
+	if a.cur.State, err = a.extend(a.cur.State, next.State); err != nil {
+		a.cur = nil
+		return Ctrl{}, false, err
+	}
 	if next.More {
 		return Ctrl{}, false, nil
 	}
 	out := *a.cur
 	a.cur = nil
 	return out, true, nil
+}
+
+// extend appends chunk to the state being assembled, or fails once the
+// total would pass the cap. Growth is capped as well, so the buffer never
+// holds more than the cap however a chain sizes its chunks.
+func (a *CtrlAssembler) extend(state, chunk []byte) ([]byte, error) {
+	limit := maxCtrlState
+	if a.limit > 0 {
+		limit = a.limit
+	}
+	need := len(state) + len(chunk)
+	if need > limit {
+		return nil, fmt.Errorf("%w: control state passes %d bytes", ErrTooLarge, limit)
+	}
+	if need > cap(state) {
+		grown := make([]byte, len(state), min(max(2*cap(state), need), limit))
+		copy(grown, state)
+		state = grown
+	}
+	return append(state, chunk...), nil
 }

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"testing"
 )
@@ -146,6 +147,72 @@ func TestCtrlAssemblerRejectsNonControl(t *testing.T) {
 	var asm CtrlAssembler
 	if _, _, err := asm.Add(f); !errors.Is(err, ErrKind) {
 		t.Fatalf("Add(events frame) err = %v, want ErrKind", err)
+	}
+}
+
+// ctrlFrame encodes c as one control frame, however large its State —
+// unlike AppendCtrl, which would split it.
+func ctrlFrame(t *testing.T, c Ctrl) Frame {
+	t.Helper()
+	payload, err := json.Marshal(&c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, _, err := Decode(AppendControlFrame(nil, 0, payload))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
+// TestCtrlAssemblerStateCap ends More chains whose State totals one
+// byte under, exactly at and one byte over maxCtrlState. Each chain
+// stands pre-assembled to two chunks short of its total (decoding 64 MiB
+// of base64 per case would buy nothing the last frames do not show);
+// one full AppendCtrl-sized chunk and the remainder then arrive as real
+// frames. The first two complete intact; the third fails typed on its
+// last chunk and leaves the assembler reset and reusable. The buffer
+// never grows past the cap on the way.
+func TestCtrlAssemblerStateCap(t *testing.T) {
+	chunk := make([]byte, ctrlStateChunk)
+	for i := range chunk {
+		chunk[i] = byte(i * 7)
+	}
+	more := ctrlFrame(t, Ctrl{Op: CtrlSnapshot, State: chunk, More: true})
+	for _, n := range []int{maxCtrlState - 1, maxCtrlState, maxCtrlState + 1} {
+		rem := n % ctrlStateChunk
+		if rem == 0 {
+			rem = ctrlStateChunk
+		}
+		asm := CtrlAssembler{cur: &Ctrl{Op: CtrlSnapshot, State: make([]byte, n-rem-ctrlStateChunk)}}
+		if _, done, err := asm.Add(more); err != nil || done {
+			t.Fatalf("n=%d: full chunk: done=%t err=%v, want pending", n, done, err)
+		}
+		if c := cap(asm.cur.State); c > maxCtrlState {
+			t.Fatalf("n=%d: state buffer grew to %d bytes, cap %d", n, c, maxCtrlState)
+		}
+		c, done, err := asm.Add(ctrlFrame(t, Ctrl{Op: CtrlSnapshot, State: chunk[:rem]}))
+		if n > maxCtrlState {
+			if !errors.Is(err, ErrTooLarge) || done {
+				t.Fatalf("n=%d: done=%t err=%v, want ErrTooLarge", n, done, err)
+			}
+			if asm.Pending() {
+				t.Fatalf("n=%d: assembler still pending after the refusal", n)
+			}
+			if c, done, err := asm.Add(ctrlFrame(t, Ctrl{Op: CtrlAck})); err != nil || !done || c.Op != CtrlAck {
+				t.Fatalf("n=%d: next envelope after the refusal: %+v done=%t err=%v", n, c, done, err)
+			}
+			continue
+		}
+		if err != nil || !done {
+			t.Fatalf("n=%d: done=%t err=%v, want the envelope", n, done, err)
+		}
+		if len(c.State) != n || cap(c.State) > maxCtrlState {
+			t.Fatalf("n=%d: assembled %d bytes in a %d-byte buffer", n, len(c.State), cap(c.State))
+		}
+		if !bytes.Equal(c.State[n-rem-ctrlStateChunk:], append(chunk[:len(chunk):len(chunk)], chunk[:rem]...)) {
+			t.Fatalf("n=%d: assembled state altered", n)
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"io"
 	"math"
@@ -181,7 +182,7 @@ func sameEvent(a, b stream.Event) bool {
 }
 
 // FuzzCtrlAssembler pins the control-envelope reassembly a router and a
-// worker run on bytes straight off a socket. Two properties:
+// worker run on bytes straight off a socket. Three properties:
 //
 //   - Arbitrary control-frame sequences never panic. data is read twice:
 //     as a raw frame stream (whatever Decode accepts goes to Add, frames
@@ -190,6 +191,10 @@ func sameEvent(a, b stream.Event) bool {
 //     ops, More chains, malformed JSON mid-chain — without first having
 //     to guess a frame header. A completed envelope always leaves the
 //     assembler idle.
+//   - A chain that never ends, repeating data as its State, is refused
+//     with ErrTooLarge once it would pass the cap, with the assembled
+//     buffer never larger than the cap — allocation is bounded by the
+//     cap, not by how long the peer keeps sending.
 //   - AppendCtrl → Add is the identity on State for every length around
 //     the 256 KiB chunk boundaries, with the head frame's fields intact
 //     and exactly as many frames as chunks.
@@ -231,6 +236,42 @@ func FuzzCtrlAssembler(f *testing.F) {
 				t.Fatalf("control frame of %d payload bytes does not decode: %v", len(payload), err)
 			}
 			add(fr)
+		}
+
+		// A length-lying chain — More on every frame, never an end — is
+		// refused typed once its State would pass the cap, and the buffer
+		// holding it never grows past the cap first. The cap here is the
+		// assembler's test override, at most 16 chunks of data, so the
+		// chain passes it within 17 frames.
+		chunk := data[:min(len(data), 16<<10)]
+		limit := 1 + int(stateLen%uint32(16*max(1, len(chunk))))
+		payload, err := json.Marshal(&Ctrl{Op: CtrlSnapshot, State: chunk, More: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		lie, _, err := Decode(AppendControlFrame(nil, 0, payload))
+		if err != nil {
+			t.Fatal(err)
+		}
+		lying := CtrlAssembler{limit: limit}
+		for i, fed := 0, 0; i <= 16; i++ {
+			fed += len(chunk)
+			_, done, err := lying.Add(lie)
+			if done {
+				t.Fatal("a chain that never ends completed")
+			}
+			if err != nil {
+				if !errors.Is(err, ErrTooLarge) || fed <= limit || lying.Pending() {
+					t.Fatalf("after %d state bytes under a %d-byte cap: err=%v pending=%t", fed, limit, err, lying.Pending())
+				}
+				break
+			}
+			if fed > limit {
+				t.Fatalf("accepted %d state bytes under a %d-byte cap", fed, limit)
+			}
+			if c := cap(lying.cur.State); c > limit {
+				t.Fatalf("state buffer grew to %d bytes under a %d-byte cap", c, limit)
+			}
 		}
 
 		// Lengths within a few bytes of the first two chunk boundaries are

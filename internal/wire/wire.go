@@ -203,6 +203,18 @@ func AppendEventFrame(dst []byte, events []stream.Event) []byte {
 	return dst
 }
 
+// AppendEventFrames appends a batch of any length as consecutive event
+// frames of at most MaxFrameRows rows, growing dst once to the exact
+// encoded size.
+func AppendEventFrames(dst []byte, events []stream.Event) []byte {
+	frames := (len(events) + MaxFrameRows - 1) / MaxFrameRows
+	dst = slices.Grow(dst, frames*(prefixLen+headerLen)+len(events)*eventCols*colWidth)
+	for off := 0; off < len(events); off += MaxFrameRows {
+		dst = AppendEventFrame(dst, events[off:min(off+MaxFrameRows, len(events))])
+	}
+	return dst
+}
+
 // ResultEncoder writes one results frame of a known row count into a
 // caller-owned buffer; SetRow scatters each row across the column
 // vectors in place, so the encode is a single pass over the rows with
