@@ -171,7 +171,7 @@ func (p *tickBuckets) popMin(out []stream.Event) []stream.Event {
 	es := p.removeSlot(tick)
 	at := len(out)
 	out = append(out, es...)
-	sortByKey(out[at:], es) // the drained bucket doubles as merge space
+	sortByKey(out[at:], es) // the drained bucket doubles as scratch space
 	p.n -= len(es)
 	p.spare = append(p.spare, es[:0])
 	return out
@@ -189,27 +189,96 @@ func (p *tickBuckets) appendPending(dst []stream.Event) []stream.Event {
 	return dst
 }
 
-// sortRun is the run length sortByKey insertion-sorts before merging.
+// sortRun is the run length mergeSortByKey insertion-sorts before
+// merging.
 const sortRun = 16
 
-// sortByKey stably sorts es by Key, using tmp (same length) as merge
-// space: insertion-sorted runs, then bottom-up merges ping-ponging
-// between the two slices. One tick of a shuffled feed is a few hundred
-// 24-byte events, where this beats a comparison-function sort by the
-// call overhead, and stability is what keeps duplicate (Time, Key)
-// events in arrival order.
+// radixPerPass is the bucket size, per radix pass, from which sortByKey
+// drains by radix rather than by merging: a bucket of n events whose
+// keys vary in p bytes is radix sorted when n ≥ radixPerPass·p. It is
+// the crossover BenchmarkSortByKey measured on a 2-core x86-64 VM, in
+// ns/event, merge → radix:
+//
+//	keys per bucket   12-bit keys   20-bit keys   64-bit keys
+//	             40     15 → 30       15 → 43       15 → 108
+//	            128     22 → 16       23 → 24       21 → 56
+//	            512     63 → 14       57 → 19       55 → 49
+//	          4,096     96 → 17       83 → 19       90 → 51
+const radixPerPass = 64
+
+// sortByKey stably sorts es by Key, using tmp (same length) as scratch.
+// One tick of a shuffled feed is a few hundred 24-byte events, and
+// stability is what keeps duplicate (Time, Key) events in arrival order.
+// An already-sorted bucket costs one scan; otherwise the key bytes that
+// vary across the bucket (those set in the OR of k ^ k₀) pick the radix
+// passes, and radixPerPass picks radix or merge.
 func sortByKey(es, tmp []stream.Event) {
 	n := len(es)
-	sorted := true
 	for i := 1; i < n; i++ {
 		if es[i].Key < es[i-1].Key {
-			sorted = false
-			break
+			var diff uint64
+			k0 := es[0].Key
+			for _, e := range es[1:] {
+				diff |= e.Key ^ k0
+			}
+			if n >= radixPerPass*varyingBytes(diff) {
+				radixSortByKey(es, tmp, diff)
+			} else {
+				mergeSortByKey(es, tmp)
+			}
+			return
 		}
 	}
-	if sorted {
-		return
+}
+
+// varyingBytes counts the nonzero bytes of diff: the radix passes a
+// bucket whose keys differ from one another in diff's bits needs.
+func varyingBytes(diff uint64) int {
+	n := 0
+	for ; diff != 0; diff >>= 8 {
+		if diff&0xFF != 0 {
+			n++
+		}
 	}
+	return n
+}
+
+// radixSortByKey is an LSD radix sort on the key bytes set in diff, one
+// 256-entry count and one stable scatter a pass, ping-ponging between
+// es and tmp.
+func radixSortByKey(es, tmp []stream.Event, diff uint64) {
+	src, dst := es, tmp[:len(es)]
+	for shift := uint(0); diff>>shift != 0; shift += 8 {
+		if diff>>shift&0xFF == 0 {
+			continue
+		}
+		var count [256]int
+		for i := range src {
+			count[byte(src[i].Key>>shift)]++
+		}
+		sum := 0
+		for d, c := range count {
+			count[d] = sum
+			sum += c
+		}
+		for i := range src {
+			d := byte(src[i].Key >> shift)
+			dst[count[d]] = src[i]
+			count[d]++
+		}
+		src, dst = dst, src
+	}
+	if &src[0] != &es[0] {
+		copy(es, src)
+	}
+}
+
+// mergeSortByKey stably sorts es by Key, using tmp (same length) as
+// merge space: insertion-sorted runs, then bottom-up merges ping-ponging
+// between the two slices. On small buckets this beats both a radix pass
+// and a comparison-function sort, which pays a call per comparison.
+func mergeSortByKey(es, tmp []stream.Event) {
+	n := len(es)
 	for lo := 0; lo < n; lo += sortRun {
 		run := es[lo:min(lo+sortRun, n)]
 		for i := 1; i < len(run); i++ {

@@ -95,6 +95,11 @@ func TestDiffBucketsMatchHeapOracle(t *testing.T) {
 		{name: "cap-reject", bound: 32, policy: Drop, keys: 64, perTick: 10, stride: 1, disorder: 30, maxPush: 200,
 			caps: []capStep{{at: 3000, n: 120, policy: RejectNewest}, {at: 10000, n: 60, policy: ReleaseOldest}, {at: 14000, n: 90, policy: RejectNewest}}},
 		{name: "restore-mid-stream", bound: 16, policy: Adjust, keys: 6, perTick: 50, stride: 1, disorder: 14, straggle: 0.005, maxPush: 400, restoreAt: 7000},
+		// Both sides of the radix crossover (radixPerPass): text_egress's
+		// dense ticks over 12-bit keys drain by radix, and 62-bit keys need
+		// 8 passes, which ticks of about 512 events straddle.
+		{name: "dense-ticks", bound: 16, policy: Drop, keys: 4096, perTick: 600, stride: 1, disorder: 12, maxPush: 9000},
+		{name: "wide-keys", bound: 16, policy: Adjust, keys: 1 << 62, perTick: 512, stride: 1, disorder: 8, straggle: 0.002, maxPush: 3000},
 	}
 	for _, c := range cases {
 		for seed := int64(1); seed <= 4; seed++ {

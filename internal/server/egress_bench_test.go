@@ -55,3 +55,24 @@ func BenchmarkStreamNDJSON(b *testing.B) {
 	b.ReportMetric(float64(rows)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mrows/s")
 	b.ReportMetric(float64(written)/rows, "B/row")
 }
+
+// BenchmarkAppendJSONChunk measures the row encoder alone on a full
+// stream chunk: 1,024 rows in two runs of 512, the way a window
+// instance over many keys fires.
+func BenchmarkAppendJSONChunk(b *testing.B) {
+	c := runChunk{firstSeq: 1 << 20}
+	for r := range 2 {
+		c.runs = append(c.runs, chunkRun{rng: 8, slide: 8, start: int64(r) * 8, end: int64(r+1) * 8, n: streamChunk / 2})
+	}
+	for i := range streamChunk {
+		c.keys = append(c.keys, uint64(i*2654435761%4096))
+		c.vals = append(c.vals, float64(i%997))
+	}
+	var buf []byte
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		buf = c.appendJSON(buf[:0], '\n')
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*streamChunk), "ns/row")
+}

@@ -60,6 +60,12 @@ func FuzzAppendRowsNDJSON(f *testing.F) {
 	} {
 		f.Add(int64(0), int64(2), int64(2), int64(0), int64(2), uint64(7), v, uint32(0x00001100))
 	}
+	// Sequence numbers whose eight rows carry into a new digit, or end
+	// at or run past MaxInt64, where the counted head gives way to one
+	// rendered per row.
+	for _, seq := range []int64{5, 95, 99999995, 999999999999999995, maxInt - 7, maxInt - 6, -4} {
+		f.Add(seq, int64(8), int64(4), int64(16), int64(24), uint64(9), 2.0, uint32(0x10305070))
+	}
 	// The extremes in every integer slot.
 	for slot := 0; slot < 6; slot++ {
 		for _, x := range []int64{minInt, maxInt} {

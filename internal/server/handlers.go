@@ -9,6 +9,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"mime"
 	"net"
 	"net/http"
@@ -252,12 +253,18 @@ func (s *Server) handleUnregister(w http.ResponseWriter, r *http.Request) {
 }
 
 // cursor parses ?after= (default -1: from the beginning of the buffer).
+// A cursor is the last sequence number a reader has seen, so none lies
+// below -1.
 func cursor(r *http.Request) (int64, error) {
 	raw := r.URL.Query().Get("after")
 	if raw == "" {
 		return -1, nil
 	}
-	return strconv.ParseInt(raw, 10, 64)
+	after, err := strconv.ParseInt(raw, 10, 64)
+	if err == nil && after < -1 {
+		err = fmt.Errorf("%d is below -1", after)
+	}
+	return after, err
 }
 
 func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
@@ -324,22 +331,49 @@ var runChunkPool = sync.Pool{New: func() any {
 // non-finite value renders as null. It is the one row encoder of the
 // stream and cursor-read handlers, and it is run-native: the
 // `"range":…,"key":` span that a run's rows share is rendered once per
-// run and copied into each row, with no row-to-row comparison.
+// run, with no row-to-row comparison. So is the `{"seq":…,` head in
+// front of it: a run's sequence numbers are consecutive, so the head is
+// counted up in place from row to row, and each row starts with one
+// copy of the head and span. A chunk whose numbers leave [0, MaxInt64]
+// renders each row's head anew.
 func (c *runChunk) appendJSON(dst []byte, sep byte) []byte {
 	var spanBuf [120]byte
+	var prefixBuf [28 + 120]byte // the head (`{"seq":`, a sign, 19 digits, ','), then the span
+	counted := c.firstSeq >= 0 && c.firstSeq <= math.MaxInt64-int64(max(c.rows()-1, 0))
 	at := 0
 	for _, r := range c.runs {
 		span := streamio.AppendWindowFields(spanBuf[:0], r.rng, r.slide, r.start, r.end)
+		prefix := append(appendSeqHead(prefixBuf[:0], c.firstSeq+int64(at)), span...)
 		for end := at + r.n; at < end; at++ {
-			dst = append(dst, `{"seq":`...)
-			dst = streamio.AppendInt(dst, c.firstSeq+int64(at))
-			dst = append(dst, ',')
-			dst = append(dst, span...)
+			dst = append(dst, prefix...)
 			dst = streamio.AppendKeyValue(dst, c.keys[at], c.vals[at])
 			dst = append(dst, '}', sep)
+			if !counted || !incSeqHead(prefix[:len(prefix)-len(span)]) {
+				prefix = append(appendSeqHead(prefixBuf[:0], c.firstSeq+int64(at)+1), span...)
+			}
 		}
 	}
 	return dst
+}
+
+// appendSeqHead appends a result row's `{"seq":<seq>,` head.
+func appendSeqHead(dst []byte, seq int64) []byte {
+	return append(streamio.AppendInt(append(dst, `{"seq":`...), seq), ',')
+}
+
+// incSeqHead counts a non-negative head from appendSeqHead up by one in
+// place: nines roll over to zeros until a digit can be incremented. It
+// reports false when the carry runs past the top digit, so the number
+// grows a digit and the head must be rendered anew.
+func incSeqHead(head []byte) bool {
+	for i := len(head) - 2; head[i] != ':'; i-- {
+		if head[i] != '9' {
+			head[i]++
+			return true
+		}
+		head[i] = '0'
+	}
+	return false
 }
 
 // acceptsFrames reports whether the request's Accept header asks for

@@ -251,7 +251,8 @@ func (g *ring) readAfter(after int64, limit int) (rows []ResultRow, missed int64
 // readRuns replaces c's contents with up to limit rows with sequence
 // numbers above after (limit <= 0 means all), as runs, and returns the
 // number of requested rows lost to eviction. c.firstSeq is the first
-// surviving requested sequence number even when c comes back empty.
+// surviving requested sequence number even when c comes back empty (the
+// next one to be delivered, for a cursor at or past the newest row).
 func (g *ring) readRuns(after int64, limit int, c *runChunk) (missed int64) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -259,7 +260,10 @@ func (g *ring) readRuns(after int64, limit int, c *runChunk) (missed int64) {
 }
 
 func (g *ring) readRunsLocked(after int64, limit int, c *runChunk) (missed int64) {
-	start := after + 1
+	start := g.nextSeq // after+1 would wrap for the largest cursor
+	if after < g.nextSeq {
+		start = after + 1
+	}
 	if start < g.firstSeq {
 		missed = g.firstSeq - start
 		start = g.firstSeq

@@ -334,6 +334,12 @@ func (sc *streamConn) ingestFrame(f wire.Frame) {
 // writer; errors come back as control frames so one bad subscribe does
 // not sever the other streams on the connection.
 func (sc *streamConn) subscribe(op subOp) {
+	if op.After < -1 {
+		// As on HTTP: a cursor is the last sequence number seen, and one
+		// below -1 would report rows that never existed as missed.
+		sc.ack(subAck{Stream: op.Stream, ID: op.ID, Error: fmt.Sprintf("bad after cursor: %d is below -1", op.After)})
+		return
+	}
 	rg, err := sc.ss.s.ringOf(op.ID)
 	if err != nil {
 		sc.ack(subAck{Stream: op.Stream, ID: op.ID, Error: err.Error()})
@@ -357,7 +363,7 @@ func (sc *streamConn) subscribe(op subOp) {
 	sc.subs[op.Stream] = stop
 	sc.mu.Unlock()
 	after := op.After
-	if first, _ := rg.window(); after >= 0 && after+1 < first {
+	if first, _ := rg.window(); after >= 0 && after < first-1 {
 		// Stale resume cursor: the ring evicted rows past it. Say so with
 		// a typed gap frame (and advance the cursor to the surviving
 		// head) instead of silently resuming as if nothing was lost.

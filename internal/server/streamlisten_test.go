@@ -2,6 +2,7 @@ package server
 
 import (
 	"encoding/json"
+	"math"
 	"net"
 	"testing"
 	"time"
@@ -396,6 +397,27 @@ func TestStreamListenerGapOnStaleCursor(t *testing.T) {
 	rows = cl.collectRows(2, 2)
 	if rows[0].seq != 18 {
 		t.Fatalf("resume inside window started at %d, want 18", rows[0].seq)
+	}
+
+	// The largest cursor is past the end, not before the start: a plain
+	// ack and no rows, where after+1 used to wrap into a gap and a replay
+	// of the whole ring.
+	cl.send(subOp{Op: "subscribe", Stream: 3, ID: "q", After: math.MaxInt64})
+	f = cl.next()
+	var ack3 subAck
+	if err := json.Unmarshal(f.Control(), &ack3); err != nil {
+		t.Fatal(err)
+	}
+	if !ack3.OK || ack3.Gap || f.Seq != 0 {
+		t.Fatalf("past-the-end subscribe ack = %+v aux=%#x", ack3, f.Seq)
+	}
+	// A cursor below -1 is refused, as on HTTP.
+	cl.send(subOp{Op: "subscribe", Stream: 5, ID: "q", After: -5})
+	cl.expectAck(subAck{Stream: 5, Error: "bad after cursor"})
+	cl.send(subOp{Op: "subscribe", Stream: 4, ID: "q", After: 18})
+	cl.expectAck(subAck{Stream: 4, OK: true})
+	if rows = cl.collectRows(4, 1); rows[0].seq != 19 {
+		t.Fatalf("resume at 18 delivered seq %d, want 19", rows[0].seq)
 	}
 }
 

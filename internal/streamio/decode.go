@@ -12,10 +12,12 @@ package streamio
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 	"strconv"
 
 	"factorwindows/internal/stream"
@@ -117,8 +119,135 @@ func scanEventArray(dst []stream.Event, b []byte) (out []stream.Event, ok bool) 
 // the index one past its closing brace. ok is false for anything outside
 // the common shape: a key other than exactly "time", "key" or "value", a
 // value that is not a plain JSON number literal of the field's type and
-// range, or malformed syntax.
+// range, or malformed syntax. The predicted layout is tried first; on
+// its first mismatch the general loop scans the object from its start.
 func scanEventObject(b []byte, i int) (e stream.Event, end int, ok bool) {
+	if e, end, ok = scanPredicted(b, i); ok {
+		return e, end, true
+	}
+	return scanGeneral(b, i)
+}
+
+// The literals of the predicted layout, as little-endian words: the
+// 8-byte `{"time":`, the 7-byte `,"key":` (its word's top byte is
+// whatever follows), and the last 8 bytes of the 9-byte `,"value":`.
+var (
+	litTime  = le64(`{"time":`)
+	litKey   = le64(`,"key":` + "\x00")
+	litValue = le64(`"value":`)
+)
+
+const (
+	lowBytes7 = 1<<56 - 1          // the low 7 bytes of a word
+	ascii0s   = 0x3030303030303030 // '0' in every byte
+	hiNibbles = 0xF0F0F0F0F0F0F0F0
+)
+
+func le64(s string) uint64 { return binary.LittleEndian.Uint64([]byte(s)) }
+
+// scanPredicted scans the exact layout clients send,
+// {"time":<int>,"key":<uint>,"value":<int>} with no whitespace, where
+// value has at most 15 digits: each literal is one word compare and the
+// digits are validated and accumulated eight at a time. Every shape it
+// accepts the general loop accepts too, with the same event and end;
+// anything else — a fraction, a leading zero, a 16-digit value, a space —
+// is a mismatch, and it reports ok false without judging the input.
+func scanPredicted(b []byte, i int) (e stream.Event, end int, ok bool) {
+	if i+8 > len(b) || binary.LittleEndian.Uint64(b[i:]) != litTime {
+		return e, 0, false
+	}
+	// b holds at least 8 bytes from here on, which load8 relies on.
+	p := i + 8
+	mag, neg, p, ok := scanPredictedInt(b, p)
+	if !ok || load8(b, p)&lowBytes7 != litKey {
+		return e, 0, false
+	}
+	switch {
+	case !neg && mag <= math.MaxInt64:
+		e.Time = int64(mag)
+	case neg && mag <= 1<<63:
+		e.Time = -int64(mag) // −(1<<63) wraps to MinInt64, the value it names
+	default:
+		return e, 0, false
+	}
+	if e.Key, neg, p, ok = scanPredictedInt(b, p+7); !ok || neg {
+		return e, 0, false
+	}
+	if p+9 > len(b) || b[p] != ',' || binary.LittleEndian.Uint64(b[p+1:]) != litValue {
+		return e, 0, false
+	}
+	if mag, neg, p, ok = scanPredictedInt(b, p+9); !ok || mag >= 1e15 || p >= len(b) || b[p] != '}' {
+		return e, 0, false
+	}
+	// Below 10^15 < 2^53 the conversion is exact; negating afterwards
+	// keeps "-0" a negative zero, as parseFloat has it.
+	if e.Value = float64(mag); neg {
+		e.Value = -e.Value
+	}
+	return e, p + 1, true
+}
+
+// scanPredictedInt reads -?(0|[1-9][0-9]*) of at most 19 digits at b[p]
+// and returns its magnitude, its sign and the index one past it. ok is
+// false for a missing or over-long digit run and for a leading zero.
+func scanPredictedInt(b []byte, p int) (mag uint64, neg bool, end int, ok bool) {
+	if p < len(b) && b[p] == '-' {
+		neg, p = true, p+1
+	}
+	w := load8(b, p)
+	lead0 := byte(w) == '0'
+	for n := 0; ; n += 8 {
+		if m := nonDigits(w); m != 0 {
+			d := bits.TrailingZeros64(m) / 8
+			if n += d; n == 0 || n > 19 || lead0 && n > 1 {
+				return 0, neg, 0, false
+			}
+			if d > 0 {
+				// The run's last d digits: shifted to the word's top, their
+				// leading positions fill with zero digits.
+				mag = mag*pow10[d&7] + eightDigits((w-ascii0s)<<(uint(64-8*d)&63))
+			}
+			return mag, neg, p + n, true
+		}
+		if n == 16 { // 24 digits and counting
+			return 0, neg, 0, false
+		}
+		mag = mag*1e8 + eightDigits(w-ascii0s)
+		w = load8(b, p+n+8)
+	}
+}
+
+// load8 returns the eight bytes at b[p] as a little-endian word; past
+// the end of b the word reads zero bytes, which are not digits. It needs
+// len(b) >= 8 and p <= len(b).
+func load8(b []byte, p int) uint64 {
+	if p+8 <= len(b) {
+		return binary.LittleEndian.Uint64(b[p:])
+	}
+	return binary.LittleEndian.Uint64(b[len(b)-8:]) >> (8 * uint(p+8-len(b)))
+}
+
+// nonDigits has a nonzero byte wherever w's byte is not an ASCII digit:
+// a digit's high nibble is 3 both as is and after adding 6. A byte whose
+// +6 carries into its neighbour is itself no digit, so the lowest flagged
+// byte — the first non-digit — is always exact.
+func nonDigits(w uint64) uint64 {
+	return (w&hiNibbles ^ ascii0s) | ((w+0x0606060606060606)&hiNibbles ^ ascii0s)
+}
+
+// eightDigits converts eight digit values (0..9, the most significant in
+// the lowest byte) to their number: adjacent digits pair into bytes, and
+// one multiply each folds the pairs into two four-digit halves and the
+// halves into the result.
+func eightDigits(x uint64) uint64 {
+	x = x*10 + x>>8
+	return ((x&0x000000FF000000FF)*(100+1000000<<32) + (x>>16&0x000000FF000000FF)*(1+10000<<32)) >> 32
+}
+
+// scanGeneral is scanEventObject's general loop: the fields in any
+// order, repeated or absent, with JSON whitespace around every token and
+// any number literal its field's type holds exactly.
+func scanGeneral(b []byte, i int) (e stream.Event, end int, ok bool) {
 	if i >= len(b) || b[i] != '{' {
 		return e, 0, false
 	}

@@ -30,14 +30,56 @@ var eventJSONSeeds = []string{
 	`{}`, ` { "time" : 1 } `, "\t{\"key\":2}\r\n", `{"time":1}x`, `[1]`, `null`, ``,
 }
 
+// predictedSeeds are the predicted layout's edges: a leading zero right
+// after each literal, digit runs on both sides of each 8-byte word, signs
+// without digits, the 15-digit value limit, a fraction or exponent just
+// past a full word, a line cut inside each literal, and a space before
+// the brace.
+func predictedSeeds() []string {
+	seeds := []string{
+		`{"time":0,"key":0,"value":0}`,
+		`{"time":01,"key":1,"value":1}`, `{"time":1,"key":01,"value":1}`, `{"time":1,"key":1,"value":01}`,
+		`{"time":-0,"key":1,"value":-0}`, `{"time":1,"key":-0,"value":1}`,
+		`{"time":-,"key":1,"value":1}`, `{"time":1,"key":-,"value":1}`, `{"time":1,"key":1,"value":-}`,
+		`{"time":1,"key":1,"value":123456789012345}`, `{"time":1,"key":1,"value":-123456789012345}`,
+		`{"time":1,"key":1,"value":1234567890123456}`,
+		`{"time":1,"key":1,"value":12345678.5}`, `{"time":1,"key":1,"value":12345678e3}`,
+		`{"time":12345678.5,"key":1,"value":1}`, `{"time":1,"key":12345678E1,"value":1}`,
+		`{"tim`, `{"time":1,"ke`, `{"time":1,"key":2,"val`, `{"time":1,"key":2,"value"`, `{"time":1,"key":2,"value":3`,
+		`{"time":1,"key":2,"value":3 }`, `{"time":1,"key":2,"value":3}` + "\n",
+		`{"time":9223372036854775807,"key":18446744073709551615,"value":1}`,
+		`{"time":-9223372036854775808,"key":9999999999999999999,"value":1}`,
+	}
+	for _, n := range []int{7, 8, 9, 16, 19, 20} {
+		digits := strings.Repeat("9", n)
+		seeds = append(seeds,
+			`{"time":`+digits+`,"key":1,"value":1}`,
+			`{"time":-`+digits+`,"key":1,"value":1}`,
+			`{"time":1,"key":`+digits+`,"value":1}`,
+			`{"time":1,"key":1,"value":`+digits+`}`,
+			`{"time":1,"key":1,"value":-`+digits+`}`,
+		)
+	}
+	return seeds
+}
+
 // FuzzDecodeEventJSON is the kernel's differential test: on every input
 // it must agree with json.Unmarshal into the wire struct — same
 // accept/reject, same error text, same Time and Key, same Value bits.
+// Whatever the predicted layout accepts, the general loop must accept
+// with the identical event and end.
 func FuzzDecodeEventJSON(f *testing.F) {
-	for _, s := range eventJSONSeeds {
+	for _, s := range append(eventJSONSeeds, predictedSeeds()...) {
 		f.Add([]byte(s))
 	}
 	f.Fuzz(func(t *testing.T, line []byte) {
+		i := skipJSONSpace(line, 0)
+		if pe, pend, ok := scanPredicted(line, i); ok {
+			ge, gend, gok := scanGeneral(line, i)
+			if !gok || pend != gend || pe.Time != ge.Time || pe.Key != ge.Key || math.Float64bits(pe.Value) != math.Float64bits(ge.Value) {
+				t.Fatalf("%q: predicted %+v end %d, general %+v end %d (ok=%v)", line, pe, pend, ge, gend, gok)
+			}
+		}
 		var want jsonEvent
 		wantErr := json.Unmarshal(line, &want)
 		got, gotErr := DecodeEventJSON(line)
@@ -96,6 +138,108 @@ func TestDecodeEventJSONFastPath(t *testing.T) {
 			t.Errorf("%s: %v allocs per decode, want 0", in, allocs)
 		}
 	}
+	// The layout clients send takes the predicted path, digit runs on
+	// both sides of a word included.
+	for in, want := range map[string]stream.Event{
+		`{"time":12,"key":7,"value":21}`:                                       {Time: 12, Key: 7, Value: 21},
+		`{"time":-1234567890123,"key":123456789,"value":-999999999999999}`:     {Time: -1234567890123, Key: 123456789, Value: -999999999999999},
+		`{"time":1234567812345678,"key":1234567812345678123,"value":12345678}`: {Time: 1234567812345678, Key: 1234567812345678123, Value: 12345678},
+		`{"time":-9223372036854775808,"key":9999999999999999999,"value":-0}`:   {Time: math.MinInt64, Key: 9999999999999999999},
+	} {
+		line := []byte(in)
+		got, end, ok := scanPredicted(line, 0)
+		if !ok || got != want || end != len(line) {
+			t.Errorf("%s: predicted %+v (ok=%v, end=%d), want %+v", in, got, ok, end, want)
+		}
+		if allocs := testing.AllocsPerRun(100, func() { DecodeEventJSON(line) }); allocs != 0 {
+			t.Errorf("%s: %v allocs per decode, want 0", in, allocs)
+		}
+	}
+}
+
+// FuzzAppendJSONArray pins AppendJSONArray to a json.Decoder decoding
+// one []event value: same accept/reject, same error text, same events
+// with the same Value bits, and nothing appended on an error. Elements
+// in the predicted layout are followed by ',' here rather than a line end.
+func FuzzAppendJSONArray(f *testing.F) {
+	for _, s := range []string{
+		`[{"time":1,"key":2,"value":3},{"time":4,"key":5,"value":6}]`,
+		`[{"time":12345678,"key":123456789,"value":-0},{"time":1,"key":2,"value":3.5}]`,
+		`[{"time":1,"key":2,"value":1234567890123456},{"time":01,"key":2,"value":3}]`,
+		` [ {"time":1,"key":2,"value":3} ,` + "\n" + `{"value":3,"key":2,"time":1} ] tail`,
+		`[{"time":1,"key":2,"value":3 },{"time":1,"key":2,"value":3}]`,
+		`[{"time":1,"key":2,"value":3},{"time":1,"key":2,"value":3}`,
+		`[{"time":1,"key":2,"value":3},{"time":1,"key":2,"val`,
+		`[{"time":1,"key":-2,"value":3}]`, `[{"time":1,"key":2,"value":3}x]`,
+		`[{"time":1,"key":2,"value":3},]`, `[{"time":1,"key":2,"value":3,"unit":"C"}]`,
+		`[]`, `null`, ``, `{}`, `[1]`,
+	} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var want []jsonEvent
+		wantErr := json.NewDecoder(bytes.NewReader(body)).Decode(&want)
+		pre := []stream.Event{{Time: 9}}
+		got, gotErr := AppendJSONArray(pre, bytes.NewReader(body))
+		if (gotErr == nil) != (wantErr == nil) || (wantErr != nil && gotErr.Error() != wantErr.Error()) {
+			t.Fatalf("%q: AppendJSONArray error %v, json.Decoder error %v", body, gotErr, wantErr)
+		}
+		if wantErr != nil {
+			if len(got) != len(pre) {
+				t.Fatalf("%q: %d events appended on error", body, len(got)-len(pre))
+			}
+			return
+		}
+		if len(got) != len(pre)+len(want) {
+			t.Fatalf("%q: %d events, json.Decoder %d", body, len(got)-len(pre), len(want))
+		}
+		for i, w := range want {
+			g := got[len(pre)+i]
+			if g.Time != w.Time || g.Key != w.Key || math.Float64bits(g.Value) != math.Float64bits(w.Value) {
+				t.Fatalf("%q: event %d is %+v, json.Decoder %+v", body, i, g, w)
+			}
+		}
+	})
+}
+
+// BenchmarkDecodeNDJSONBody measures the server's NDJSON ingest loop —
+// line scanner, trim, decode, append — over a body of 8,192 lines in the
+// shape the bench's text workload sends: 512 events a tick, keys below
+// 4,096, integer values below 1,000.
+func BenchmarkDecodeNDJSONBody(b *testing.B) {
+	const lines = 8192
+	var body []byte
+	for i := range lines {
+		body = append(body, `{"time":`...)
+		body = strconv.AppendInt(body, int64(40000+i/512), 10)
+		body = append(body, `,"key":`...)
+		body = strconv.AppendUint(body, uint64(i*2654435761%4096), 10)
+		body = append(body, `,"value":`...)
+		body = strconv.AppendInt(body, int64(i*7919%1000), 10)
+		body = append(body, '}', '\n')
+	}
+	batch := make([]stream.Event, 0, lines)
+	r := bytes.NewReader(body)
+	b.SetBytes(int64(len(body)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		r.Reset(body)
+		sc, put := NewLineScanner(r)
+		batch = batch[:0]
+		for sc.Scan() {
+			e, err := DecodeEventJSON(bytes.TrimSpace(sc.Bytes()))
+			if err != nil {
+				b.Fatal(err)
+			}
+			batch = append(batch, e)
+		}
+		put()
+		if len(batch) != lines {
+			b.Fatalf("decoded %d events, want %d", len(batch), lines)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*lines), "ns/event")
 }
 
 func TestAppendJSONArray(t *testing.T) {
