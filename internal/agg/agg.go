@@ -9,7 +9,6 @@ package agg
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Fn identifies an aggregate function.
@@ -213,112 +212,6 @@ func ValidateParam(f Fn, p float64) error {
 		}
 	}
 	return nil
-}
-
-// State is the boxed partial-aggregate state for one (window instance,
-// key) pair — the compatibility shim over the columnar kernels in
-// store.go. The executors' hot paths use Store rows instead; State
-// remains the convenient form for test oracles. Vals is used only by
-// holistic functions and is never pre-reserved for the others.
-type State struct {
-	Cnt   int64
-	Sum   float64
-	SumSq float64
-	Min   float64
-	Max   float64
-	Vals  []float64
-}
-
-// cell views the scalar part of s as a Cell for the columnar kernels.
-func (s *State) cell() Cell {
-	return Cell{Cnt: s.Cnt, Sum: s.Sum, SumSq: s.SumSq, Min: s.Min, Max: s.Max}
-}
-
-// setCell writes the kernel result back into s.
-func (s *State) setCell(c Cell) {
-	s.Cnt, s.Sum, s.SumSq, s.Min, s.Max = c.Cnt, c.Sum, c.SumSq, c.Min, c.Max
-}
-
-// Reset clears s for reuse (pooling in the session chain). A holistic
-// state keeps its Vals capacity; non-holistic states never acquire one.
-func (s *State) Reset() {
-	s.Cnt = 0
-	s.Sum = 0
-	s.SumSq = 0
-	s.Min = 0
-	s.Max = 0
-	s.Vals = s.Vals[:0]
-}
-
-// Empty reports whether s has absorbed no input.
-func (s *State) Empty() bool { return s.Cnt == 0 }
-
-// Add folds one raw event value into s.
-func Add(f Fn, s *State, v float64) {
-	if !f.Valid() {
-		panic(fmt.Sprintf("agg: Add on unknown function %v", f))
-	}
-	if f == Median {
-		s.Vals = append(s.Vals, v)
-		s.Cnt++
-		return
-	}
-	c := s.cell()
-	CellAdd(f, &c, v)
-	s.setCell(c)
-}
-
-// Merge folds the sub-aggregate sub into s. It panics for holistic
-// functions, which cannot be computed from sub-aggregates (Section III-A).
-// For "partitioned by" functions the caller must guarantee the
-// sub-aggregates are disjoint; for MIN/MAX overlap is safe (Theorem 6).
-func Merge(f Fn, s *State, sub *State) {
-	if sub.Cnt == 0 {
-		return
-	}
-	c, sc := s.cell(), sub.cell()
-	CellMerge(f, &c, &sc)
-	s.setCell(c)
-}
-
-// MergeRaw folds sub into s for any function, including holistic ones,
-// by carrying raw values where necessary. This is how window slicing
-// "supports" holistic functions per Section III-A: the slices contain
-// all input events rather than constant-size sub-aggregates, so storage
-// grows with the data. The sub-aggregates must be disjoint.
-func MergeRaw(f Fn, s *State, sub *State) {
-	if ClassOf(f) != Holistic {
-		Merge(f, s, sub)
-		return
-	}
-	if sub.Cnt == 0 {
-		return
-	}
-	s.Vals = append(s.Vals, sub.Vals...)
-	s.Cnt += sub.Cnt
-}
-
-// Final computes the aggregate result from s. For an empty state it
-// returns NaN for value aggregates and 0 for COUNT, matching SQL-ish
-// expectations (windows with no events are normally not emitted at all).
-func Final(f Fn, s *State) float64 {
-	if !f.Valid() {
-		panic(fmt.Sprintf("agg: Final on unknown function %v", f))
-	}
-	if f == Median {
-		if s.Cnt == 0 {
-			return math.NaN()
-		}
-		vals := append([]float64(nil), s.Vals...)
-		sort.Float64s(vals)
-		n := len(vals)
-		if n%2 == 1 {
-			return vals[n/2]
-		}
-		return (vals[n/2-1] + vals[n/2]) / 2
-	}
-	c := s.cell()
-	return CellFinal(f, &c)
 }
 
 // Functions returns all supported aggregate functions.

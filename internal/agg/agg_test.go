@@ -4,16 +4,75 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 )
 
-func fold(f Fn, vals []float64) *State {
-	s := &State{}
+// ref is the test oracle for one (window instance, key) partial
+// aggregate: the exported Cell kernels for every exactly shareable
+// function, plus a raw-value slice for MEDIAN.
+type ref struct {
+	c    Cell
+	vals []float64
+}
+
+func fold(f Fn, vals []float64) *ref {
+	r := &ref{}
 	for _, v := range vals {
-		Add(f, s, v)
+		r.add(f, v)
 	}
-	return s
+	return r
+}
+
+func (r *ref) add(f Fn, v float64) {
+	if f == Median {
+		r.vals = append(r.vals, v)
+		return
+	}
+	CellAdd(f, &r.c, v)
+}
+
+// merge folds the disjoint sub-aggregate o into r; MEDIAN carries raw
+// values, the way the slicing executor's holistic fallback does.
+func (r *ref) merge(f Fn, o *ref) {
+	if f == Median {
+		r.vals = append(r.vals, o.vals...)
+		return
+	}
+	CellMerge(f, &r.c, &o.c)
+}
+
+func (r *ref) cnt(f Fn) int64 {
+	if f == Median {
+		return int64(len(r.vals))
+	}
+	return r.c.Cnt
+}
+
+func (r *ref) final(f Fn) float64 {
+	if f != Median {
+		return CellFinal(f, &r.c)
+	}
+	if len(r.vals) == 0 {
+		return math.NaN()
+	}
+	vals := slices.Sorted(slices.Values(r.vals))
+	n := len(vals)
+	if n%2 == 1 {
+		return vals[n/2]
+	}
+	return (vals[n/2-1] + vals[n/2]) / 2
+}
+
+// storeFinal folds vals into one Store row and finalizes it.
+func storeFinal(f Fn, vals []float64) float64 {
+	s := NewStore(f)
+	base, _ := s.Alloc(1)
+	for _, v := range vals {
+		s.AddAt(base, v)
+	}
+	return s.FinalizeAt(base)
 }
 
 func TestTaxonomy(t *testing.T) {
@@ -98,8 +157,11 @@ func TestFinalBasics(t *testing.T) {
 		Median: 3.5,
 	}
 	for f, want := range checks {
-		if got := Final(f, fold(f, vals)); got != want {
+		if got := storeFinal(f, vals); got != want {
 			t.Errorf("%v = %v, want %v", f, got, want)
+		}
+		if got := fold(f, vals).final(f); got != want {
+			t.Errorf("oracle %v = %v, want %v", f, got, want)
 		}
 	}
 	// STDEV: population stddev of the values.
@@ -109,40 +171,61 @@ func TestFinalBasics(t *testing.T) {
 		ss += (v - mean) * (v - mean)
 	}
 	want := math.Sqrt(ss / 8)
-	if got := Final(StdDev, fold(StdDev, vals)); math.Abs(got-want) > 1e-12 {
+	if got := storeFinal(StdDev, vals); math.Abs(got-want) > 1e-12 {
 		t.Errorf("STDEV = %v, want %v", got, want)
 	}
 }
 
 func TestMedianOddAndEven(t *testing.T) {
-	if got := Final(Median, fold(Median, []float64{5, 1, 3})); got != 3 {
-		t.Errorf("odd median = %v", got)
-	}
-	if got := Final(Median, fold(Median, []float64{4, 2})); got != 3 {
-		t.Errorf("even median = %v", got)
+	for _, c := range []struct {
+		vals []float64
+		want float64
+	}{{[]float64{5, 1, 3}, 3}, {[]float64{4, 2}, 3}} {
+		if got := storeFinal(Median, c.vals); got != c.want {
+			t.Errorf("median of %v = %v, want %v", c.vals, got, c.want)
+		}
+		if got := fold(Median, c.vals).final(Median); got != c.want {
+			t.Errorf("oracle median of %v = %v, want %v", c.vals, got, c.want)
+		}
 	}
 }
 
 func TestEmptyState(t *testing.T) {
-	s := &State{}
-	if !s.Empty() {
-		t.Fatal("zero state must be empty")
+	var c Cell
+	if !c.Empty() {
+		t.Fatal("zero cell must be empty")
 	}
-	if got := Final(Count, s); got != 0 {
+	if got := CellFinal(Count, &c); got != 0 {
 		t.Errorf("COUNT of empty = %v", got)
 	}
 	for _, f := range []Fn{Min, Max, Sum, Avg, StdDev} {
-		if got := Final(f, s); !math.IsNaN(got) {
+		if got := CellFinal(f, &c); !math.IsNaN(got) {
 			t.Errorf("%v of empty = %v, want NaN", f, got)
+		}
+	}
+	for _, f := range exactFns() {
+		s := NewStore(f)
+		base, _ := s.Alloc(1)
+		if got, want := s.FinalizeAt(base), CellFinal(f, &c); !almostEqual(got, want) {
+			t.Errorf("%v of an empty store row = %v, want %v", f, got, want)
 		}
 	}
 }
 
 func TestReset(t *testing.T) {
-	s := fold(Median, []float64{1, 2, 3})
-	s.Reset()
-	if !s.Empty() || len(s.Vals) != 0 {
-		t.Fatal("Reset must clear state")
+	s := NewStore(Median)
+	base, cap := s.Alloc(1)
+	for _, v := range []float64{1, 2, 3} {
+		s.AddAt(base, v)
+	}
+	s.Clear(base, cap)
+	if s.LiveAt(base) || s.cnt[base] != 0 || len(s.RawAt(base)) != 0 {
+		t.Fatal("Clear must reset the row")
+	}
+	c := fold(Sum, []float64{1, 2, 3}).c
+	c.Reset()
+	if c != (Cell{}) {
+		t.Fatal("Reset must clear the cell")
 	}
 }
 
@@ -164,15 +247,16 @@ func TestMergeEqualsDirectOnPartitions(t *testing.T) {
 				raw[i] = math.Mod(raw[i], 1e6)
 			}
 			k := int(cut)%(len(raw)-1) + 1
-			direct := Final(f, fold(f, raw))
-			merged := &State{}
-			Merge(f, merged, fold(f, raw[:k]))
-			Merge(f, merged, fold(f, raw[k:]))
-			got := Final(f, merged)
-			if math.IsNaN(direct) && math.IsNaN(got) {
+			direct := fold(f, raw).c
+			var merged Cell
+			lo, hi := fold(f, raw[:k]).c, fold(f, raw[k:]).c
+			CellMerge(f, &merged, &lo)
+			CellMerge(f, &merged, &hi)
+			want, got := CellFinal(f, &direct), CellFinal(f, &merged)
+			if math.IsNaN(want) && math.IsNaN(got) {
 				return true
 			}
-			return math.Abs(got-direct) <= 1e-6*math.Max(1, math.Abs(direct))
+			return math.Abs(got-want) <= 1e-6*math.Max(1, math.Abs(want))
 		}
 		if err := quick.Check(prop, cfg); err != nil {
 			t.Errorf("%v: %v", f, err)
@@ -190,8 +274,8 @@ func TestMinMaxOverlapSafe(t *testing.T) {
 			raw[i] = r.NormFloat64() * 100
 		}
 		for _, f := range []Fn{Min, Max} {
-			direct := Final(f, fold(f, raw))
-			merged := &State{}
+			direct := fold(f, raw).final(f)
+			var merged Cell
 			// Random overlapping chunks that together cover all of raw.
 			covered := make([]bool, n)
 			for c := 0; c < 4; c++ {
@@ -200,14 +284,16 @@ func TestMinMaxOverlapSafe(t *testing.T) {
 				for i := lo; i < hi; i++ {
 					covered[i] = true
 				}
-				Merge(f, merged, fold(f, raw[lo:hi]))
+				sub := fold(f, raw[lo:hi]).c
+				CellMerge(f, &merged, &sub)
 			}
 			for i, ok := range covered {
 				if !ok {
-					Merge(f, merged, fold(f, raw[i:i+1]))
+					sub := fold(f, raw[i:i+1]).c
+					CellMerge(f, &merged, &sub)
 				}
 			}
-			if got := Final(f, merged); got != direct {
+			if got := CellFinal(f, &merged); got != direct {
 				t.Fatalf("%v over overlapping chunks = %v, want %v", f, got, direct)
 			}
 		}
@@ -217,23 +303,23 @@ func TestMinMaxOverlapSafe(t *testing.T) {
 func TestMergeHolisticPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("Merge(Median) must panic")
+			t.Fatal("CellMerge(Median) must panic")
 		}
 	}()
-	Merge(Median, &State{}, fold(Median, []float64{1}))
+	CellMerge(Median, &Cell{}, &Cell{Cnt: 1})
 }
 
 func TestMergeEmptySubIsNoop(t *testing.T) {
-	s := fold(Sum, []float64{1, 2})
-	Merge(Sum, s, &State{})
-	if Final(Sum, s) != 3 || s.Cnt != 2 {
+	c := fold(Sum, []float64{1, 2}).c
+	CellMerge(Sum, &c, &Cell{})
+	if CellFinal(Sum, &c) != 3 || c.Cnt != 2 {
 		t.Fatal("merging an empty sub-state must be a no-op")
 	}
 }
 
 func TestCountIgnoresValues(t *testing.T) {
-	s := fold(Count, []float64{math.Inf(1), -5, 0})
-	if Final(Count, s) != 3 {
+	vals := []float64{math.Inf(1), -5, 0}
+	if fold(Count, vals).final(Count) != 3 || storeFinal(Count, vals) != 3 {
 		t.Fatal("COUNT must count events, not values")
 	}
 }
@@ -305,8 +391,11 @@ func TestParams(t *testing.T) {
 
 func TestStdDevNeverNegativeSqrt(t *testing.T) {
 	// Constant input: variance should be exactly 0 even with float noise.
-	s := fold(StdDev, []float64{1e8, 1e8, 1e8, 1e8})
-	if got := Final(StdDev, s); got != 0 {
+	vals := []float64{1e8, 1e8, 1e8, 1e8}
+	if got := fold(StdDev, vals).final(StdDev); got != 0 {
 		t.Fatalf("STDEV of constants = %v", got)
+	}
+	if got := storeFinal(StdDev, vals); got != 0 {
+		t.Fatalf("store STDEV of constants = %v", got)
 	}
 }

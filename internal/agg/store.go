@@ -1,6 +1,6 @@
 // Columnar aggregate state. Store keeps the partial aggregates of many
 // (window instance, key) pairs as dense parallel columns instead of boxed
-// per-pair *State values: one allocation-free arena per operator, with
+// per-pair values: one allocation-free arena per operator, with
 // only the columns the aggregate function actually needs (SUM keeps a
 // count and a sum; STDEV adds a sum of squares; MIN/MAX keep a single
 // extremum; MEDIAN falls back to per-row raw-value buffers). An occupancy
@@ -8,12 +8,11 @@
 // spans are recycled through per-size free lists so steady-state folding
 // performs zero heap allocations per event.
 //
-// The kernels come in scalar (AddAt/MergeAt/FinalizeAt) and batch
-// (AddRows/AddBases/MergeBases) forms; the batch forms hoist the
-// per-function dispatch out of multi-row loops. The engine's hopping
-// and sub-aggregate paths use AddBases/MergeBases (one dispatch per
-// event or sub-aggregate, covering all k window instances it lands
-// in); single-row updates go through the scalar kernels.
+// The engine runs one batch kernel per job — AddSlots folds raw values,
+// MergeSpan merges sub-aggregate spans, FinalizeSpan finalizes a fired
+// span — each hoisting the per-function dispatch out of its row loop.
+// The baselines' single-row updates use the scalar AddAt/MergeAt/
+// MergeRawAt.
 
 package agg
 
@@ -28,7 +27,7 @@ import (
 
 // Cell is the flat, fixed-size partial-aggregate value: the columnar
 // row type, and the element the sliding baseline's pane stacks hold by
-// value. Unlike State it carries no raw-value buffer, so distributive
+// value. It carries no raw-value buffer, so distributive
 // and algebraic functions pay for exactly the scalars they use.
 type Cell struct {
 	Cnt   int64
@@ -45,7 +44,7 @@ func (c *Cell) Empty() bool { return c.Cnt == 0 }
 func (c *Cell) Reset() { *c = Cell{} }
 
 // CellAdd folds one raw event value into c. It panics for holistic
-// functions, which need raw-value buffers (use a Store or State).
+// functions, which need raw-value buffers (use a Store).
 func CellAdd(f Fn, c *Cell, v float64) {
 	switch f {
 	case Min:
@@ -67,8 +66,9 @@ func CellAdd(f Fn, c *Cell, v float64) {
 	c.Cnt++
 }
 
-// CellMerge folds the sub-aggregate src into dst. Like Merge it panics
-// for holistic functions; for "partitioned by" functions the caller must
+// CellMerge folds the sub-aggregate src into dst. It panics for
+// holistic functions, which cannot be computed from sub-aggregates
+// (Section III-A); for "partitioned by" functions the caller must
 // guarantee disjoint sub-aggregates, for MIN/MAX overlap is safe.
 func CellMerge(f Fn, dst, src *Cell) {
 	if src.Cnt == 0 {
@@ -94,8 +94,9 @@ func CellMerge(f Fn, dst, src *Cell) {
 	dst.Cnt += src.Cnt
 }
 
-// CellFinal computes the aggregate result from c, with the same
-// empty-state conventions as Final.
+// CellFinal computes the aggregate result from c. For an empty cell it
+// returns NaN for value aggregates and 0 for COUNT (windows with no
+// events are normally not emitted at all).
 func CellFinal(f Fn, c *Cell) float64 {
 	if c.Cnt == 0 {
 		if f == Count {
@@ -297,12 +298,8 @@ func classFor(n int32) uint {
 	return uint(bits.Len32(uint32(n - 1)))
 }
 
-// SpanCap returns the actual span length Alloc grants for a request of
-// n rows (the next power-of-two size class).
-func SpanCap(n int32) int32 { return 1 << classFor(n) }
-
 // Alloc returns the base row of a zeroed span holding at least n rows;
-// its true capacity is SpanCap(n). Freed spans of the same class are
+// its true capacity is the next power-of-two size class. Freed spans of the same class are
 // reused before the arena grows.
 func (s *Store) Alloc(n int32) (base, cap int32) {
 	c := classFor(n)
@@ -453,7 +450,7 @@ func (s *Store) clearRow(row int32) {
 	}
 }
 
-// Grow moves a span to a larger one (capacity SpanCap(need)), copying
+// Grow moves a span to a larger one (as Alloc(need) grants), copying
 // its occupied rows and releasing the old span. It returns the new base
 // and capacity. Row addresses change: callers must not hold row indices
 // into the old span across a Grow.
@@ -515,9 +512,6 @@ func (s *Store) LiveAt(row int32) bool {
 	return s.occ[row>>6]&(1<<(uint(row)&63)) != 0
 }
 
-// CntAt returns the row's input count.
-func (s *Store) CntAt(row int32) int64 { return s.cnt[row] }
-
 // AddAt folds one raw value into the row (scalar kernel).
 func (s *Store) AddAt(row int32, v float64) {
 	switch s.kind {
@@ -545,62 +539,6 @@ func (s *Store) AddAt(row int32, v float64) {
 	}
 	s.cnt[row]++
 	s.occ[row>>6] |= 1 << (uint(row) & 63)
-}
-
-// AddRows folds vals[i] into rows[i] for every i, dispatching on the
-// function once per call. The executors' hot paths currently use the
-// scalar AddAt (for single-row updates the staging cost of a row/value
-// batch exceeds the dispatch it saves — see the engine's tumbling
-// path); AddRows is the staged-batch entry point kept for consumers
-// that already hold columnar input, e.g. future SIMD-friendly
-// batching. It is property-tested against AddAt.
-func (s *Store) AddRows(rows []int32, vals []float64) {
-	switch s.kind {
-	case storeMin:
-		for i, r := range rows {
-			v := vals[i]
-			if s.cnt[r] == 0 || v < s.min[r] {
-				s.min[r] = v
-			}
-			s.cnt[r]++
-			s.occ[r>>6] |= 1 << (uint(r) & 63)
-		}
-	case storeMax:
-		for i, r := range rows {
-			v := vals[i]
-			if s.cnt[r] == 0 || v > s.max[r] {
-				s.max[r] = v
-			}
-			s.cnt[r]++
-			s.occ[r>>6] |= 1 << (uint(r) & 63)
-		}
-	case storeSum:
-		for i, r := range rows {
-			s.sum[r] += vals[i]
-			s.cnt[r]++
-			s.occ[r>>6] |= 1 << (uint(r) & 63)
-		}
-	case storeSumSq:
-		for i, r := range rows {
-			v := vals[i]
-			s.sum[r] += v
-			s.sumsq[r] += v * v
-			s.cnt[r]++
-			s.occ[r>>6] |= 1 << (uint(r) & 63)
-		}
-	case storeRaw:
-		for i, r := range rows {
-			s.raw[r] = append(s.raw[r], vals[i])
-			s.cnt[r]++
-			s.occ[r>>6] |= 1 << (uint(r) & 63)
-		}
-	case storeQuant, storeHLL, storeTopK:
-		// Sketch folds dwarf the dispatch; the scalar kernel per row is
-		// already the right cost shape.
-		for i, r := range rows {
-			s.AddAt(r, vals[i])
-		}
-	}
 }
 
 // AddSlots folds vals[i] into row base+slots[i] for every i — the
@@ -676,76 +614,6 @@ func (s *Store) AddSlots(base int32, slots []int32, vals []float64) {
 	}
 }
 
-// AddBases folds one value into row base+slot for every span base — the
-// engine's hopping-window raw path, where one event lands in k window
-// instances at the same key slot.
-func (s *Store) AddBases(bases []int32, slot int32, v float64) {
-	switch s.kind {
-	case storeMin:
-		for _, b := range bases {
-			r := b + slot
-			if s.cnt[r] == 0 || v < s.min[r] {
-				s.min[r] = v
-			}
-			s.cnt[r]++
-			s.occ[r>>6] |= 1 << (uint(r) & 63)
-		}
-	case storeMax:
-		for _, b := range bases {
-			r := b + slot
-			if s.cnt[r] == 0 || v > s.max[r] {
-				s.max[r] = v
-			}
-			s.cnt[r]++
-			s.occ[r>>6] |= 1 << (uint(r) & 63)
-		}
-	case storeSum:
-		for _, b := range bases {
-			r := b + slot
-			s.sum[r] += v
-			s.cnt[r]++
-			s.occ[r>>6] |= 1 << (uint(r) & 63)
-		}
-	case storeSumSq:
-		vv := v * v
-		for _, b := range bases {
-			r := b + slot
-			s.sum[r] += v
-			s.sumsq[r] += vv
-			s.cnt[r]++
-			s.occ[r>>6] |= 1 << (uint(r) & 63)
-		}
-	case storeRaw:
-		for _, b := range bases {
-			r := b + slot
-			s.raw[r] = append(s.raw[r], v)
-			s.cnt[r]++
-			s.occ[r>>6] |= 1 << (uint(r) & 63)
-		}
-	case storeQuant:
-		for _, b := range bases {
-			r := b + slot
-			s.qat(r).Add(v)
-			s.cnt[r]++
-			s.occ[r>>6] |= 1 << (uint(r) & 63)
-		}
-	case storeHLL:
-		for _, b := range bases {
-			r := b + slot
-			s.hat(r).Add(v)
-			s.cnt[r]++
-			s.occ[r>>6] |= 1 << (uint(r) & 63)
-		}
-	case storeTopK:
-		for _, b := range bases {
-			r := b + slot
-			s.tat(r).Add(v)
-			s.cnt[r]++
-			s.occ[r>>6] |= 1 << (uint(r) & 63)
-		}
-	}
-}
-
 // mergeSketchRow folds src's sketch at srcRow into this store's sketch
 // at dst (sketch-backed kinds only; count and occupancy are the
 // caller's). Sketches merge only with a uniform configuration; both
@@ -776,7 +644,7 @@ func (s *Store) mergeSketchRow(dst int32, src *Store, srcRow int32) {
 // MergeAt folds src's row srcRow into this store's row dst. Both stores
 // must be specialized for the same function. Sketch-backed rows merge
 // their sketches; it panics for exact holistic functions (use
-// MergeRawAt), mirroring Merge.
+// MergeRawAt), mirroring CellMerge.
 func (s *Store) MergeAt(dst int32, src *Store, srcRow int32) {
 	if src.cnt[srcRow] == 0 {
 		return
@@ -802,63 +670,6 @@ func (s *Store) MergeAt(dst int32, src *Store, srcRow int32) {
 	}
 	s.cnt[dst] += src.cnt[srcRow]
 	s.occ[dst>>6] |= 1 << (uint(dst) & 63)
-}
-
-// MergeBases folds src's row srcRow into row base+slot for every span
-// base — the sub-aggregate counterpart of AddBases.
-func (s *Store) MergeBases(bases []int32, slot int32, src *Store, srcRow int32) {
-	if src.cnt[srcRow] == 0 {
-		return
-	}
-	cnt := src.cnt[srcRow]
-	switch s.kind {
-	case storeMin:
-		v := src.min[srcRow]
-		for _, b := range bases {
-			r := b + slot
-			if s.cnt[r] == 0 || v < s.min[r] {
-				s.min[r] = v
-			}
-			s.cnt[r] += cnt
-			s.occ[r>>6] |= 1 << (uint(r) & 63)
-		}
-	case storeMax:
-		v := src.max[srcRow]
-		for _, b := range bases {
-			r := b + slot
-			if s.cnt[r] == 0 || v > s.max[r] {
-				s.max[r] = v
-			}
-			s.cnt[r] += cnt
-			s.occ[r>>6] |= 1 << (uint(r) & 63)
-		}
-	case storeSum:
-		v := src.sum[srcRow]
-		for _, b := range bases {
-			r := b + slot
-			s.sum[r] += v
-			s.cnt[r] += cnt
-			s.occ[r>>6] |= 1 << (uint(r) & 63)
-		}
-	case storeSumSq:
-		v, vv := src.sum[srcRow], src.sumsq[srcRow]
-		for _, b := range bases {
-			r := b + slot
-			s.sum[r] += v
-			s.sumsq[r] += vv
-			s.cnt[r] += cnt
-			s.occ[r>>6] |= 1 << (uint(r) & 63)
-		}
-	case storeQuant, storeHLL, storeTopK:
-		for _, b := range bases {
-			r := b + slot
-			s.mergeSketchRow(r, src, srcRow)
-			s.cnt[r] += cnt
-			s.occ[r>>6] |= 1 << (uint(r) & 63)
-		}
-	default:
-		panic(fmt.Sprintf("agg: MergeBases unsupported for %v (%v)", s.fn, ClassOf(s.fn)))
-	}
 }
 
 // MergeSpan folds src's rows srcBase+off into this store's rows
@@ -1277,7 +1088,7 @@ func FinalizeCells(f Fn, cells []Cell, out []float64) []float64 {
 	return out
 }
 
-// CellAt exports the row's scalar state (for checkpoints and the shim).
+// CellAt exports the row's scalar state (for checkpoints).
 func (s *Store) CellAt(row int32) Cell {
 	c := Cell{Cnt: s.cnt[row]}
 	switch s.kind {

@@ -17,10 +17,9 @@ func almostEqual(a, b float64) bool {
 	return a == b || math.Abs(a-b) <= 1e-9*math.Max(1, math.Max(math.Abs(a), math.Abs(b)))
 }
 
-// exactFns returns every function with an exact boxed-State reference —
-// all but the sketch-backed ones, whose store rows hold sketches the
-// shim cannot express (they are covered by the sketch kernel tests
-// below).
+// exactFns returns every function the ref oracle expresses — all but
+// the sketch-backed ones, whose store rows hold sketches (they are
+// covered by the sketch kernel tests below).
 func exactFns() []Fn {
 	var out []Fn
 	for _, f := range Functions() {
@@ -31,30 +30,30 @@ func exactFns() []Fn {
 	return out
 }
 
-// TestStoreKernelsMatchBoxed drives random Add/Merge/Finalize traffic
-// through a Store span and the boxed State shim in lockstep: the
-// columnar kernels must be bit-compatible with the boxed path for every
+// TestStoreKernelsMatchBoxed drives random Add/Finalize traffic through a
+// Store span and per-row ref oracles in lockstep: the columnar kernels
+// must agree with the Cell kernels (and MEDIAN's raw values) for every
 // function.
 func TestStoreKernelsMatchBoxed(t *testing.T) {
 	r := rand.New(rand.NewSource(42))
 	for _, fn := range exactFns() {
 		s := NewStore(fn)
 		base, cap := s.Alloc(8)
-		boxed := make([]State, cap)
+		boxed := make([]ref, cap)
 		for step := 0; step < 2000; step++ {
 			row := int32(r.Intn(int(cap)))
 			v := float64(r.Intn(200) - 100)
 			s.AddAt(base+row, v)
-			Add(fn, &boxed[row], v)
+			boxed[row].add(fn, v)
 		}
 		for row := int32(0); row < cap; row++ {
-			if got, want := s.CntAt(base+row), boxed[row].Cnt; got != want {
+			if got, want := s.cnt[base+row], boxed[row].cnt(fn); got != want {
 				t.Fatalf("%v row %d: cnt %d, want %d", fn, row, got, want)
 			}
-			if got, want := s.LiveAt(base+row), boxed[row].Cnt > 0; got != want {
+			if got, want := s.LiveAt(base+row), boxed[row].cnt(fn) > 0; got != want {
 				t.Fatalf("%v row %d: live %t, want %t", fn, row, got, want)
 			}
-			got, want := s.FinalizeAt(base+row), Final(fn, &boxed[row])
+			got, want := s.FinalizeAt(base+row), boxed[row].final(fn)
 			if !almostEqual(got, want) {
 				t.Fatalf("%v row %d: finalize %v, want %v", fn, row, got, want)
 			}
@@ -63,21 +62,21 @@ func TestStoreKernelsMatchBoxed(t *testing.T) {
 }
 
 // TestStoreMergeMatchesBoxed merges random sub-aggregates across two
-// spans and checks against State merging (MergeRawAt for the holistic
-// fallback, MergeAt otherwise).
+// spans and checks against ref oracle merging (MergeRawAt for the
+// holistic fallback, MergeAt otherwise).
 func TestStoreMergeMatchesBoxed(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	for _, fn := range exactFns() {
 		s := NewStore(fn)
 		src, srcCap := s.Alloc(4)
 		dst, dstCap := s.Alloc(4)
-		boxedSrc := make([]State, srcCap)
-		boxedDst := make([]State, dstCap)
+		boxedSrc := make([]ref, srcCap)
+		boxedDst := make([]ref, dstCap)
 		for row := int32(0); row < srcCap; row++ {
 			for i := 0; i < r.Intn(5); i++ {
 				v := float64(r.Intn(100))
 				s.AddAt(src+row, v)
-				Add(fn, &boxedSrc[row], v)
+				boxedSrc[row].add(fn, v)
 			}
 		}
 		for step := 0; step < 50; step++ {
@@ -85,17 +84,16 @@ func TestStoreMergeMatchesBoxed(t *testing.T) {
 			to := int32(r.Intn(int(dstCap)))
 			if Shareable(fn) {
 				s.MergeAt(dst+to, s, src+from)
-				Merge(fn, &boxedDst[to], &boxedSrc[from])
 			} else {
 				s.MergeRawAt(dst+to, s, src+from)
-				MergeRaw(fn, &boxedDst[to], &boxedSrc[from])
 			}
+			boxedDst[to].merge(fn, &boxedSrc[from])
 		}
 		for row := int32(0); row < dstCap; row++ {
-			if boxedDst[row].Cnt == 0 {
+			if boxedDst[row].cnt(fn) == 0 {
 				continue
 			}
-			got, want := s.FinalizeAt(dst+row), Final(fn, &boxedDst[row])
+			got, want := s.FinalizeAt(dst+row), boxedDst[row].final(fn)
 			if !almostEqual(got, want) {
 				t.Fatalf("%v row %d: finalize %v, want %v", fn, row, got, want)
 			}
@@ -103,36 +101,49 @@ func TestStoreMergeMatchesBoxed(t *testing.T) {
 	}
 }
 
-// TestStoreBatchKernelsMatchScalar checks AddRows/AddBases/MergeBases
-// against their scalar counterparts on a second store.
+// TestStoreBatchKernelsMatchScalar checks the engine's batch kernels
+// against their scalar counterparts on a second store: AddSlots against
+// AddAt, and a sparse-offset MergeSpan (the row loop, not the dense
+// sweep) against per-row MergeAt — MergeRawAt for MEDIAN, whose spans
+// carry raw values.
 func TestStoreBatchKernelsMatchScalar(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	for _, fn := range Functions() {
 		batch, scalar := NewStore(fn), NewStore(fn)
 		bBase, cap := batch.Alloc(16)
 		sBase, _ := scalar.Alloc(16)
+		bSrc, _ := batch.Alloc(16)
+		sSrc, _ := scalar.Alloc(16)
 
-		rows := make([]int32, 0, 64)
+		slots := make([]int32, 0, 64)
 		vals := make([]float64, 0, 64)
 		for i := 0; i < 64; i++ {
 			off := int32(r.Intn(int(cap)))
 			v := float64(r.Intn(100))
-			rows = append(rows, bBase+off)
+			slots = append(slots, off)
 			vals = append(vals, v)
 			scalar.AddAt(sBase+off, v)
 		}
-		batch.AddRows(rows, vals)
+		batch.AddSlots(bBase, slots, vals)
 
-		bases := []int32{bBase, bBase + 4, bBase + 8}
-		sBases := []int32{sBase, sBase + 4, sBase + 8}
-		batch.AddBases(bases, 2, 13)
-		for _, b := range sBases {
-			scalar.AddAt(b+2, 13)
+		for i := 0; i < 24; i++ {
+			off := int32(r.Intn(int(cap)))
+			v := float64(r.Intn(100) + 100)
+			batch.AddAt(bSrc+off, v)
+			scalar.AddAt(sSrc+off, v)
 		}
-		if Mergeable(fn) {
-			batch.MergeBases(bases, 3, batch, bBase+2)
-			for _, b := range sBases {
-				scalar.MergeAt(b+3, scalar, sBase+2)
+		var offs []int32
+		for _, off := range batch.AppendLive(bSrc, cap, nil) {
+			if off%3 != 0 { // never the identity prefix: offset 0 is absent
+				offs = append(offs, off)
+			}
+		}
+		batch.MergeSpan(bBase, batch, bSrc, offs)
+		for _, off := range offs {
+			if fn == Median {
+				scalar.MergeRawAt(sBase+off, scalar, sSrc+off)
+			} else {
+				scalar.MergeAt(sBase+off, scalar, sSrc+off)
 			}
 		}
 		for off := int32(0); off < cap; off++ {
@@ -235,23 +246,24 @@ func TestStoreHolisticBuffers(t *testing.T) {
 	}
 }
 
-// TestCellKernels sanity-checks the flat Cell API against the shim.
+// TestCellKernels checks the flat Cell kernels against a Store row fed
+// the same adds and merge.
 func TestCellKernels(t *testing.T) {
 	for _, fn := range ShareableFns() {
 		var c Cell
-		var s State
+		s := NewStore(fn)
+		base, _ := s.Alloc(2)
 		for _, v := range []float64{3, -1, 8, 8, 2} {
 			CellAdd(fn, &c, v)
-			Add(fn, &s, v)
+			s.AddAt(base, v)
 		}
 		var c2 Cell
 		CellAdd(fn, &c2, 100)
 		CellMerge(fn, &c, &c2)
-		var s2 State
-		Add(fn, &s2, 100)
-		Merge(fn, &s, &s2)
-		if got, want := CellFinal(fn, &c), Final(fn, &s); !almostEqual(got, want) {
-			t.Fatalf("%v: cell %v, state %v", fn, got, want)
+		s.AddAt(base+1, 100)
+		s.MergeAt(base, s, base+1)
+		if got, want := CellFinal(fn, &c), s.FinalizeAt(base); !almostEqual(got, want) {
+			t.Fatalf("%v: cell %v, store %v", fn, got, want)
 		}
 	}
 	var empty Cell
@@ -263,17 +275,24 @@ func TestCellKernels(t *testing.T) {
 	}
 }
 
-// TestStateShimNoValsForNonHolistic pins the shim-path memory fix: only
-// holistic functions may populate the boxed state's raw-value buffer.
+// TestStateShimNoValsForNonHolistic pins the store's memory shape: only
+// MEDIAN may populate the raw-value side table. Every other function
+// folds, merges, grows and recycles spans without ever allocating it.
 func TestStateShimNoValsForNonHolistic(t *testing.T) {
-	for _, fn := range ShareableFns() {
-		var s State
+	for _, fn := range Functions() {
+		s := NewStore(fn)
+		base, cap := s.Alloc(4)
 		for i := 0; i < 100; i++ {
-			Add(fn, &s, float64(i))
+			s.AddAt(base+int32(i)%cap, float64(i))
 		}
-		if s.Vals != nil {
-			t.Fatalf("%v: shim reserved a %d-cap Vals buffer for a non-holistic function",
-				fn, len(s.Vals))
+		s.AddSlots(base, []int32{0, 1, 3}, []float64{1, 2, 3})
+		src, _ := s.Alloc(4)
+		s.AddAt(src+2, 7)
+		s.MergeSpan(base, s, src, s.AppendLive(src, cap, nil))
+		nb, nc := s.Grow(base, cap, 9)
+		s.Release(nb, nc)
+		if got := s.raw != nil; got != (fn == Median) {
+			t.Fatalf("%v: raw-value side table allocated = %t, want %t", fn, got, fn == Median)
 		}
 	}
 }
@@ -566,8 +585,8 @@ func (r *sketchRef) final(param float64) float64 {
 	}
 }
 
-// TestStoreSketchKernelsMatchReference drives the scalar, slot-batch and
-// base-batch add kernels plus span merges against hand-driven reference
+// TestStoreSketchKernelsMatchReference drives the scalar and slot-batch
+// add kernels plus span merges against hand-driven reference
 // sketches: the store must be a pure router around the sketch, bit-equal
 // under identical operation order.
 func TestStoreSketchKernelsMatchReference(t *testing.T) {
@@ -593,10 +612,6 @@ func TestStoreSketchKernelsMatchReference(t *testing.T) {
 		for i, sl := range slots {
 			refs[sl].add(vals[i])
 		}
-		// Hopping-style base batch: one value into several spans; here one
-		// span repeated exercises repeated-fold behaviour identically.
-		s.AddBases([]int32{base}, 6, 11)
-		refs[6].add(11)
 		// Whole-span merge from a second span.
 		src, _ := s.Alloc(8)
 		srcRefs := make([]*sketchRef, cap)
@@ -653,7 +668,7 @@ func TestStoreSketchRecycling(t *testing.T) {
 			t.Fatalf("%v: recycled span not clean: %v", fn, got)
 		}
 		s.AddAt(base2+1, 9)
-		if got := s.CntAt(base2 + 1); got != 1 {
+		if got := s.cnt[base2+1]; got != 1 {
 			t.Fatalf("%v: recycled row kept state: cnt %d", fn, got)
 		}
 		// Grow moves the live sketch with its row.
@@ -688,7 +703,7 @@ func TestStoreSketchSnapshotRoundTrip(t *testing.T) {
 		if err := restored.SetSketchAt(rb+1, blob); err != nil {
 			t.Fatalf("%v: SetSketchAt: %v", fn, err)
 		}
-		restored.cnt[rb+1] = s.CntAt(base + 1)
+		restored.cnt[rb+1] = s.cnt[base+1]
 		if !restored.LiveAt(rb + 1) {
 			t.Fatalf("%v: restored row not live", fn)
 		}

@@ -3,6 +3,7 @@ package engine
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"factorwindows/internal/agg"
@@ -13,30 +14,51 @@ import (
 )
 
 // directEval is the test oracle: it evaluates fn over every instance of
-// every window by scanning all events, with no sharing at all.
+// every window by scanning all events, with no sharing at all. Each
+// (instance, key) folds through the exported Cell kernels; MEDIAN keeps
+// its raw values and takes the middle of the sorted slice.
 func directEval(ws []window.Window, fn agg.Fn, events []stream.Event) []stream.Result {
 	var out []stream.Result
 	if len(events) == 0 {
 		return out
 	}
+	type state struct {
+		c    agg.Cell
+		vals []float64
+	}
+	final := func(st *state) float64 {
+		if fn != agg.Median {
+			return agg.CellFinal(fn, &st.c)
+		}
+		vals := slices.Sorted(slices.Values(st.vals))
+		n := len(vals)
+		if n%2 == 1 {
+			return vals[n/2]
+		}
+		return (vals[n/2-1] + vals[n/2]) / 2
+	}
 	maxT := events[len(events)-1].Time
 	for _, w := range ws {
 		for m := int64(0); m*w.Slide <= maxT; m++ {
 			iv := w.Instance(m)
-			states := map[uint64]*agg.State{}
+			states := map[uint64]*state{}
 			for _, e := range events {
 				if iv.Contains(e.Time) {
 					st := states[e.Key]
 					if st == nil {
-						st = &agg.State{}
+						st = &state{}
 						states[e.Key] = st
 					}
-					agg.Add(fn, st, e.Value)
+					if fn == agg.Median {
+						st.vals = append(st.vals, e.Value)
+					} else {
+						agg.CellAdd(fn, &st.c, e.Value)
+					}
 				}
 			}
 			for key, st := range states {
 				out = append(out, stream.Result{
-					W: w, Start: iv.Start, End: iv.End, Key: key, Value: agg.Final(fn, st),
+					W: w, Start: iv.Start, End: iv.End, Key: key, Value: final(st),
 				})
 			}
 		}

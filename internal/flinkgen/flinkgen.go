@@ -211,7 +211,7 @@ func fnClass(f agg.Fn) string {
 // aggregateClasses emits the two AggregateFunction implementations the job
 // needs: one over raw events and — when the plan shares computation — one
 // over upstream sub-aggregates. The partial-aggregate record mirrors
-// agg.State: (count, sum, sumSq, min, max) suffices for every shareable
+// agg.Cell: (count, sum, sumSq, min, max) suffices for every shareable
 // function.
 func (g *generator) aggregateClasses(b *strings.Builder) {
 	if agg.ClassOf(g.plan.Fn) == agg.Holistic {
@@ -225,7 +225,7 @@ func (g *generator) aggregateClasses(b *strings.Builder) {
 			break
 		}
 	}
-	b.WriteString("  /** Partial aggregate; mirrors the library's agg.State. */\n")
+	b.WriteString("  /** Partial aggregate; mirrors the library's agg.Cell. */\n")
 	b.WriteString("  public static class Agg {\n")
 	b.WriteString("    public long key;\n")
 	b.WriteString("    public long cnt;\n")

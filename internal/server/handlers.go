@@ -430,34 +430,63 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	}
 	w.WriteHeader(http.StatusOK)
 	rc := http.NewResponseController(w)
+	follow(rg, after, r.Context().Done(), nil, nil, func(dst []byte, c *runChunk) ([]byte, error) {
+		if binary {
+			dst = c.appendFrame(dst, 0)
+		} else {
+			dst = c.appendJSON(dst, '\n')
+		}
+		if _, err := w.Write(dst); err != nil {
+			return dst, err
+		}
+		rc.Flush()
+		return dst, nil
+	})
+}
+
+// follow is the one subscription loop behind both stream readers,
+// handleStream and the listener's streamSub; only the framing differs.
+// From cursor after it fetches the ring's wake channel (before reading,
+// so no wakeup is missed), drains up to streamChunk rows as runs into a
+// pooled chunk, and hands the chunk to send, which encodes it into the
+// pooled buffer it is given and writes it; the cursor then moves past
+// the chunk. A non-nil gap is told, before the rows that survive are
+// sent, how many rows the ring evicted past the cursor and the first
+// sequence number still held; a nil gap ignores them. With nothing left
+// to drain, follow returns true once the ring is closed (the query
+// unregistered or the server shut down) and otherwise parks until the
+// ring grows or done or stop fires (a nil channel never fires). It
+// returns false when done or stop fired or send failed.
+func follow(rg *ring, after int64, done, stop <-chan struct{}, gap func(missed, first int64), send func(dst []byte, c *runChunk) ([]byte, error)) bool {
 	chunk := runChunkPool.Get().(*runChunk)
 	defer runChunkPool.Put(chunk)
 	bufp := streamio.GetEncodeBuf()
 	defer streamio.PutEncodeBuf(bufp)
 	for {
 		wake := rg.waitCh() // fetch before reading: no missed wakeups
-		rg.readRuns(after, streamChunk, chunk)
-		if n := chunk.rows(); n > 0 {
-			buf := (*bufp)[:0]
-			if binary {
-				buf = chunk.appendFrame(buf, 0)
-			} else {
-				buf = chunk.appendJSON(buf, '\n')
+		if missed := rg.readRuns(after, streamChunk, chunk); missed > 0 {
+			if gap != nil {
+				gap(missed, after+1+missed)
 			}
+			after += missed
+		}
+		if n := chunk.rows(); n > 0 {
+			buf, err := send((*bufp)[:0], chunk)
 			*bufp = buf
-			if _, err := w.Write(buf); err != nil {
-				return
+			if err != nil {
+				return false
 			}
 			after = chunk.firstSeq + int64(n) - 1
-			rc.Flush()
 			continue
 		}
 		if rg.isClosed() {
-			return
+			return true
 		}
 		select {
-		case <-r.Context().Done():
-			return
+		case <-done:
+			return false
+		case <-stop:
+			return false
 		case <-wake:
 		}
 	}

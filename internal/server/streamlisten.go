@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"factorwindows/internal/stream"
-	"factorwindows/internal/streamio"
 	"factorwindows/internal/wire"
 )
 
@@ -274,17 +273,17 @@ func (sc *streamConn) controlLine(br *bufio.Reader) bool {
 	return true
 }
 
+// frameAdmitCharge estimates one event frame's memory footprint for
+// admission: the decoded events (three 8-byte words each) plus a small
+// fixed overhead for the frame header and staging bookkeeping.
+func frameAdmitCharge(rows int) int64 { return int64(rows)*24 + 64 }
+
 // ingestFrame pushes one client event frame through the regular ingest
 // path — chunked at ingestChunk like every HTTP codec, each chunk one
 // WAL record on a durable server — and acks it with a control frame
 // echoing the frame's stream id, ctrlAuxDurable set when every chunk
 // was fsync-acked. Ingest failures ack with the error instead of
 // severing the connection: the client's other subscriptions are fine.
-// frameAdmitCharge estimates one event frame's memory footprint for
-// admission: the decoded events (three 8-byte words each) plus a small
-// fixed overhead for the frame header and staging bookkeeping.
-func frameAdmitCharge(rows int) int64 { return int64(rows)*24 + 64 }
-
 func (sc *streamConn) ingestFrame(f wire.Frame) {
 	if s := sc.ss.s; s.admit != nil {
 		g, err := s.admit.Acquire(sourceOf(sc.c.RemoteAddr().String()), frameAdmitCharge(f.Rows()))
@@ -297,28 +296,14 @@ func (sc *streamConn) ingestFrame(f wire.Frame) {
 	batchp := frameBatchPool.Get().(*[]stream.Event)
 	batch := f.AppendEvents((*batchp)[:0])
 	var (
-		total IngestStatus
+		total ingestTotal
 		ierr  error
 	)
-	for off := 0; off < len(batch); off += ingestChunk {
-		end := min(off+ingestChunk, len(batch))
-		st, err := sc.ss.s.Ingest(batch[off:end])
-		if err != nil {
-			ierr = err
-			break
-		}
-		total.Accepted += st.Accepted
-		total.Dropped += st.Dropped
-		if off == 0 {
-			total.Durable = st.Durable
-		} else {
-			total.Durable = total.Durable && st.Durable
-		}
+	for off := 0; off < len(batch) && ierr == nil; off += ingestChunk {
+		ierr = total.apply(sc.ss.s, batch[off:min(off+ingestChunk, len(batch))])
 	}
-	if cap(batch) <= frameBatchRetain {
-		*batchp = batch[:0]
-		frameBatchPool.Put(batchp)
-	}
+	*batchp = batch
+	putFrameBatch(batchp)
 	ack := ingestAck{Stream: f.StreamID, Ingest: true, Accepted: total.Accepted, Dropped: total.Dropped}
 	var aux int64
 	if ierr != nil {
@@ -394,49 +379,27 @@ func (sc *streamConn) unsubscribe(streamID uint32) {
 	sc.ack(subAck{Stream: streamID, OK: true})
 }
 
-// streamSub is one subscription's writer loop: the persistent-stream
-// counterpart of handleStream, with the drained chunks framed under the
-// subscription's stream id instead of NDJSON. Steady state is
-// allocation-free per poll: pooled run staging, pooled encode buffer,
-// one frame write per drained chunk.
+// streamSub is one subscription's writer: follow's loop, with each
+// drained chunk framed under the subscription's stream id and evicted
+// rows announced by a gap frame before the rows that survive. Steady
+// state is allocation-free per poll: pooled run staging, pooled encode
+// buffer, one frame write per drained chunk.
 func (sc *streamConn) streamSub(streamID uint32, rg *ring, after int64, stop chan struct{}) {
-	chunk := runChunkPool.Get().(*runChunk)
-	defer runChunkPool.Put(chunk)
-	bufp := streamio.GetEncodeBuf()
-	defer streamio.PutEncodeBuf(bufp)
-	for {
-		wake := rg.waitCh() // fetch before reading: no missed wakeups
-		missed := rg.readRuns(after, streamChunk, chunk)
-		if missed > 0 {
-			// Eviction outran this subscriber mid-stream; announce the
-			// hole before delivering what survives.
-			sc.ackAux(streamID, ctrlAuxGap, subAck{
-				Stream: streamID, Gap: true, Missed: missed, First: after + 1 + missed,
-			})
-			after += missed
+	gap := func(missed, first int64) {
+		// Eviction outran this subscriber mid-stream.
+		sc.ackAux(streamID, ctrlAuxGap, subAck{Stream: streamID, Gap: true, Missed: missed, First: first})
+	}
+	send := func(dst []byte, c *runChunk) ([]byte, error) {
+		dst = c.appendFrame(dst, streamID)
+		err := sc.write(dst)
+		if err != nil {
+			sc.close()
 		}
-		if n := chunk.rows(); n > 0 {
-			buf := chunk.appendFrame((*bufp)[:0], streamID)
-			*bufp = buf
-			if err := sc.write(buf); err != nil {
-				sc.close()
-				return
-			}
-			after = chunk.firstSeq + int64(n) - 1
-			continue
-		}
-		if rg.isClosed() {
-			sc.ack(subAck{Stream: streamID, EOF: true})
-			sc.dropSub(streamID)
-			return
-		}
-		select {
-		case <-stop:
-			return
-		case <-sc.done:
-			return
-		case <-wake:
-		}
+		return dst, err
+	}
+	if follow(rg, after, sc.done, stop, gap, send) {
+		sc.ack(subAck{Stream: streamID, EOF: true})
+		sc.dropSub(streamID)
 	}
 }
 

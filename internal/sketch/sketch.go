@@ -53,11 +53,14 @@ func New(k int) *Quantile {
 	}
 	return &Quantile{
 		k:   k,
-		rng: 0x9e3779b97f4a7c15 ^ uint64(k),
+		rng: seed(k),
 		min: math.Inf(1),
 		max: math.Inf(-1),
 	}
 }
+
+// seed is the compaction generator's starting state for capacity k.
+func seed(k int) uint64 { return 0x9e3779b97f4a7c15 ^ uint64(k) }
 
 // K returns the compactor capacity the sketch was built with.
 func (q *Quantile) K() int { return q.k }
@@ -68,20 +71,35 @@ func (q *Quantile) Count() int64 { return q.n }
 // Empty reports whether the sketch holds no items.
 func (q *Quantile) Empty() bool { return q.n == 0 }
 
-// Reset clears the sketch for reuse, keeping allocated buffers.
+// Reset clears the sketch for reuse, keeping allocated buffers. The
+// reset sketch is indistinguishable from New(k): the generator restarts
+// at its seed and the levels are dropped (their buffers parked for
+// addLevel), so what a recycled sketch answers and marshals to depends
+// only on what it is fed afterwards, never on its earlier tenants.
 func (q *Quantile) Reset() {
 	q.n = 0
-	for i := range q.levels {
-		q.levels[i] = q.levels[i][:0]
-	}
+	q.levels = q.levels[:0]
+	q.rng = seed(q.k)
 	q.min = math.Inf(1)
 	q.max = math.Inf(-1)
+}
+
+// addLevel appends an empty level, reusing a buffer Reset parked in the
+// levels slice's spare capacity when there is one.
+func (q *Quantile) addLevel() {
+	if n := len(q.levels); n < cap(q.levels) {
+		if parked := q.levels[:n+1][n]; parked != nil {
+			q.levels = append(q.levels, parked[:0])
+			return
+		}
+	}
+	q.levels = append(q.levels, make([]float64, 0, q.k))
 }
 
 // Add inserts one item.
 func (q *Quantile) Add(v float64) {
 	if len(q.levels) == 0 {
-		q.levels = append(q.levels, make([]float64, 0, q.k))
+		q.addLevel()
 	}
 	q.levels[0] = append(q.levels[0], v)
 	q.n++
@@ -112,7 +130,7 @@ func (q *Quantile) compact(h int) {
 	}
 	sort.Float64s(buf)
 	if h+1 >= len(q.levels) {
-		q.levels = append(q.levels, make([]float64, 0, q.k))
+		q.addLevel()
 	}
 	offset := int(q.next() & 1)
 	keep := buf[:0]
@@ -146,7 +164,7 @@ func (q *Quantile) Merge(other *Quantile) {
 		return
 	}
 	for len(q.levels) < len(other.levels) {
-		q.levels = append(q.levels, make([]float64, 0, q.k))
+		q.addLevel()
 	}
 	for h, buf := range other.levels {
 		q.levels[h] = append(q.levels[h], buf...)

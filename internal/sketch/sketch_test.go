@@ -1,6 +1,7 @@
 package sketch
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"sort"
@@ -225,6 +226,40 @@ func TestReset(t *testing.T) {
 	q.Add(42)
 	if q.Query(0.5) != 42 {
 		t.Fatal("sketch unusable after reset")
+	}
+}
+
+// TestResetIsNew: a sketch that compacted, was Reset and was then fed
+// enough values to compact again marshals to the same bytes as a fresh
+// sketch fed those values — a recycled sketch carries nothing of its
+// earlier tenants (generator state, level count) into its answers or its
+// checkpoint bytes.
+func TestResetIsNew(t *testing.T) {
+	const k = 64
+	r := rand.New(rand.NewSource(21))
+	for _, before := range []int{3 * k, 10_000} {
+		used := New(k)
+		for i := 0; i < before; i++ {
+			used.Add(r.Float64())
+		}
+		used.Reset()
+		fresh := New(k)
+		for i := 0; i < 5*k+3; i++ {
+			v := r.Float64()
+			used.Add(v)
+			fresh.Add(v)
+		}
+		got, err := used.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := fresh.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("after %d values and a Reset: marshals to %d bytes unlike New(%d)'s %d", before, len(got), k, len(want))
+		}
 	}
 }
 

@@ -57,10 +57,12 @@ func FuzzAppendInt(f *testing.F) {
 	})
 }
 
-// TestResultEncoderMatchesPerRow: the run-aware encoder renders exactly
-// what the stateless per-row function does, whether a row repeats the
-// previous row's window fields (each of the four alone differing, none,
-// all) or not, from its zero value and after reuse.
+// TestResultEncoderMatchesPerRow: rendering a window instance's span
+// once per run of rows (AppendWindowFields, then AppendKeyValue per row,
+// as the server's stream encoder does) gives exactly what the stateless
+// per-row AppendResultFields does, whether a row repeats the previous
+// row's window fields (each of the four alone differing, none, all) or
+// not.
 func TestResultEncoderMatchesPerRow(t *testing.T) {
 	type row struct {
 		rng, slide, start, end int64
@@ -68,7 +70,7 @@ func TestResultEncoderMatchesPerRow(t *testing.T) {
 		value                  float64
 	}
 	rows := []row{
-		{0, 0, 0, 0, 0, 0}, // equals the zero encoder's fields: must still render
+		{0, 0, 0, 0, 0, 0}, // all-zero window fields: the first run must still render them
 		{0, 0, 0, 0, 1, 1.5},
 		{8, 4, 16, 24, 7, 3},
 		{8, 4, 16, 24, 9, math.NaN()},
@@ -82,13 +84,15 @@ func TestResultEncoderMatchesPerRow(t *testing.T) {
 		{math.MaxInt64, math.MaxInt64, math.MaxInt64, math.MaxInt64, 2, -(1<<53 - 1)},
 		{8, 4, 16, 24, 7, 3},
 	}
-	var enc ResultEncoder
-	var got, want []byte
-	for _, r := range rows {
-		got = append(enc.AppendFields(got, r.rng, r.slide, r.start, r.end, r.key, r.value), '\n')
+	var got, want, span []byte
+	for i, r := range rows {
+		if i == 0 || rows[i-1].rng != r.rng || rows[i-1].slide != r.slide || rows[i-1].start != r.start || rows[i-1].end != r.end {
+			span = AppendWindowFields(span[:0], r.rng, r.slide, r.start, r.end)
+		}
+		got = append(AppendKeyValue(append(got, span...), r.key, r.value), '\n')
 		want = append(AppendResultFields(want, r.rng, r.slide, r.start, r.end, r.key, r.value), '\n')
 	}
 	if string(got) != string(want) {
-		t.Fatalf("run encoder:\n%s\nper row:\n%s", got, want)
+		t.Fatalf("once per run:\n%s\nper row:\n%s", got, want)
 	}
 }

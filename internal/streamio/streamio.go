@@ -1,8 +1,10 @@
-// Package streamio reads and writes event streams and result sets in
-// the formats the command-line tools speak: CSV ("time,key,value" rows,
-// optional header), JSON Lines (one object per line), and the binary
-// columnar frames of internal/wire. Readers validate ordering on
-// request so executors can rely on the in-order contract.
+// Package streamio reads and writes event streams in the formats the
+// command-line tools speak: CSV ("time,key,value" rows, optional
+// header), JSON Lines (one object per line), and the binary columnar
+// frames of internal/wire. Readers validate ordering on request so
+// executors can rely on the in-order contract. Result sets are written
+// as CSV; the JSON result-row renderers here serve the server's
+// run-native stream encoder.
 package streamio
 
 import (
@@ -155,10 +157,9 @@ func AppendJSONFloat(dst []byte, v float64) []byte {
 // AppendWindowFields appends the result-row fields that are constant
 // across one window instance's rows, `"range":` through `"key":` with
 // the key itself left to AppendKeyValue. It is the one renderer of these
-// fields: AppendResultFields calls it per row, a ResultEncoder once per
-// run of rows it rediscovers by comparing, and the server's stream
-// encoder once per run it is handed (the span is at most 120 bytes: 40
-// of names and four 20-byte integers).
+// fields: AppendResultFields calls it per row, and the server's stream
+// encoder once per run of rows it is handed (the span is at most 120
+// bytes: 40 of names and four 20-byte integers).
 func AppendWindowFields(dst []byte, rng, slide, start, end int64) []byte {
 	dst = append(dst, `"range":`...)
 	dst = AppendInt(dst, rng)
@@ -180,47 +181,10 @@ func AppendKeyValue(dst []byte, key uint64, value float64) []byte {
 
 // AppendResultFields appends the shared result-row JSON fields
 // ("range" through "value", no surrounding braces). Encoders of many
-// rows should use a ResultEncoder, which renders the same bytes and
-// skips the work that repeats from row to row.
+// rows that share a window instance render AppendWindowFields once per
+// run and AppendKeyValue per row, which gives the same bytes.
 func AppendResultFields(dst []byte, rng, slide, start, end int64, key uint64, value float64) []byte {
 	return AppendKeyValue(AppendWindowFields(dst, rng, slide, start, end), key, value)
-}
-
-// ResultEncoder renders result rows' JSON fields like AppendResultFields,
-// byte for byte, but keeps the rendered `"range":…,"key":` span of the
-// previous row: a window instance fires its keys as consecutive rows
-// sharing range, slide, start and end, so within such a run each row
-// costs one short copy in place of four integer renderings. Rows that
-// do not repeat cost one extra copy of that span. The zero value is
-// ready to use; an encoder serves one goroutine.
-type ResultEncoder struct {
-	rng, slide, start, end int64
-	n                      int       // length of the kept span; 0: nothing kept yet
-	span                   [120]byte // the span is at most 40 bytes of names and four 20-byte integers
-}
-
-// AppendFields appends one row's fields ("range" through "value", no
-// surrounding braces).
-func (e *ResultEncoder) AppendFields(dst []byte, rng, slide, start, end int64, key uint64, value float64) []byte {
-	if e.n > 0 && rng == e.rng && slide == e.slide && start == e.start && end == e.end {
-		dst = append(dst, e.span[:e.n]...)
-	} else {
-		at := len(dst)
-		dst = AppendWindowFields(dst, rng, slide, start, end)
-		e.n = copy(e.span[:], dst[at:])
-		e.rng, e.slide, e.start, e.end = rng, slide, start, end
-	}
-	return AppendKeyValue(dst, key, value)
-}
-
-// AppendResultJSONL appends one result row as a JSONL line (the
-// jsonResult wire form, object plus trailing newline), byte-compatible
-// with the json.Encoder path it replaces.
-func AppendResultJSONL(dst []byte, rng, slide, start, end int64, key uint64, value float64) []byte {
-	dst = append(dst, '{')
-	dst = AppendResultFields(dst, rng, slide, start, end, key, value)
-	dst = append(dst, '}', '\n')
-	return dst
 }
 
 // AppendResultCSV appends one result row as a CSV line
@@ -347,16 +311,6 @@ func WriteJSONL(w io.Writer, events []stream.Event) error {
 	return err
 }
 
-// jsonResult is the JSONL wire form of a window result.
-type jsonResult struct {
-	Range int64   `json:"range"`
-	Slide int64   `json:"slide"`
-	Start int64   `json:"start"`
-	End   int64   `json:"end"`
-	Key   uint64  `json:"key"`
-	Value float64 `json:"value"`
-}
-
 // WriteResultsCSV writes results as CSV with a header.
 func WriteResultsCSV(w io.Writer, rs []stream.Result) error {
 	bufp := GetEncodeBuf()
@@ -376,46 +330,8 @@ func WriteResultsCSV(w io.Writer, rs []stream.Result) error {
 	return err
 }
 
-// WriteResultsJSONL writes one JSON result object per line.
-func WriteResultsJSONL(w io.Writer, rs []stream.Result) error {
-	bufp := GetEncodeBuf()
-	defer PutEncodeBuf(bufp)
-	buf := (*bufp)[:0]
-	var enc ResultEncoder
-	for _, r := range rs {
-		// Fail loudly on unrepresentable values (see WriteJSONL).
-		if math.IsNaN(r.Value) || math.IsInf(r.Value, 0) {
-			return fmt.Errorf("streamio: unsupported JSON value %v", r.Value)
-		}
-		buf = append(buf, '{')
-		buf = enc.AppendFields(buf, r.W.Range, r.W.Slide, r.Start, r.End, r.Key, r.Value)
-		buf = append(buf, '}', '\n')
-		if len(buf) >= flushEvery {
-			if _, err := w.Write(buf); err != nil {
-				return err
-			}
-			buf = buf[:0]
-		}
-	}
-	*bufp = buf
-	_, err := w.Write(buf)
-	return err
-}
-
-// AppendResultFrame appends one binary columnar result frame (the
-// wire-package layout) carrying rs, with row 0's sequence number
-// firstSeq — the kernel behind the server's binary result stream and
-// the batch writer below.
-func AppendResultFrame(dst []byte, firstSeq int64, rs []stream.Result) []byte {
-	enc := wire.BeginResultFrame(dst, 0, firstSeq, len(rs))
-	for i := range rs {
-		enc.SetRow(i, rs[i].W.Range, rs[i].W.Slide, rs[i].Start, rs[i].End, rs[i].Key, rs[i].Value)
-	}
-	return enc.Bytes()
-}
-
-// frameChunk is how many rows one binary frame carries in the batch
-// writers; large dumps become a sequence of bounded frames instead of
+// frameChunk is how many events one binary frame carries in WriteBinary;
+// large dumps become a sequence of bounded frames instead of
 // one giant allocation.
 const frameChunk = 8192
 
@@ -455,25 +371,6 @@ func ReadBinary(r io.Reader) ([]stream.Event, error) {
 		}
 		out = f.AppendEvents(out)
 	}
-}
-
-// WriteResultsBinary writes results as binary columnar frames; sequence
-// numbers restart at 0 (file dumps have no ring to resume against).
-func WriteResultsBinary(w io.Writer, rs []stream.Result) error {
-	bufp := GetEncodeBuf()
-	defer PutEncodeBuf(bufp)
-	seq := int64(0)
-	for len(rs) > 0 {
-		n := min(len(rs), frameChunk)
-		buf := AppendResultFrame((*bufp)[:0], seq, rs[:n])
-		*bufp = buf
-		if _, err := w.Write(buf); err != nil {
-			return err
-		}
-		seq += int64(n)
-		rs = rs[n:]
-	}
-	return nil
 }
 
 // ReadEvents dispatches on format ("csv", "jsonl" or "binary") and

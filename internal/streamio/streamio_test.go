@@ -136,11 +136,4 @@ func TestWriteResults(t *testing.T) {
 	if csv.String() != want {
 		t.Fatalf("CSV = %q", csv.String())
 	}
-	var jl bytes.Buffer
-	if err := WriteResultsJSONL(&jl, rs); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(jl.String(), `"range":8`) || strings.Count(jl.String(), "\n") != 2 {
-		t.Fatalf("JSONL = %q", jl.String())
-	}
 }

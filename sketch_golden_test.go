@@ -13,8 +13,8 @@ import (
 	"testing"
 )
 
-// goldenCase is one entry of testdata/sketch_pr18_golden.json: a window
-// set, a seeded stream, the options, and what the old executor answered.
+// goldenCase is one entry of testdata/sketch_golden.json: a window set, a
+// seeded stream, the options, and the rows' count and digest.
 type goldenCase struct {
 	Name    string     `json:"name"`
 	Fn      string     `json:"fn"` // "quantile" or "distinct"
@@ -82,12 +82,16 @@ func goldenWindows(pairs [][2]int64) []Window {
 // TestSketchFacadeMatchesPR18Golden replays fixtures written by the
 // standalone sketch executor (internal/quantile, internal/distinct over
 // internal/sketchrun) at PR 18's commit, the last one that had it. The
-// facades now run the one engine; for every case they must pick the same
+// nine quantile digests whose recycled sketches compact were re-recorded
+// when a reset KLL sketch began restarting its compaction generator: the
+// old bytes were a function of which earlier tenant a recycled sketch
+// had, not of its inputs (TestSketchErrorBounds guards accuracy). The
+// facades run the one engine; for every case they must pick the same
 // factor windows and emit the same rows bit for bit — compaction offsets,
 // merge order and HLL registers included — whether the stream arrives in
 // one Process call or in uneven batches.
 func TestSketchFacadeMatchesPR18Golden(t *testing.T) {
-	data, err := os.ReadFile(filepath.Join("testdata", "sketch_pr18_golden.json"))
+	data, err := os.ReadFile(filepath.Join("testdata", "sketch_golden.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,13 +141,13 @@ func TestSketchFacadeMatchesPR18Golden(t *testing.T) {
 				t.Fatal(err)
 			}
 			if got, want := fmt.Sprint(o.FactorWindows), fmt.Sprint(goldenWindows(c.FactorWindows)); got != want {
-				t.Errorf("factor windows %s, old executor chose %s", got, want)
+				t.Errorf("factor windows %s, fixture has %s", got, want)
 			}
 			if len(sink.Results) != c.Rows {
-				t.Fatalf("%d rows, old executor emitted %d", len(sink.Results), c.Rows)
+				t.Fatalf("%d rows, fixture has %d", len(sink.Results), c.Rows)
 			}
 			if got := rowsDigest(sink.Results); got != c.SHA256 {
-				t.Errorf("rows digest %s, old executor's %s", got, c.SHA256)
+				t.Errorf("rows digest %s, fixture's %s", got, c.SHA256)
 			}
 		})
 	}
