@@ -14,8 +14,14 @@ import (
 // exportGuardPackages are the packages whose exported functions and
 // methods must each have a caller outside tests: the aggregate kernels
 // and the text and binary codecs, where a superseded kernel or encoder
-// once lingered beside its replacement with only tests calling it.
-var exportGuardPackages = []string{"internal/agg", "internal/streamio", "internal/wire"}
+// once lingered beside its replacement with only tests calling it, and
+// the execution and state-carrying tiers (engine, parallel, router,
+// shardworker, stream), where a superseded constructor or typed-state
+// helper would otherwise survive for tests alone.
+var exportGuardPackages = []string{
+	"internal/agg", "internal/streamio", "internal/wire",
+	"internal/engine", "internal/parallel", "internal/router", "internal/shardworker", "internal/stream",
+}
 
 // testOnlyExports are the exported names the guard exempts, each with
 // the reason it has no non-test caller.
@@ -26,6 +32,8 @@ var testOnlyExports = map[string]string{
 	"Functions":    "test-table helper listing every aggregate function",
 	"ShareableFns": "test-table helper listing the exactly shareable functions",
 	"SketchFns":    "test-table helper listing the sketch-backed functions",
+	"TotalInputs":  "the engine's input counter, which the tests check the paper's sharing claim with",
+	"Unwrap":       "called by errors.Is and errors.As through the interface, never by name",
 }
 
 // TestNoTestOnlyExports keeps one kernel per job: every exported func or

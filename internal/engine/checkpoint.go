@@ -18,9 +18,9 @@
 //
 // This file is also the engine's only gob site: the canonical migration
 // Export (migrate.go) is encoded and decoded here under a header of its
-// own, so the packages that carry these blobs (parallel, router,
-// shardworker, server) never learn the encoding, nor which form a blob
-// is — Resume reads that off the header.
+// own, and every shard's carried state travels as a Carried, so the
+// packages that carry it (parallel, router, shardworker, server) never
+// learn the encoding, nor which form a shard's state is — Resume tells.
 //
 // A snapshot is only valid for the identical plan (same windows, same
 // sharing structure, same aggregate function); Restore verifies a
@@ -219,24 +219,84 @@ func DecodeExport(data []byte) (*Export, error) {
 	return ex, nil
 }
 
-// Resume compiles p and resumes it from a carried state blob, reading the
-// form off its header: a snapshot restores, an encoded export migrates,
-// an empty blob starts fresh, anything else fails with
-// ErrSnapshotVersion. freshFloor is the exposed-result floor of windows
-// the state does not cover (a snapshot covers all of its plan's).
-func Resume(p *plan.Plan, sink stream.Sink, state []byte, freshFloor int64) (*Runner, error) {
-	if bytes.HasPrefix(state, []byte(snapshotMagicV2)) {
-		return Restore(p, sink, state)
+// Carried is the state one sharded execution hands the next: per shard
+// either an in-memory canonical export (a re-plan in process) or encoded
+// bytes whose header names the form (an engine snapshot, or an export
+// that came off a worker), plus the ingest counter. The zero value
+// carries nothing and every shard starts fresh. Only this package looks
+// inside a shard's state; the packages that carry it pass it on, and
+// Resume decides what it is.
+type Carried struct {
+	Events int64
+	Shards []ShardState
+}
+
+// ShardState is one shard's part of a Carried. The zero value starts the
+// shard fresh.
+type ShardState struct {
+	ex   *Export
+	blob []byte
+}
+
+// Exported carries an in-memory export as it stands.
+func Exported(ex *Export) ShardState { return ShardState{ex: ex} }
+
+// Encoded carries state bytes as they came off a wire: a snapshot, an
+// encoded export, or nothing.
+func Encoded(blob []byte) ShardState { return ShardState{blob: blob} }
+
+// Bytes is the state's wire form: an in-memory export is encoded, bytes
+// pass through.
+func (s ShardState) Bytes() ([]byte, error) {
+	if s.ex != nil {
+		return EncodeExport(s.ex)
 	}
-	var ex *Export
-	if len(state) > 0 {
+	return s.blob, nil
+}
+
+// Snapshots carries a checkpoint's per-shard blobs, refusing any that is
+// not an engine snapshot — an export or an empty blob included — with
+// ErrSnapshotVersion: a checkpoint promises the same plan, bit-exact,
+// which only a snapshot's fingerprint check can hold it to.
+func Snapshots(blobs [][]byte, events int64) (Carried, error) {
+	c := Carried{Events: events, Shards: make([]ShardState, len(blobs))}
+	for i, b := range blobs {
+		if !bytes.HasPrefix(b, []byte(snapshotMagicV2)) {
+			return Carried{}, fmt.Errorf("%w: shard %d's state lacks the %q header", ErrSnapshotVersion, i, snapshotMagicV2)
+		}
+		c.Shards[i] = Encoded(b)
+	}
+	return c, nil
+}
+
+// Resume compiles p and resumes it from one shard's carried state,
+// reading the form off it: a snapshot restores, an export (in memory or
+// encoded) migrates, no state starts fresh, and bytes of any other form
+// fail with ErrSnapshotVersion. freshFloor is the exposed-result floor of
+// windows the state does not cover (a snapshot covers all of its
+// plan's). It returns the number of window instances an export handed
+// over.
+func Resume(p *plan.Plan, sink stream.Sink, st ShardState, freshFloor int64) (*Runner, int, error) {
+	if bytes.HasPrefix(st.blob, []byte(snapshotMagicV2)) {
+		r, err := Restore(p, sink, st.blob)
+		return r, 0, err
+	}
+	ex := st.ex
+	if len(st.blob) > 0 {
 		var err error
-		if ex, err = DecodeExport(state); err != nil {
-			return nil, err
+		if ex, err = DecodeExport(st.blob); err != nil {
+			return nil, 0, err
 		}
 	}
-	r, _, err := NewMigrated(p, sink, ex, freshFloor)
-	return r, err
+	r, err := New(p, sink)
+	if err != nil {
+		return nil, 0, err
+	}
+	n, err := r.importCanonical(ex, freshFloor)
+	if err != nil {
+		return nil, 0, err
+	}
+	return r, n, nil
 }
 
 // Restore builds a Runner for p whose state is resumed from a snapshot

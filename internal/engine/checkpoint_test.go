@@ -351,7 +351,7 @@ func TestSnapshotExactOnOrderSensitiveData(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			b, _, err := NewMigrated(p, sink, ex, horizon)
+			b, _, err := Resume(p, sink, Exported(ex), horizon)
 			if err != nil {
 				t.Fatal(err)
 			}

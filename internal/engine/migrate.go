@@ -56,8 +56,6 @@ import (
 	"sort"
 
 	"factorwindows/internal/agg"
-	"factorwindows/internal/plan"
-	"factorwindows/internal/stream"
 	"factorwindows/internal/window"
 )
 
@@ -297,19 +295,12 @@ func (r *Runner) ExportCanonical(horizon int64) (*Export, error) {
 	return ex, nil
 }
 
-// ImportCanonical seeds a freshly built Runner with the canonical state
-// of a previous plan's export, materializing each surviving window's
-// open instances with frozen spans. Windows absent from the export
-// start fresh with their exposed-result floor at freshFloor. It must be
-// called before the first Process/Advance; it returns the number of
-// window instances handed over.
-func (r *Runner) ImportCanonical(ex *Export, freshFloor int64) (int, error) {
-	if r.closed {
-		return 0, fmt.Errorf("engine: ImportCanonical after Close")
-	}
-	if r.events != 0 || len(r.keyed.keys) != 0 {
-		return 0, fmt.Errorf("engine: ImportCanonical on a used Runner")
-	}
+// importCanonical seeds the Runner Resume has just built with the
+// canonical state of a previous plan's export, materializing each
+// surviving window's open instances with frozen spans. Windows absent
+// from the export start fresh with their exposed-result floor at
+// freshFloor. It returns the number of window instances handed over.
+func (r *Runner) importCanonical(ex *Export, freshFloor int64) (int, error) {
 	if ex == nil {
 		for _, n := range r.all {
 			n.emitFrom = freshFloor
@@ -360,22 +351,6 @@ func (r *Runner) ImportCanonical(ex *Export, freshFloor int64) (int, error) {
 		n.curEnd = 0
 	}
 	return migrated, nil
-}
-
-// NewMigrated compiles p and resumes it from a previous plan's
-// canonical export (ImportCanonical over New). A nil export builds a
-// fresh Runner whose every window has its exposed-result floor at
-// freshFloor.
-func NewMigrated(p *plan.Plan, sink stream.Sink, ex *Export, freshFloor int64) (*Runner, int, error) {
-	r, err := New(p, sink)
-	if err != nil {
-		return nil, 0, err
-	}
-	n, err := r.ImportCanonical(ex, freshFloor)
-	if err != nil {
-		return nil, 0, err
-	}
-	return r, n, nil
 }
 
 // setFrozen validates one instance's serialized frozen-state vectors —

@@ -59,7 +59,7 @@ func sortResults(rs []stream.Result) {
 // TestMigrateAcrossPlanVariants is the engine-level exactness property
 // behind live re-planning: processing a stream while hopping between
 // the original, rewritten and factored plans of one window set — with
-// every hop an ExportCanonical/NewMigrated handover at a random batch
+// every hop an ExportCanonical/Resume handover at a random batch
 // boundary — produces exactly the output of an uninterrupted run. No
 // window instance open across a hop is skipped or delivered partially.
 func TestMigrateAcrossPlanVariants(t *testing.T) {
@@ -111,7 +111,7 @@ func TestMigrateAcrossPlanVariants(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				next, migrated, err := NewMigrated(variants[r.Intn(len(variants))], got, ex, horizon)
+				next, migrated, err := Resume(variants[r.Intn(len(variants))], got, Exported(ex), horizon)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -164,7 +164,7 @@ func TestMigrateEpochScaleTimestamps(t *testing.T) {
 					ws.W, len(ws.Instances), now)
 			}
 		}
-		cur, _, err = NewMigrated(variants[hop%len(variants)], sink, ex, now+int64(hop))
+		cur, _, err = Resume(variants[hop%len(variants)], sink, Exported(ex), now+int64(hop))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -213,7 +213,7 @@ func TestMigrateSnapshotRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, migrated, err := NewMigrated(variants[0], sink, ex, events[cut-1].Time+1)
+		b, migrated, err := Resume(variants[0], sink, Exported(ex), events[cut-1].Time+1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -268,11 +268,11 @@ func TestImportRejectsDuplicateKey(t *testing.T) {
 	if ex, err = DecodeExport(blob); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := NewMigrated(p, &stream.CountingSink{}, ex, 3); err != nil {
+	if _, _, err := Resume(p, &stream.CountingSink{}, Exported(ex), 3); err != nil {
 		t.Fatalf("an intact export must import: %v", err)
 	}
 	ex.Keys[1] = ex.Keys[0]
-	if _, _, err := NewMigrated(p, &stream.CountingSink{}, ex, 3); err == nil {
+	if _, _, err := Resume(p, &stream.CountingSink{}, Exported(ex), 3); err == nil {
 		t.Fatal("export with a duplicate key must be rejected")
 	}
 }

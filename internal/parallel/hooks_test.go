@@ -162,7 +162,7 @@ func TestSnapshotRestore(t *testing.T) {
 	r1.Close()
 
 	resumed := &stream.CollectingSink{}
-	r2, err := Restore(p, resumed, snap)
+	r2, err := restore(p, resumed, snap)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +210,17 @@ func TestSnapshotRestore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Restore(po, &stream.CountingSink{}, snap); err == nil {
+	if _, err := restore(po, &stream.CountingSink{}, snap); err == nil {
 		t.Fatal("cross-plan restore must fail")
 	}
+}
+
+// restore resumes goroutine shards from a Snapshot envelope.
+func restore(p *plan.Plan, sink stream.Sink, snap []byte) (*Runner, error) {
+	state, err := DecodeSnapshot(snap)
+	if err != nil {
+		return nil, err
+	}
+	r, _, err := Resume(p, sink, 0, state, 0)
+	return r, err
 }

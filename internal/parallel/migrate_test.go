@@ -29,7 +29,7 @@ func (m *mutedSink) Emit(r stream.Result) {
 }
 
 // TestMigrateShardLocal: hopping between plan variants mid-stream via
-// ExportCanonical/Migrate at any shard count produces exactly the
+// ExportCanonical/Resume at any shard count produces exactly the
 // output of an uninterrupted single run — the shard-local handover
 // (stable key placement) loses and duplicates nothing, across barriers
 // and watermark advances.
@@ -91,12 +91,12 @@ func TestMigrateShardLocal(t *testing.T) {
 			i = j
 			if i < len(events) && hop.Intn(2) == 0 {
 				horizon := events[i].Time // future events are >= this
-				exports, err := cur.ExportCanonical(horizon)
+				state, err := cur.ExportCanonical(horizon)
 				if err != nil {
 					t.Fatal(err)
 				}
 				nextEpoch := &mutedSink{inner: sink}
-				next, _, err := Migrate(variants[hop.Intn(len(variants))], nextEpoch, 0, exports, horizon)
+				next, _, err := Resume(variants[hop.Intn(len(variants))], nextEpoch, 0, state, horizon)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -20,15 +20,20 @@
 // It drives its shards through the Shard interface and never asks which
 // kind it drives:
 //
-//   - New, Restore and Migrate build goroutine shards: one engine per
-//     shard on its own goroutine, fed through an SPSC ring, a panic
-//     poisoning only that shard. SetOrderedDrain picks their delivery:
-//     results held for the barrier drain, or flushed by the shards as
-//     they fill.
+//   - Resume builds goroutine shards from an engine.Carried (New from
+//     nothing): one engine per shard on its own goroutine, fed through an
+//     SPSC ring, a panic poisoning only that shard. SetOrderedDrain picks
+//     their delivery: results held for the barrier drain, or flushed by
+//     the shards as they fill.
 //   - internal/router builds remote shards: one frame session per shard
 //     on a worker process, with placement, the replay journal and
 //     failover behind the same interface, handed to Drive. They always
 //     hold results for the barrier drain.
+//
+// State crosses between runners as an engine.Carried — ExportCanonical
+// and DecodeSnapshot produce one, Resume and router.New consume it — and
+// this package never asks whether a shard's state is a snapshot or an
+// export: engine.Resume tells.
 package parallel
 
 import (
@@ -58,10 +63,11 @@ type Shard interface {
 	// buffered since the last drain, which the Runner drains and resets.
 	StartBarrier()
 	AwaitBarrier() *stream.RunBuffer
-	// EngineSnapshot and Export read the shard engine's state; the
-	// Runner barriers first, so the shard is quiescent.
+	// EngineSnapshot reads the shard engine's snapshot, Export its
+	// canonical export in whatever form the shard holds it; the Runner
+	// barriers first, so the shard is quiescent.
 	EngineSnapshot() ([]byte, error)
-	Export(horizon int64) (*engine.Export, error)
+	Export(horizon int64) (engine.ShardState, error)
 	// Updates is the engine's state-update counter as of the last
 	// barrier (or close).
 	Updates() int64
@@ -433,8 +439,9 @@ func (sh *shard) AwaitBarrier() *stream.RunBuffer {
 
 func (sh *shard) EngineSnapshot() ([]byte, error) { return sh.runner.Snapshot() }
 
-func (sh *shard) Export(horizon int64) (*engine.Export, error) {
-	return sh.runner.ExportCanonical(horizon)
+func (sh *shard) Export(horizon int64) (engine.ShardState, error) {
+	ex, err := sh.runner.ExportCanonical(horizon)
+	return engine.Exported(ex), err
 }
 
 func (sh *shard) Updates() int64 { return sh.runner.TotalUpdates() }
@@ -497,40 +504,44 @@ func newRunner(shards []Shard, out *lockedSink, events int64) *Runner {
 	}
 }
 
-// New compiles the plan onto n goroutine shards (n ≤ 0 selects
-// GOMAXPROCS). Every shard runs an identical copy of the plan; sink must
-// be safe for the wrapper's serialized access only (the Runner locks
-// around it).
+// New compiles the plan onto n fresh goroutine shards (n ≤ 0 selects
+// GOMAXPROCS): Resume with nothing carried.
 func New(p *plan.Plan, sink stream.Sink, n int) (*Runner, error) {
-	r, _, err := build(p, sink, n, nil)
+	r, _, err := Resume(p, sink, n, engine.Carried{}, 0)
 	return r, err
 }
 
-// build compiles or restores the goroutine shard engines and starts
-// their loops. When snaps is non-nil it must hold one engine snapshot
-// per shard.
-func build(p *plan.Plan, sink stream.Sink, n int, snaps [][]byte) (*Runner, []*shard, error) {
+// Resume builds goroutine shards for p from carried state: one shard per
+// carried shard (the key→shard hash is a pure function of the count, so
+// state keeps its count), or n fresh ones when nothing is carried (n ≤ 0
+// selects GOMAXPROCS). Each shard engine resumes through engine.Resume,
+// and windows the state does not cover start fresh with their
+// exposed-result floor at freshFloor. Every shard runs an identical copy
+// of the plan; sink must be safe for the wrapper's serialized access only
+// (the Runner locks around it). It returns the number of window
+// instances handed over across all shards.
+func Resume(p *plan.Plan, sink stream.Sink, n int, state engine.Carried, freshFloor int64) (*Runner, int, error) {
 	if sink == nil {
-		return nil, nil, fmt.Errorf("parallel: nil sink")
+		return nil, 0, fmt.Errorf("parallel: nil sink")
 	}
-	if n <= 0 {
-		n = runtime.GOMAXPROCS(0)
+	carried := state.Shards
+	if len(carried) == 0 {
+		if n <= 0 {
+			n = runtime.GOMAXPROCS(0)
+		}
+		carried = make([]engine.ShardState, n)
 	}
 	ls := &lockedSink{sink: sink}
-	local := make([]*shard, n)
-	shards := make([]Shard, n)
-	for i := range local {
+	local := make([]*shard, len(carried))
+	shards := make([]Shard, len(carried))
+	migrated := 0
+	for i, st := range carried {
 		ss := &shardSink{out: ls}
-		var er *engine.Runner
-		var err error
-		if snaps == nil {
-			er, err = engine.New(p, ss)
-		} else {
-			er, err = engine.Restore(p, ss, snaps[i])
-		}
+		er, m, err := engine.Resume(p, ss, st, freshFloor)
 		if err != nil {
-			return nil, nil, err
+			return nil, 0, err
 		}
+		migrated += m
 		local[i] = &shard{
 			runner: er,
 			sink:   ss,
@@ -543,7 +554,7 @@ func build(p *plan.Plan, sink stream.Sink, n int, snaps [][]byte) (*Runner, []*s
 	for _, sh := range local {
 		go sh.loop()
 	}
-	return newRunner(shards, ls, 0), local, nil
+	return newRunner(shards, ls, state.Events), migrated, nil
 }
 
 // fail records the Runner's first failure of its own (a sink panic).
@@ -775,17 +786,19 @@ func EncodeSnapshot(states [][]byte, events int64) ([]byte, error) {
 }
 
 // DecodeSnapshot is EncodeSnapshot's inverse: the per-shard engine
-// snapshots (their count is the shard count) and the ingest counter.
-func DecodeSnapshot(data []byte) (states [][]byte, events int64, err error) {
+// snapshots as carried state (their count is the shard count) with the
+// ingest counter. A per-shard blob that is not an engine snapshot fails
+// with engine.ErrSnapshotVersion.
+func DecodeSnapshot(data []byte) (engine.Carried, error) {
 	var snap snapshot
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&snap); err != nil {
-		return nil, 0, fmt.Errorf("parallel: decoding snapshot: %w", err)
+		return engine.Carried{}, fmt.Errorf("parallel: decoding snapshot: %w", err)
 	}
 	if snap.Shards <= 0 || len(snap.State) != snap.Shards {
-		return nil, 0, fmt.Errorf("parallel: snapshot has %d shards, %d states",
+		return engine.Carried{}, fmt.Errorf("parallel: snapshot has %d shards, %d states",
 			snap.Shards, len(snap.State))
 	}
-	return snap.State, snap.Events, nil
+	return engine.Snapshots(snap.State, snap.Events)
 }
 
 // Snapshot quiesces the shards (Barrier) and serializes their engine
@@ -812,102 +825,31 @@ func (r *Runner) Snapshot() ([]byte, error) {
 	return EncodeSnapshot(states, r.events)
 }
 
-// ExportCanonical quiesces the shards and exports each shard engine's
-// canonical migration state (see engine.ExportCanonical): the exact
-// per-window open-instance state a different plan can resume from.
-// Because key→shard placement is a pure function of the key and the
-// shard count, migration is shard-local — exports[i] imports into shard
-// i of a Runner with the same count. Call it from the goroutine driving
-// the Runner, between Process calls; the Runner remains usable.
-func (r *Runner) ExportCanonical(horizon int64) ([]*engine.Export, error) {
+// ExportCanonical quiesces the shards and carries out each shard
+// engine's canonical migration state (see engine.ExportCanonical): the
+// exact per-window open-instance state a different plan can resume from,
+// every shard cut at the one horizon. Because key→shard placement is a
+// pure function of the key and the shard count, migration is shard-local
+// — shard i's state resumes shard i of a Runner with the same count. Call
+// it from the goroutine driving the Runner, between Process calls; the
+// Runner remains usable.
+func (r *Runner) ExportCanonical(horizon int64) (engine.Carried, error) {
 	if r.closed {
-		return nil, fmt.Errorf("parallel: ExportCanonical after Close")
+		return engine.Carried{}, fmt.Errorf("parallel: ExportCanonical after Close")
 	}
 	r.Barrier()
 	if err := r.Err(); err != nil {
-		return nil, fmt.Errorf("parallel: ExportCanonical of failed runner: %w", err)
+		return engine.Carried{}, fmt.Errorf("parallel: ExportCanonical of failed runner: %w", err)
 	}
-	out := make([]*engine.Export, len(r.shards))
+	out := engine.Carried{Events: r.events, Shards: make([]engine.ShardState, len(r.shards))}
 	for i, sh := range r.shards {
-		ex, err := sh.Export(horizon)
+		st, err := sh.Export(horizon)
 		if err != nil {
-			return nil, err
+			return engine.Carried{}, err
 		}
-		out[i] = ex
+		out.Shards[i] = st
 	}
 	return out, nil
-}
-
-// Migrate builds a Runner for p resuming the canonical state a previous
-// plan's Runner exported: open window instances of every window that
-// survives into p are handed over exactly (no skipped instances), and
-// windows new to p start fresh with their exposed-result floor at
-// freshFloor. With nil exports it builds a fresh n-shard Runner whose
-// every window has that floor. The shard count is taken from the
-// exports when present (key placement); it returns the number of window
-// instances handed over across all shards.
-func Migrate(p *plan.Plan, sink stream.Sink, n int, exports []*engine.Export, freshFloor int64) (*Runner, int, error) {
-	if exports != nil {
-		if err := CheckExports(exports); err != nil {
-			return nil, 0, err
-		}
-		n = len(exports)
-	}
-	r, local, err := build(p, sink, n, nil)
-	if err != nil {
-		return nil, 0, err
-	}
-	// The shard loops are already parked on their rings, but no message
-	// has been pushed yet: mutations here happen-before the first push.
-	migrated := 0
-	for i, sh := range local {
-		var ex *engine.Export
-		if exports != nil {
-			ex = exports[i]
-		}
-		m, err := sh.runner.ImportCanonical(ex, freshFloor)
-		if err != nil {
-			r.Close()
-			return nil, 0, err
-		}
-		migrated += m
-		if ex != nil {
-			r.events += ex.Events
-		}
-	}
-	return r, migrated, nil
-}
-
-// CheckExports validates a per-shard export set as one handover: one
-// export per shard, all cut at the same horizon — shard exports from
-// different stream positions would resume an inconsistent cut.
-func CheckExports(exports []*engine.Export) error {
-	if len(exports) == 0 {
-		return fmt.Errorf("parallel: empty export set")
-	}
-	for i, ex := range exports[1:] {
-		if ex.Horizon != exports[0].Horizon {
-			return fmt.Errorf("parallel: shard %d exported at horizon %d, shard 0 at %d",
-				i+1, ex.Horizon, exports[0].Horizon)
-		}
-	}
-	return nil
-}
-
-// Restore rebuilds a Runner for p from a Snapshot taken on an identical
-// plan. The shard count is taken from the snapshot (it determines key
-// placement); each shard engine verifies the plan fingerprint.
-func Restore(p *plan.Plan, sink stream.Sink, data []byte) (*Runner, error) {
-	states, events, err := DecodeSnapshot(data)
-	if err != nil {
-		return nil, err
-	}
-	r, _, err := build(p, sink, len(states), states)
-	if err != nil {
-		return nil, err
-	}
-	r.events = events
-	return r, nil
 }
 
 // Run executes the plan over all events on n shards and flushes.

@@ -52,7 +52,10 @@
 // continues bit for bit, and it needs no cut point. Only the re-plan
 // handover (ExportCanonical) carries the window-shaped canonical export,
 // which enters any plan at the price of regrouping those merges. The
-// router never looks inside either; engine.Resume reads the header.
+// router never looks inside either: state arrives as an engine.Carried
+// (Spec.State), of which New encodes only the exports still in memory,
+// a worker's export leaves as the worker's bytes, and engine.Resume on
+// the worker tells the forms apart.
 //
 // The router is fully synchronous and single-goroutine: every method
 // must be called from the goroutine driving the pipeline (the server
@@ -94,9 +97,8 @@ func (e *ShardDownError) Unwrap() error { return ErrShardDown }
 
 // Spec describes one epoch of a distributed pipeline: the deterministic
 // plan inputs every worker rebuilds the joint plan from, the workers,
-// and optionally the state carried in from the previous epoch (a
-// canonical export per shard) or a checkpoint (one engine snapshot per
-// shard) — either way the shards' opaque hello payload.
+// and optionally the state carried in — the previous epoch's export or a
+// checkpoint's snapshots, one shard's part each worker's hello payload.
 type Spec struct {
 	// Queries, Fn, Param, Eta, Factors are the plan inputs — the same
 	// values the server's own multiquery.Optimize call uses, so every
@@ -107,9 +109,9 @@ type Spec struct {
 	Eta     int64
 	Factors bool
 
-	// Shards is the key-partition count. Ignored when Exports or
-	// Snapshots carry state (their count wins: the key→shard hash is a
-	// pure function of the count, so state must keep its count).
+	// Shards is the key-partition count. Ignored when State carries
+	// shards (their count wins: the key→shard hash is a pure function of
+	// the count, so state must keep its count).
 	Shards int
 
 	// Workers are the worker addresses; shard i starts on worker i mod
@@ -118,16 +120,9 @@ type Spec struct {
 
 	// FreshFloor suppresses results of window instances starting before
 	// it for windows with no carried state (multiquery's new-query
-	// contract), and Exports resumes the previous epoch's canonical
-	// state per shard.
+	// contract), and State resumes the carried shards and ingest counter.
 	FreshFloor int64
-	Exports    []*engine.Export
-
-	// Snapshots restores each shard engine from a checkpoint blob
-	// (engine.Snapshot codec); Events is the restored ingest counter
-	// that rides alongside, as in parallel's snapshot.
-	Snapshots [][]byte
-	Events    int64
+	State      engine.Carried
 
 	// Dial opens a worker connection; nil defaults to net.Dial("tcp").
 	Dial func(addr string) (net.Conn, error)
@@ -167,9 +162,11 @@ type shardState struct {
 
 	// state/floor are the hello payload: the blob the session resumes
 	// from (opaque here; the engine reads its form off its header), and
-	// the fresh floor for windows it does not cover.
-	state []byte
-	floor int64
+	// the fresh floor for windows it does not cover. resumed is what the
+	// last hello's ack reported handed over.
+	state   []byte
+	floor   int64
+	resumed int
 
 	journal  []journalOp
 	barriers int64 // barriers acked: the compaction cadence counts these
@@ -214,6 +211,7 @@ type Runner struct {
 	shedEvents int64
 	failovers  int64
 	rebalances int64
+	migrated   int
 
 	closed bool
 }
@@ -230,31 +228,13 @@ func New(spec Spec, sink stream.Sink) (*Runner, error) {
 		return nil, errors.New("router: no queries")
 	}
 	r := &Runner{spec: spec, dial: spec.Dial}
-	events := spec.Events
-	// Either carrier becomes one opaque blob per shard.
-	states := spec.Snapshots
-	if spec.Exports != nil {
-		if states != nil {
-			return nil, errors.New("router: both exports and snapshots carried")
-		}
-		if err := parallel.CheckExports(spec.Exports); err != nil {
-			return nil, err
-		}
-		for i, ex := range spec.Exports {
-			blob, err := engine.EncodeExport(ex)
-			if err != nil {
-				return nil, fmt.Errorf("router: shard %d: %w", i, err)
-			}
-			states = append(states, blob)
-			events += ex.Events
-		}
+	carried := spec.State.Shards
+	if len(carried) == 0 && spec.Shards > 0 {
+		carried = make([]engine.ShardState, spec.Shards)
 	}
-	n := spec.Shards
-	if states != nil {
-		n = len(states)
-	}
-	if n <= 0 {
-		return nil, fmt.Errorf("router: %d shards", n)
+	n := len(carried)
+	if n == 0 {
+		return nil, fmt.Errorf("router: %d shards", spec.Shards)
 	}
 	r.spec.Shards = n
 	if r.dial == nil {
@@ -268,10 +248,13 @@ func New(spec Spec, sink stream.Sink) (*Runner, error) {
 	}
 	shards := make([]parallel.Shard, n)
 	for i := range shards {
-		sc := &shardState{r: r, idx: i, floor: spec.FreshFloor}
-		if states != nil {
-			sc.state = states[i]
+		// Only an export still in memory encodes here; bytes (a snapshot,
+		// an export off a worker) pass through.
+		blob, err := carried[i].Bytes()
+		if err != nil {
+			return nil, fmt.Errorf("router: shard %d: %w", i, err)
 		}
+		sc := &shardState{r: r, idx: i, floor: spec.FreshFloor, state: blob}
 		r.shards = append(r.shards, sc)
 		shards[i] = sc
 	}
@@ -281,9 +264,19 @@ func New(spec Spec, sink stream.Sink) (*Runner, error) {
 			return nil, fmt.Errorf("router: placing shard %d: %w", i, err)
 		}
 	}
-	r.Runner = parallel.Drive(shards, sink, events)
+	// Each shard's hello ack reports what its engine.Resume handed over.
+	// Summed once, here: a session opened later (failover, rebalance)
+	// resumes state already counted.
+	for _, sc := range r.shards {
+		r.migrated += sc.resumed
+	}
+	r.Runner = parallel.Drive(shards, sink, spec.State.Events)
 	return r, nil
 }
+
+// Migrated is the number of window instances the carried export handed
+// over across New's shards (0 for a snapshot or no state).
+func (r *Runner) Migrated() int { return r.migrated }
 
 // teardown severs every open session without protocol niceties.
 func (r *Runner) teardown() {
@@ -514,9 +507,11 @@ func (r *Runner) openSession(sc *shardState, wi int) error {
 	if err := sc.sendCtrl(r.helloCtrl(sc)); err != nil {
 		return err
 	}
-	if _, err := sc.readAck(wire.CtrlAck, false); err != nil {
+	ack, err := sc.readAck(wire.CtrlAck, false)
+	if err != nil {
 		return err
 	}
+	sc.resumed = ack.Migrated
 	// Replay the journal: the worker re-derives exactly the state the
 	// dead session held. Journaled barriers are re-run so the engine
 	// flushes at the same points it originally did, and the regenerated
@@ -664,19 +659,13 @@ func (sc *shardState) EngineSnapshot() ([]byte, error) {
 
 // Export fetches the shard engine's canonical export — the one place
 // the router asks a worker for one, because here the state enters a
-// different plan. A shed shard fails it: a partial export would
-// silently drop the shed range's open state, so the caller (the
-// server's re-plan) must degrade explicitly instead.
-func (sc *shardState) Export(horizon int64) (*engine.Export, error) {
+// different plan. The worker's bytes pass through untouched. A shed
+// shard fails it: a partial export would silently drop the shed range's
+// open state, so the caller (the server's re-plan) must degrade
+// explicitly instead.
+func (sc *shardState) Export(horizon int64) (engine.ShardState, error) {
 	blob, err := sc.r.fetchState(sc, &wire.Ctrl{Op: wire.CtrlExport, Horizon: horizon})
-	if err != nil {
-		return nil, err
-	}
-	ex, err := engine.DecodeExport(blob)
-	if err != nil {
-		return nil, fmt.Errorf("router: shard %d: %w", sc.idx, err)
-	}
-	return ex, nil
+	return engine.Encoded(blob), err
 }
 
 // Updates is the engine update counter as of the last ack or bye.

@@ -18,6 +18,7 @@ import (
 	"factorwindows/internal/cost"
 	"factorwindows/internal/multiquery"
 	"factorwindows/internal/parallel"
+	"factorwindows/internal/plan"
 	"factorwindows/internal/router"
 	"factorwindows/internal/shardworker"
 	"factorwindows/internal/stream"
@@ -82,14 +83,20 @@ var moveLoads = []load{
 		}},
 	// 8 keys × 40 values per key per tick: 800 = 4·k values per key in
 	// every T20 instance, so all three windows' KLL sketches compact.
-	// (The suites' move and kill points are ones at which a restored
-	// engine recycles the store rows the uninterrupted one does; where
-	// it would not, a compacting sketch also depends on the generator
-	// state its recycled row was left in — ROADMAP, small debts.)
+	// The script is a fixed 256 ticks, past three T80 instances, so the
+	// suites' move and kill points land in later instances too.
 	{name: "dense-percentile", qs: nestedQueries, fn: agg.Percentile, param: 0.5,
-		events: func(seed int64, n, _ int) []stream.Event {
-			return workload.OrderSensitive(workload.StreamConfig{Events: 12 * n, Keys: 8, EventsPerTick: 320, Seed: seed})
+		events: func(seed int64, _, _ int) []stream.Event {
+			return workload.OrderSensitive(workload.StreamConfig{Events: 256 * 320, Keys: 8, EventsPerTick: 320, Seed: seed})
 		}},
+}
+
+// chunkAt draws a chunk index from rng over the whole of an n-event
+// script cut into chunk-event chunks, past the first and before the
+// last: where the move suites kill, move or fetch.
+func chunkAt(rng *rand.Rand, n, chunk int) int {
+	chunks := (n + chunk - 1) / chunk
+	return 1 + rng.Intn(chunks-2)
 }
 
 // refPlan builds the single-process reference plan from the same inputs
@@ -144,9 +151,9 @@ func reference(t *testing.T, ld load, shards int, events []stream.Event, chunk i
 	t.Helper()
 	mp := refPlan(t, ld)
 	sink := &stream.CollectingSink{}
-	ref, _, err := parallel.Migrate(mp.Combined, sink, shards, nil, 0)
+	ref, err := parallel.New(mp.Combined, sink, shards)
 	if err != nil {
-		t.Fatalf("parallel.Migrate: %v", err)
+		t.Fatalf("parallel.New: %v", err)
 	}
 	ref.SetOrderedDrain(true)
 	drive(ref, events, chunk, nil)
@@ -154,6 +161,16 @@ func reference(t *testing.T, ld load, shards int, events []stream.Event, chunk i
 		t.Fatalf("reference runner: %v", err)
 	}
 	return sink.Results, ref.TotalUpdates()
+}
+
+// restore resumes in-process shards from a sharded snapshot envelope.
+func restore(p *plan.Plan, sink stream.Sink, blob []byte) (*parallel.Runner, error) {
+	state, err := parallel.DecodeSnapshot(blob)
+	if err != nil {
+		return nil, err
+	}
+	r, _, err := parallel.Resume(p, sink, 0, state, 0)
+	return r, err
 }
 
 // spec is ld's router configuration; tests needing a Dial set it on the
@@ -234,9 +251,12 @@ func TestRouterMatchesParallel(t *testing.T) {
 func TestRouterWorkerKillFailover(t *testing.T) {
 	const chunk = 256
 	const shards = 7
+	rng := rand.New(rand.NewSource(7701))
 	for _, ld := range moveLoads {
 		t.Run(ld.name, func(t *testing.T) {
 			events := ld.events(77, 6000, 60)
+			kill := chunkAt(rng, len(events), chunk)
+			t.Logf("kill after chunk %d of %d events", kill, len(events))
 			want, wantUpdates := reference(t, ld, shards, events, chunk)
 			for _, every := range []int64{1, 4, 1000} { // checkpoint cadences: every barrier, periodic, never-yet
 				addrs := make([]string, 3)
@@ -246,7 +266,7 @@ func TestRouterWorkerKillFailover(t *testing.T) {
 				}
 				r, sink := newRouter(t, ld, shards, addrs, every)
 				drive(r, events, chunk, func(i int) {
-					if i == 9 {
+					if i == kill {
 						workers[1].Close() // mid-stream kill, between barriers
 					}
 				})
@@ -274,19 +294,21 @@ func TestRouterWorkerKillFailover(t *testing.T) {
 // path (sibling shards on the dead worker re-send the barrier).
 func TestRouterKillDuringBarrier(t *testing.T) {
 	const shards = 4
+	rng := rand.New(rand.NewSource(1305))
 	for _, ld := range moveLoads {
 		t.Run(ld.name, func(t *testing.T) {
 			events := ld.events(13, 4000, 50)
-			// Off every window boundary of every load, so instances of all
-			// three nested windows are open at the state fetch.
-			half := len(events)/2 + 37
+			// Any event of the script, so the kill usually lands with
+			// instances of the nested windows open.
+			half := 1 + rng.Intn(len(events)-1)
+			t.Logf("kill after event %d of %d", half, len(events))
 			// The ordered drain's sequence depends on the barrier schedule, so
 			// the reference must share this test's two-barrier cadence.
 			mp := refPlan(t, ld)
 			refSink := &stream.CollectingSink{}
-			ref, _, err := parallel.Migrate(mp.Combined, refSink, shards, nil, 0)
+			ref, err := parallel.New(mp.Combined, refSink, shards)
 			if err != nil {
-				t.Fatalf("parallel.Migrate: %v", err)
+				t.Fatalf("parallel.New: %v", err)
 			}
 			ref.SetOrderedDrain(true)
 			ref.Process(events[:half])
@@ -374,9 +396,12 @@ func faultDialer(addr string, nth int, armed *atomic.Bool) func(string) (net.Con
 func TestRouterKillBetweenBarrierAcks(t *testing.T) {
 	const chunk = 256
 	const shards = 4
+	rng := rand.New(rand.NewSource(27101))
 	for _, ld := range moveLoads {
 		t.Run(ld.name, func(t *testing.T) {
 			events := ld.events(271, 4000, 50)
+			arm := chunkAt(rng, len(events), chunk)
+			t.Logf("arm after chunk %d of %d events", arm, len(events))
 			want, wantUpdates := reference(t, ld, shards, events, chunk)
 			for _, every := range []int64{3, 1000} { // with and without compaction in play
 				addrs := make([]string, 2)
@@ -394,7 +419,7 @@ func TestRouterKillBetweenBarrierAcks(t *testing.T) {
 					t.Fatalf("router.New: %v", err)
 				}
 				drive(r, events, chunk, func(i int) {
-					if i == 5 {
+					if i == arm {
 						// Arm between barriers: the next Barrier's phase 1 writes
 						// still land, shard 0 acks and journals the barrier, then
 						// shard 2's collect read fails and fails both over.
@@ -613,9 +638,9 @@ func TestRouterCompactsWithoutWatermark(t *testing.T) {
 	// Reference driven with the same Advance-free cadence.
 	mp := refPlan(t, intSum)
 	refSink := &stream.CollectingSink{}
-	ref, _, err := parallel.Migrate(mp.Combined, refSink, shards, nil, 0)
+	ref, err := parallel.New(mp.Combined, refSink, shards)
 	if err != nil {
-		t.Fatalf("parallel.Migrate: %v", err)
+		t.Fatalf("parallel.New: %v", err)
 	}
 	ref.SetOrderedDrain(true)
 	for off := 0; off < len(events); off += chunk {
@@ -719,9 +744,15 @@ func TestRouterShedTypedError(t *testing.T) {
 func TestRouterScaleOutIn(t *testing.T) {
 	const chunk = 256
 	const shards = 7
+	rng := rand.New(rand.NewSource(9901))
 	for _, ld := range moveLoads {
 		t.Run(ld.name, func(t *testing.T) {
 			events := ld.events(99, 6000, 50)
+			out, in := chunkAt(rng, len(events), chunk), chunkAt(rng, len(events), chunk)
+			if out > in {
+				out, in = in, out
+			}
+			t.Logf("scale out after chunk %d, in after chunk %d, of %d events", out, in, len(events))
 			want, wantUpdates := reference(t, ld, shards, events, chunk)
 			addrs := make([]string, 2)
 			for i := range addrs {
@@ -731,7 +762,7 @@ func TestRouterScaleOutIn(t *testing.T) {
 			r, sink := newRouter(t, ld, shards, addrs, 4)
 			drive(r, events, chunk, func(i int) {
 				switch i {
-				case 5: // scale out: add a worker and move two shards onto it
+				case out: // scale out: add a worker and move two shards onto it
 					late, _ = startWorker(t)
 					if err := r.AddWorker(late); err != nil {
 						t.Fatalf("AddWorker: %v", err)
@@ -742,7 +773,7 @@ func TestRouterScaleOutIn(t *testing.T) {
 					if err := r.Rebalance(3, late); err != nil {
 						t.Fatalf("Rebalance(3): %v", err)
 					}
-				case 15: // scale back in
+				case in: // scale back in
 					if err := r.Drain(late); err != nil {
 						t.Fatalf("Drain: %v", err)
 					}
@@ -800,9 +831,9 @@ func TestRouterSnapshotParallelInterop(t *testing.T) {
 	r.Close()
 	sink.Results = sink.Results[:preClose]
 	mp := refPlan(t, intSum)
-	cont, err := parallel.Restore(mp.Combined, sink, blob)
+	cont, err := restore(mp.Combined, sink, blob)
 	if err != nil {
-		t.Fatalf("parallel.Restore(router snapshot): %v", err)
+		t.Fatalf("resuming the router snapshot in process: %v", err)
 	}
 	cont.SetOrderedDrain(true)
 	if cont.Events() != routerEvents {
@@ -813,9 +844,9 @@ func TestRouterSnapshotParallelInterop(t *testing.T) {
 
 	// In-process first half → snapshot → distributed second half.
 	sink2 := &stream.CollectingSink{}
-	ref, _, err := parallel.Migrate(mp.Combined, sink2, shards, nil, 0)
+	ref, err := parallel.New(mp.Combined, sink2, shards)
 	if err != nil {
-		t.Fatalf("parallel.Migrate: %v", err)
+		t.Fatalf("parallel.New: %v", err)
 	}
 	ref.SetOrderedDrain(true)
 	for off := 0; off < half; off += chunk {
@@ -828,18 +859,18 @@ func TestRouterSnapshotParallelInterop(t *testing.T) {
 	if err != nil {
 		t.Fatalf("parallel.Snapshot: %v", err)
 	}
-	states, restoredEvents, err := parallel.DecodeSnapshot(blob2)
+	state, err := parallel.DecodeSnapshot(blob2)
 	if err != nil {
 		t.Fatalf("parallel.DecodeSnapshot: %v", err)
 	}
+	restoredEvents := state.Events
 	r2, err := router.New(router.Spec{
-		Queries:   testQueries,
-		Fn:        agg.Sum,
-		Eta:       1,
-		Factors:   true,
-		Workers:   addrs,
-		Snapshots: states,
-		Events:    restoredEvents,
+		Queries: testQueries,
+		Fn:      agg.Sum,
+		Eta:     1,
+		Factors: true,
+		Workers: addrs,
+		State:   state,
 	}, sink2)
 	if err != nil {
 		t.Fatalf("router.New(snapshots): %v", err)
@@ -874,12 +905,12 @@ func TestRouterExportMigratesToParallel(t *testing.T) {
 		r.Advance(horizon)
 		r.Barrier()
 	}
-	exports, err := r.ExportCanonical(horizon)
+	state, err := r.ExportCanonical(horizon)
 	if err != nil {
 		t.Fatalf("router.ExportCanonical: %v", err)
 	}
-	if len(exports) != shards {
-		t.Fatalf("%d exports for %d shards", len(exports), shards)
+	if len(state.Shards) != shards {
+		t.Fatalf("%d exports for %d shards", len(state.Shards), shards)
 	}
 	// Tear down the distributed epoch, snipping its close-flush rows —
 	// the migrated runner owns those open instances now.
@@ -887,9 +918,9 @@ func TestRouterExportMigratesToParallel(t *testing.T) {
 	r.Close()
 	sink.Results = sink.Results[:preClose]
 	mp := refPlan(t, intSum)
-	cont, _, err := parallel.Migrate(mp.Combined, sink, shards, exports, horizon)
+	cont, _, err := parallel.Resume(mp.Combined, sink, shards, state, horizon)
 	if err != nil {
-		t.Fatalf("parallel.Migrate(router exports): %v", err)
+		t.Fatalf("parallel.Resume(router exports): %v", err)
 	}
 	cont.SetOrderedDrain(true)
 	drive(cont, events[half:], chunk, nil)
@@ -930,9 +961,11 @@ func (c *dyingConn) Write(p []byte) (int, error) {
 func TestRouterKillDuringStateFetch(t *testing.T) {
 	const chunk = 256
 	const shards = 4
-	const half = 2048 // chunk boundary
+	rng := rand.New(rand.NewSource(73306))
 	for _, ld := range moveLoads {
 		events := ld.events(733, 4000, 40)
+		half := chunk * chunkAt(rng, len(events), chunk) // a chunk boundary
+		t.Logf("%s: fetch after event %d of %d", ld.name, half, len(events))
 		want, wantUpdates := reference(t, ld, shards, events, chunk)
 		mp := refPlan(t, ld)
 		for _, op := range []string{wire.CtrlSnapshot, wire.CtrlExport} {
@@ -977,14 +1010,14 @@ func TestRouterKillDuringStateFetch(t *testing.T) {
 					if err != nil {
 						t.Fatalf("router.Snapshot through worker death: %v", err)
 					}
-					resume = func() (*parallel.Runner, error) { return parallel.Restore(mp.Combined, sink, blob) }
+					resume = func() (*parallel.Runner, error) { return restore(mp.Combined, sink, blob) }
 				} else {
-					exports, err := r.ExportCanonical(horizon)
+					state, err := r.ExportCanonical(horizon)
 					if err != nil {
 						t.Fatalf("router.ExportCanonical through worker death: %v", err)
 					}
 					resume = func() (*parallel.Runner, error) {
-						cont, _, err := parallel.Migrate(mp.Combined, sink, shards, exports, horizon)
+						cont, _, err := parallel.Resume(mp.Combined, sink, shards, state, horizon)
 						return cont, err
 					}
 				}

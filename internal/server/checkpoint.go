@@ -23,6 +23,7 @@ import (
 
 	"factorwindows/internal/agg"
 	"factorwindows/internal/engine"
+	"factorwindows/internal/parallel"
 	"factorwindows/internal/reorder"
 )
 
@@ -240,7 +241,11 @@ func (s *Server) applyCheckpointLocked(cpp *checkpoint, queries map[string]*regi
 		}
 		return nil
 	}
-	np, _, err := s.buildPipeline(cp.Reorder.Released, &cp.Reorder, cp.Engine, nil)
+	state, err := parallel.DecodeSnapshot(cp.Engine)
+	var np *pipeline
+	if err == nil {
+		np, _, err = s.buildPipeline(cp.Reorder.Released, &cp.Reorder, state)
+	}
 	if err != nil {
 		// The registry is already replaced; fall back to a fresh plan so
 		// the server stays serviceable, surfacing the restore failure.

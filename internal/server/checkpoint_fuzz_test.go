@@ -15,8 +15,9 @@ import (
 // success or an error, nothing downstream of it panics, and a server
 // that refused (or only partly accepted) a blob keeps serving — it
 // still registers, ingests and reports stats. Seeds: the committed PR 13 mid-disorder fixture, a
-// fresh checkpoint of sketch-backed queries with open instances, and
-// truncations of both.
+// fresh checkpoint of sketch-backed queries with open instances, the
+// same checkpoint with exports where its engine snapshots belong, and
+// truncations of all three.
 func FuzzRestoreCheckpoint(f *testing.F) {
 	cfg := Config{Shards: 2, Factors: true, ReorderBound: 16}
 	fixture, err := os.ReadFile(filepath.Join("testdata", "checkpoint_pr13_mid_disorder.bin"))
@@ -31,11 +32,12 @@ func FuzzRestoreCheckpoint(f *testing.F) {
 		f.Fatal(err)
 	}
 	sketched, err := src.Checkpoint()
-	src.Close()
 	if err != nil {
 		f.Fatal(err)
 	}
-	for _, blob := range [][]byte{fixture, sketched} {
+	exportForm, _ := exportFormCheckpoint(f, src)
+	src.Close()
+	for _, blob := range [][]byte{fixture, sketched, exportForm} {
 		f.Add(blob)
 		f.Add(blob[:len(blob)/2])
 		f.Add(blob[:len(blob)-1])

@@ -2,6 +2,8 @@ package server
 
 import (
 	"bytes"
+	"encoding/gob"
+	"errors"
 	"fmt"
 	"math/rand"
 	"net"
@@ -10,6 +12,8 @@ import (
 	"strings"
 	"testing"
 
+	"factorwindows/internal/engine"
+	"factorwindows/internal/parallel"
 	"factorwindows/internal/router"
 	"factorwindows/internal/shardworker"
 	"factorwindows/internal/stream"
@@ -25,7 +29,7 @@ import (
 // startShardWorkers launches n in-process workers on loopback
 // listeners and returns their dial addresses alongside the workers
 // (for tests that kill one mid-stream).
-func startShardWorkers(t *testing.T, n int) ([]string, []*shardworker.Worker) {
+func startShardWorkers(t testing.TB, n int) ([]string, []*shardworker.Worker) {
 	t.Helper()
 	addrs := make([]string, n)
 	ws := make([]*shardworker.Worker, n)
@@ -99,13 +103,10 @@ type distLoad struct {
 var distLoads = []distLoad{
 	{name: "int-sum", queries: distQueries},
 	{name: "float-sum", queries: nestedDistQueries("SUM(T)"), keys: 6, perTick: 7, scale: 1},
-	// 400 values per key per tick: 8,000 per key in a T20 instance, and a
-	// script of 16 × 2,400 events spans 24 ticks — every topology change
-	// lands inside the first instance of all three windows, where a
-	// restored engine recycles exactly the store rows an uninterrupted one
-	// does (past that, a compacting sketch's answer also depends on the
-	// generator state its recycled row was left in, which no state form
-	// carries: ROADMAP, small debts).
+	// 400 values per key per tick: 8,000 per key in a T20 instance, so
+	// every window's sketches compact. A script of 16 × 2,400 events spans
+	// 24 ticks, so these server suites move it inside the first instance;
+	// the router suites move the same shape across later ones.
 	{name: "dense-percentile", queries: nestedDistQueries("PERCENTILE(T, 0.5)"), keys: 4, perTick: 1600, scale: 20},
 }
 
@@ -359,6 +360,126 @@ func TestDistributedCheckpointInterop(t *testing.T) {
 			assertSameStreams(t, continueFrom(single, cpDistributed), want)
 			assertSameStreams(t, continueFrom(distributed, cpDistributed), want)
 		})
+	}
+}
+
+// exportFormCheckpoint takes s's checkpoint and rebuilds its engine
+// envelope from the same moment's canonical export, so every shard's
+// blob is an encoded export where a snapshot belongs. It returns the
+// blob and the checkpoint's release horizon.
+func exportFormCheckpoint(t testing.TB, s *Server) ([]byte, int64) {
+	t.Helper()
+	data, err := s.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cp checkpoint
+	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&cp); err != nil {
+		t.Fatal(err)
+	}
+	s.mu.Lock()
+	state, err := s.pipe.runner.ExportCanonical(cp.Reorder.Released)
+	s.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	blobs := make([][]byte, len(state.Shards))
+	for i, sh := range state.Shards {
+		if blobs[i], err = sh.Bytes(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if cp.Engine, err = parallel.EncodeSnapshot(blobs, state.Events); err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	if err := gob.NewEncoder(&out).Encode(cp); err != nil {
+		t.Fatal(err)
+	}
+	return out.Bytes(), cp.Reorder.Released
+}
+
+// TestDistributedCheckpointRefusesExportForm: a checkpoint whose engine
+// envelope carries exports where snapshots belong is refused alike in
+// both tiers. An export would resume — it enters any plan — but a
+// restore promises the same plan bit-exact, which only a snapshot's
+// fingerprint check holds it to. So both tiers take the tampered
+// checkpoint's path: an error wrapping engine.ErrSnapshotVersion, the
+// checkpoint's queries live on fresh state at its horizon, and from
+// there byte-identical continuations.
+func TestDistributedCheckpointRefusesExportForm(t *testing.T) {
+	batches := distBatches(43, 10, 150)
+	const half = 5
+	src := New(Config{Shards: 4, ResultBuffer: 1 << 12})
+	defer src.Close()
+	registerDistQueries(t, src.Handler(), distQueries)
+	playDist(t, src, batches[:half], 0, nil)
+	cp, horizon := exportFormCheckpoint(t, src)
+
+	addrs, _ := startShardWorkers(t, 2)
+	var want map[string][]byte
+	for _, cfg := range []Config{
+		{Shards: 4, ResultBuffer: 1 << 12},
+		{Shards: 4, ResultBuffer: 1 << 12, Workers: addrs, WorkerCheckpointEvery: 2},
+	} {
+		s := New(cfg)
+		h := s.Handler()
+		if err := s.RestoreCheckpoint(cp); !errors.Is(err, engine.ErrSnapshotVersion) {
+			s.Close()
+			t.Fatalf("workers=%d: restore error = %v, want one wrapping engine.ErrSnapshotVersion", len(cfg.Workers), err)
+		}
+		if got := len(s.Queries()); got != len(distQueries) {
+			t.Fatalf("workers=%d: %d queries after the refused restore, want %d", len(cfg.Workers), got, len(distQueries))
+		}
+		if rel := s.StatsNow().Released; rel != horizon {
+			t.Fatalf("workers=%d: fallback released=%d, checkpoint had %d", len(cfg.Workers), rel, horizon)
+		}
+		playDist(t, s, batches, half, nil)
+		got := collectStreams(t, s, h)
+		if want == nil {
+			want = got
+			continue
+		}
+		assertSameStreams(t, got, want)
+	}
+}
+
+// TestDistributedMigratedInstances: registering a query mid-stream
+// re-plans with open state, and /stats' migrated_instances counts the
+// instances handed over identically in process and on workers — whose
+// hello acks report what each shard's resume handed over.
+func TestDistributedMigratedInstances(t *testing.T) {
+	batches := distBatches(47, 8, 150)
+	addrs, _ := startShardWorkers(t, 2)
+	var want int64
+	var wantStreams map[string][]byte
+	for _, cfg := range []Config{
+		{Shards: 4, ResultBuffer: 1 << 12},
+		{Shards: 4, ResultBuffer: 1 << 12, Workers: addrs},
+	} {
+		s := New(cfg)
+		h := s.Handler()
+		if _, err := s.Register("q1", distQueries[0]); err != nil {
+			t.Fatal(err)
+		}
+		playDist(t, s, batches[:4], 0, nil)
+		if _, err := s.Register("q2", distQueries[1]); err != nil {
+			t.Fatal(err)
+		}
+		playDist(t, s, batches, 4, nil)
+		got := s.StatsNow().Migrated
+		streams := collectStreams(t, s, h)
+		if wantStreams == nil {
+			if got == 0 {
+				t.Fatal("registering mid-stream migrated no instances; the property is vacuous")
+			}
+			want, wantStreams = got, streams
+			continue
+		}
+		if got != want {
+			t.Fatalf("workers=%d: migrated_instances = %d, in process %d", len(cfg.Workers), got, want)
+		}
+		assertSameStreams(t, streams, wantStreams)
 	}
 }
 

@@ -601,7 +601,7 @@ func (s *Server) replan() error {
 	if carried != nil {
 		horizon = carried.Released
 	}
-	var exports []*engine.Export
+	var state engine.Carried
 	degraded := false
 	if s.pipe != nil && len(s.queries) > 0 {
 		// Export the old plan's canonical open-instance state for the
@@ -611,8 +611,8 @@ func (s *Server) replan() error {
 		// and is counted as degraded so the waived zero-gap guarantee is
 		// visible in /stats rather than indistinguishable from a clean
 		// migration.
-		if ex, err := s.pipe.runner.ExportCanonical(horizon); err == nil {
-			exports = ex
+		if st, err := s.pipe.runner.ExportCanonical(horizon); err == nil {
+			state = st
 		} else {
 			degraded = true
 		}
@@ -622,7 +622,7 @@ func (s *Server) replan() error {
 	migrated := 0
 	if len(s.queries) > 0 {
 		var err error
-		np, migrated, err = s.buildPipeline(horizon, carried, nil, exports)
+		np, migrated, err = s.buildPipeline(horizon, carried, state)
 		if err != nil {
 			return err
 		}
@@ -657,14 +657,13 @@ func (s *Server) optimizeOptions() core.Options {
 }
 
 // buildPipeline assembles one epoch's stack for the current query set.
-// carried restores the reorder buffer (pending events, sealed horizon).
-// engineState, when non-nil, resumes the shard engines from a
-// parallel.Runner snapshot; exports, when non-nil, migrates the
-// previous plan's canonical open-instance state instead. freshFloor is
-// the exposed-result floor for windows with no carried state (the
-// release horizon). It returns the migrated-instance count. Callers
-// hold s.mu.
-func (s *Server) buildPipeline(freshFloor int64, carried *reorder.State, engineState []byte, exports []*engine.Export) (*pipeline, int, error) {
+// carried restores the reorder buffer (pending events, sealed horizon);
+// state resumes the shard engines — a re-plan's export, a checkpoint's
+// snapshots, or nothing — and freshFloor is the exposed-result floor for
+// windows it does not cover (the release horizon). Which form the state
+// is, only the engine tells. It returns the migrated-instance count.
+// Callers hold s.mu.
+func (s *Server) buildPipeline(freshFloor int64, carried *reorder.State, state engine.Carried) (*pipeline, int, error) {
 	ids := s.sortedIDs()
 	qs := make([]multiquery.Query, 0, len(ids))
 	for _, id := range ids {
@@ -694,12 +693,8 @@ func (s *Server) buildPipeline(freshFloor int64, carried *reorder.State, engineS
 	migrated := 0
 	if len(s.workers) > 0 {
 		// Distributed tier: the same plan inputs go to every worker so
-		// each shard rebuilds the identical plan, and the same two state
-		// forms carry across, one job each — canonical exports after a
-		// re-plan, engine snapshots when restoring a checkpoint (taken
-		// in-process or on workers alike); the router moves shards by
-		// snapshot thereafter. The migrated-instance count stays inside
-		// the workers' imports and is not reported here.
+		// each shard rebuilds the identical plan, and the carried state
+		// rides each shard's hello.
 		spec := router.Spec{
 			Queries:         qs,
 			Fn:              s.fn,
@@ -709,7 +704,7 @@ func (s *Server) buildPipeline(freshFloor int64, carried *reorder.State, engineS
 			Shards:          s.cfg.Shards,
 			Workers:         append([]string(nil), s.workers...),
 			FreshFloor:      freshFloor,
-			Exports:         exports,
+			State:           state,
 			Dial:            s.cfg.WorkerDial,
 			CheckpointEvery: s.cfg.WorkerCheckpointEvery,
 		}
@@ -718,21 +713,11 @@ func (s *Server) buildPipeline(freshFloor int64, carried *reorder.State, engineS
 			// leaves Shards unset keys events identically in both tiers.
 			spec.Shards = runtime.GOMAXPROCS(0)
 		}
-		if engineState != nil {
-			states, events, derr := parallel.DecodeSnapshot(engineState)
-			if derr != nil {
-				return nil, 0, derr
-			}
-			spec.Snapshots, spec.Events = states, events
-			spec.Exports = nil
-		}
 		if rr, err = router.New(spec, sink); err == nil {
-			runner = rr.Runner
+			runner, migrated = rr.Runner, rr.Migrated()
 		}
-	} else if engineState != nil {
-		runner, err = parallel.Restore(mp.Combined, sink, engineState)
 	} else {
-		runner, migrated, err = parallel.Migrate(mp.Combined, sink, s.cfg.Shards, exports, freshFloor)
+		runner, migrated, err = parallel.Resume(mp.Combined, sink, s.cfg.Shards, state, freshFloor)
 	}
 	if err != nil {
 		return nil, 0, err

@@ -55,7 +55,10 @@ func TestSnapshotVersionRejected(t *testing.T) {
 		{"../engine/testdata/snapshot_v1_factored_stdev.bin", engineRestore(agg.StdDev)},
 		{"../engine/testdata/snapshot_v1_original_median.bin", engineRestore(agg.Median)},
 		{"../parallel/testdata/snapshot_v1_3shards_sum.bin", func(t *testing.T, data []byte) error {
-			_, err := parallel.Restore(original(t, agg.Sum), &stream.CountingSink{}, data)
+			state, err := parallel.DecodeSnapshot(data)
+			if err == nil {
+				_, _, err = parallel.Resume(original(t, agg.Sum), &stream.CountingSink{}, 0, state, 0)
+			}
 			return err
 		}},
 		{"testdata/checkpoint_v1_two_queries.bin", restoreMustNotMutate},
@@ -88,7 +91,7 @@ func TestSnapshotVersionRejected(t *testing.T) {
 		if _, err := engine.DecodeExport(bare.Bytes()); !errors.Is(err, engine.ErrSnapshotVersion) {
 			t.Fatalf("DecodeExport error = %v, want one wrapping engine.ErrSnapshotVersion", err)
 		}
-		if _, err := engine.Resume(p, &stream.CountingSink{}, bare.Bytes(), 0); !errors.Is(err, engine.ErrSnapshotVersion) {
+		if _, _, err := engine.Resume(p, &stream.CountingSink{}, engine.Encoded(bare.Bytes()), 0); !errors.Is(err, engine.ErrSnapshotVersion) {
 			t.Fatalf("Resume error = %v, want one wrapping engine.ErrSnapshotVersion", err)
 		}
 		// The same export under its header resumes.
@@ -96,7 +99,7 @@ func TestSnapshotVersionRejected(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := engine.Resume(p, &stream.CountingSink{}, blob, 3); err != nil {
+		if _, _, err := engine.Resume(p, &stream.CountingSink{}, engine.Encoded(blob), 3); err != nil {
 			t.Fatalf("Resume of a headed export: %v", err)
 		}
 	})

@@ -5,8 +5,8 @@
 // One accepted connection is one shard session. The router opens a
 // session with a hello control frame carrying the plan inputs (query
 // set, aggregate, cost-model η, factor toggle) and optionally carried
-// state — an opaque blob for engine.Resume: an engine snapshot when the
-// shard continues the same plan (checkpoint restore, failover,
+// state — one shard's bytes for engine.Resume: an engine snapshot when
+// the shard continues the same plan (checkpoint restore, failover,
 // rebalance), a canonical export when a re-plan handed it over. The
 // worker rebuilds the joint plan deterministically from those inputs (the
 // same multiquery.Optimize call the server makes, so the plan — and
@@ -208,11 +208,12 @@ func (s *session) handle(c *wire.Ctrl) (quit bool) {
 			s.fail("duplicate hello")
 			return true
 		}
-		if err := s.hello(c); err != nil {
+		migrated, err := s.hello(c)
+		if err != nil {
 			s.fail(err.Error())
 			return true
 		}
-		return !s.sendCtrl(&wire.Ctrl{Op: wire.CtrlAck})
+		return !s.sendCtrl(&wire.Ctrl{Op: wire.CtrlAck, Migrated: migrated})
 	case wire.CtrlAdvance:
 		s.eng.Advance(c.Horizon)
 		return false
@@ -270,10 +271,11 @@ func (s *session) handle(c *wire.Ctrl) (quit bool) {
 }
 
 // hello rebuilds the plan from the envelope's inputs and resumes or
-// starts the shard engine.
-func (s *session) hello(c *wire.Ctrl) error {
+// starts the shard engine; it returns the instances the state handed
+// over.
+func (s *session) hello(c *wire.Ctrl) (int, error) {
 	if len(c.Queries) == 0 {
-		return errors.New("hello without queries")
+		return 0, errors.New("hello without queries")
 	}
 	qs := make([]multiquery.Query, 0, len(c.Queries))
 	for _, q := range c.Queries {
@@ -292,16 +294,16 @@ func (s *session) hello(c *wire.Ctrl) error {
 		Model:   cost.Model{Eta: eta},
 	})
 	if err != nil {
-		return err
+		return 0, err
 	}
 	mp.Combined.Param = c.Param
 	sink := &stream.RunBuffer{}
-	eng, err := engine.Resume(mp.Combined, sink, c.State, c.Floor)
+	eng, migrated, err := engine.Resume(mp.Combined, sink, engine.Encoded(c.State), c.Floor)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	s.eng, s.sink = eng, sink
-	return nil
+	return migrated, nil
 }
 
 // flushResults ships everything the engine emitted since the last flush

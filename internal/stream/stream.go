@@ -118,17 +118,6 @@ func SortResults(rs []Result) {
 	})
 }
 
-// FilterWindow returns the subset of rs belonging to w, preserving order.
-func FilterWindow(rs []Result, w window.Window) []Result {
-	var out []Result
-	for _, r := range rs {
-		if r.W == w {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
 // Validate checks that events are in non-decreasing time order with
 // non-negative timestamps, the engine's input contract.
 func Validate(events []Event) error {

@@ -75,21 +75,6 @@ func TestSinks(t *testing.T) {
 	}
 }
 
-func TestFilterWindow(t *testing.T) {
-	rs := []Result{
-		{W: window.Tumbling(10), Key: 1},
-		{W: window.Tumbling(20), Key: 2},
-		{W: window.Tumbling(10), Key: 3},
-	}
-	got := FilterWindow(rs, window.Tumbling(10))
-	if len(got) != 2 || got[0].Key != 1 || got[1].Key != 3 {
-		t.Fatalf("FilterWindow = %v", got)
-	}
-	if len(FilterWindow(rs, window.Tumbling(99))) != 0 {
-		t.Fatal("absent window must filter to empty")
-	}
-}
-
 // batchOnly is a sink with Emit and EmitBatch but no EmitRun — the
 // shape of the benchmark harness's timed sink — recording how each row
 // arrived.

@@ -25,9 +25,10 @@ import (
 const (
 	// CtrlHello opens a shard session: plan inputs (queries, fn, param,
 	// η, factors), the shard's identity, and optionally carried state —
-	// an opaque blob for engine.Resume (a snapshot continues the same
-	// plan, an export enters a new one). The worker replies with an ack,
-	// or an error naming what failed.
+	// one shard's part of an engine.Carried, as bytes (a snapshot
+	// continues the same plan, an export enters a new one). The worker
+	// replies with an ack carrying the instances engine.Resume handed
+	// over, or an error naming what failed.
 	CtrlHello = "hello"
 	// CtrlAdvance broadcasts the release horizon (watermark). Pipelined:
 	// no reply.
@@ -38,8 +39,9 @@ const (
 	CtrlBarrier = "barrier"
 	// CtrlExport asks for the engine's canonical migration state at the
 	// given horizon; the reply is an export envelope whose State is the
-	// encoded engine.Export (engine.EncodeExport). Sent for one job only:
-	// the re-plan handover, where the state must enter a different plan.
+	// encoded export, which the router carries on to the next epoch's
+	// hello untouched. Sent for one job only: the re-plan handover, where
+	// the state must enter a different plan.
 	CtrlExport = "export"
 	// CtrlSnapshot asks for an engine snapshot blob (checkpoint codec) —
 	// what every same-plan move carries: server checkpoints, journal
@@ -95,8 +97,8 @@ type Ctrl struct {
 	// state does not cover (or all windows, when State is empty).
 	Floor int64 `json:"floor,omitempty"`
 
-	// State is a carried blob — an engine snapshot or an encoded
-	// engine.Export; the engine's header says which, no carrier does.
+	// State is one shard's carried state as bytes — an engine snapshot
+	// or an encoded export; only the engine tells which, no carrier does.
 	// Split across frames when it exceeds the chunk bound.
 	State []byte `json:"state,omitempty"`
 	// More marks a continuation: the next control frame on this stream
@@ -104,9 +106,11 @@ type Ctrl struct {
 	More bool `json:"more,omitempty"`
 
 	// Ack/bye bookkeeping: the engine's cumulative update and event
-	// counters, for the router's aggregated stats.
-	Updates int64 `json:"updates,omitempty"`
-	Events  int64 `json:"events,omitempty"`
+	// counters, for the router's aggregated stats, and on a hello's ack
+	// the window instances the carried state handed over.
+	Updates  int64 `json:"updates,omitempty"`
+	Events   int64 `json:"events,omitempty"`
+	Migrated int   `json:"migrated,omitempty"`
 
 	// Error is CtrlError's failure text.
 	Error string `json:"error,omitempty"`
