@@ -619,9 +619,9 @@ func TestChaosShedOrServeByteIdentical(t *testing.T) {
 				t.Fatalf("EgressPeakRows = %d, ordered-drain budget %d", st.EgressPeakRows, parallel.OrderedSpill)
 			}
 			// Staged WAL bytes are bounded by one group-commit's worth of
-			// batches: a batch encodes to <24 bytes per event plus frame
-			// overhead, and sequential driving keeps at most one batch
-			// staged.
+			// batches: a batch encodes to at most 24 bytes per event plus
+			// frame overhead, and sequential driving keeps at most one
+			// batch staged.
 			if limit := int64(batchSize*32 + 4096); st.WALStagedPeak > limit {
 				t.Fatalf("WALStagedPeak = %d bytes, budget %d", st.WALStagedPeak, limit)
 			}

@@ -167,8 +167,9 @@ const (
 	defaultFsyncInterval = 50 * time.Millisecond
 	defaultStagedBytes   = 8 << 20
 
-	// stagedRetain bounds the recycled staging buffer capacity so one
-	// burst does not pin its high-water mark for the log's lifetime.
+	// stagedRetain bounds the recycled staging buffer capacity outright;
+	// flush also drops a buffer more than twice the size of the group it
+	// carried.
 	stagedRetain = 1 << 22
 )
 
@@ -623,7 +624,10 @@ func allZero(b []byte) bool {
 
 // Append stages one event batch as a single record and returns its
 // commit ticket. The events are encoded before Append returns, so the
-// caller may recycle the slice immediately.
+// caller may recycle the slice immediately; the encoder grows the
+// staging buffer at most once per record (from empty, to the record's
+// exact size). An empty batch is still one record (a zero-row frame),
+// so offsets count Appends whatever their size.
 func (l *Log) Append(events []stream.Event) (*Commit, error) {
 	if len(events) > wire.MaxFrameRows {
 		return nil, fmt.Errorf("wal: batch of %d events exceeds the %d-row record bound", len(events), wire.MaxFrameRows)
@@ -752,7 +756,11 @@ func (l *Log) flush() {
 		l.fail(rotateErr)
 		return
 	}
-	if cap(buf) <= stagedRetain {
+	// Keep the buffer for the next group only while its capacity tracks
+	// the group it just carried: a burst's backlog buffer is written once
+	// more at most, then dropped, instead of staying pinned up to
+	// stagedRetain for the log's lifetime.
+	if cap(buf) <= stagedRetain && cap(buf) <= 2*len(buf) {
 		l.mu.Lock()
 		if l.staged == nil {
 			l.staged = buf[:0]

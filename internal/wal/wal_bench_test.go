@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"factorwindows/internal/stream"
+	"factorwindows/internal/wire"
 )
 
 // benchDir prefers a tmpfs-backed log directory so the guarded numbers
@@ -61,7 +62,7 @@ func BenchmarkWALAppend(b *testing.B) {
 				b.Fatal(err)
 			}
 			defer l.Close(false)
-			b.SetBytes(int64(batch * 24))
+			b.SetBytes(int64(len(wire.AppendEventFrame(nil, events)))) // the record's size
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -91,7 +92,7 @@ func BenchmarkWALGroupCommit(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer l.Close(false)
-	b.SetBytes(int64(batch * 24))
+	b.SetBytes(int64(len(wire.AppendEventFrame(nil, events)))) // the record's size
 	b.ReportAllocs()
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {

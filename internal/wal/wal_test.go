@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -70,6 +71,31 @@ func replayAll(t *testing.T, l *Log, from int64) (offsets []int64, batches [][]s
 		t.Fatalf("Replay: %v", err)
 	}
 	return offsets, batches, controls
+}
+
+// TestEmptyAppendIsOneRecord: a batch of no events still stages, writes
+// and replays as one record, so record offsets keep counting Appends.
+func TestEmptyAppendIsOneRecord(t *testing.T) {
+	dir := t.TempDir()
+	l := openLog(t, Options{Dir: dir})
+	batches := [][]stream.Event{nil, mkEvents(3, 2), {}, mkEvents(5, 1)}
+	for i, b := range batches {
+		if c := appendWait(t, l, b); c.Offset() != int64(i) {
+			t.Fatalf("append %d: offset %d", i, c.Offset())
+		}
+	}
+	l.Close(true)
+	l = openLog(t, Options{Dir: dir})
+	defer l.Close(false)
+	offsets, got, _ := replayAll(t, l, 0)
+	if len(offsets) != len(batches) {
+		t.Fatalf("replayed %d records, want %d", len(offsets), len(batches))
+	}
+	for i, want := range batches {
+		if offsets[i] != int64(i) || !slices.Equal(got[i], want) {
+			t.Fatalf("record %d: offset %d events %v, want %v", i, offsets[i], got[i], want)
+		}
+	}
 }
 
 func TestAppendReplayRoundTrip(t *testing.T) {

@@ -7,6 +7,8 @@ import (
 	"errors"
 	"io"
 	"math"
+	"os"
+	"slices"
 	"testing"
 
 	"factorwindows/internal/stream"
@@ -44,6 +46,14 @@ func FuzzDecodeFrame(f *testing.F) {
 		f.Add(mut)
 	}
 	f.Add(two[:len(two)-3]) // severed mid-frame
+	// Every width pair of the adaptive layout, and the fixed layout every
+	// older client sends.
+	for _, c := range widthCases() {
+		f.Add(AppendEventFrame(nil, c.evs))
+	}
+	if v1, err := os.ReadFile("testdata/events_v1.fwf"); err == nil {
+		f.Add(v1)
+	}
 	// Row counts whose payload size arithmetic would overflow the u32
 	// length prefix if computed in 32 bits: the decoder must reject on
 	// the declared count alone, before any rows × column-stride math.
@@ -54,7 +64,8 @@ func FuzzDecodeFrame(f *testing.F) {
 		fr, rest, err := Decode(data)
 		if err != nil {
 			if !errors.Is(err, ErrShort) && !errors.Is(err, ErrMagic) && !errors.Is(err, ErrVersion) &&
-				!errors.Is(err, ErrKind) && !errors.Is(err, ErrTooLarge) && !errors.Is(err, ErrSize) {
+				!errors.Is(err, ErrKind) && !errors.Is(err, ErrTooLarge) && !errors.Is(err, ErrSize) &&
+				!errors.Is(err, ErrWidth) {
 				t.Fatalf("Decode returned untyped error %v", err)
 			}
 		} else {
@@ -75,12 +86,87 @@ func FuzzDecodeFrame(f *testing.F) {
 			}
 			if err != nil {
 				if !errors.Is(err, ErrShort) && !errors.Is(err, ErrMagic) && !errors.Is(err, ErrVersion) &&
-					!errors.Is(err, ErrKind) && !errors.Is(err, ErrTooLarge) && !errors.Is(err, ErrSize) {
+					!errors.Is(err, ErrKind) && !errors.Is(err, ErrTooLarge) && !errors.Is(err, ErrSize) &&
+					!errors.Is(err, ErrWidth) {
 					t.Fatalf("Reader.Next returned untyped error %v", err)
 				}
 				break
 			}
 			exercise(t, fr)
+		}
+	})
+}
+
+// FuzzEventFrameRoundTrip pins the event layout's exactness: encoding any
+// events and decoding them back is the identity, bit for bit — NaN
+// payloads, −0 and infinities in the value column, MinInt64/MaxInt64
+// times and full-range keys included — and every column gets the
+// narrowest width that holds its span. data is cut into 24-byte rows of
+// raw time, key and value bits; each row's time and key are its raw bits
+// shifted right by tshift / kshift and added to tbase / kbase, so the
+// fuzzer reaches every width from 1 to 8 bytes.
+func FuzzEventFrameRoundTrip(f *testing.F) {
+	row := func(t int64, k uint64, v float64) []byte {
+		b := binary.LittleEndian.AppendUint64(nil, uint64(t))
+		b = binary.LittleEndian.AppendUint64(b, k)
+		return binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+	}
+	extremes := slices.Concat(
+		row(math.MinInt64, math.MaxUint64, math.Float64frombits(0x7ff0000000000001)),
+		row(math.MaxInt64, 0, math.Float64frombits(0xfff8000000000bad)),
+		row(0, 1, math.Copysign(0, -1)),
+		row(-1, 1<<63, math.Inf(1)),
+		row(1, 1<<63-1, math.Inf(-1)),
+	)
+	f.Add(extremes, int64(0), uint64(0), uint8(0), uint8(0))
+	f.Add(extremes, int64(1_000_000), uint64(7), uint8(57), uint8(60))
+	f.Add(extremes, int64(-5), uint64(1<<40), uint8(48), uint8(32))
+	f.Add([]byte{}, int64(0), uint64(0), uint8(0), uint8(0))
+	f.Add(row(42, 9, 1.5), int64(math.MaxInt64), uint64(math.MaxUint64), uint8(63), uint8(63))
+
+	f.Fuzz(func(t *testing.T, data []byte, tbase int64, kbase uint64, tshift, kshift uint8) {
+		evs := make([]stream.Event, len(data)/24)
+		for i := range evs {
+			r := data[24*i:]
+			evs[i] = stream.Event{
+				Time:  tbase + int64(binary.LittleEndian.Uint64(r)>>(tshift%64)),
+				Key:   kbase + binary.LittleEndian.Uint64(r[8:])>>(kshift%64),
+				Value: math.Float64frombits(binary.LittleEndian.Uint64(r[16:])),
+			}
+		}
+		buf := AppendEventFrame([]byte{0xaa}, evs)
+		fr, rest, err := Decode(buf[1:])
+		if err != nil || len(rest) != 0 || buf[0] != 0xaa {
+			t.Fatalf("Decode: %v (rest %d, prefix %#x)", err, len(rest), buf[0])
+		}
+		got := fr.AppendEvents(nil)
+		if len(got) != len(evs) || fr.Rows() != len(evs) {
+			t.Fatalf("%d events came back as %d (Rows %d)", len(evs), len(got), fr.Rows())
+		}
+		for i := range evs {
+			if !sameEvent(got[i], evs[i]) || !sameEvent(fr.Event(i), evs[i]) {
+				t.Fatalf("row %d: got %+v / %+v, want %+v", i, got[i], fr.Event(i), evs[i])
+			}
+		}
+		// The narrowest widths: a span s needs w bytes with s < 2^(8w).
+		narrowest := func(lo, hi uint64) int {
+			w := 1
+			for w < 8 && hi-lo >= 1<<(8*w) {
+				w *= 2
+			}
+			return w
+		}
+		tw, kw := 1, 1
+		if len(evs) > 0 {
+			tlo, thi := evs[0].Time, evs[0].Time
+			klo, khi := evs[0].Key, evs[0].Key
+			for _, e := range evs {
+				tlo, thi, klo, khi = min(tlo, e.Time), max(thi, e.Time), min(klo, e.Key), max(khi, e.Key)
+			}
+			tw, kw = narrowest(uint64(tlo), uint64(thi)), narrowest(klo, khi)
+		}
+		if want := prefixLen + headerLen + eventBases + len(evs)*(tw+kw+colWidth); len(buf)-1 != want {
+			t.Fatalf("%d events spanning widths %d/%d encoded to %d bytes, want %d", len(evs), tw, kw, len(buf)-1, want)
 		}
 	})
 }

@@ -9,15 +9,42 @@
 //
 //	off  0  u32  length of the remainder (magic through payload end)
 //	off  4  'F','W'  magic
-//	off  6  u8   version (currently 1)
+//	off  6  u8   version: 2 for event frames, 1 for every other kind
 //	off  7  u8   kind: 1 events, 2 results, 3 control
 //	off  8  u32  row count
 //	off 12  u32  stream id (persistent-listener multiplexing; 0 over HTTP)
-//	off 16  i64  aux — results: sequence number of row 0; otherwise 0
-//	off 24  payload, one contiguous 8-byte-wide vector per column:
-//	        events:  time[n]i64 | key[n]u64 | value[n]f64
-//	        results: range[n]i64 | slide[n]i64 | start[n]i64 | end[n]i64 | key[n]u64 | value[n]f64
-//	        control: raw bytes (row count 0); subscription acks and errors
+//	off 16  i64  aux — results: sequence number of row 0; control: flags;
+//	             version-2 events: byte 0 time width, byte 1 key width
+//	off 24  payload:
+//	        events v2: time base u64 | key base u64 |
+//	                   time offset[n] (tw bytes) | key offset[n] (kw bytes) | value[n]f64
+//	        events v1: time[n]i64 | key[n]u64 | value[n]f64
+//	        results:   range[n]i64 | slide[n]i64 | start[n]i64 | end[n]i64 | key[n]u64 | value[n]f64
+//	        control:   raw bytes (row count 0); subscription acks and errors
+//
+// Event frames are frame-of-reference coded (Goldstein, Ramakrishnan and
+// Shaft, "Compressing Relations and Indexes", ICDE 1998): time and key
+// are each the frame's minimum plus one unsigned offset per row, in the
+// narrowest of 1, 2, 4 or 8 bytes that holds max − min. An 8,192-event
+// ingest batch typically spans some hundred ticks and at most a few
+// thousand keys, so a row costs 10–11 bytes instead of 24 — every WAL
+// record, router→worker frame and journal entry is that much smaller to
+// stage, hash and write. The value
+// column stays 8 raw float64 bytes: it is the one column whose bit
+// patterns (NaN payloads, −0) the layout must carry untouched.
+//
+// Compatibility: the version-1 event layout (three fixed 8-byte columns)
+// is exactly the version-2 layout with both widths 8, both bases 0 and no
+// base words, so one decoder reads both and every frame an older client
+// sends decodes bit-identically. Encoders write only version 2; an older
+// decoder handed one rejects it with its ErrVersion instead of
+// misreading it. Result and control frames are unchanged at version 1.
+//
+// The event encoder stays per column: one min/max scan, then the time and
+// key offsets (in one pass when both are byte-wide, the common case),
+// then the value column, each pass specialised on its width. A per-row
+// width switch, the scan fused with the column writes, and a speculative
+// one-pass encoder all measured slower.
 //
 // Result frames carry no per-row sequence column: the serving layer's
 // rings hand out consecutive sequence numbers, so row i's sequence is
@@ -50,19 +77,26 @@ const (
 	KindControl = 3
 )
 
-// Version is the frame format version this package encodes.
+// Version is the format version of result and control frames, and of
+// the fixed-width event layout decoders still accept from older clients.
 const Version = 1
+
+// EventVersion is the format version of the width-adaptive event layout,
+// the only one AppendEventFrame writes.
+const EventVersion = 2
 
 const (
 	// prefixLen is the u32 length prefix.
 	prefixLen = 4
 	// headerLen is the fixed header after the prefix (magic through aux).
 	headerLen = 20
-	// eventCols / resultCols are the per-kind column counts.
-	eventCols  = 3
+	// resultCols is a result frame's column count.
 	resultCols = 6
-	// colWidth is the byte width of every column element.
+	// colWidth is the byte width of every fixed-width column element.
 	colWidth = 8
+	// eventBases is the version-2 event payload's preamble: the time
+	// and key columns' u64 bases.
+	eventBases = 16
 )
 
 // MaxFrameRows bounds the row count of one frame; encoders chunk larger
@@ -84,6 +118,7 @@ var (
 	ErrKind     = errors.New("wire: unknown frame kind")
 	ErrTooLarge = errors.New("wire: frame exceeds size bounds")
 	ErrSize     = errors.New("wire: frame length inconsistent with row count")
+	ErrWidth    = errors.New("wire: bad event column width")
 )
 
 // Frame is a decoded view over one frame's bytes. The payload aliases
@@ -98,6 +133,12 @@ type Frame struct {
 	Seq     int64
 	rows    int
 	payload []byte
+	// Event frames only: the time and key offset widths (a version-1
+	// frame reads as width 8, base 0), their bases, and where each of
+	// the three columns starts in payload.
+	tw, kw           int
+	tbase, kbase     uint64
+	tcol, kcol, vcol int
 }
 
 // Rows reports the number of rows in the frame.
@@ -114,19 +155,31 @@ func (f Frame) Event(i int) stream.Event {
 	if f.Kind != KindEvents || i < 0 || i >= f.rows {
 		panic("wire: Event out of range")
 	}
-	n := f.rows * colWidth
 	return stream.Event{
-		Time:  int64(f.u64(0, i)),
-		Key:   f.u64(n, i),
-		Value: math.Float64frombits(f.u64(2*n, i)),
+		Time:  int64(f.tbase + offsetAt(f.payload[f.tcol:f.kcol], f.tw, i)),
+		Key:   f.kbase + offsetAt(f.payload[f.kcol:f.vcol], f.kw, i),
+		Value: math.Float64frombits(offsetAt(f.payload[f.vcol:], colWidth, i)),
 	}
 }
 
+// offsetAt reads element i of a column of w-byte elements.
+func offsetAt(col []byte, w, i int) uint64 {
+	le := binary.LittleEndian
+	switch w {
+	case 1:
+		return uint64(col[i])
+	case 2:
+		return uint64(le.Uint16(col[2*i : 2*i+2]))
+	case 4:
+		return uint64(le.Uint32(col[4*i : 4*i+4]))
+	}
+	return le.Uint64(col[8*i : 8*i+8])
+}
+
 // AppendEvents decodes an events frame onto the end of dst — the
-// staging shape the engine's batch path ingests directly. The three
-// column vectors are read in one sweep through pre-sliced views, each
-// row written whole, so the decode is one pass over the output rather
-// than one strided pass per column.
+// staging shape the engine's batch path ingests directly. Narrow columns
+// are one pass each, specialised on their width, so no row pays a width
+// switch; full-width frames decode in one sweep of whole rows.
 func (f Frame) AppendEvents(dst []stream.Event) []stream.Event {
 	if f.Kind != KindEvents {
 		panic("wire: AppendEvents on non-event frame")
@@ -134,18 +187,83 @@ func (f Frame) AppendEvents(dst []stream.Event) []stream.Event {
 	base := len(dst)
 	dst = slices.Grow(dst, f.rows)[:base+f.rows]
 	out := dst[base:]
-	n := f.rows * colWidth
-	ts, ks, vs := f.payload[:n], f.payload[n:2*n], f.payload[2*n:3*n]
+	vs := f.payload[f.vcol:][:len(out)*colWidth]
 	le := binary.LittleEndian
+	if f.tw == colWidth && f.kw == colWidth {
+		// Full-width columns (every version-1 frame): one sweep writing
+		// whole rows beats three strided passes.
+		ts, ks := f.payload[f.tcol:f.kcol], f.payload[f.kcol:f.vcol]
+		for i := range out {
+			o := i * colWidth
+			out[i] = stream.Event{
+				Time:  int64(f.tbase + le.Uint64(ts[o:o+colWidth])),
+				Key:   f.kbase + le.Uint64(ks[o:o+colWidth]),
+				Value: math.Float64frombits(le.Uint64(vs[o : o+colWidth])),
+			}
+		}
+		return dst
+	}
+	getTimes(out, f.payload[f.tcol:f.kcol], f.tw, f.tbase)
+	getKeys(out, f.payload[f.kcol:f.vcol], f.kw, f.kbase)
 	for i := range out {
 		o := i * colWidth
-		out[i] = stream.Event{
-			Time:  int64(le.Uint64(ts[o : o+colWidth])),
-			Key:   le.Uint64(ks[o : o+colWidth]),
-			Value: math.Float64frombits(le.Uint64(vs[o : o+colWidth])),
-		}
+		out[i].Value = math.Float64frombits(le.Uint64(vs[o : o+colWidth]))
 	}
 	return dst
+}
+
+// getTimes sets out[i].Time to base plus the column's i-th w-byte offset.
+func getTimes(out []stream.Event, col []byte, w int, base uint64) {
+	le := binary.LittleEndian
+	switch w {
+	case 1:
+		col = col[:len(out)]
+		for i := range out {
+			out[i].Time = int64(base + uint64(col[i]))
+		}
+	case 2:
+		col = col[:2*len(out)]
+		for i := range out {
+			out[i].Time = int64(base + uint64(le.Uint16(col[2*i:2*i+2])))
+		}
+	case 4:
+		col = col[:4*len(out)]
+		for i := range out {
+			out[i].Time = int64(base + uint64(le.Uint32(col[4*i:4*i+4])))
+		}
+	default:
+		col = col[:8*len(out)]
+		for i := range out {
+			out[i].Time = int64(base + le.Uint64(col[8*i:8*i+8]))
+		}
+	}
+}
+
+// getKeys is getTimes for the key column.
+func getKeys(out []stream.Event, col []byte, w int, base uint64) {
+	le := binary.LittleEndian
+	switch w {
+	case 1:
+		col = col[:len(out)]
+		for i := range out {
+			out[i].Key = base + uint64(col[i])
+		}
+	case 2:
+		col = col[:2*len(out)]
+		for i := range out {
+			out[i].Key = base + uint64(le.Uint16(col[2*i:2*i+2]))
+		}
+	case 4:
+		col = col[:4*len(out)]
+		for i := range out {
+			out[i].Key = base + uint64(le.Uint32(col[4*i:4*i+4]))
+		}
+	default:
+		col = col[:8*len(out)]
+		for i := range out {
+			out[i].Key = base + le.Uint64(col[8*i:8*i+8])
+		}
+	}
 }
 
 // Result returns row i of a results frame; seq is Seq+i.
@@ -173,29 +291,36 @@ func (f Frame) Control() []byte {
 
 // appendHeader appends the length prefix and header for a frame whose
 // payload will be payloadLen bytes, returning dst ready for the payload.
-func appendHeader(dst []byte, kind byte, rows int, streamID uint32, aux int64, payloadLen int) []byte {
+func appendHeader(dst []byte, version, kind byte, rows int, streamID uint32, aux int64, payloadLen int) []byte {
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(headerLen+payloadLen))
-	dst = append(dst, 'F', 'W', Version, kind)
+	dst = append(dst, 'F', 'W', version, kind)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(rows))
 	dst = binary.LittleEndian.AppendUint32(dst, streamID)
 	dst = binary.LittleEndian.AppendUint64(dst, uint64(aux))
 	return dst
 }
 
-// AppendEventFrame appends events as one frame (column vectors, not
-// per-event records). Batches beyond MaxFrameRows must be chunked by the
-// caller; it panics rather than encode an undecodable frame.
+// AppendEventFrame appends events as one width-adaptive frame, growing
+// dst once to the frame's exact size. Batches beyond MaxFrameRows must be
+// chunked by the caller; it panics rather than encode an undecodable
+// frame.
 func AppendEventFrame(dst []byte, events []stream.Event) []byte {
 	n := len(events)
 	if n > MaxFrameRows {
 		panic("wire: event batch exceeds MaxFrameRows")
 	}
-	dst = appendHeader(dst, KindEvents, n, 0, 0, n*eventCols*colWidth)
-	for i := range events {
-		dst = binary.LittleEndian.AppendUint64(dst, uint64(events[i].Time))
-	}
-	for i := range events {
-		dst = binary.LittleEndian.AppendUint64(dst, events[i].Key)
+	tmin, tmax, kmin, kmax := bounds(events)
+	tw, kw := widthOf(uint64(tmax)-uint64(tmin)), widthOf(kmax-kmin)
+	payload := eventBases + n*(tw+kw+colWidth)
+	dst = slices.Grow(dst, prefixLen+headerLen+payload)
+	dst = appendHeader(dst, EventVersion, KindEvents, n, 0, int64(tw|kw<<8), payload)
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(tmin))
+	dst = binary.LittleEndian.AppendUint64(dst, kmin)
+	if tw == 1 && kw == 1 {
+		dst = appendBytePairs(dst, uint64(tmin), kmin, events)
+	} else {
+		dst = appendTimes(dst, tw, uint64(tmin), events)
+		dst = appendKeys(dst, kw, kmin, events)
 	}
 	for i := range events {
 		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(events[i].Value))
@@ -203,12 +328,107 @@ func AppendEventFrame(dst []byte, events []stream.Event) []byte {
 	return dst
 }
 
+// bounds returns the events' least and greatest time and key (all zero
+// for no events).
+func bounds(events []stream.Event) (tmin, tmax int64, kmin, kmax uint64) {
+	if len(events) == 0 {
+		return 0, 0, 0, 0
+	}
+	tmin, tmax, kmin, kmax = events[0].Time, events[0].Time, events[0].Key, events[0].Key
+	for i := range events {
+		t, k := events[i].Time, events[i].Key
+		tmin, tmax = min(tmin, t), max(tmax, t)
+		kmin, kmax = min(kmin, k), max(kmax, k)
+	}
+	return tmin, tmax, kmin, kmax
+}
+
+// widthOf is the narrowest offset width, in bytes, that holds span.
+func widthOf(span uint64) int {
+	switch {
+	case span <= math.MaxUint8:
+		return 1
+	case span <= math.MaxUint16:
+		return 2
+	case span <= math.MaxUint32:
+		return 4
+	}
+	return 8
+}
+
+// appendTimes appends each event's time minus base, w bytes a row, into
+// capacity the caller reserved. Byte-wide rows are stored through an
+// index, wider ones appended: each is the faster form at its width.
+func appendTimes(dst []byte, w int, base uint64, events []stream.Event) []byte {
+	le := binary.LittleEndian
+	switch w {
+	case 1:
+		at := len(dst)
+		dst = dst[:at+len(events)]
+		col := dst[at:]
+		for i := range events {
+			col[i] = byte(uint64(events[i].Time) - base)
+		}
+	case 2:
+		for i := range events {
+			dst = le.AppendUint16(dst, uint16(uint64(events[i].Time)-base))
+		}
+	case 4:
+		for i := range events {
+			dst = le.AppendUint32(dst, uint32(uint64(events[i].Time)-base))
+		}
+	default:
+		for i := range events {
+			dst = le.AppendUint64(dst, uint64(events[i].Time)-base)
+		}
+	}
+	return dst
+}
+
+// appendBytePairs writes byte-wide time and key columns in one pass —
+// the shape of nearly every ingest batch, where one pass over the events
+// beats two.
+func appendBytePairs(dst []byte, tbase, kbase uint64, events []stream.Event) []byte {
+	at, n := len(dst), len(events)
+	dst = dst[:at+2*n]
+	ts, ks := dst[at:at+n], dst[at+n:at+2*n]
+	for i := range events {
+		ts[i] = byte(uint64(events[i].Time) - tbase)
+		ks[i] = byte(events[i].Key - kbase)
+	}
+	return dst
+}
+
+// appendKeys is appendTimes for the key column.
+func appendKeys(dst []byte, w int, base uint64, events []stream.Event) []byte {
+	le := binary.LittleEndian
+	switch w {
+	case 1:
+		at := len(dst)
+		dst = dst[:at+len(events)]
+		col := dst[at:]
+		for i := range events {
+			col[i] = byte(events[i].Key - base)
+		}
+	case 2:
+		for i := range events {
+			dst = le.AppendUint16(dst, uint16(events[i].Key-base))
+		}
+	case 4:
+		for i := range events {
+			dst = le.AppendUint32(dst, uint32(events[i].Key-base))
+		}
+	default:
+		for i := range events {
+			dst = le.AppendUint64(dst, events[i].Key-base)
+		}
+	}
+	return dst
+}
+
 // AppendEventFrames appends a batch of any length as consecutive event
-// frames of at most MaxFrameRows rows, growing dst once to the exact
-// encoded size.
+// frames of at most MaxFrameRows rows, each grown to its exact size.
 func AppendEventFrames(dst []byte, events []stream.Event) []byte {
-	frames := (len(events) + MaxFrameRows - 1) / MaxFrameRows
-	dst = slices.Grow(dst, frames*(prefixLen+headerLen)+len(events)*eventCols*colWidth)
 	for off := 0; off < len(events); off += MaxFrameRows {
 		dst = AppendEventFrame(dst, events[off:min(off+MaxFrameRows, len(events))])
 	}
@@ -234,7 +454,7 @@ func BeginResultFrame(dst []byte, streamID uint32, firstSeq int64, rows int) Res
 		panic("wire: result batch exceeds MaxFrameRows")
 	}
 	payload := rows * resultCols * colWidth
-	dst = appendHeader(dst, KindResults, rows, streamID, firstSeq, payload)
+	dst = appendHeader(dst, Version, KindResults, rows, streamID, firstSeq, payload)
 	base := len(dst)
 	if need := base + payload; cap(dst) < need {
 		dst = append(dst, make([]byte, payload)...)
@@ -301,7 +521,8 @@ func AppendControlFrameAux(dst []byte, streamID uint32, aux int64, payload []byt
 	if len(payload) > MaxFrameRows {
 		panic("wire: control payload exceeds bounds")
 	}
-	dst = appendHeader(dst, KindControl, 0, streamID, aux, len(payload))
+	dst = slices.Grow(dst, prefixLen+headerLen+len(payload))
+	dst = appendHeader(dst, Version, KindControl, 0, streamID, aux, len(payload))
 	return append(dst, payload...)
 }
 
@@ -338,10 +559,11 @@ func decodeBody(b []byte) (Frame, error) {
 	if b[0] != 'F' || b[1] != 'W' {
 		return Frame{}, ErrMagic
 	}
-	if b[2] != Version {
-		return Frame{}, fmt.Errorf("%w: %d", ErrVersion, b[2])
+	version, kind := b[2], b[3]
+	if version != Version && version != EventVersion ||
+		version == EventVersion && (kind == KindResults || kind == KindControl) {
+		return Frame{}, fmt.Errorf("%w: %d on a kind-%d frame", ErrVersion, version, kind)
 	}
-	kind := b[3]
 	rows := binary.LittleEndian.Uint32(b[4:])
 	if rows > MaxFrameRows {
 		return Frame{}, fmt.Errorf("%w: %d rows", ErrTooLarge, rows)
@@ -354,9 +576,7 @@ func decodeBody(b []byte) (Frame, error) {
 	}
 	switch kind {
 	case KindEvents:
-		if len(f.payload) != f.rows*eventCols*colWidth {
-			return Frame{}, fmt.Errorf("%w: %d payload bytes for %d event rows", ErrSize, len(f.payload), f.rows)
-		}
+		return f.eventLayout(version, binary.LittleEndian.Uint64(b[12:]))
 	case KindResults:
 		f.Seq = int64(binary.LittleEndian.Uint64(b[12:]))
 		if len(f.payload) != f.rows*resultCols*colWidth {
@@ -372,6 +592,33 @@ func decodeBody(b []byte) (Frame, error) {
 	}
 	return f, nil
 }
+
+// eventLayout validates an events frame's payload against its version,
+// widths and row count, and records where its columns start. A version-1
+// frame's aux is ignored, as it always was.
+func (f Frame) eventLayout(version byte, aux uint64) (Frame, error) {
+	f.tw, f.kw = colWidth, colWidth
+	if version == EventVersion {
+		f.tw, f.kw = int(aux&0xff), int(aux>>8&0xff)
+		if aux>>16 != 0 || !validWidth(f.tw) || !validWidth(f.kw) {
+			return Frame{}, fmt.Errorf("%w: aux %#x", ErrWidth, aux)
+		}
+		if len(f.payload) < eventBases {
+			return Frame{}, fmt.Errorf("%w: %d payload bytes for %d event rows", ErrSize, len(f.payload), f.rows)
+		}
+		f.tbase = binary.LittleEndian.Uint64(f.payload)
+		f.kbase = binary.LittleEndian.Uint64(f.payload[8:])
+		f.tcol = eventBases
+	}
+	f.kcol = f.tcol + f.rows*f.tw
+	f.vcol = f.kcol + f.rows*f.kw
+	if len(f.payload) != f.vcol+f.rows*colWidth {
+		return Frame{}, fmt.Errorf("%w: %d payload bytes for %d event rows", ErrSize, len(f.payload), f.rows)
+	}
+	return f, nil
+}
+
+func validWidth(w int) bool { return w == 1 || w == 2 || w == 4 || w == 8 }
 
 // readBufPool recycles Reader frame buffers; ingest handlers create one
 // Reader per request, so per-request buffers would otherwise dominate

@@ -2,10 +2,12 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"math"
 	"math/rand"
+	"os"
 	"testing"
 
 	"factorwindows/internal/stream"
@@ -60,6 +62,106 @@ func TestEventFrameRoundTrip(t *testing.T) {
 				t.Fatalf("n=%d row %d: Event accessor %+v vs AppendEvents %+v", n, i, e, got[i])
 			}
 		}
+	}
+}
+
+// widthCase is an event batch whose time and key spans need exactly the
+// offset widths tw and kw.
+type widthCase struct {
+	tw, kw int
+	evs    []stream.Event
+}
+
+// widthCases covers every width pair at both ends of each width's span
+// range.
+func widthCases() []widthCase {
+	spans := map[int][]uint64{1: {0, 255}, 2: {256, 65535}, 4: {65536, 1<<32 - 1}, 8: {1 << 32, math.MaxUint64}}
+	var cases []widthCase
+	for _, tw := range []int{1, 2, 4, 8} {
+		for _, kw := range []int{1, 2, 4, 8} {
+			for j := range 2 {
+				// Centre each span in its column's range, so the full-width
+				// spans reach MinInt64/MaxInt64 and 0/MaxUint64.
+				ts, ks := spans[tw][j], spans[kw][j]
+				tlo := 1<<63 + (math.MaxUint64-ts)/2 // int64(tlo) is MinInt64 + the slack
+				klo := (math.MaxUint64 - ks) / 2
+				evs := []stream.Event{
+					{Time: int64(tlo + ts/2), Key: klo, Value: 1},
+					{Time: int64(tlo + ts), Key: klo + ks/2, Value: math.NaN()},
+					{Time: int64(tlo), Key: klo + ks, Value: math.Copysign(0, -1)},
+				}
+				cases = append(cases, widthCase{tw, kw, evs})
+			}
+		}
+	}
+	return cases
+}
+
+// TestEventFrameWidths: each column gets the narrowest width holding its
+// span, the frame is exactly that size, and it decodes to the events.
+func TestEventFrameWidths(t *testing.T) {
+	for _, c := range widthCases() {
+		buf := AppendEventFrame([]byte("prefix"), c.evs)
+		frame := buf[len("prefix"):]
+		if frame[6] != EventVersion || frame[16] != byte(c.tw) || frame[17] != byte(c.kw) {
+			t.Fatalf("widths %d/%d: header version %d widths %d/%d", c.tw, c.kw, frame[6], frame[16], frame[17])
+		}
+		if want := prefixLen + headerLen + eventBases + len(c.evs)*(c.tw+c.kw+colWidth); len(frame) != want {
+			t.Fatalf("widths %d/%d: %d bytes, want %d", c.tw, c.kw, len(frame), want)
+		}
+		f, rest, err := Decode(frame)
+		if err != nil || len(rest) != 0 {
+			t.Fatalf("widths %d/%d: %v (rest %d)", c.tw, c.kw, err, len(rest))
+		}
+		got := f.AppendEvents(nil)
+		for i, want := range c.evs {
+			if !sameEvent(got[i], want) || !sameEvent(f.Event(i), want) {
+				t.Fatalf("widths %d/%d row %d: got %+v / %+v, want %+v", c.tw, c.kw, i, got[i], f.Event(i), want)
+			}
+		}
+	}
+}
+
+// TestFixedLayoutFramesDecode: frames in the version-1 layout — three
+// fixed 8-byte columns, as every client encoded them before the adaptive
+// layout — decode to the same events. The file was written by that
+// encoder and is never regenerated.
+func TestFixedLayoutFramesDecode(t *testing.T) {
+	data, err := os.ReadFile("testdata/events_v1.fwf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := [][]stream.Event{
+		sampleEvents(16),
+		{
+			{Time: math.MinInt64, Key: math.MaxUint64, Value: math.Float64frombits(0x7ff0000000000001)},
+			{Time: math.MaxInt64, Key: 0, Value: math.Float64frombits(0xfff8000000000bad)},
+			{Time: 0, Key: 1, Value: math.Copysign(0, -1)},
+		},
+		nil,
+	}
+	rest := data
+	for i, evs := range want {
+		if rest[6] != Version {
+			t.Fatalf("frame %d: version %d, want the fixed layout's %d", i, rest[6], Version)
+		}
+		var f Frame
+		f, rest, err = Decode(rest)
+		if err != nil {
+			t.Fatalf("frame %d: %v", i, err)
+		}
+		got := f.AppendEvents(nil)
+		if len(got) != len(evs) {
+			t.Fatalf("frame %d: %d events, want %d", i, len(got), len(evs))
+		}
+		for j := range evs {
+			if !sameEvent(got[j], evs[j]) || !sameEvent(f.Event(j), evs[j]) {
+				t.Fatalf("frame %d row %d: got %+v, want %+v", i, j, got[j], evs[j])
+			}
+		}
+	}
+	if len(rest) != 0 {
+		t.Fatalf("%d trailing bytes", len(rest))
 	}
 }
 
@@ -138,6 +240,12 @@ func TestDecodeErrors(t *testing.T) {
 		{"undersized length", corrupt(valid, 0, 1), ErrSize},
 		{"oversized length", append([]byte{0xff, 0xff, 0xff, 0xff}, valid[4:]...), ErrTooLarge},
 		{"row overcount", corrupt(valid, 8, 0xff), ErrSize},
+		{"bad time width", corrupt(valid, 16, 3), ErrWidth},
+		{"bad key width", corrupt(valid, 17, 0), ErrWidth},
+		{"aux beyond widths", corrupt(valid, 18, 1), ErrWidth},
+		{"adaptive result frame", corrupt(resultFrame(), 6, EventVersion), ErrVersion},
+		{"adaptive control frame", corrupt(AppendControlFrame(nil, 0, []byte("ok")), 6, EventVersion), ErrVersion},
+		{"payload short of bases", shortBases(), ErrSize},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -147,6 +255,21 @@ func TestDecodeErrors(t *testing.T) {
 			}
 		})
 	}
+}
+
+func resultFrame() []byte {
+	enc := BeginResultFrame(nil, 0, 0, 1)
+	enc.SetRow(0, 8, 8, 0, 8, 1, 2)
+	return enc.Bytes()
+}
+
+// shortBases is an adaptive event frame of zero rows whose payload stops
+// inside the base words.
+func shortBases() []byte {
+	b := AppendEventFrame(nil, nil)
+	b = b[:len(b)-1]
+	binary.LittleEndian.PutUint32(b, uint32(len(b)-prefixLen))
+	return b
 }
 
 func corrupt(b []byte, i int, v byte) []byte {
@@ -203,22 +326,84 @@ func TestAppendEventsReuse(t *testing.T) {
 	}
 }
 
-// BenchmarkAppendEvents decodes one 4,096-row events frame into a warm
-// staging slice — the per-batch decode every binary ingest, WAL replay
-// and shard worker pays before any engine runs.
+// shapeEvents is one 8,192-row batch in a bench workload's shape: keys
+// keys taken perTick a tick in order, integer values. keys 0 gives the
+// full-width case, whose times and keys span all 64 bits.
+func shapeEvents(keys, perTick int) []stream.Event {
+	const rows = 8192
+	rng := rand.New(rand.NewSource(1))
+	evs := make([]stream.Event, rows)
+	for i := range evs {
+		if keys == 0 {
+			evs[i] = stream.Event{Time: int64(rng.Uint64()), Key: rng.Uint64(), Value: rng.NormFloat64()}
+			continue
+		}
+		evs[i] = stream.Event{
+			Time:  int64(1_000_000 + i/perTick),
+			Key:   uint64((i/perTick*perTick + i%perTick) % keys),
+			Value: float64(rng.Intn(1000)),
+		}
+	}
+	return evs
+}
+
+// benchShapes are the batches the kernel benchmarks run: engine_shared's
+// 64 keys at 64 a tick (1-byte time and key offsets), text_egress's 4,096
+// keys at 512 a tick (1-byte time, 2-byte key offsets), and full width.
+var benchShapes = []struct {
+	name    string
+	keys    int
+	perTick int
+}{
+	{"engine_shared", 64, 64},
+	{"text", 4096, 512},
+	{"full_width", 0, 0},
+}
+
+// BenchmarkAppendEventFrame encodes one 8,192-row batch into a warm
+// buffer — the encode every WAL append, router send and binary client
+// pays per batch. SetBytes is the encoded frame's size.
+func BenchmarkAppendEventFrame(b *testing.B) {
+	for _, sh := range benchShapes {
+		b.Run(sh.name, func(b *testing.B) {
+			evs := shapeEvents(sh.keys, sh.perTick)
+			buf := AppendEventFrame(nil, evs)
+			b.SetBytes(int64(len(buf)))
+			b.ReportAllocs()
+			for b.Loop() {
+				buf = AppendEventFrame(buf[:0], evs)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(evs)), "ns/event")
+			b.ReportMetric(float64(len(buf))/float64(len(evs)), "B/event")
+		})
+	}
+}
+
+// BenchmarkAppendEvents decodes one events frame into a warm staging
+// slice — the per-batch decode every binary ingest, WAL replay and shard
+// worker pays before any engine runs: sampleEvents' 4,096 rows, and each
+// benchShapes batch. SetBytes is the encoded frame's size.
 func BenchmarkAppendEvents(b *testing.B) {
-	const rows = 4096
-	f, _, err := Decode(AppendEventFrame(nil, sampleEvents(rows)))
-	if err != nil {
-		b.Fatal(err)
+	batches := map[string][]stream.Event{"sample": sampleEvents(4096)}
+	for _, sh := range benchShapes {
+		batches[sh.name] = shapeEvents(sh.keys, sh.perTick)
 	}
-	batch := make([]stream.Event, 0, rows)
-	b.SetBytes(rows * eventCols * colWidth)
-	b.ReportAllocs()
-	for b.Loop() {
-		batch = f.AppendEvents(batch[:0])
+	for name, evs := range batches {
+		b.Run(name, func(b *testing.B) {
+			buf := AppendEventFrame(nil, evs)
+			f, _, err := Decode(buf)
+			if err != nil {
+				b.Fatal(err)
+			}
+			batch := make([]stream.Event, 0, len(evs))
+			b.SetBytes(int64(len(buf)))
+			b.ReportAllocs()
+			for b.Loop() {
+				batch = f.AppendEvents(batch[:0])
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(evs)), "ns/event")
+		})
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows), "ns/event")
 }
 
 // TestSetRunMatchesSetRow: one frame's rows cut into runs at random and
