@@ -6,15 +6,13 @@
 // our engine a self-contained state backend.
 //
 // One codec generation exists: a magic header followed by a gob stream
-// that mirrors the columnar store — per instance, a slot vector plus
-// parallel cells (and raw-value buffers for holistic functions, sketch
-// blobs for sketch-backed ones). Live plan migration added gob-optional
-// fields — the per-node emit floor and per-instance frozen vectors
-// (imported straddling state whose fire has not happened yet); blobs
-// written before that decode with those fields empty, which is exactly
-// the pre-migration semantics. Anything without the header — including
-// the boxed-state blobs this repo wrote before the columnar refactor —
-// is rejected with ErrSnapshotVersion.
+// that mirrors the columnar store. Per operator it holds the open
+// instances' live spans and, for instances carried across a plan swap
+// whose straddling fire has not happened yet, their frozen spans — each
+// one InstanceState, the record a migration Export carries too, so one
+// reader (spanState) and one loader (loadSpan) serve both. Anything
+// without the header — earlier generations included — is rejected with
+// ErrSnapshotVersion.
 //
 // This file is also the engine's only gob site: the canonical migration
 // Export (migrate.go) is encoded and decoded here under a header of its
@@ -36,15 +34,14 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
-	"sort"
 
 	"factorwindows/internal/agg"
 	"factorwindows/internal/plan"
 	"factorwindows/internal/stream"
 )
 
-// snapshotMagicV2 prefixes every snapshot: the codec's version byte.
-const snapshotMagicV2 = "FWSNAP2\n"
+// snapshotMagic prefixes every snapshot: the codec's version.
+const snapshotMagic = "FWSNAP3\n"
 
 // exportMagicV1 prefixes every encoded Export: foreign bytes fail typed.
 const exportMagicV1 = "FWEXPT1\n"
@@ -54,49 +51,26 @@ const exportMagicV1 = "FWEXPT1\n"
 // it under every restore path.
 var ErrSnapshotVersion = errors.New("engine: unsupported snapshot version")
 
-// snapshotV2 is the serialized form of a Runner.
-type snapshotV2 struct {
+// snapshotRecord is the serialized form of a Runner.
+type snapshotRecord struct {
 	Fingerprint string
 	Events      int64
 	Keys        []uint64 // the shared slot→key table
-	Nodes       []nodeSnapshotV2
+	Nodes       []nodeState
 }
 
-// nodeSnapshotV2 captures one operator's live state. EmitFrom was added
-// with live plan migration; gob leaves it zero when decoding older
-// blobs, which matches the pre-migration semantics (no floor).
-type nodeSnapshotV2 struct {
-	Fingerprint string // the operator's own identity within the plan
-	Base        int64
-	CurEnd      int64
-	HasCur      bool
-	EmitFrom    int64
-	Instances   []instanceSnapshotV2
-	Inputs      int64
-	Updates     int64
-	Fired       int64
-}
-
-// instanceSnapshotV2 captures one open window instance: the occupied
-// key slots with their cells as parallel vectors, plus raw-value
-// buffers (parallel to Slots) when the function is holistic. The Frz*
-// vectors (added with live plan migration, absent — hence empty — in
-// older blobs) capture the frozen span of an instance carried across a
-// plan swap whose straddling fire has not happened yet.
-type instanceSnapshotV2 struct {
-	M        int64
-	Slots    []int32
-	Cells    []agg.Cell
-	Raw      [][]float64
-	FrzSlots []int32
-	FrzCells []agg.Cell
-	FrzRaw   [][]float64
-	// Sketch/FrzSketch (parallel to Slots/FrzSlots) carry serialized
-	// sketch state for sketch-backed aggregates — gob-optional like the
-	// Frz* vectors, empty in blobs written before sketches existed (which
-	// could not have used a sketch-backed function anyway).
-	Sketch    [][]byte
-	FrzSketch [][]byte
+// nodeState captures one operator's state: its open instances' live
+// spans (consecutive M), and the frozen spans of those that hold one.
+type nodeState struct {
+	Base     int64
+	CurEnd   int64
+	HasCur   bool
+	EmitFrom int64
+	Live     []InstanceState
+	Frozen   []InstanceState
+	Inputs   int64
+	Updates  int64
+	Fired    int64
 }
 
 // fingerprint identifies the plan shape a snapshot belongs to.
@@ -104,13 +78,9 @@ func planFingerprint(all []*node, fn agg.Fn) string {
 	var b bytes.Buffer
 	fmt.Fprintf(&b, "fn=%d;", fn)
 	for _, n := range all {
-		fmt.Fprintf(&b, "%s;", nodeFingerprint(n))
+		fmt.Fprintf(&b, "w=%d/%d,x=%t,c=%d;", n.w.Range, n.w.Slide, n.exposed, len(n.children))
 	}
 	return b.String()
-}
-
-func nodeFingerprint(n *node) string {
-	return fmt.Sprintf("w=%d/%d,x=%t,c=%d", n.w.Range, n.w.Slide, n.exposed, len(n.children))
 }
 
 // Snapshot serializes the Runner's current state. The Runner
@@ -120,63 +90,41 @@ func (r *Runner) Snapshot() ([]byte, error) {
 	if r.closed {
 		return nil, fmt.Errorf("engine: Snapshot after Close")
 	}
-	snap := snapshotV2{
+	snap := snapshotRecord{
 		Fingerprint: planFingerprint(r.all, r.fn),
 		Events:      r.events,
 		Keys:        append([]uint64(nil), r.keyed.keys...),
 	}
 	for _, n := range r.all {
-		ns := nodeSnapshotV2{
-			Fingerprint: nodeFingerprint(n),
-			Base:        n.base,
-			CurEnd:      n.curEnd,
-			HasCur:      n.curInst != nil,
-			EmitFrom:    n.emitFrom,
-			Inputs:      n.inputs,
-			Updates:     n.updates,
-			Fired:       n.fired,
+		ns := nodeState{
+			Base:     n.base,
+			CurEnd:   n.curEnd,
+			HasCur:   n.curInst != nil,
+			EmitFrom: n.emitFrom,
+			Inputs:   n.inputs,
+			Updates:  n.updates,
+			Fired:    n.fired,
 		}
-		for i := n.head; i < len(n.insts); i++ {
-			inst := n.insts[i]
-			is := instanceSnapshotV2{M: inst.m}
-			for _, off := range n.store.AppendLive(inst.span, inst.cap, nil) {
-				row := inst.span + off
-				is.Slots = append(is.Slots, off)
-				is.Cells = append(is.Cells, n.store.CellAt(row))
-				if n.store.Holistic() {
-					is.Raw = append(is.Raw, append([]float64(nil), n.store.RawAt(row)...))
-				}
-				if n.store.Sketched() {
-					blob, err := n.store.SketchAt(row)
-					if err != nil {
-						return nil, fmt.Errorf("engine: encoding sketch state of %v: %w", n.w, err)
-					}
-					is.Sketch = append(is.Sketch, blob)
-				}
+		for _, inst := range n.insts[n.head:] {
+			live, err := spanState(n.store, inst.m, inst.span, inst.cap)
+			if err != nil {
+				return nil, err
 			}
+			ns.Live = append(ns.Live, live)
 			if inst.frzCap > 0 {
-				for _, off := range n.store.AppendLive(inst.frz, inst.frzCap, nil) {
-					row := inst.frz + off
-					is.FrzSlots = append(is.FrzSlots, off)
-					is.FrzCells = append(is.FrzCells, n.store.CellAt(row))
-					if n.store.Holistic() {
-						is.FrzRaw = append(is.FrzRaw, append([]float64(nil), n.store.RawAt(row)...))
-					}
-					if n.store.Sketched() {
-						blob, err := n.store.SketchAt(row)
-						if err != nil {
-							return nil, fmt.Errorf("engine: encoding frozen sketch state of %v: %w", n.w, err)
-						}
-						is.FrzSketch = append(is.FrzSketch, blob)
-					}
+				frz, err := spanState(n.store, inst.m, inst.frz, inst.frzCap)
+				if err != nil {
+					return nil, err
+				}
+				if len(frz.Slots) > 0 {
+					ns.Frozen = append(ns.Frozen, frz)
 				}
 			}
-			ns.Instances = append(ns.Instances, is)
 		}
 		snap.Nodes = append(snap.Nodes, ns)
 	}
 	var buf bytes.Buffer
-	buf.WriteString(snapshotMagicV2)
+	buf.WriteString(snapshotMagic)
 	if err := gob.NewEncoder(&buf).Encode(snap); err != nil {
 		return nil, fmt.Errorf("engine: encoding snapshot: %w", err)
 	}
@@ -185,13 +133,13 @@ func (r *Runner) Snapshot() ([]byte, error) {
 
 // decodeSnapshot reads a snapshot blob, rejecting anything that does
 // not carry the current magic header.
-func decodeSnapshot(data []byte) (snapshotV2, error) {
-	if !bytes.HasPrefix(data, []byte(snapshotMagicV2)) {
-		return snapshotV2{}, fmt.Errorf("%w: blob lacks the %q header", ErrSnapshotVersion, snapshotMagicV2)
+func decodeSnapshot(data []byte) (snapshotRecord, error) {
+	if !bytes.HasPrefix(data, []byte(snapshotMagic)) {
+		return snapshotRecord{}, fmt.Errorf("%w: blob lacks the %q header", ErrSnapshotVersion, snapshotMagic)
 	}
-	var snap snapshotV2
-	if err := gob.NewDecoder(bytes.NewReader(data[len(snapshotMagicV2):])).Decode(&snap); err != nil {
-		return snapshotV2{}, fmt.Errorf("engine: decoding snapshot: %w", err)
+	var snap snapshotRecord
+	if err := gob.NewDecoder(bytes.NewReader(data[len(snapshotMagic):])).Decode(&snap); err != nil {
+		return snapshotRecord{}, fmt.Errorf("engine: decoding snapshot: %w", err)
 	}
 	return snap, nil
 }
@@ -261,8 +209,8 @@ func (s ShardState) Bytes() ([]byte, error) {
 func Snapshots(blobs [][]byte, events int64) (Carried, error) {
 	c := Carried{Events: events, Shards: make([]ShardState, len(blobs))}
 	for i, b := range blobs {
-		if !bytes.HasPrefix(b, []byte(snapshotMagicV2)) {
-			return Carried{}, fmt.Errorf("%w: shard %d's state lacks the %q header", ErrSnapshotVersion, i, snapshotMagicV2)
+		if !bytes.HasPrefix(b, []byte(snapshotMagic)) {
+			return Carried{}, fmt.Errorf("%w: shard %d's state lacks the %q header", ErrSnapshotVersion, i, snapshotMagic)
 		}
 		c.Shards[i] = Encoded(b)
 	}
@@ -277,7 +225,7 @@ func Snapshots(blobs [][]byte, events int64) (Carried, error) {
 // plan's). It returns the number of window instances an export handed
 // over.
 func Resume(p *plan.Plan, sink stream.Sink, st ShardState, freshFloor int64) (*Runner, int, error) {
-	if bytes.HasPrefix(st.blob, []byte(snapshotMagicV2)) {
+	if bytes.HasPrefix(st.blob, []byte(snapshotMagic)) {
 		r, err := Restore(p, sink, st.blob)
 		return r, 0, err
 	}
@@ -325,62 +273,27 @@ func Restore(p *plan.Plan, sink stream.Sink, data []byte) (*Runner, error) {
 	}
 	for i, n := range r.all {
 		ns := &snap.Nodes[i]
-		if nodeFingerprint(n) != ns.Fingerprint {
-			return nil, fmt.Errorf("engine: operator %d mismatch", i)
-		}
 		n.base = ns.Base
 		n.emitFrom = ns.EmitFrom
 		n.inputs = ns.Inputs
 		n.updates = ns.Updates
 		n.fired = ns.Fired
-		sort.Slice(ns.Instances, func(a, b int) bool { return ns.Instances[a].M < ns.Instances[b].M })
-		n.insts = n.insts[:0]
-		n.head = 0
-		for j := range ns.Instances {
-			is := &ns.Instances[j]
-			if j > 0 && is.M != ns.Instances[j-1].M+1 {
-				return nil, fmt.Errorf("engine: snapshot instances not consecutive at %v", n.w)
-			}
-			if len(is.Cells) != len(is.Slots) || (is.Raw != nil && len(is.Raw) != len(is.Slots)) ||
-				(is.Sketch != nil && len(is.Sketch) != len(is.Slots)) {
-				return nil, fmt.Errorf("engine: snapshot instance %d of %v has ragged columns", is.M, n.w)
-			}
-			if n.store.Sketched() && len(is.Slots) > 0 && is.Sketch == nil {
-				return nil, fmt.Errorf("engine: snapshot instance %d of %v carries no sketch state", is.M, n.w)
-			}
-			inst := n.newInstance(is.M)
-			for idx, slot := range is.Slots {
-				if slot < 0 || int(slot) >= len(snap.Keys) {
-					return nil, fmt.Errorf("engine: snapshot slot %d out of range at %v", slot, n.w)
-				}
-				if is.Cells[idx].Cnt <= 0 {
-					// Snapshots record only live rows; a non-positive count
-					// would write column values without marking the row
-					// occupied, poisoning the span for later tenants.
-					return nil, fmt.Errorf("engine: snapshot cell with count %d at %v",
-						is.Cells[idx].Cnt, n.w)
-				}
-				if slot >= inst.cap {
-					n.growInstance(inst, slot+1)
-				}
-				n.store.SetCellAt(inst.span+slot, is.Cells[idx])
-				if is.Raw != nil {
-					n.store.SetRawAt(inst.span+slot, is.Raw[idx])
-				}
-				if is.Sketch != nil {
-					if err := n.store.SetSketchAt(inst.span+slot, is.Sketch[idx]); err != nil {
-						return nil, fmt.Errorf("engine: snapshot sketch at %v: %w", n.w, err)
-					}
-				}
-			}
-			if err := n.setFrozen(inst, is.FrzSlots, is.FrzCells, is.FrzRaw, is.FrzSketch, len(snap.Keys)); err != nil {
-				return nil, err
-			}
-			n.insts = append(n.insts, inst)
+		if err := n.loadInstances(ns.Live, false, len(snap.Keys)); err != nil {
+			return nil, err
 		}
 		if len(n.insts) > 0 && n.insts[0].m != n.base {
 			return nil, fmt.Errorf("engine: snapshot base %d does not match first instance %d",
 				n.base, n.insts[0].m)
+		}
+		for j := range ns.Frozen {
+			fs := &ns.Frozen[j]
+			k := fs.M - n.base
+			if k < 0 || k >= int64(len(n.insts)) || n.insts[k].frzCap > 0 {
+				return nil, fmt.Errorf("engine: snapshot frozen state of instance %d at %v matches no open instance", fs.M, n.w)
+			}
+			if err := n.loadSpan(n.insts[k], fs, true, len(snap.Keys)); err != nil {
+				return nil, err
+			}
 		}
 		n.curInst = nil
 		n.curEnd = ns.CurEnd

@@ -162,11 +162,11 @@ func TestCheckpointRejectsWrongPlan(t *testing.T) {
 	}
 }
 
-// reencode serializes a (doctored) decoded snapshot in the v2 codec.
-func reencode(t *testing.T, snap snapshotV2) []byte {
+// reencode serializes a (doctored) decoded snapshot in the current codec.
+func reencode(t *testing.T, snap snapshotRecord) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	buf.WriteString(snapshotMagicV2)
+	buf.WriteString(snapshotMagic)
 	if err := gob.NewEncoder(&buf).Encode(snap); err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +210,7 @@ func TestRestoreSketchState(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		inst := &snap.Nodes[0].Instances[0]
+		inst := &snap.Nodes[0].Live[0]
 		native := inst.Sketch[0]
 		inst.Sketch[0] = tc.foreign
 		if _, err := Restore(p, &stream.CountingSink{}, reencode(t, snap)); err == nil {
@@ -260,7 +260,8 @@ func TestSnapshotPreservesStats(t *testing.T) {
 // the row occupied, poisoning the recycled span) must be rejected, not
 // absorbed; and the key table must be a bijection, or a key listed
 // twice owns two slots and every instance holding both fires two rows
-// for it.
+// for it. A frozen span belongs to an open instance: one naming none,
+// or a second one for the same instance, must be rejected too.
 func TestRestoreRejectsEmptyCell(t *testing.T) {
 	p, _ := plan.NewOriginal(window.MustSet(window.Tumbling(8)), agg.Sum)
 	r, _ := New(p, &stream.CountingSink{})
@@ -271,10 +272,18 @@ func TestRestoreRejectsEmptyCell(t *testing.T) {
 	}
 	for _, tc := range []struct {
 		name   string
-		mutate func(*snapshotV2)
+		mutate func(*snapshotRecord)
 	}{
-		{"zero-count cell", func(s *snapshotV2) { s.Nodes[0].Instances[0].Cells[0].Cnt = 0 }},
-		{"duplicate key", func(s *snapshotV2) { s.Keys[1] = s.Keys[0] }},
+		{"zero-count cell", func(s *snapshotRecord) { s.Nodes[0].Live[0].Cells[0].Cnt = 0 }},
+		{"duplicate key", func(s *snapshotRecord) { s.Keys[1] = s.Keys[0] }},
+		{"frozen span of no open instance", func(s *snapshotRecord) {
+			live := s.Nodes[0].Live[0]
+			live.M += int64(len(s.Nodes[0].Live))
+			s.Nodes[0].Frozen = append(s.Nodes[0].Frozen, live)
+		}},
+		{"second frozen span", func(s *snapshotRecord) {
+			s.Nodes[0].Frozen = append(s.Nodes[0].Frozen, s.Nodes[0].Live[0], s.Nodes[0].Live[0])
+		}},
 	} {
 		snap, err := decodeSnapshot(data)
 		if err != nil {

@@ -272,21 +272,9 @@ func (r *Runner) ExportCanonical(horizon int64) (*Export, error) {
 			continue
 		}
 		for i := first; i <= last; i++ {
-			is := InstanceState{M: nc.base + int64(i)}
-			for _, off := range scratch.AppendLive(nc.full[i], nc.caps[i], nil) {
-				row := nc.full[i] + off
-				is.Slots = append(is.Slots, off)
-				is.Cells = append(is.Cells, scratch.CellAt(row))
-				if scratch.Holistic() {
-					is.Raw = append(is.Raw, append([]float64(nil), scratch.RawAt(row)...))
-				}
-				if scratch.Sketched() {
-					blob, err := scratch.SketchAt(row)
-					if err != nil {
-						return nil, fmt.Errorf("engine: exporting sketch state of %v: %w", n.w, err)
-					}
-					is.Sketch = append(is.Sketch, blob)
-				}
+			is, err := spanState(scratch, nc.base+int64(i), nc.full[i], nc.caps[i])
+			if err != nil {
+				return nil, err
 			}
 			ws.Instances = append(ws.Instances, is)
 		}
@@ -329,23 +317,14 @@ func (r *Runner) importCanonical(ex *Export, freshFloor int64) (int, error) {
 		if len(ws.Instances) == 0 {
 			continue
 		}
-		sort.Slice(ws.Instances, func(a, b int) bool { return ws.Instances[a].M < ws.Instances[b].M })
-		n.base = ws.Instances[0].M
-		n.head = 0
-		n.insts = n.insts[:0]
-		for j := range ws.Instances {
-			is := &ws.Instances[j]
-			if j > 0 && is.M != ws.Instances[j-1].M+1 {
-				return migrated, fmt.Errorf("engine: import instances not consecutive at %v", n.w)
-			}
-			inst := n.newInstance(is.M)
-			if err := n.setFrozen(inst, is.Slots, is.Cells, is.Raw, is.Sketch, len(ex.Keys)); err != nil {
-				return migrated, err
-			}
+		if err := n.loadInstances(ws.Instances, true, len(ex.Keys)); err != nil {
+			return migrated, err
+		}
+		n.base = n.insts[0].m
+		for _, is := range ws.Instances {
 			if len(is.Slots) > 0 {
 				migrated++
 			}
-			n.insts = append(n.insts, inst)
 		}
 		n.curInst = nil
 		n.curEnd = 0
@@ -353,44 +332,92 @@ func (r *Runner) importCanonical(ex *Export, freshFloor int64) (int, error) {
 	return migrated, nil
 }
 
-// setFrozen validates one instance's serialized frozen-state vectors —
-// the shared shape of migration imports and checkpointed mid-straddle
-// state — and materializes them as the instance's frozen span.
-func (n *node) setFrozen(inst *instance, slots []int32, cells []agg.Cell, raw [][]float64, sk [][]byte, keyCount int) error {
-	if len(slots) == 0 {
+// spanState reads the occupied rows of the span at base into an
+// instance record: the one reader of spans that snapshots and exports
+// share.
+func spanState(store *agg.Store, m int64, base, cap int32) (InstanceState, error) {
+	is := InstanceState{M: m}
+	for _, off := range store.AppendLive(base, cap, nil) {
+		row := base + off
+		is.Slots = append(is.Slots, off)
+		is.Cells = append(is.Cells, store.CellAt(row))
+		if store.Holistic() {
+			is.Raw = append(is.Raw, append([]float64(nil), store.RawAt(row)...))
+		}
+		if store.Sketched() {
+			blob, err := store.SketchAt(row)
+			if err != nil {
+				return is, fmt.Errorf("engine: encoding sketch state of instance %d: %w", m, err)
+			}
+			is.Sketch = append(is.Sketch, blob)
+		}
+	}
+	return is, nil
+}
+
+// loadInstances replaces the node's open instances with carried ones —
+// consecutive M once sorted — each loaded as its live or its frozen
+// span.
+func (n *node) loadInstances(states []InstanceState, frozen bool, keyCount int) error {
+	sort.Slice(states, func(a, b int) bool { return states[a].M < states[b].M })
+	n.insts, n.head = n.insts[:0], 0
+	for j := range states {
+		if j > 0 && states[j].M != states[j-1].M+1 {
+			return fmt.Errorf("engine: carried instances not consecutive at %v", n.w)
+		}
+		inst := n.newInstance(states[j].M)
+		n.insts = append(n.insts, inst)
+		if err := n.loadSpan(inst, &states[j], frozen, keyCount); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// loadSpan validates one carried instance record and writes its rows
+// into inst: into the live span, grown to fit, or into a frozen span of
+// their own (migrated straddling state whose fire has not happened
+// yet). It is the one loader of spanState's records.
+func (n *node) loadSpan(inst *instance, is *InstanceState, frozen bool, keyCount int) error {
+	if len(is.Slots) == 0 {
 		return nil
 	}
-	if len(cells) != len(slots) || (raw != nil && len(raw) != len(slots)) ||
-		(sk != nil && len(sk) != len(slots)) {
-		return fmt.Errorf("engine: instance %d of %v has ragged frozen columns", inst.m, n.w)
+	if len(is.Cells) != len(is.Slots) || (is.Raw != nil && len(is.Raw) != len(is.Slots)) ||
+		(is.Sketch != nil && len(is.Sketch) != len(is.Slots)) {
+		return fmt.Errorf("engine: instance %d of %v has ragged columns", inst.m, n.w)
 	}
-	if n.store.Sketched() && sk == nil {
+	if n.store.Sketched() && is.Sketch == nil {
 		return fmt.Errorf("engine: instance %d of %v carries no sketch state for %v", inst.m, n.w, n.fn)
 	}
 	maxSlot := int32(-1)
-	for _, slot := range slots {
+	for idx, slot := range is.Slots {
 		if slot < 0 || int(slot) >= keyCount {
-			return fmt.Errorf("engine: frozen slot %d out of range at %v", slot, n.w)
+			return fmt.Errorf("engine: slot %d out of range at %v", slot, n.w)
 		}
-		if slot > maxSlot {
-			maxSlot = slot
-		}
-	}
-	inst.frz, inst.frzCap = n.store.Alloc(maxSlot + 1)
-	for idx, slot := range slots {
-		if cells[idx].Cnt <= 0 {
-			// Only live rows are serialized; a non-positive count would
+		if is.Cells[idx].Cnt <= 0 {
+			// Only live rows are carried; a non-positive count would
 			// write column values without marking the row occupied,
 			// poisoning the span for later tenants.
-			return fmt.Errorf("engine: frozen cell with count %d at %v", cells[idx].Cnt, n.w)
+			return fmt.Errorf("engine: cell with count %d at %v", is.Cells[idx].Cnt, n.w)
 		}
-		n.store.SetCellAt(inst.frz+slot, cells[idx])
-		if raw != nil {
-			n.store.SetRawAt(inst.frz+slot, raw[idx])
+		maxSlot = max(maxSlot, slot)
+	}
+	var base int32
+	if frozen {
+		inst.frz, inst.frzCap = n.store.Alloc(maxSlot + 1)
+		base = inst.frz
+	} else {
+		n.growInstance(inst, maxSlot+1)
+		base = inst.span
+	}
+	for idx, slot := range is.Slots {
+		n.store.SetCellAt(base+slot, is.Cells[idx])
+		if is.Raw != nil {
+			n.store.SetRawAt(base+slot, is.Raw[idx])
 		}
-		if sk != nil {
-			if err := n.store.SetSketchAt(inst.frz+slot, sk[idx]); err != nil {
-				return fmt.Errorf("engine: frozen sketch at %v: %w", n.w, err)
+		if is.Sketch != nil {
+			if err := n.store.SetSketchAt(base+slot, is.Sketch[idx]); err != nil {
+				return fmt.Errorf("engine: sketch state at %v: %w", n.w, err)
 			}
 		}
 	}

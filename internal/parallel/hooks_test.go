@@ -6,6 +6,7 @@ import (
 
 	"factorwindows/internal/agg"
 	"factorwindows/internal/core"
+	"factorwindows/internal/engine"
 	"factorwindows/internal/plan"
 	"factorwindows/internal/stream"
 	"factorwindows/internal/window"
@@ -154,6 +155,7 @@ func TestSnapshotRestore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	snapEvents := r1.Events()
 	// Snapshot barriers, so everything fired pre-cut is in the sink now.
 	preCut := append([]stream.Result(nil), first.Results...)
 	// r1 keeps running after the snapshot; finish it to check the
@@ -162,7 +164,7 @@ func TestSnapshotRestore(t *testing.T) {
 	r1.Close()
 
 	resumed := &stream.CollectingSink{}
-	r2, err := restore(p, resumed, snap)
+	r2, err := restore(p, resumed, snap, snapEvents)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,14 +212,14 @@ func TestSnapshotRestore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := restore(po, &stream.CountingSink{}, snap); err == nil {
+	if _, err := restore(po, &stream.CountingSink{}, snap, snapEvents); err == nil {
 		t.Fatal("cross-plan restore must fail")
 	}
 }
 
-// restore resumes goroutine shards from a Snapshot envelope.
-func restore(p *plan.Plan, sink stream.Sink, snap []byte) (*Runner, error) {
-	state, err := DecodeSnapshot(snap)
+// restore resumes goroutine shards from Snapshot's per-shard blobs.
+func restore(p *plan.Plan, sink stream.Sink, snap [][]byte, events int64) (*Runner, error) {
+	state, err := engine.Snapshots(snap, events)
 	if err != nil {
 		return nil, err
 	}

@@ -16,7 +16,7 @@
 // recycled scatter, the watermark broadcast, the barrier (started on
 // every shard, then awaited in shard index order), the drain of each
 // shard's buffered runs into the sink in shard index order with the
-// egress peak, the snapshot envelope, the canonical export and Close.
+// egress peak, the per-shard snapshots, the canonical export and Close.
 // It drives its shards through the Shard interface and never asks which
 // kind it drives:
 //
@@ -31,14 +31,13 @@
 //     hold results for the barrier drain.
 //
 // State crosses between runners as an engine.Carried — ExportCanonical
-// and DecodeSnapshot produce one, Resume and router.New consume it — and
+// produces one, engine.Snapshots makes one of Snapshot's blobs, Resume
+// and router.New consume it — and
 // this package never asks whether a shard's state is a snapshot or an
 // export: engine.Resume tells.
 package parallel
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"runtime"
 	"sync"
@@ -763,50 +762,15 @@ func (r *Runner) TotalUpdates() int64 {
 	return t
 }
 
-// snapshot is the serialized form of a Runner, whatever its shards: one
-// engine snapshot per shard. The shard count is part of the state — the
-// key→shard hash is a pure function of the count, so restoring onto the
-// same count keeps every key's partial aggregates on the shard that
-// owns them. State versioning is inherited from the embedded engine
-// blobs (see internal/engine/checkpoint.go).
-type snapshot struct {
-	Shards int
-	Events int64
-	State  [][]byte
-}
-
-// EncodeSnapshot wraps per-shard engine snapshots and the ingest
-// counter into the sharded snapshot envelope.
-func EncodeSnapshot(states [][]byte, events int64) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(snapshot{Shards: len(states), Events: events, State: states}); err != nil {
-		return nil, fmt.Errorf("parallel: encoding snapshot: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-// DecodeSnapshot is EncodeSnapshot's inverse: the per-shard engine
-// snapshots as carried state (their count is the shard count) with the
-// ingest counter. A per-shard blob that is not an engine snapshot fails
-// with engine.ErrSnapshotVersion.
-func DecodeSnapshot(data []byte) (engine.Carried, error) {
-	var snap snapshot
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&snap); err != nil {
-		return engine.Carried{}, fmt.Errorf("parallel: decoding snapshot: %w", err)
-	}
-	if snap.Shards <= 0 || len(snap.State) != snap.Shards {
-		return engine.Carried{}, fmt.Errorf("parallel: snapshot has %d shards, %d states",
-			snap.Shards, len(snap.State))
-	}
-	return engine.Snapshots(snap.State, snap.Events)
-}
-
-// Snapshot quiesces the shards (Barrier) and serializes their engine
-// state. Like engine.Snapshot it is consistent at batch boundaries: take
-// it between Process calls, from the goroutine driving the Runner. The
-// envelope is the same whatever the shards are, so a checkpoint taken
-// on one kind restores onto the other.
-func (r *Runner) Snapshot() ([]byte, error) {
+// Snapshot quiesces the shards (Barrier) and returns each shard
+// engine's snapshot, in shard order. Like engine.Snapshot it is
+// consistent at batch boundaries: take it between Process calls, from
+// the goroutine driving the Runner. The blobs are the same whatever the
+// shards are, so a checkpoint taken on one kind restores onto the other
+// (engine.Snapshots carries them, with Events, into Resume or
+// router.New). The shard count is part of the state: the key→shard hash
+// is a pure function of it.
+func (r *Runner) Snapshot() ([][]byte, error) {
 	if r.closed {
 		return nil, fmt.Errorf("parallel: Snapshot after Close")
 	}
@@ -822,7 +786,7 @@ func (r *Runner) Snapshot() ([]byte, error) {
 		}
 		states[i] = b
 	}
-	return EncodeSnapshot(states, r.events)
+	return states, nil
 }
 
 // ExportCanonical quiesces the shards and carries out each shard

@@ -7,7 +7,7 @@
 //
 // The router is not a second runner. Its Runner embeds the one
 // parallel.Runner — key partition, watermark broadcast, barrier, ordered
-// drain, snapshot envelope, canonical export and Close exist there only
+// drain, per-shard snapshots, canonical export and Close exist there only
 // — and supplies that runner's shards: one frame session per shard on a
 // worker (parallel.Shard). What is genuinely remote stays here:
 // placement, the replay journal and its snapshot compaction, failover,

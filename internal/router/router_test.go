@@ -16,6 +16,7 @@ import (
 	"factorwindows/internal/agg"
 	"factorwindows/internal/core"
 	"factorwindows/internal/cost"
+	"factorwindows/internal/engine"
 	"factorwindows/internal/multiquery"
 	"factorwindows/internal/parallel"
 	"factorwindows/internal/plan"
@@ -163,9 +164,9 @@ func reference(t *testing.T, ld load, shards int, events []stream.Event, chunk i
 	return sink.Results, ref.TotalUpdates()
 }
 
-// restore resumes in-process shards from a sharded snapshot envelope.
-func restore(p *plan.Plan, sink stream.Sink, blob []byte) (*parallel.Runner, error) {
-	state, err := parallel.DecodeSnapshot(blob)
+// restore resumes in-process shards from a runner's per-shard snapshots.
+func restore(p *plan.Plan, sink stream.Sink, blobs [][]byte, events int64) (*parallel.Runner, error) {
+	state, err := engine.Snapshots(blobs, events)
 	if err != nil {
 		return nil, err
 	}
@@ -831,7 +832,7 @@ func TestRouterSnapshotParallelInterop(t *testing.T) {
 	r.Close()
 	sink.Results = sink.Results[:preClose]
 	mp := refPlan(t, intSum)
-	cont, err := restore(mp.Combined, sink, blob)
+	cont, err := restore(mp.Combined, sink, blob, routerEvents)
 	if err != nil {
 		t.Fatalf("resuming the router snapshot in process: %v", err)
 	}
@@ -859,9 +860,9 @@ func TestRouterSnapshotParallelInterop(t *testing.T) {
 	if err != nil {
 		t.Fatalf("parallel.Snapshot: %v", err)
 	}
-	state, err := parallel.DecodeSnapshot(blob2)
+	state, err := engine.Snapshots(blob2, ref.Events())
 	if err != nil {
-		t.Fatalf("parallel.DecodeSnapshot: %v", err)
+		t.Fatalf("engine.Snapshots: %v", err)
 	}
 	restoredEvents := state.Events
 	r2, err := router.New(router.Spec{
@@ -1010,7 +1011,8 @@ func TestRouterKillDuringStateFetch(t *testing.T) {
 					if err != nil {
 						t.Fatalf("router.Snapshot through worker death: %v", err)
 					}
-					resume = func() (*parallel.Runner, error) { return restore(mp.Combined, sink, blob) }
+					events := r.Events()
+					resume = func() (*parallel.Runner, error) { return restore(mp.Combined, sink, blob, events) }
 				} else {
 					state, err := r.ExportCanonical(horizon)
 					if err != nil {

@@ -1,16 +1,17 @@
 // Server-level checkpointing: the registered query set, the reorder
 // buffer's pending events and sealed horizon, and every shard engine's
 // open window state — including per-window emit floors and in-flight
-// migrated (frozen) state — in one blob. Restoring onto a fresh server
+// migrated (frozen) state — in one record. Restoring onto a fresh server
 // resumes the stream exactly where the snapshot left it — the
 // serving-layer counterpart of engine.Snapshot/Restore.
 //
-// Result rings are transient delivery buffers and are not checkpointed;
-// restored queries start a fresh sequence space. The optimizer options
-// (including the adaptive cost-model η) and shard count are part of the
-// snapshot's identity: the plan is rebuilt from the query SQL and must
-// fingerprint-match the shard engines, and key placement is a function
-// of the shard count.
+// A durable snapshot file (durable.go) is the same record with the
+// result rings filled in; for a client-driven restore rings are
+// transient, and restored queries start a fresh sequence space. The
+// optimizer options (including the adaptive cost-model η) and shard
+// count are part of the snapshot's identity: the plan is rebuilt from
+// the query SQL and must fingerprint-match the shard engines, and key
+// placement is a function of the shard count.
 
 package server
 
@@ -23,17 +24,15 @@ import (
 
 	"factorwindows/internal/agg"
 	"factorwindows/internal/engine"
-	"factorwindows/internal/parallel"
 	"factorwindows/internal/reorder"
 )
 
 // checkpointVersion is the one codec generation this build reads and
-// writes: 3 since live plan migration (per-window exposed-result floors
-// moved into the engine snapshots, and the cost-model η became part of
-// the plan's identity). Any other version — the boxed-era blobs decode
-// as 0, gob leaving the missing field zero — is rejected with
-// engine.ErrSnapshotVersion before the server's state is touched.
-const checkpointVersion = 3
+// writes: 4 since the record holds the shard snapshots and the rings
+// itself. Any other version — blobs without the field decode as 0 — is
+// rejected with engine.ErrSnapshotVersion before the server's state is
+// touched.
+const checkpointVersion = 4
 
 // checkpoint is the gob-serialized server state.
 type checkpoint struct {
@@ -44,18 +43,18 @@ type checkpoint struct {
 	HasFn   bool
 	Factors bool
 	// Param is the live set's finalize parameter (φ for PERCENTILE, k
-	// for TOPK). Gob-optional: pre-sketch checkpoints omit it and decode
-	// to 0, which is exactly the parameter their exact functions carry.
+	// for TOPK).
 	Param    float64
 	PlanEta  int64 // cost-model η the plan was optimized under (0: default)
 	Epoch    int64
 	Ingested int64
 	Dropped  int64
 	Late     int64
-	HasPipe  bool
 	HasCarry bool // Reorder holds a carried horizon but no engine state
 	Reorder  reorder.State
-	Engine   []byte // parallel.Runner snapshot (embeds the shard count)
+	Shards   [][]byte    // one engine snapshot per shard; none without a pipeline
+	Events   int64       // the pipeline's ingest counter
+	Rings    []ringState // durable snapshots only, sorted by ID
 }
 
 type checkpointQuery struct {
@@ -69,13 +68,12 @@ type checkpointQuery struct {
 func (s *Server) Checkpoint() ([]byte, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.checkpointLocked()
+	return s.checkpointLocked(false)
 }
 
 // checkpointLocked is Checkpoint's body for callers already holding
-// s.mu — the durable snapshot capture embeds a checkpoint while the
-// ingest lock pins the state to a record boundary.
-func (s *Server) checkpointLocked() ([]byte, error) {
+// s.mu; the durable snapshot capture asks withRings.
+func (s *Server) checkpointLocked(withRings bool) ([]byte, error) {
 	if s.closed {
 		return nil, ErrClosed
 	}
@@ -100,18 +98,22 @@ func (s *Server) checkpointLocked() ([]byte, error) {
 	}
 	switch {
 	case s.pipe != nil:
-		cp.HasPipe = true
 		cp.Reorder = s.pipe.buf.Snapshot()
-		eng, err := s.pipe.runner.Snapshot()
+		shards, err := s.pipe.runner.Snapshot()
 		if err != nil {
 			return nil, err
 		}
-		cp.Engine = eng
+		cp.Shards, cp.Events = shards, s.pipe.runner.Events()
 	case s.carry != nil:
 		// No pipeline, but the sealed horizon (and pending events) of the
 		// last one must survive the round-trip.
 		cp.HasCarry = true
 		cp.Reorder = *s.carry
+	}
+	for i := 0; withRings && i < len(cp.Queries); i++ {
+		// After the engine snapshot, whose barrier drains the last results.
+		id := cp.Queries[i].ID
+		cp.Rings = append(cp.Rings, s.queries[id].ring.exportState(id))
 	}
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(cp); err != nil {
@@ -125,8 +127,12 @@ func (s *Server) checkpointLocked() ([]byte, error) {
 // is rebuilt deterministically, and the shard engines resume their open
 // window instances. The restoring server must run with the same Factors
 // option as the one that checkpointed (the engine fingerprint check
-// rejects a mismatched plan).
-func (s *Server) RestoreCheckpoint(data []byte) error {
+// rejects a mismatched plan). Result rings start empty.
+func (s *Server) RestoreCheckpoint(data []byte) error { return s.restoreCheckpoint(data, false) }
+
+// restoreCheckpoint is RestoreCheckpoint's body; withRings also loads
+// the result rings a durable snapshot carries, for WAL recovery.
+func (s *Server) restoreCheckpoint(data []byte, withRings bool) error {
 	var cp checkpoint
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&cp); err != nil {
 		return fmt.Errorf("server: decoding checkpoint: %w", err)
@@ -139,7 +145,7 @@ func (s *Server) RestoreCheckpoint(data []byte) error {
 		return fmt.Errorf("%w: checkpoint taken with factors=%t, server runs factors=%t",
 			ErrConflict, cp.Factors, s.cfg.Factors)
 	}
-	if (cp.HasPipe || cp.HasCarry) &&
+	if (len(cp.Shards) > 0 || cp.HasCarry) &&
 		(cp.Reorder.Bound != s.cfg.ReorderBound || cp.Reorder.Policy != s.cfg.Policy) {
 		// Silently adopting the checkpoint's disorder settings would
 		// override the operator's flags for the server's remaining
@@ -177,6 +183,16 @@ func (s *Server) RestoreCheckpoint(data []byte) error {
 				cq.ID, q.Param, cp.Param)
 		}
 		queries[cq.ID] = &registration{id: cq.ID, sql: cq.SQL, q: q, ring: newRing(s.cfg.ResultBuffer)}
+	}
+	for i := 0; withRings && i < len(cp.Rings); i++ {
+		// The rings are not serving yet, so a malformed one fails before
+		// any state is touched.
+		if err := cp.Rings[i].validate(); err != nil {
+			return err
+		}
+		if reg, ok := queries[cp.Rings[i].ID]; ok {
+			reg.ring.importState(cp.Rings[i])
+		}
 	}
 
 	s.mu.Lock()
@@ -228,7 +244,7 @@ func (s *Server) applyCheckpointLocked(cpp *checkpoint, queries map[string]*regi
 		s.resetObs()
 	}
 	s.lastEta, s.lastKeys, s.lastOverpay = 0, 0, 0
-	if !cp.HasPipe {
+	if len(cp.Shards) == 0 {
 		if cp.HasCarry {
 			carried := cp.Reorder
 			s.carry = &carried
@@ -241,7 +257,7 @@ func (s *Server) applyCheckpointLocked(cpp *checkpoint, queries map[string]*regi
 		}
 		return nil
 	}
-	state, err := parallel.DecodeSnapshot(cp.Engine)
+	state, err := engine.Snapshots(cp.Shards, cp.Events)
 	var np *pipeline
 	if err == nil {
 		np, _, err = s.buildPipeline(cp.Reorder.Released, &cp.Reorder, state)

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/gob"
 	"math/rand"
 	"os"
@@ -9,6 +10,8 @@ import (
 	"slices"
 	"testing"
 
+	"factorwindows/internal/agg"
+	"factorwindows/internal/reorder"
 	"factorwindows/internal/stream"
 )
 
@@ -26,12 +29,39 @@ func disorderedFixtureEvents() []stream.Event {
 	return events
 }
 
+// checkpointV3 is the previous generation's server checkpoint record,
+// the form testdata/checkpoint_pr13_mid_disorder.bin was written in: the
+// shard engines' FWSNAP2 snapshots sat in a sharded envelope in Engine.
+type checkpointV3 struct {
+	Version  int
+	Queries  []checkpointQuery
+	NextID   int64
+	Fn       agg.Fn
+	HasFn    bool
+	Factors  bool
+	Param    float64
+	PlanEta  int64
+	Epoch    int64
+	Ingested int64
+	Dropped  int64
+	Late     int64
+	HasPipe  bool
+	HasCarry bool
+	Reorder  reorder.State
+	Engine   []byte
+}
+
 // testdata/checkpoint_pr13_mid_disorder.bin is a server checkpoint taken
 // at PR 13's commit — the heap-based reorder buffer — by a 2-shard
 // server (factors on, reorder bound 16, demoQuery1 + demoQuery2) right
 // after ingesting the first 700 events of disorderedFixtureEvents, with
-// 17 events still held back in heap-array order. Restored on the
-// bucketed buffer and fed the rest of the stream, the server must
+// 17 events still held back in heap-array order. This build no longer
+// reads its generation (TestSnapshotVersionRejected), so the test lifts
+// it into the current record: the fixture's registry, counters and
+// reorder state, pending events in their heap-array order, over the
+// engine snapshots of a reference server at the same cut (the engines
+// hold only released events, which the fixture's horizon pins). Restored
+// on the bucketed buffer and fed the rest of the stream, the server must
 // deliver, byte for byte, the rows an uninterrupted server delivers
 // after that point.
 func TestRestoreHeapEraServerCheckpoint(t *testing.T) {
@@ -39,12 +69,12 @@ func TestRestoreHeapEraServerCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var cp checkpoint
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&cp); err != nil {
+	var old checkpointV3
+	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&old); err != nil {
 		t.Fatal(err)
 	}
-	if len(cp.Reorder.Pending) != 17 || cp.Ingested != 700 {
-		t.Fatalf("fixture holds %d pending events after %d ingested", len(cp.Reorder.Pending), cp.Ingested)
+	if old.Version != 3 || !old.HasPipe || len(old.Reorder.Pending) != 17 || old.Ingested != 700 {
+		t.Fatalf("fixture is version %d holding %d pending events after %d ingested", old.Version, len(old.Reorder.Pending), old.Ingested)
 	}
 	events := disorderedFixtureEvents()
 	const cut = 700
@@ -59,6 +89,29 @@ func TestRestoreHeapEraServerCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := ref.Ingest(events[:cut]); err != nil {
+		t.Fatal(err)
+	}
+	refData, err := ref.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cp checkpoint
+	if err := gob.NewDecoder(bytes.NewReader(refData)).Decode(&cp); err != nil {
+		t.Fatal(err)
+	}
+	if cp.Reorder.Released != old.Reorder.Released || slices.Equal(cp.Reorder.Pending, old.Reorder.Pending) ||
+		!sameEventSet(cp.Reorder.Pending, old.Reorder.Pending) {
+		t.Fatalf("reference at the cut released %d holding %v; fixture released %d holding %v in heap order",
+			cp.Reorder.Released, cp.Reorder.Pending, old.Reorder.Released, old.Reorder.Pending)
+	}
+	lifted := checkpoint{
+		Version: checkpointVersion, Queries: old.Queries, NextID: old.NextID,
+		Fn: old.Fn, HasFn: old.HasFn, Factors: old.Factors, Param: old.Param, PlanEta: old.PlanEta,
+		Epoch: old.Epoch, Ingested: old.Ingested, Dropped: old.Dropped, Late: old.Late,
+		Reorder: old.Reorder, Shards: cp.Shards, Events: cp.Events,
+	}
+	var liftedData bytes.Buffer
+	if err := gob.NewEncoder(&liftedData).Encode(lifted); err != nil {
 		t.Fatal(err)
 	}
 	// Rows the reference had delivered by the checkpoint's position; the
@@ -79,7 +132,7 @@ func TestRestoreHeapEraServerCheckpoint(t *testing.T) {
 
 	s := New(cfg)
 	defer s.Close()
-	if err := s.RestoreCheckpoint(data); err != nil {
+	if err := s.RestoreCheckpoint(liftedData.Bytes()); err != nil {
 		t.Fatalf("restoring heap-era checkpoint: %v", err)
 	}
 	if st := s.StatsNow(); st.Queries != 2 || st.Ingested != cut || st.Buffered != 17 {
@@ -110,4 +163,16 @@ func TestRestoreHeapEraServerCheckpoint(t *testing.T) {
 				id, len(got), len(want), got, want)
 		}
 	}
+}
+
+// sameEventSet reports whether a and b hold the same events, in any
+// order.
+func sameEventSet(a, b []stream.Event) bool {
+	less := func(x, y stream.Event) int {
+		return cmp.Or(cmp.Compare(x.Time, y.Time), cmp.Compare(x.Key, y.Key), cmp.Compare(x.Value, y.Value))
+	}
+	a, b = slices.Clone(a), slices.Clone(b)
+	slices.SortFunc(a, less)
+	slices.SortFunc(b, less)
+	return slices.Equal(a, b)
 }

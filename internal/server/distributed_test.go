@@ -13,7 +13,6 @@ import (
 	"testing"
 
 	"factorwindows/internal/engine"
-	"factorwindows/internal/parallel"
 	"factorwindows/internal/router"
 	"factorwindows/internal/shardworker"
 	"factorwindows/internal/stream"
@@ -94,30 +93,32 @@ func nestedDistQueries(aggregate string) []string {
 type distLoad struct {
 	name    string
 	queries []string
-	// keys/perTick/scale shape the order-sensitive stream (scale
-	// multiplies the script's events per batch); perTick 0 selects the
-	// integer script.
-	keys, perTick, scale int
+	// keys/perTick shape the order-sensitive stream and ticks fixes its
+	// length, which the script's batches split evenly; perTick 0 selects
+	// the integer script.
+	keys, perTick, ticks int
 }
 
 var distLoads = []distLoad{
 	{name: "int-sum", queries: distQueries},
-	{name: "float-sum", queries: nestedDistQueries("SUM(T)"), keys: 6, perTick: 7, scale: 1},
-	// 400 values per key per tick: 8,000 per key in a T20 instance, so
-	// every window's sketches compact. A script of 16 × 2,400 events spans
-	// 24 ticks, so these server suites move it inside the first instance;
-	// the router suites move the same shape across later ones.
-	{name: "dense-percentile", queries: nestedDistQueries("PERCENTILE(T, 0.5)"), keys: 4, perTick: 1600, scale: 20},
+	{name: "float-sum", queries: nestedDistQueries("SUM(T)"), keys: 6, perTick: 7, ticks: 256},
+	// 8 keys × 40 values per key per tick: 800 = 4·k values per key in
+	// every T20 instance, so all three windows' KLL sketches compact. Like
+	// the router suites' moveLoads, the script is a fixed 256 ticks, past
+	// three T80 instances, so cut, move and kill points land in later
+	// instances too.
+	{name: "dense-percentile", queries: nestedDistQueries("PERCENTILE(T, 0.5)"), keys: 8, perTick: 320, ticks: 256},
 }
 
 // batches builds the load's deterministic ingest script — distBatches
-// for the integer load, else the order-sensitive stream cut into the
-// same number of batches and closed by the same far-future sentinel.
+// for the integer load (per events a batch), else the order-sensitive
+// stream cut into the same number of batches and closed by the same
+// far-future sentinel.
 func (l distLoad) batches(seed int64, batches, per int) [][]stream.Event {
 	if l.perTick == 0 {
 		return distBatches(seed, batches, per)
 	}
-	per *= l.scale
+	per = l.ticks * l.perTick / batches
 	events := workload.OrderSensitive(workload.StreamConfig{
 		Events: batches * per, Keys: l.keys, EventsPerTick: l.perTick, Seed: seed,
 	})
@@ -126,6 +127,12 @@ func (l distLoad) batches(seed int64, batches, per int) [][]stream.Event {
 		out = append(out, events[off:off+per])
 	}
 	return append(out, []stream.Event{{Time: events[len(events)-1].Time + (1 << 16)}})
+}
+
+// cutAt draws a batch index from rng over the whole of a script built
+// by batches: past the first batch and before the closing sentinel.
+func cutAt(rng *rand.Rand, script [][]stream.Event) int {
+	return 1 + rng.Intn(len(script)-2)
 }
 
 func registerDistQueries(t *testing.T, h http.Handler, queries []string) {
@@ -315,20 +322,23 @@ func TestDistributedServerWorkerKill(t *testing.T) {
 // in-process shards interchangeably, and both continuations emit
 // byte-identical streams. (A distributed checkpoint restoring onto a
 // single process is the scale-to-zero path; the reverse is scale-out
-// of an existing deployment.)
+// of an existing deployment.) The checkpoint's batch is drawn from a
+// committed seed over the whole script.
 func TestDistributedCheckpointInterop(t *testing.T) {
+	rng := rand.New(rand.NewSource(4101))
 	for _, ld := range distLoads {
+		batches := ld.batches(41, 10, 150)
+		cut := cutAt(rng, batches)
 		t.Run(ld.name, func(t *testing.T) {
-			batches := ld.batches(41, 10, 150)
-			const half = 5
+			t.Logf("checkpoint after batch %d of %d", cut, len(batches))
 
-			// checkpointAfterHalf plays the script prefix on a fresh server and
+			// checkpointAtCut plays the script prefix on a fresh server and
 			// captures its checkpoint.
-			checkpointAfterHalf := func(cfg Config) []byte {
+			checkpointAtCut := func(cfg Config) []byte {
 				s := New(cfg)
 				defer s.Close()
 				registerDistQueries(t, s.Handler(), ld.queries)
-				playDist(t, s, batches[:half], 0, nil)
+				playDist(t, s, batches[:cut], 0, nil)
 				cp, err := s.Checkpoint()
 				if err != nil {
 					t.Fatalf("checkpoint: %v", err)
@@ -344,16 +354,16 @@ func TestDistributedCheckpointInterop(t *testing.T) {
 				if err := s.RestoreCheckpoint(cp); err != nil {
 					t.Fatalf("restore: %v", err)
 				}
-				playDist(t, s, batches, half, nil)
+				playDist(t, s, batches, cut, nil)
 				return collectStreams(t, s, h)
 			}
 
 			single := Config{Shards: 4, ResultBuffer: 1 << 12}
-			cpSingle := checkpointAfterHalf(single)
+			cpSingle := checkpointAtCut(single)
 
 			addrs, _ := startShardWorkers(t, 2)
 			distributed := Config{Shards: 4, ResultBuffer: 1 << 12, Workers: addrs, WorkerCheckpointEvery: 2}
-			cpDistributed := checkpointAfterHalf(distributed)
+			cpDistributed := checkpointAtCut(distributed)
 
 			want := continueFrom(single, cpSingle)
 			assertSameStreams(t, continueFrom(distributed, cpSingle), want)
@@ -363,9 +373,9 @@ func TestDistributedCheckpointInterop(t *testing.T) {
 	}
 }
 
-// exportFormCheckpoint takes s's checkpoint and rebuilds its engine
-// envelope from the same moment's canonical export, so every shard's
-// blob is an encoded export where a snapshot belongs. It returns the
+// exportFormCheckpoint takes s's checkpoint and rebuilds its shard
+// states from the same moment's canonical export, so every shard's blob
+// is an encoded export where a snapshot belongs. It returns the
 // blob and the checkpoint's release horizon.
 func exportFormCheckpoint(t testing.TB, s *Server) ([]byte, int64) {
 	t.Helper()
@@ -383,14 +393,10 @@ func exportFormCheckpoint(t testing.TB, s *Server) ([]byte, int64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	blobs := make([][]byte, len(state.Shards))
 	for i, sh := range state.Shards {
-		if blobs[i], err = sh.Bytes(); err != nil {
+		if cp.Shards[i], err = sh.Bytes(); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if cp.Engine, err = parallel.EncodeSnapshot(blobs, state.Events); err != nil {
-		t.Fatal(err)
 	}
 	var out bytes.Buffer
 	if err := gob.NewEncoder(&out).Encode(cp); err != nil {
@@ -399,8 +405,8 @@ func exportFormCheckpoint(t testing.TB, s *Server) ([]byte, int64) {
 	return out.Bytes(), cp.Reorder.Released
 }
 
-// TestDistributedCheckpointRefusesExportForm: a checkpoint whose engine
-// envelope carries exports where snapshots belong is refused alike in
+// TestDistributedCheckpointRefusesExportForm: a checkpoint whose shard
+// states are exports where snapshots belong is refused alike in
 // both tiers. An export would resume — it enters any plan — but a
 // restore promises the same plan bit-exact, which only a snapshot's
 // fingerprint check holds it to. So both tiers take the tampered

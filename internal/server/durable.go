@@ -2,9 +2,10 @@
 //
 // A durable server appends every accepted ingest batch and registry
 // mutation to the write-ahead log before acking the client, and
-// periodically captures an offset-stamped snapshot (the v3 server
-// checkpoint plus the per-query result-ring state) that is written
-// asynchronously off the ingest path. Recovery in Open is
+// periodically captures a snapshot that is written asynchronously off
+// the ingest path. A snapshot is the server checkpoint record with its
+// result rings filled in (checkpoint.go), and the WAL stamps the file
+// with the offset it covers under its checksum. Recovery in Open is
 //
 //	load newest valid snapshot → open + verify the log → restore the
 //	snapshot → replay records at/after its offset → serve
@@ -20,8 +21,6 @@
 package server
 
 import (
-	"bytes"
-	"encoding/gob"
 	"encoding/json"
 	"fmt"
 
@@ -39,25 +38,9 @@ type walControl struct {
 	Eta int64  `json:"eta,omitempty"`
 }
 
-// durableSnapshotVersion is the snapshot codec generation.
-const durableSnapshotVersion = 1
-
 // snapshotsKept is how many snapshots survive pruning: the newest plus
 // one fallback generation.
 const snapshotsKept = 2
-
-// durableSnapshot is the gob payload of a snap-*.fws file: the regular
-// server checkpoint plus the result-ring delivery state the checkpoint
-// deliberately omits. Rings are transient for client-driven restores
-// (a new server, a new sequence space), but crash recovery promises
-// byte-identical result streams, and those bytes include ring sequence
-// numbers and eviction positions.
-type durableSnapshot struct {
-	Version    int
-	Offset     int64 // records [0, Offset) are reflected in this state
-	Checkpoint []byte
-	Rings      []ringState // sorted by ID
-}
 
 // Open builds a server, recovering durable state from cfg.WALDir when
 // cfg.Durable is set: the newest valid snapshot is restored, the log's
@@ -94,9 +77,9 @@ func Open(cfg Config) (*Server, error) {
 	s.wal = log
 	s.walReplaying = true
 	if snapData != nil {
-		if err := s.restoreSnapshot(snapData, snapOff); err != nil {
+		if err := s.restoreCheckpoint(snapData, true); err != nil {
 			log.Close(false)
-			return nil, err
+			return nil, fmt.Errorf("server: restoring snapshot: %w", err)
 		}
 	}
 	if err := log.Replay(snapOff, s.applyRecord); err != nil {
@@ -108,33 +91,6 @@ func Open(cfg Config) (*Server, error) {
 	s.lastSnapOffset = snapOff
 	s.mu.Unlock()
 	return s, nil
-}
-
-// restoreSnapshot loads one durable snapshot: the embedded server
-// checkpoint through the regular (validating) restore path, then the
-// ring delivery state on top of the fresh rings that restore built.
-func (s *Server) restoreSnapshot(data []byte, offset int64) error {
-	var ds durableSnapshot
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&ds); err != nil {
-		return fmt.Errorf("server: decoding snapshot: %w", err)
-	}
-	if ds.Version != durableSnapshotVersion {
-		return fmt.Errorf("server: snapshot version %d not supported", ds.Version)
-	}
-	if ds.Offset != offset {
-		return fmt.Errorf("server: snapshot payload stamped %d, file stamped %d", ds.Offset, offset)
-	}
-	if err := s.RestoreCheckpoint(ds.Checkpoint); err != nil {
-		return fmt.Errorf("server: restoring snapshot checkpoint: %w", err)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, rs := range ds.Rings {
-		if reg, ok := s.queries[rs.ID]; ok {
-			reg.ring.importState(rs)
-		}
-	}
-	return nil
 }
 
 // applyRecord replays one log record through the same code paths the
@@ -246,23 +202,8 @@ func (s *Server) walGateLocked() error {
 // the offset it covers. Callers hold s.mu with no batch in flight, so
 // the state is consistent exactly at the log's next-record offset.
 func (s *Server) captureSnapshotLocked() (offset int64, data []byte, err error) {
-	cp, err := s.checkpointLocked()
-	if err != nil {
-		return 0, nil, err
-	}
-	ds := durableSnapshot{
-		Version:    durableSnapshotVersion,
-		Offset:     s.wal.NextOffset(),
-		Checkpoint: cp,
-	}
-	for _, id := range s.sortedIDs() {
-		ds.Rings = append(ds.Rings, s.queries[id].ring.exportState(id))
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(ds); err != nil {
-		return 0, nil, fmt.Errorf("server: encoding snapshot: %w", err)
-	}
-	return ds.Offset, buf.Bytes(), nil
+	data, err = s.checkpointLocked(true)
+	return s.wal.NextOffset(), data, err
 }
 
 // Snapshot captures the durable snapshot now and writes it

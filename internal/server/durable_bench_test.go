@@ -1,12 +1,17 @@
 package server
 
 import (
+	"fmt"
+	"math/rand"
 	"os"
+	"strings"
 	"testing"
 	"time"
 
 	"factorwindows/internal/reorder"
+	"factorwindows/internal/stream"
 	"factorwindows/internal/wal"
+	"factorwindows/internal/workload"
 )
 
 // benchWALDir returns a tmpfs-backed WAL directory when the host has
@@ -91,4 +96,76 @@ func BenchmarkDurablePipeline(b *testing.B) {
 			b.ReportMetric(float64(nevents)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mevents/s")
 		})
 	}
+}
+
+// BenchmarkDurableSnapshotCapture times one durable snapshot capture —
+// the part that runs under s.mu on the ingest path — in the engine_shared
+// traffic shape: MIN over the paper's Section V-B draw of 10 tumbling
+// windows (workload.RandomGen seed 29) split over 2 queries, 64 keys and
+// 64 events per tick on 2 shards, with both result rings full at 16,384
+// rows. It reports the snapshot payload and the GET /checkpoint record
+// of the same state, in bytes. Measuring only: no BENCH_*.json entry
+// guards it.
+func BenchmarkDurableSnapshotCapture(b *testing.B) {
+	set, err := workload.RandomGen(workload.PaperDefaults(10, true), rand.New(rand.NewSource(29)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	var parts [2][]string
+	for i, w := range set.Sorted() {
+		parts[i%2] = append(parts[i%2], fmt.Sprintf("TumblingWindow(tick, %d)", w.Range))
+	}
+	const ringRows = 1 << 14
+	s, err := Open(Config{
+		Shards: 2, ResultBuffer: ringRows,
+		Durable: true, WALDir: benchWALDir(b), Fsync: wal.FsyncOff,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Shutdown()
+	for i, p := range parts {
+		sql := "SELECT DeviceID, MIN(T) FROM In GROUP BY DeviceID, Windows(" + strings.Join(p, ", ") + ")"
+		if _, err := s.Register(fmt.Sprintf("q%d", i+1), sql); err != nil {
+			b.Fatal(err)
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	batch := make([]stream.Event, 8192)
+	for seq := 0; ; {
+		full := true
+		for _, id := range []string{"q1", "q2"} {
+			rg, _ := s.ringOf(id)
+			if delivered, _ := rg.counters(); delivered < 2*ringRows {
+				full = false
+			}
+		}
+		if full {
+			break
+		}
+		for i := range batch {
+			batch[i] = stream.Event{Time: int64(seq / 64), Key: uint64(seq % 64), Value: rng.Float64() * 100}
+			seq++
+		}
+		if _, err := s.Ingest(batch); err != nil {
+			b.Fatal(err)
+		}
+	}
+	cp, err := s.Checkpoint()
+	if err != nil {
+		b.Fatal(err)
+	}
+	var payload int
+	b.ReportAllocs()
+	for b.Loop() {
+		s.mu.Lock()
+		_, data, err := s.captureSnapshotLocked()
+		s.mu.Unlock()
+		if err != nil {
+			b.Fatal(err)
+		}
+		payload = len(data)
+	}
+	b.ReportMetric(float64(payload), "payload_B")
+	b.ReportMetric(float64(len(cp)), "checkpoint_B")
 }

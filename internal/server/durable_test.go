@@ -2,6 +2,7 @@ package server
 
 import (
 	"errors"
+	"math/rand"
 	"reflect"
 	"slices"
 	"testing"
@@ -170,19 +171,29 @@ func TestDurableControlReplay(t *testing.T) {
 // distributed suites' order-sensitive loads (float sums, compacting
 // quantile sketches over nested windows): crash recovery resumes the
 // same plan, so it must come from the operator-shaped snapshot, bit for
-// bit. A window-shaped state form here would fail the last two.
+// bit. A window-shaped state form here would fail the last two. The
+// snapshot cadence and the crash point are drawn from a committed seed
+// over the whole script, and the recovered server then plays the rest
+// of it.
 func TestDurableSnapshotAndTruncate(t *testing.T) {
+	rng := rand.New(rand.NewSource(4141))
 	for _, ld := range distLoads {
+		script := [][]stream.Event{genEvents(2400, 5, 41)}
+		query := demoQuery1
+		if ld.perTick != 0 {
+			script, query = ld.batches(41, 16, 0), ld.queries[0]
+			script = script[:len(script)-1] // the sentinel would fire everything
+		} else {
+			script = slices.Collect(slices.Chunk(script[0], 150))
+		}
+		every := 2 + rng.Intn(5)                     // records between snapshots
+		crash := every + rng.Intn(len(script)-every) // batches played before the crash
 		t.Run(ld.name, func(t *testing.T) {
+			t.Logf("snapshot every %d records, crash after batch %d of %d", every, crash, len(script))
 			dir := t.TempDir()
 			cfg := durableConfig(dir)
-			cfg.SnapshotEvery = 4         // snapshot every few batches
+			cfg.SnapshotEvery = int64(every)
 			cfg.WALSegmentBytes = 4 << 10 // rotate often so truncation bites
-			events, query, batch := genEvents(2400, 5, 41), demoQuery1, 150
-			if ld.perTick != 0 {
-				batches := ld.batches(41, 16, batch)
-				events, query, batch = slices.Concat(batches[:16]...), ld.queries[0], len(batches[0])
-			}
 
 			ref := New(Config{Shards: 3, Factors: true, ReorderBound: 4})
 			defer ref.Close()
@@ -191,7 +202,11 @@ func TestDurableSnapshotAndTruncate(t *testing.T) {
 				if _, err := s.Register("a", query); err != nil {
 					t.Fatal(err)
 				}
-				ingestScript(t, s, events, batch)
+				for _, b := range script[:crash] {
+					if _, err := s.Ingest(b); err != nil {
+						t.Fatal(err)
+					}
+				}
 			}
 			waitSnapshotIdle(t, s1)
 			st := s1.StatsNow()
@@ -202,12 +217,22 @@ func TestDurableSnapshotAndTruncate(t *testing.T) {
 
 			s2 := openDurable(t, cfg)
 			defer s2.Shutdown()
+			for _, b := range script[crash:] {
+				if want, got := allRows(t, ref, "a"), allRows(t, s2, "a"); !reflect.DeepEqual(want, got) {
+					t.Fatalf("snapshot+tail recovery rows differ (ref %d, recovered %d)", len(want), len(got))
+				}
+				for _, s := range []*Server{ref, s2} {
+					if _, err := s.Ingest(b); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
 			want, got := allRows(t, ref, "a"), allRows(t, s2, "a")
 			if len(want) == 0 {
 				t.Fatal("reference produced no rows; the property is vacuous")
 			}
 			if !reflect.DeepEqual(want, got) {
-				t.Fatalf("snapshot+tail recovery rows differ (ref %d, recovered %d)", len(want), len(got))
+				t.Fatalf("rows after recovery and the rest of the script differ (ref %d, recovered %d)", len(want), len(got))
 			}
 		})
 	}

@@ -62,7 +62,7 @@ func BenchmarkStreamNDJSON(b *testing.B) {
 func BenchmarkAppendJSONChunk(b *testing.B) {
 	c := runChunk{firstSeq: 1 << 20}
 	for r := range 2 {
-		c.runs = append(c.runs, chunkRun{rng: 8, slide: 8, start: int64(r) * 8, end: int64(r+1) * 8, n: streamChunk / 2})
+		c.runs = append(c.runs, chunkRun{Range: 8, Slide: 8, Start: int64(r) * 8, End: int64(r+1) * 8, N: streamChunk / 2})
 	}
 	for i := range streamChunk {
 		c.keys = append(c.keys, uint64(i*2654435761%4096))

@@ -93,9 +93,9 @@ func FuzzAppendRowsNDJSON(f *testing.F) {
 						row.Start += int64(step>>2&1) * 1000
 						row.End ^= int64(step >> 3 & 1)
 					}
-					chunk.runs = append(chunk.runs, chunkRun{rng: row.Range, slide: row.Slide, start: row.Start, end: row.End})
+					chunk.runs = append(chunk.runs, chunkRun{Range: row.Range, Slide: row.Slide, Start: row.Start, End: row.End})
 				}
-				chunk.runs[len(chunk.runs)-1].n++
+				chunk.runs[len(chunk.runs)-1].N++
 				chunk.keys, chunk.vals = append(chunk.keys, row.Key), append(chunk.vals, row.Value)
 				rows[i] = row
 				row.Seq++

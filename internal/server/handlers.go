@@ -342,9 +342,9 @@ func (c *runChunk) appendJSON(dst []byte, sep byte) []byte {
 	counted := c.firstSeq >= 0 && c.firstSeq <= math.MaxInt64-int64(max(c.rows()-1, 0))
 	at := 0
 	for _, r := range c.runs {
-		span := streamio.AppendWindowFields(spanBuf[:0], r.rng, r.slide, r.start, r.end)
+		span := streamio.AppendWindowFields(spanBuf[:0], r.Range, r.Slide, r.Start, r.End)
 		prefix := append(appendSeqHead(prefixBuf[:0], c.firstSeq+int64(at)), span...)
-		for end := at + r.n; at < end; at++ {
+		for end := at + r.N; at < end; at++ {
 			dst = append(dst, prefix...)
 			dst = streamio.AppendKeyValue(dst, c.keys[at], c.vals[at])
 			dst = append(dst, '}', sep)
@@ -398,8 +398,8 @@ func (c *runChunk) appendFrame(dst []byte, streamID uint32) []byte {
 	enc := wire.BeginResultFrame(dst, streamID, c.firstSeq, c.rows())
 	at := 0
 	for _, r := range c.runs {
-		enc.SetRun(at, r.rng, r.slide, r.start, r.end, c.keys[at:at+r.n], c.vals[at:at+r.n])
-		at += r.n
+		enc.SetRun(at, r.Range, r.Slide, r.Start, r.End, c.keys[at:at+r.N], c.vals[at:at+r.N])
+		at += r.N
 	}
 	return enc.Bytes()
 }

@@ -1,6 +1,8 @@
 package server
 
 import (
+	"errors"
+	"fmt"
 	"sync"
 
 	"factorwindows/internal/stream"
@@ -8,8 +10,8 @@ import (
 
 // ResultRow is one delivered window-aggregate result, tagged with a
 // per-query sequence number so clients can resume reads with a cursor.
-// It is the row form of the cursor API and of snapshots; the ring and
-// the stream readers hold results as runs (see ring, runChunk).
+// It is the row form of the cursor API; the ring, the stream readers and
+// snapshots hold results as runs (see ring, runChunk, ringState).
 type ResultRow struct {
 	Seq   int64   `json:"seq"`
 	Range int64   `json:"range"`
@@ -200,11 +202,11 @@ func (g *ring) wakeLocked() {
 	}
 }
 
-// chunkRun is one run of a runChunk: the shared header and how many of
-// the chunk's rows it covers.
+// chunkRun is one run of a runChunk or a ringState: the shared header
+// and how many of the rows it covers.
 type chunkRun struct {
-	rng, slide, start, end int64
-	n                      int
+	Range, Slide, Start, End int64
+	N                        int
 }
 
 // runChunk is a reader's copy of a contiguous stretch of a ring: the
@@ -221,15 +223,14 @@ type runChunk struct {
 // rows reports the chunk's row count.
 func (c *runChunk) rows() int { return len(c.keys) }
 
-// appendRows materialises the chunk as rows — the cursor API's and the
-// snapshot's form.
+// appendRows materialises the chunk as rows, the cursor API's form.
 func (c *runChunk) appendRows(dst []ResultRow) []ResultRow {
 	at := 0
 	for _, r := range c.runs {
-		for end := at + r.n; at < end; at++ {
+		for end := at + r.N; at < end; at++ {
 			dst = append(dst, ResultRow{
 				Seq:   c.firstSeq + int64(at),
-				Range: r.rng, Slide: r.slide, Start: r.start, End: r.end,
+				Range: r.Range, Slide: r.Slide, Start: r.Start, End: r.End,
 				Key: c.keys[at], Value: c.vals[at],
 			})
 		}
@@ -296,14 +297,14 @@ func (g *ring) readRunsLocked(after int64, limit int, c *runChunk) (missed int64
 	}
 	h := g.hdrAt(lo)
 	for seq, end := start, start+n; seq < end; {
-		run := chunkRun{rng: h.rng, slide: h.slide, start: h.start, end: h.end}
+		run := chunkRun{Range: h.rng, Slide: h.slide, Start: h.start, End: h.end}
 		upto := end
 		if lo++; lo < g.hdrLen {
 			if h = g.hdrAt(lo); h.firstSeq < end {
 				upto = h.firstSeq
 			}
 		}
-		run.n = int(upto - seq)
+		run.N = int(upto - seq)
 		c.runs = append(c.runs, run)
 		seq = upto
 	}
@@ -362,52 +363,78 @@ func (g *ring) window() (firstSeq, nextSeq int64) {
 
 // ringState is a ring's exported delivery state, carried inside durable
 // snapshots: crash recovery promises byte-identical result streams, and
-// those bytes include sequence numbers and eviction positions. It keeps
-// the row form, so snapshots are the same bytes whatever the ring's
-// layout.
+// those bytes include sequence numbers and eviction positions. It holds
+// the buffered rows the way the ring does, as runs over a key and a
+// value column, oldest first; the rows end at NextSeq.
 type ringState struct {
-	ID       string
-	Rows     []ResultRow // oldest first
-	FirstSeq int64
-	NextSeq  int64
-	Evicted  int64
+	ID      string
+	Runs    []chunkRun
+	Keys    []uint64
+	Vals    []float64
+	NextSeq int64
+	Evicted int64
 }
 
-// exportState materialises the ring's buffered rows (oldest first) and
-// copies its sequence counters.
+// errRingState marks a ring state that does not describe a ring. A
+// snapshot file's bytes come from disk, and its checksum proves only
+// that they are the bytes that were written.
+var errRingState = errors.New("server: malformed ring state")
+
+// validate checks what importState relies on: the runs, each non-empty,
+// cover the columns exactly, and the rows fit below NextSeq.
+func (st ringState) validate() error {
+	rows := 0
+	for _, r := range st.Runs {
+		if r.N <= 0 || r.N > len(st.Keys)-rows {
+			return fmt.Errorf("%w: query %q has a run of %d rows at row %d of %d", errRingState, st.ID, r.N, rows, len(st.Keys))
+		}
+		rows += r.N
+	}
+	switch {
+	case rows != len(st.Keys):
+		return fmt.Errorf("%w: query %q has runs over %d of its %d rows", errRingState, st.ID, rows, len(st.Keys))
+	case len(st.Vals) != len(st.Keys):
+		return fmt.Errorf("%w: query %q has %d values for %d keys", errRingState, st.ID, len(st.Vals), len(st.Keys))
+	case st.NextSeq < int64(len(st.Keys)):
+		return fmt.Errorf("%w: query %q holds %d rows below sequence number %d", errRingState, st.ID, len(st.Keys), st.NextSeq)
+	}
+	return nil
+}
+
+// exportState copies the ring's buffered runs (oldest first) and its
+// sequence counters.
 func (g *ring) exportState(id string) ringState {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	st := ringState{ID: id, FirstSeq: g.firstSeq, NextSeq: g.nextSeq, Evicted: g.evicted}
 	var c runChunk
 	g.readRunsLocked(g.firstSeq-1, 0, &c)
-	st.Rows = c.appendRows(make([]ResultRow, 0, c.rows()))
-	return st
+	return ringState{ID: id, Runs: c.runs, Keys: c.keys, Vals: c.vals, NextSeq: g.nextSeq, Evicted: g.evicted}
 }
 
-// importState replaces the ring's contents with an exported state,
-// trimming the oldest rows if the importing ring is smaller than the
-// exporter's (a ResultBuffer change across a restart). Runs are rebuilt
-// from consecutive rows with equal headers.
+// importState replaces the ring's contents with an exported state that
+// passed validate, trimming the oldest rows if the importing ring is
+// smaller than the exporter's (a ResultBuffer change across a restart).
 func (g *ring) importState(st ringState) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	rows := st.Rows
-	if len(rows) > g.capacity {
-		rows = rows[len(rows)-g.capacity:]
+	keys, vals := st.Keys, st.Vals
+	if skip := len(keys) - g.capacity; skip > 0 {
+		keys, vals = keys[skip:], vals[skip:]
 	}
 	g.keys, g.vals, g.head = g.keys[:0], g.vals[:0], 0
 	g.hdrHead, g.hdrLen = 0, 0
-	g.growRows(len(rows))
-	// The rows end at NextSeq, so the oldest kept one is that many below
-	// it (FirstSeq plus the trim, in a state exportState wrote).
-	g.firstSeq = st.NextSeq - int64(len(rows))
+	g.growRows(len(keys))
+	copy(g.keys, keys)
+	copy(g.vals, vals)
+	g.firstSeq = st.NextSeq - int64(len(keys))
 	g.nextSeq = st.NextSeq
 	g.evicted = st.Evicted
-	for i := range rows {
-		r := &rows[i]
-		g.keys[i], g.vals[i] = r.Key, r.Value
-		g.pushHeader(runHdr{firstSeq: g.firstSeq + int64(i), rng: r.Range, slide: r.Slide, start: r.Start, end: r.End})
+	seq := st.NextSeq - int64(len(st.Keys))
+	for _, r := range st.Runs {
+		if end := seq + int64(r.N); end > g.firstSeq {
+			g.pushHeader(runHdr{firstSeq: max(seq, g.firstSeq), rng: r.Range, slide: r.Slide, start: r.Start, end: r.End})
+		}
+		seq += int64(r.N)
 	}
 	g.wakeLocked()
 }

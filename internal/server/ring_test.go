@@ -81,13 +81,21 @@ func (g *rowRing) appendRun(dst []ResultRow, off, n int) []ResultRow {
 	return append(dst, g.rows[:n-k]...)
 }
 
-func (g *rowRing) exportState(id string) ringState {
-	st := ringState{ID: id, FirstSeq: g.firstSeq, NextSeq: g.nextSeq, Evicted: g.evicted}
+// rowState is the row-form ring's exported state.
+type rowState struct {
+	Rows     []ResultRow // oldest first
+	FirstSeq int64
+	NextSeq  int64
+	Evicted  int64
+}
+
+func (g *rowRing) exportState() rowState {
+	st := rowState{FirstSeq: g.firstSeq, NextSeq: g.nextSeq, Evicted: g.evicted}
 	st.Rows = g.appendRun(make([]ResultRow, 0, len(g.rows)), 0, len(g.rows))
 	return st
 }
 
-func (g *rowRing) importState(st ringState) {
+func (g *rowRing) importState(st rowState) {
 	rows := st.Rows
 	first := st.FirstSeq
 	if len(rows) > g.capacity {
@@ -112,7 +120,7 @@ func (g *rowRing) importState(st ringState) {
 // eviction counts throughout.
 func TestRingRunsMatchRows(t *testing.T) {
 	sameHeader := func(a, b chunkRun) bool {
-		return a.rng == b.rng && a.slide == b.slide && a.start == b.start && a.end == b.end
+		return a.Range == b.Range && a.Slide == b.Slide && a.Start == b.Start && a.End == b.End
 	}
 	for _, base := range []int{1, 2, 7, 64, 1024} {
 		for seed := int64(1); seed <= 3; seed++ {
@@ -167,7 +175,7 @@ func TestRingRunsMatchRows(t *testing.T) {
 							missed = g.readRuns(after, limit, &chunk)
 							rows = chunk.appendRows(nil)
 							for i, r := range chunk.runs {
-								if r.n <= 0 || i > 0 && sameHeader(r, chunk.runs[i-1]) {
+								if r.N <= 0 || i > 0 && sameHeader(r, chunk.runs[i-1]) {
 									t.Fatalf("step %d: chunk run %d of %+v is empty or repeats its predecessor's header", step, i, chunk.runs)
 								}
 							}
@@ -180,10 +188,11 @@ func TestRingRunsMatchRows(t *testing.T) {
 						// A restart under another ResultBuffer, usually a
 						// smaller one than the rows exported.
 						capacity = base - rng.Intn(base/2+1)
-						st, wantSt := g.exportState("q"), want.exportState("q")
-						if !slices.Equal(st.Rows, wantSt.Rows) || st.FirstSeq != wantSt.FirstSeq || st.NextSeq != wantSt.NextSeq || st.Evicted != wantSt.Evicted {
-							t.Fatalf("step %d: exportState holds %d rows from seq %v; oracle %d from seq %v",
-								step, len(st.Rows), firstSeqOf(st.Rows), len(wantSt.Rows), firstSeqOf(wantSt.Rows))
+						st, wantSt := g.exportState("q"), want.exportState()
+						rows := stateRows(st)
+						if err := st.validate(); err != nil || !slices.Equal(rows, wantSt.Rows) || st.NextSeq != wantSt.NextSeq || st.Evicted != wantSt.Evicted {
+							t.Fatalf("step %d: exportState holds %d rows from seq %v (%v); oracle %d from seq %v",
+								step, len(rows), firstSeqOf(rows), err, len(wantSt.Rows), firstSeqOf(wantSt.Rows))
 						}
 						g, want = newRing(capacity), &rowRing{capacity: capacity}
 						g.importState(st)
@@ -242,4 +251,10 @@ func firstSeqOf(rows []ResultRow) any {
 		return "none"
 	}
 	return rows[0].Seq
+}
+
+// stateRows materialises an exported ring state as rows.
+func stateRows(st ringState) []ResultRow {
+	c := runChunk{firstSeq: st.NextSeq - int64(len(st.Keys)), runs: st.Runs, keys: st.Keys, vals: st.Vals}
+	return c.appendRows(nil)
 }

@@ -497,7 +497,7 @@ func TestTamperedCheckpointRejected(t *testing.T) {
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&cp); err != nil {
 		t.Fatal(err)
 	}
-	cp.Engine = []byte("garbage")
+	cp.Shards[0] = []byte("garbage")
 	var tampered bytes.Buffer
 	if err := gob.NewEncoder(&tampered).Encode(cp); err != nil {
 		t.Fatal(err)

@@ -13,21 +13,23 @@ import (
 
 	"factorwindows/internal/agg"
 	"factorwindows/internal/engine"
-	"factorwindows/internal/parallel"
 	"factorwindows/internal/plan"
 	"factorwindows/internal/stream"
+	"factorwindows/internal/wal"
 	"factorwindows/internal/window"
 )
 
 // TestSnapshotVersionRejected pins the one compatibility promise state
 // blobs carry: bytes from another codec generation fail with a typed
 // engine.ErrSnapshotVersion at every restore entry point — no panic, no
-// partial restore. The five fixtures were written by this repo's
+// partial restore. Four fixtures were written by this repo's
 // boxed-state era (before the columnar store): bare-gob engine
-// snapshots, a 3-shard parallel envelope of them, and a version-0
-// server checkpoint (two SUM queries, 4 shards, factors on, reorder
-// bound 4). Restoring them was dropped by decision (ROADMAP item 3);
-// they stay committed as negative fixtures. The sixth case is built in
+// snapshots and a version-0 server checkpoint (two SUM queries, 4
+// shards, factors on, reorder bound 4). The fifth is the previous
+// generation's: a version-3 server checkpoint over a sharded envelope of
+// FWSNAP2 engine snapshots (see compat_heap_test.go). Restoring them was
+// dropped by decision; they stay committed as negative fixtures. The
+// sixth case is built in
 // place: an export as it was encoded before exports carried a header (a
 // bare gob stream — what a worker of the previous build would put in a
 // hello), which must fail the same typed way at both doors an export
@@ -54,14 +56,8 @@ func TestSnapshotVersionRejected(t *testing.T) {
 		{"../engine/testdata/snapshot_v1_factored_sum.bin", engineRestore(agg.Sum)},
 		{"../engine/testdata/snapshot_v1_factored_stdev.bin", engineRestore(agg.StdDev)},
 		{"../engine/testdata/snapshot_v1_original_median.bin", engineRestore(agg.Median)},
-		{"../parallel/testdata/snapshot_v1_3shards_sum.bin", func(t *testing.T, data []byte) error {
-			state, err := parallel.DecodeSnapshot(data)
-			if err == nil {
-				_, _, err = parallel.Resume(original(t, agg.Sum), &stream.CountingSink{}, 0, state, 0)
-			}
-			return err
-		}},
 		{"testdata/checkpoint_v1_two_queries.bin", restoreMustNotMutate},
+		{"testdata/checkpoint_pr13_mid_disorder.bin", restoreMustNotMutate},
 	} {
 		t.Run(filepath.Base(tc.file), func(t *testing.T) {
 			data, err := os.ReadFile(filepath.FromSlash(tc.file))
@@ -140,4 +136,72 @@ func restoreMustNotMutate(t *testing.T, data []byte) error {
 			got.Epoch, stats.Epoch, got, stats)
 	}
 	return rerr
+}
+
+// TestOpenRefusesPreviousGeneration: a WAL directory whose newest
+// snapshot holds the previous generation's payload — the durable
+// envelope (version 1) around a version-3 checkpoint, rings as rows —
+// fails Open with an error wrapping engine.ErrSnapshotVersion, before
+// any record is replayed: the log is left exactly as it was.
+func TestOpenRefusesPreviousGeneration(t *testing.T) {
+	dir := t.TempDir()
+	s := openDurable(t, durableConfig(dir))
+	if _, err := s.Register("a", demoQuery1); err != nil {
+		t.Fatal(err)
+	}
+	ingestScript(t, s, genEvents(600, 5, 9), 150)
+	rows := allRows(t, s, "a")
+	s.Close() // crash: the records stay in the log
+
+	v3, err := os.ReadFile(filepath.Join("testdata", "checkpoint_pr13_mid_disorder.bin"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	type ringStateV1 struct {
+		ID       string
+		Rows     []ResultRow
+		FirstSeq int64
+		NextSeq  int64
+		Evicted  int64
+	}
+	type durableSnapshotV1 struct {
+		Version    int
+		Offset     int64
+		Checkpoint []byte
+		Rings      []ringStateV1
+	}
+	const offset = 3
+	var payload bytes.Buffer
+	if err := gob.NewEncoder(&payload).Encode(durableSnapshotV1{
+		Version: 1, Offset: offset, Checkpoint: v3,
+		Rings: []ringStateV1{{ID: "a", Rows: rows, FirstSeq: rows[0].Seq, NextSeq: rows[len(rows)-1].Seq + 1}},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := wal.WriteSnapshot(nil, dir, offset, payload.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	before := dirContents(t, dir)
+	if s, err := Open(durableConfig(dir)); !errors.Is(err, engine.ErrSnapshotVersion) || s != nil {
+		t.Fatalf("Open = %v, %v; want no server and an error wrapping engine.ErrSnapshotVersion", s, err)
+	}
+	if after := dirContents(t, dir); !reflect.DeepEqual(after, before) {
+		t.Fatalf("refused recovery changed the WAL directory: %d files, was %d", len(after), len(before))
+	}
+}
+
+// dirContents reads every file in dir.
+func dirContents(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string][]byte, len(entries))
+	for _, e := range entries {
+		if out[e.Name()], err = os.ReadFile(filepath.Join(dir, e.Name())); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out
 }

@@ -195,7 +195,7 @@ func TestHelloStateForms(t *testing.T) {
 		{"garbage", []byte("not a state blob at all"), version},
 		{"truncated snapshot", snap[:len(snap)/2], "decoding snapshot"},
 		{"truncated export", export[:len(export)/2], "decoding export"},
-		{"snapshot header over garbage", append([]byte("FWSNAP2\n"), "junk"...), "decoding snapshot"},
+		{"snapshot header over garbage", append(bytes.Clone(snap[:bytes.IndexByte(snap, '\n')+1]), "junk"...), "decoding snapshot"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			p := dial(t)
