@@ -5,9 +5,8 @@
 //
 // A worker is stateless at rest — every shard session starts with a
 // hello control frame carrying the plan inputs and any carried state
-// (canonical export or engine snapshot), so workers can join, leave,
-// and be replaced at runtime (POST /topology on the server) without
-// local persistence. Killing a worker mid-stream is safe: the router
+// (an engine snapshot), so workers can join, leave, and be replaced at
+// runtime (POST /topology on the server) without local persistence. Killing a worker mid-stream is safe: the router
 // replays its journal onto a surviving worker, or sheds the shard's
 // key range with typed errors when no worker remains.
 //

@@ -163,7 +163,7 @@ func TestCheckpointRejectsWrongPlan(t *testing.T) {
 }
 
 // reencode serializes a (doctored) decoded snapshot in the current codec.
-func reencode(t *testing.T, snap snapshotRecord) []byte {
+func reencode(t testing.TB, snap *snapshotRecord) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	buf.WriteString(snapshotMagic)
@@ -289,7 +289,7 @@ func TestRestoreRejectsEmptyCell(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tc.mutate(&snap)
+		tc.mutate(snap)
 		if _, err := Restore(p, &stream.CountingSink{}, reencode(t, snap)); err == nil {
 			t.Fatalf("snapshot with a %s must be rejected", tc.name)
 		}
@@ -330,8 +330,9 @@ func bitDiff(t *testing.T, label string, got, want []stream.Result) int {
 //     still produce the same rows with values inside float / sketch
 //     error, and how many differ in some bit is logged, not asserted.
 //
-// So a move that keeps the plan (compaction, failover, rebalance, drain,
-// checkpoint) carries the snapshot, and only a re-plan carries the export.
+// So Resume restores whenever the plan is unchanged (compaction,
+// failover, rebalance, drain, checkpoint, a re-plan onto the same plan),
+// and canonicalises only across a plan change.
 func TestSnapshotExactOnOrderSensitiveData(t *testing.T) {
 	set := window.MustSet(window.Tumbling(2000), window.Tumbling(4000), window.Tumbling(8000))
 	// 2 keys at one event per tick: 1000 values per key per T2000 instance.
@@ -356,12 +357,15 @@ func TestSnapshotExactOnOrderSensitiveData(t *testing.T) {
 			}
 			a.Process(events[:cut])
 			horizon := events[cut].Time
-			ex, err := a.ExportCanonical(horizon)
+			ex, err := a.exportCanonical(horizon)
 			if err != nil {
 				t.Fatal(err)
 			}
-			b, _, err := Resume(p, sink, Exported(ex), horizon)
+			b, err := New(p, sink)
 			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := b.importCanonical(ex, horizon); err != nil {
 				t.Fatal(err)
 			}
 			b.Process(events[cut:])

@@ -134,6 +134,8 @@ type Runner struct {
 
 	closed bool
 	events int64
+
+	shape []plan.Node // the plan's Nodes, parallel to all
 }
 
 // keyTable assigns dense canonical slots to group keys, shared by every
@@ -163,7 +165,7 @@ func New(p *plan.Plan, sink stream.Sink) (*Runner, error) {
 	if sink == nil {
 		return nil, fmt.Errorf("engine: nil sink")
 	}
-	r := &Runner{fn: p.Fn, sink: sink, keyed: keyTable{slots: make(map[uint64]int32)}}
+	r := &Runner{fn: p.Fn, shape: p.Nodes(), sink: sink, keyed: keyTable{slots: make(map[uint64]int32)}}
 	byOp := make(map[*plan.Operator]*node)
 	ops := p.Operators()
 	for _, op := range ops {

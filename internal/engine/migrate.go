@@ -59,12 +59,10 @@ import (
 	"factorwindows/internal/window"
 )
 
-// InstanceState is one open window instance's canonical per-key state:
-// the occupied key slots with their cells as parallel vectors, plus raw
+// InstanceState is one open window instance's per-key state: the
+// occupied key slots with their cells as parallel vectors, plus raw
 // values (parallel to Slots) for exact holistic functions, or serialized
-// sketch state (parallel to Slots; gob leaves it empty when decoding
-// exports taken before the sketch-backed aggregates existed) for
-// sketch-backed ones.
+// sketch state (parallel to Slots) for sketch-backed ones.
 type InstanceState struct {
 	M      int64
 	Slots  []int32
@@ -73,9 +71,9 @@ type InstanceState struct {
 	Sketch [][]byte
 }
 
-// WindowState is the canonical migration state of one window: its open
+// windowState is the canonical migration state of one window: its open
 // instances (consecutive M) and the exposed-result floor they carry.
-type WindowState struct {
+type windowState struct {
 	W window.Window
 	// ValidFrom is the window's exposed-result floor: instances starting
 	// before it opened before the window existed and are partial.
@@ -83,34 +81,38 @@ type WindowState struct {
 	Instances []InstanceState
 }
 
-// Export is a Runner's canonical migration state: everything a new plan
+// export is a Runner's canonical migration state: everything a new plan
 // needs to resume the same windows with no skipped instances. Unlike a
-// Snapshot it is structure-independent — it describes windows, not
+// snapshot it is structure-independent — it describes windows, not
 // operators — so it imports into any plan containing the same windows,
-// whatever its sharing structure. EncodeExport/DecodeExport
-// (checkpoint.go) are its one wire form.
-type Export struct {
+// whatever its sharing structure. It is never encoded: Resume computes
+// it from a quiescent engine, or from a snapshot restored into the plan
+// it was taken on, and imports it in the same call.
+type export struct {
 	Fn      agg.Fn
 	Keys    []uint64 // the shared slot→key table
 	Events  int64
-	Horizon int64
-	Windows []WindowState
+	Windows []windowState
 }
 
-// ExportCanonical computes the Runner's canonical migration state at
+// maxExportSpan bounds the instances the export materializes for one
+// window: far above the Range/Slide a runnable plan holds open, so that
+// a hostile record naming instances far apart fails instead of looping.
+const maxExportSpan = 1 << 16
+
+// exportCanonical computes the Runner's canonical migration state at
 // horizon: every event strictly below horizon has been processed, and
 // every future event arrives at or above it (the reorder buffer's
 // release horizon, or lastEventTime+1 for a bare in-order stream). The
 // Runner remains usable; like Snapshot, call it between Process calls.
-func (r *Runner) ExportCanonical(horizon int64) (*Export, error) {
+func (r *Runner) exportCanonical(horizon int64) (*export, error) {
 	if r.closed {
-		return nil, fmt.Errorf("engine: ExportCanonical after Close")
+		return nil, fmt.Errorf("engine: export after Close")
 	}
-	ex := &Export{
-		Fn:      r.fn,
-		Keys:    append([]uint64(nil), r.keyed.keys...),
-		Events:  r.events,
-		Horizon: horizon,
+	ex := &export{
+		Fn:     r.fn,
+		Keys:   append([]uint64(nil), r.keyed.keys...),
+		Events: r.events,
 	}
 	// Canonical states accumulate in a scratch store, two spans per
 	// (node, open instance), sized to each instance's occupied slots:
@@ -132,6 +134,7 @@ func (r *Runner) ExportCanonical(horizon int64) (*Export, error) {
 	scratch := agg.NewStore(r.fn)
 	canon := make(map[*node]*nodeCanon, len(r.all))
 
+	var wide error
 	var walk func(n *node, parent *node)
 	walk = func(n *node, parent *node) {
 		nc := &nodeCanon{}
@@ -143,22 +146,28 @@ func (r *Runner) ExportCanonical(horizon int64) (*Export, error) {
 		// had not materialized those here yet, but its open instances hold
 		// their events. (An instance below the open range cannot cover an
 		// open parent instance — it already fired, so every covered parent
-		// instance fired with it.)
+		// instance fired with it.) cover lists those parent instances,
+		// each with the range [clo, chi] of this node's instances covering
+		// it. Both bounds ascend with the parent instance, so each
+		// instance's contributors are a contiguous run of cover.
+		type contribution struct {
+			clo, chi int64
+			span     int32
+			offs     []int32
+		}
+		var cover []contribution
 		cloMin := int64(1<<62 - 1)
 		if parent != nil {
 			pc := canon[parent]
 			for i, pspan := range pc.live {
-				if len(scratch.AppendLive(pspan, pc.caps[i], nil)) == 0 {
+				offs := scratch.AppendLive(pspan, pc.caps[i], nil)
+				if len(offs) == 0 {
 					continue
 				}
 				iv := parent.w.Instance(pc.base + int64(i))
 				if clo, chi, ok := n.w.InstancesCovering(iv.Start, iv.End); ok {
-					if chi > hi {
-						hi = chi
-					}
-					if clo < cloMin {
-						cloMin = clo
-					}
+					hi, cloMin = max(hi, chi), min(cloMin, clo)
+					cover = append(cover, contribution{clo: clo, chi: chi, span: pspan, offs: offs})
 				}
 			}
 		}
@@ -179,7 +188,12 @@ func (r *Runner) ExportCanonical(horizon int64) (*Export, error) {
 				lo = floor
 			}
 		}
+		if hi >= lo && uint64(hi-lo) >= maxExportSpan {
+			wide = fmt.Errorf("engine: export of %v spans instances %d to %d", n.w, lo, hi)
+			hi = lo - 1
+		}
 		nc.base = lo
+		first := 0
 		for m := lo; m <= hi; m++ {
 			// Gather the instance's contributors first, so the scratch
 			// spans are sized to the occupied slots rather than the full
@@ -194,25 +208,14 @@ func (r *Runner) ExportCanonical(horizon int64) (*Export, error) {
 					ownFrz = n.store.AppendLive(inst.frz, inst.frzCap, nil)
 				}
 			}
-			type contribution struct {
-				span int32
-				offs []int32
+			for first < len(cover) && cover[first].chi < m {
+				first++
 			}
-			var covered []contribution
-			if parent != nil {
-				pc := canon[parent]
-				for i, pspan := range pc.live {
-					pm := pc.base + int64(i)
-					iv := parent.w.Instance(pm)
-					clo, chi, ok := n.w.InstancesCovering(iv.Start, iv.End)
-					if !ok || m < clo || m > chi {
-						continue
-					}
-					if offs := scratch.AppendLive(pspan, pc.caps[i], nil); len(offs) > 0 {
-						covered = append(covered, contribution{span: pspan, offs: offs})
-					}
-				}
+			end := first
+			for end < len(cover) && cover[end].clo <= m {
+				end++
 			}
+			covered := cover[first:end]
 			need := int32(1)
 			for _, offs := range [][]int32{ownLive, ownFrz} {
 				if len(offs) > 0 && offs[len(offs)-1]+1 > need {
@@ -248,10 +251,13 @@ func (r *Runner) ExportCanonical(horizon int64) (*Export, error) {
 	for _, root := range r.roots {
 		walk(root, nil)
 	}
+	if wide != nil {
+		return nil, wide
+	}
 
 	for _, n := range r.all {
 		nc := canon[n]
-		ws := WindowState{W: n.w, ValidFrom: n.emitFrom}
+		ws := windowState{W: n.w, ValidFrom: n.emitFrom}
 		// Trim trailing empty instances: they carry no state and the
 		// importer's ensure() re-materializes past the end for free.
 		// Leading empties must stay — the exported base is the node's
@@ -288,7 +294,7 @@ func (r *Runner) ExportCanonical(horizon int64) (*Export, error) {
 // surviving window's open instances with frozen spans. Windows absent
 // from the export start fresh with their exposed-result floor at
 // freshFloor. It returns the number of window instances handed over.
-func (r *Runner) importCanonical(ex *Export, freshFloor int64) (int, error) {
+func (r *Runner) importCanonical(ex *export, freshFloor int64) (int, error) {
 	if ex == nil {
 		for _, n := range r.all {
 			n.emitFrom = freshFloor
@@ -302,7 +308,7 @@ func (r *Runner) importCanonical(ex *Export, freshFloor int64) (int, error) {
 	if err := r.loadKeys(ex.Keys); err != nil {
 		return 0, err
 	}
-	byWindow := make(map[window.Window]*WindowState, len(ex.Windows))
+	byWindow := make(map[window.Window]*windowState, len(ex.Windows))
 	for i := range ex.Windows {
 		byWindow[ex.Windows[i].W] = &ex.Windows[i]
 	}
@@ -336,20 +342,29 @@ func (r *Runner) importCanonical(ex *Export, freshFloor int64) (int, error) {
 // instance record: the one reader of spans that snapshots and exports
 // share.
 func spanState(store *agg.Store, m int64, base, cap int32) (InstanceState, error) {
-	is := InstanceState{M: m}
-	for _, off := range store.AppendLive(base, cap, nil) {
+	is := InstanceState{M: m, Slots: store.AppendLive(base, cap, nil)}
+	if len(is.Slots) == 0 {
+		return InstanceState{M: m}, nil
+	}
+	is.Cells = make([]agg.Cell, len(is.Slots))
+	if store.Holistic() {
+		is.Raw = make([][]float64, len(is.Slots))
+	}
+	if store.Sketched() {
+		is.Sketch = make([][]byte, len(is.Slots))
+	}
+	for i, off := range is.Slots {
 		row := base + off
-		is.Slots = append(is.Slots, off)
-		is.Cells = append(is.Cells, store.CellAt(row))
-		if store.Holistic() {
-			is.Raw = append(is.Raw, append([]float64(nil), store.RawAt(row)...))
+		is.Cells[i] = store.CellAt(row)
+		if is.Raw != nil {
+			is.Raw[i] = append([]float64(nil), store.RawAt(row)...)
 		}
-		if store.Sketched() {
+		if is.Sketch != nil {
 			blob, err := store.SketchAt(row)
 			if err != nil {
 				return is, fmt.Errorf("engine: encoding sketch state of instance %d: %w", m, err)
 			}
-			is.Sketch = append(is.Sketch, blob)
+			is.Sketch[i] = blob
 		}
 	}
 	return is, nil

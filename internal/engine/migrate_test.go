@@ -14,7 +14,7 @@ import (
 )
 
 // planVariants compiles the three plan shapes for one window set.
-func planVariants(t *testing.T, set *window.Set, fn agg.Fn) []*plan.Plan {
+func planVariants(t testing.TB, set *window.Set, fn agg.Fn) []*plan.Plan {
 	t.Helper()
 	orig, err := plan.NewOriginal(set, fn)
 	if err != nil {
@@ -59,7 +59,7 @@ func sortResults(rs []stream.Result) {
 // TestMigrateAcrossPlanVariants is the engine-level exactness property
 // behind live re-planning: processing a stream while hopping between
 // the original, rewritten and factored plans of one window set — with
-// every hop an ExportCanonical/Resume handover at a random batch
+// every hop a Resume handover at a random batch
 // boundary — produces exactly the output of an uninterrupted run. No
 // window instance open across a hop is skipped or delivered partially.
 func TestMigrateAcrossPlanVariants(t *testing.T) {
@@ -101,21 +101,17 @@ func TestMigrateAcrossPlanVariants(t *testing.T) {
 			cur.Process(events[i:j])
 			i = j
 			if i < len(events) && r.Intn(3) == 0 {
-				// Hop to another variant: canonical export at the current
-				// stream position, exact import into the next plan.
+				// Hop to a random variant at the current stream position:
+				// the same plan restores, another imports the canonical
+				// export exactly.
 				horizon := events[i-1].Time + 1
 				if events[i].Time == events[i-1].Time {
 					horizon = events[i].Time
 				}
-				ex, err := cur.ExportCanonical(horizon)
+				next, _, err := Resume(variants[r.Intn(len(variants))], got, Quiescent(cur), horizon)
 				if err != nil {
 					t.Fatal(err)
 				}
-				next, migrated, err := Resume(variants[r.Intn(len(variants))], got, Exported(ex), horizon)
-				if err != nil {
-					t.Fatal(err)
-				}
-				_ = migrated
 				cur = next
 			}
 		}
@@ -154,7 +150,7 @@ func TestMigrateEpochScaleTimestamps(t *testing.T) {
 	}
 	cur.Process([]stream.Event{{Time: now, Key: 1, Value: 2}})
 	for hop := 0; hop < 4; hop++ {
-		ex, err := cur.ExportCanonical(now + int64(hop))
+		ex, err := cur.exportCanonical(now + int64(hop))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -164,7 +160,7 @@ func TestMigrateEpochScaleTimestamps(t *testing.T) {
 					ws.W, len(ws.Instances), now)
 			}
 		}
-		cur, _, err = Resume(variants[hop%len(variants)], sink, Exported(ex), now+int64(hop))
+		cur, _, err = Resume(variants[hop%len(variants)], sink, Quiescent(cur), now+int64(hop))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -209,11 +205,7 @@ func TestMigrateSnapshotRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		a.Process(events[:cut])
-		ex, err := a.ExportCanonical(events[cut-1].Time + 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, migrated, err := Resume(variants[0], sink, Exported(ex), events[cut-1].Time+1)
+		b, migrated, err := Resume(variants[0], sink, Quiescent(a), events[cut-1].Time+1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -250,29 +242,27 @@ func TestMigrateSnapshotRoundTrip(t *testing.T) {
 }
 
 // TestImportRejectsDuplicateKey is TestRestoreRejectsEmptyCell's import
-// twin for the key table: an export (it arrives in a hello's State)
-// listing one key in two slots must not import — both slots would fire
-// a row for the same (window, instance, key).
+// twin for the key table: an export listing one key in two slots must
+// not import — both slots would fire a row for the same (window,
+// instance, key).
 func TestImportRejectsDuplicateKey(t *testing.T) {
 	p, _ := plan.NewOriginal(window.MustSet(window.Tumbling(10)), agg.Sum)
 	r, _ := New(p, &stream.CountingSink{})
 	r.Process([]stream.Event{{Time: 1, Key: 7, Value: 1}, {Time: 2, Key: 8, Value: 6}})
-	ex, err := r.ExportCanonical(3)
+	ex, err := r.exportCanonical(3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	blob, err := EncodeExport(ex)
-	if err != nil {
-		t.Fatal(err)
+	into := func() error {
+		r, _ := New(p, &stream.CountingSink{})
+		_, err := r.importCanonical(ex, 3)
+		return err
 	}
-	if ex, err = DecodeExport(blob); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := Resume(p, &stream.CountingSink{}, Exported(ex), 3); err != nil {
+	if err := into(); err != nil {
 		t.Fatalf("an intact export must import: %v", err)
 	}
 	ex.Keys[1] = ex.Keys[0]
-	if _, _, err := Resume(p, &stream.CountingSink{}, Exported(ex), 3); err == nil {
+	if err := into(); err == nil {
 		t.Fatal("export with a duplicate key must be rejected")
 	}
 }

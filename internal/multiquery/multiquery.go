@@ -35,6 +35,9 @@ type Plan struct {
 	// Combined is the single executable plan over the union window set.
 	Combined *plan.Plan
 
+	// Queries are the inputs the plan was optimized from.
+	Queries []Query
+
 	// Union is the deduplicated union of every query's windows — the
 	// window set the optimization ran over (re-optimization under a new
 	// cost model starts from it).
@@ -133,6 +136,7 @@ func Optimize(queries []Query, fn agg.Fn, opts core.Options) (*Plan, error) {
 	return &Plan{
 		Fn:           fn,
 		Combined:     combined,
+		Queries:      queries,
 		Union:        union,
 		Optimization: res,
 		SeparateCost: separate,

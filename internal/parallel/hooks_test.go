@@ -219,7 +219,7 @@ func TestSnapshotRestore(t *testing.T) {
 
 // restore resumes goroutine shards from Snapshot's per-shard blobs.
 func restore(p *plan.Plan, sink stream.Sink, snap [][]byte, events int64) (*Runner, error) {
-	state, err := engine.Snapshots(snap, events)
+	state, err := engine.Snapshots(p, snap, events)
 	if err != nil {
 		return nil, err
 	}

@@ -29,7 +29,7 @@ func (m *mutedSink) Emit(r stream.Result) {
 }
 
 // TestMigrateShardLocal: hopping between plan variants mid-stream via
-// ExportCanonical/Resume at any shard count produces exactly the
+// Carry/Resume at any shard count produces exactly the
 // output of an uninterrupted single run — the shard-local handover
 // (stable key placement) loses and duplicates nothing, across barriers
 // and watermark advances.
@@ -91,7 +91,7 @@ func TestMigrateShardLocal(t *testing.T) {
 			i = j
 			if i < len(events) && hop.Intn(2) == 0 {
 				horizon := events[i].Time // future events are >= this
-				state, err := cur.ExportCanonical(horizon)
+				state, err := cur.Carry()
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -16,7 +16,7 @@
 // recycled scatter, the watermark broadcast, the barrier (started on
 // every shard, then awaited in shard index order), the drain of each
 // shard's buffered runs into the sink in shard index order with the
-// egress peak, the per-shard snapshots, the canonical export and Close.
+// egress peak, the carried state (Carry) and Close.
 // It drives its shards through the Shard interface and never asks which
 // kind it drives:
 //
@@ -30,11 +30,10 @@
 //     failover behind the same interface, handed to Drive. They always
 //     hold results for the barrier drain.
 //
-// State crosses between runners as an engine.Carried — ExportCanonical
-// produces one, engine.Snapshots makes one of Snapshot's blobs, Resume
-// and router.New consume it — and
-// this package never asks whether a shard's state is a snapshot or an
-// export: engine.Resume tells.
+// State crosses between runners as an engine.Carried — Carry produces
+// one, engine.Snapshots makes one of Snapshot's blobs, Resume and
+// router.New consume it — and this package never looks inside it:
+// engine.Resume reads it against the plan it resumes.
 package parallel
 
 import (
@@ -62,11 +61,10 @@ type Shard interface {
 	// buffered since the last drain, which the Runner drains and resets.
 	StartBarrier()
 	AwaitBarrier() *stream.RunBuffer
-	// EngineSnapshot reads the shard engine's snapshot, Export its
-	// canonical export in whatever form the shard holds it; the Runner
-	// barriers first, so the shard is quiescent.
-	EngineSnapshot() ([]byte, error)
-	Export(horizon int64) (engine.ShardState, error)
+	// State carries the shard engine's state in whatever form the
+	// shard holds it: the engine itself, or its snapshot bytes. The
+	// Runner barriers first, so the shard is quiescent.
+	State() (engine.ShardState, error)
 	// Updates is the engine's state-update counter as of the last
 	// barrier (or close).
 	Updates() int64
@@ -436,12 +434,7 @@ func (sh *shard) AwaitBarrier() *stream.RunBuffer {
 	return &sh.sink.buf
 }
 
-func (sh *shard) EngineSnapshot() ([]byte, error) { return sh.runner.Snapshot() }
-
-func (sh *shard) Export(horizon int64) (engine.ShardState, error) {
-	ex, err := sh.runner.ExportCanonical(horizon)
-	return engine.Exported(ex), err
-}
+func (sh *shard) State() (engine.ShardState, error) { return engine.Quiescent(sh.runner), nil }
 
 func (sh *shard) Updates() int64 { return sh.runner.TotalUpdates() }
 
@@ -762,58 +755,52 @@ func (r *Runner) TotalUpdates() int64 {
 	return t
 }
 
-// Snapshot quiesces the shards (Barrier) and returns each shard
-// engine's snapshot, in shard order. Like engine.Snapshot it is
-// consistent at batch boundaries: take it between Process calls, from
-// the goroutine driving the Runner. The blobs are the same whatever the
-// shards are, so a checkpoint taken on one kind restores onto the other
-// (engine.Snapshots carries them, with Events, into Resume or
-// router.New). The shard count is part of the state: the key→shard hash
-// is a pure function of it.
-func (r *Runner) Snapshot() ([][]byte, error) {
+// Carry quiesces the shards (Barrier) and carries out each shard
+// engine's state, in shard order, for Resume or router.New: any plan can
+// resume from it (engine.Resume). Because key→shard placement is a pure
+// function of the key and the shard count, state is shard-local — shard
+// i's state resumes shard i of a Runner with the same count. Call it
+// from the goroutine driving the Runner, between Process calls; a
+// goroutine shard's state is its engine itself, so it holds only until
+// the next Process.
+func (r *Runner) Carry() (engine.Carried, error) {
 	if r.closed {
-		return nil, fmt.Errorf("parallel: Snapshot after Close")
+		return engine.Carried{}, fmt.Errorf("parallel: Carry after Close")
 	}
 	r.Barrier()
 	if err := r.Err(); err != nil {
-		return nil, fmt.Errorf("parallel: Snapshot of failed runner: %w", err)
-	}
-	states := make([][]byte, len(r.shards))
-	for i, sh := range r.shards {
-		b, err := sh.EngineSnapshot()
-		if err != nil {
-			return nil, err
-		}
-		states[i] = b
-	}
-	return states, nil
-}
-
-// ExportCanonical quiesces the shards and carries out each shard
-// engine's canonical migration state (see engine.ExportCanonical): the
-// exact per-window open-instance state a different plan can resume from,
-// every shard cut at the one horizon. Because key→shard placement is a
-// pure function of the key and the shard count, migration is shard-local
-// — shard i's state resumes shard i of a Runner with the same count. Call
-// it from the goroutine driving the Runner, between Process calls; the
-// Runner remains usable.
-func (r *Runner) ExportCanonical(horizon int64) (engine.Carried, error) {
-	if r.closed {
-		return engine.Carried{}, fmt.Errorf("parallel: ExportCanonical after Close")
-	}
-	r.Barrier()
-	if err := r.Err(); err != nil {
-		return engine.Carried{}, fmt.Errorf("parallel: ExportCanonical of failed runner: %w", err)
+		return engine.Carried{}, fmt.Errorf("parallel: Carry of failed runner: %w", err)
 	}
 	out := engine.Carried{Events: r.events, Shards: make([]engine.ShardState, len(r.shards))}
 	for i, sh := range r.shards {
-		st, err := sh.Export(horizon)
+		st, err := sh.State()
 		if err != nil {
 			return engine.Carried{}, err
 		}
 		out.Shards[i] = st
 	}
 	return out, nil
+}
+
+// Snapshot is Carry's encoded form: each shard engine's snapshot, in
+// shard order. Like engine.Snapshot it is consistent at batch
+// boundaries. The blobs are the same whatever the shards are, so a
+// checkpoint taken on one kind restores onto the other
+// (engine.Snapshots carries them, with Events, into Resume or
+// router.New). The shard count is part of the state: the key→shard hash
+// is a pure function of it.
+func (r *Runner) Snapshot() ([][]byte, error) {
+	c, err := r.Carry()
+	if err != nil {
+		return nil, err
+	}
+	states := make([][]byte, len(c.Shards))
+	for i, st := range c.Shards {
+		if states[i], err = st.Bytes(); err != nil {
+			return nil, err
+		}
+	}
+	return states, nil
 }
 
 // Run executes the plan over all events on n shards and flushes.

@@ -13,6 +13,7 @@ package plan
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -87,16 +88,60 @@ func (k Kind) String() string {
 }
 
 // Operators returns all operators in deterministic (range, slide) order.
-func (p *Plan) Operators() []*Operator {
-	out := make([]*Operator, len(p.ops))
-	copy(out, p.ops)
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].W.Range != out[j].W.Range {
-			return out[i].W.Range < out[j].W.Range
-		}
-		return out[i].W.Slide < out[j].W.Slide
-	})
+func (p *Plan) Operators() []*Operator { return sortedOps(p.ops) }
+
+// before orders windows by range, then slide.
+func before(a, b window.Window) bool {
+	return a.Range < b.Range || (a.Range == b.Range && a.Slide < b.Slide)
+}
+
+// Node is one operator in position form. A plan's Nodes describe its
+// whole shape, and FromNodes rebuilds the plan from them.
+type Node struct {
+	W       window.Window
+	Exposed bool
+	Parent  int // index of the parent among the same Nodes; -1 reads the raw stream
+}
+
+// Nodes returns the plan's shape, one Node per operator in Operators
+// order.
+func (p *Plan) Nodes() []Node {
+	ops := p.Operators()
+	out := make([]Node, len(ops))
+	for i, o := range ops {
+		out[i] = Node{W: o.W, Exposed: o.Exposed, Parent: slices.Index(ops, o.Parent)}
+	}
 	return out
+}
+
+// FromNodes rebuilds and validates the plan nodes describe. They may
+// come off a wire, so every window must validate, the windows must be
+// in Operators order without repeats (the rebuilt plan's Nodes are
+// these), and every parent index must be in range.
+func FromNodes(fn agg.Fn, nodes []Node) (*Plan, error) {
+	p := &Plan{Fn: fn}
+	for _, n := range nodes {
+		p.ops = append(p.ops, &Operator{W: n.W, Exposed: n.Exposed})
+	}
+	for i, n := range nodes {
+		op := p.ops[i]
+		if err := n.W.Validate(); err != nil {
+			return nil, err
+		}
+		switch {
+		case n.Parent < -1 || n.Parent >= len(nodes) || (i > 0 && !before(nodes[i-1].W, n.W)):
+			return nil, fmt.Errorf("plan: malformed operator %d (%v, parent %d)", i, n.W, n.Parent)
+		case n.Parent < 0:
+			p.Roots = append(p.Roots, op)
+		default:
+			op.Parent = p.ops[n.Parent]
+			op.Parent.Children = append(op.Parent.Children, op)
+		}
+	}
+	if err := p.Validate(); err != nil {
+		return nil, err
+	}
+	return p, nil
 }
 
 // Exposed returns the exposed (user-visible) windows of the plan.
@@ -237,12 +282,7 @@ func (p *Plan) String() string {
 
 func sortedOps(ops []*Operator) []*Operator {
 	out := append([]*Operator(nil), ops...)
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].W.Range != out[j].W.Range {
-			return out[i].W.Range < out[j].W.Range
-		}
-		return out[i].W.Slide < out[j].W.Slide
-	})
+	sort.SliceStable(out, func(i, j int) bool { return before(out[i].W, out[j].W) })
 	return out
 }
 

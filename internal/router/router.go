@@ -7,7 +7,7 @@
 //
 // The router is not a second runner. Its Runner embeds the one
 // parallel.Runner — key partition, watermark broadcast, barrier, ordered
-// drain, per-shard snapshots, canonical export and Close exist there only
+// drain, carried state and Close exist there only
 // — and supplies that runner's shards: one frame session per shard on a
 // worker (parallel.Shard). What is genuinely remote stays here:
 // placement, the replay journal and its snapshot compaction, failover,
@@ -46,16 +46,14 @@
 // session without flushing. Zero-gap, and exact: the target resumes the
 // identical plan from the identical operator state, counters included.
 //
-// Every move that keeps the plan — compaction, failover, rebalance,
-// drain, Snapshot — carries the engine snapshot: operator-shaped, so the
-// plan's merge order (every float sum, every sketch compaction)
-// continues bit for bit, and it needs no cut point. Only the re-plan
-// handover (ExportCanonical) carries the window-shaped canonical export,
-// which enters any plan at the price of regrouping those merges. The
-// router never looks inside either: state arrives as an engine.Carried
-// (Spec.State), of which New encodes only the exports still in memory,
-// a worker's export leaves as the worker's bytes, and engine.Resume on
-// the worker tells the forms apart.
+// Every state move — compaction, failover, rebalance, drain, Snapshot
+// and the re-plan handover (Carry) — carries the one state form, the
+// engine snapshot, fetched with the snapshot op. It names its plan, so
+// engine.Resume on the receiving worker restores it bit for bit when
+// the plan is unchanged, and canonicalises it into the new plan when a
+// re-plan changed it. The router never looks inside: state arrives as
+// an engine.Carried (Spec.State), of which New encodes only engines
+// still in memory, and a worker's snapshot passes through as its bytes.
 //
 // The router is fully synchronous and single-goroutine: every method
 // must be called from the goroutine driving the pipeline (the server
@@ -97,7 +95,7 @@ func (e *ShardDownError) Unwrap() error { return ErrShardDown }
 
 // Spec describes one epoch of a distributed pipeline: the deterministic
 // plan inputs every worker rebuilds the joint plan from, the workers,
-// and optionally the state carried in — the previous epoch's export or a
+// and optionally the state carried in — the previous epoch's or a
 // checkpoint's snapshots, one shard's part each worker's hello payload.
 type Spec struct {
 	// Queries, Fn, Param, Eta, Factors are the plan inputs — the same
@@ -248,8 +246,8 @@ func New(spec Spec, sink stream.Sink) (*Runner, error) {
 	}
 	shards := make([]parallel.Shard, n)
 	for i := range shards {
-		// Only an export still in memory encodes here; bytes (a snapshot,
-		// an export off a worker) pass through.
+		// Only an engine still in memory encodes here; bytes off a worker
+		// or a checkpoint pass through.
 		blob, err := carried[i].Bytes()
 		if err != nil {
 			return nil, fmt.Errorf("router: shard %d: %w", i, err)
@@ -274,8 +272,8 @@ func New(spec Spec, sink stream.Sink) (*Runner, error) {
 	return r, nil
 }
 
-// Migrated is the number of window instances the carried export handed
-// over across New's shards (0 for a snapshot or no state).
+// Migrated is the number of window instances the carried state handed
+// over across New's shards.
 func (r *Runner) Migrated() int { return r.migrated }
 
 // teardown severs every open session without protocol niceties.
@@ -652,19 +650,12 @@ func (sc *shardState) AwaitClose() *stream.RunBuffer {
 	return &sc.rows
 }
 
-// EngineSnapshot fetches the shard engine's snapshot.
-func (sc *shardState) EngineSnapshot() ([]byte, error) {
-	return sc.r.fetchState(sc, &wire.Ctrl{Op: wire.CtrlSnapshot})
-}
-
-// Export fetches the shard engine's canonical export — the one place
-// the router asks a worker for one, because here the state enters a
-// different plan. The worker's bytes pass through untouched. A shed
-// shard fails it: a partial export would silently drop the shed range's
-// open state, so the caller (the server's re-plan) must degrade
-// explicitly instead.
-func (sc *shardState) Export(horizon int64) (engine.ShardState, error) {
-	blob, err := sc.r.fetchState(sc, &wire.Ctrl{Op: wire.CtrlExport, Horizon: horizon})
+// State fetches the shard engine's snapshot; the worker's bytes pass
+// through untouched. A shed shard fails it: partial state would
+// silently drop the shed range's open instances, so the caller (a
+// checkpoint, the server's re-plan) must degrade explicitly instead.
+func (sc *shardState) State() (engine.ShardState, error) {
+	blob, err := sc.r.fetchSnapshot(sc)
 	return engine.Encoded(blob), err
 }
 
@@ -760,7 +751,7 @@ func (sc *shardState) appendRows(f wire.Frame) {
 // from. Best-effort: a transport failure fails over and asks again (the
 // old journal replays first), and a worker-reported failure poisons.
 func (r *Runner) checkpointShard(sc *shardState) {
-	blob, err := r.fetchState(sc, &wire.Ctrl{Op: wire.CtrlSnapshot})
+	blob, err := r.fetchSnapshot(sc)
 	if err != nil {
 		var poison errPoison
 		if errors.As(err, &poison) {
@@ -773,11 +764,11 @@ func (r *Runner) checkpointShard(sc *shardState) {
 	sc.journal = nil
 }
 
-// fetchState asks sc's worker for a state blob — req is an export or a
-// snapshot request, and the reply echoes its op — failing over and
+// fetchSnapshot asks sc's worker for its engine snapshot, failing over and
 // re-asking until every worker has had a turn. A worker-reported error
 // is final: another worker would fail identically.
-func (r *Runner) fetchState(sc *shardState, req *wire.Ctrl) ([]byte, error) {
+func (r *Runner) fetchSnapshot(sc *shardState) ([]byte, error) {
+	req := &wire.Ctrl{Op: wire.CtrlSnapshot}
 	for attempt := 0; ; attempt++ {
 		if sc.down {
 			return nil, sc.downErr

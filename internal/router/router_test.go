@@ -164,9 +164,62 @@ func reference(t *testing.T, ld load, shards int, events []stream.Event, chunk i
 	return sink.Results, ref.TotalUpdates()
 }
 
+// otherPlan is ld's windows without sharing: the plan a re-plan that
+// changes the plan resumes into. It fails the test if that is ld's own
+// plan, which would make the handover a restore.
+func otherPlan(t *testing.T, ld load) *plan.Plan {
+	t.Helper()
+	mp := refPlan(t, ld)
+	p, err := plan.NewOriginal(mp.Union, ld.fn)
+	if err != nil {
+		t.Fatalf("plan.NewOriginal: %v", err)
+	}
+	p.Param = ld.param
+	if reflect.DeepEqual(p.Nodes(), mp.Combined.Nodes()) {
+		t.Fatalf("%s: the unshared plan is ld's own plan; the re-plan would not change it", ld.name)
+	}
+	return p
+}
+
+// replanReference runs ld in process and re-plans onto to after event
+// cut (a chunk boundary), returning the ordered result sequence: the
+// reference a distributed epoch that carries its state into to at the
+// same horizon must equal.
+func replanReference(t *testing.T, ld load, shards int, events []stream.Event, chunk, cut int, to *plan.Plan) []stream.Result {
+	t.Helper()
+	sink := &stream.CollectingSink{}
+	ref, err := parallel.New(refPlan(t, ld).Combined, sink, shards)
+	if err != nil {
+		t.Fatalf("parallel.New: %v", err)
+	}
+	ref.SetOrderedDrain(true)
+	var horizon int64
+	for off := 0; off < cut; off += chunk {
+		part := events[off : off+chunk]
+		ref.Process(part)
+		horizon = part[len(part)-1].Time
+		ref.Advance(horizon)
+		ref.Barrier()
+	}
+	state, err := ref.Carry()
+	if err != nil {
+		t.Fatalf("parallel.Carry: %v", err)
+	}
+	cont, _, err := parallel.Resume(to, sink, shards, state, horizon)
+	if err != nil {
+		t.Fatalf("parallel.Resume: %v", err)
+	}
+	preClose := len(sink.Results)
+	ref.Close()
+	sink.Results = sink.Results[:preClose]
+	cont.SetOrderedDrain(true)
+	drive(cont, events[cut:], chunk, nil)
+	return sink.Results
+}
+
 // restore resumes in-process shards from a runner's per-shard snapshots.
 func restore(p *plan.Plan, sink stream.Sink, blobs [][]byte, events int64) (*parallel.Runner, error) {
-	state, err := engine.Snapshots(blobs, events)
+	state, err := engine.Snapshots(p, blobs, events)
 	if err != nil {
 		return nil, err
 	}
@@ -860,7 +913,7 @@ func TestRouterSnapshotParallelInterop(t *testing.T) {
 	if err != nil {
 		t.Fatalf("parallel.Snapshot: %v", err)
 	}
-	state, err := engine.Snapshots(blob2, ref.Events())
+	state, err := engine.Snapshots(mp.Combined, blob2, ref.Events())
 	if err != nil {
 		t.Fatalf("engine.Snapshots: %v", err)
 	}
@@ -886,18 +939,20 @@ func TestRouterSnapshotParallelInterop(t *testing.T) {
 	assertSameResults(t, sink2.Results, want)
 }
 
-// TestRouterExportMigratesToParallel: a distributed epoch's canonical
-// export resumes in the in-process engine — the re-plan handover works
-// across the process boundary.
+// TestRouterExportMigratesToParallel: a distributed epoch's carried
+// state resumes in the in-process engine on another plan — the re-plan
+// handover works across the process boundary, and canonicalising the
+// fetched snapshots equals exporting the live engines.
 func TestRouterExportMigratesToParallel(t *testing.T) {
 	events := genEvents(311, 3000, 30)
 	const chunk = 256
 	const shards = 4
-	want, _ := reference(t, intSum, shards, events, chunk)
+	half := 1536 // chunk boundary
+	to := otherPlan(t, intSum)
+	want := replanReference(t, intSum, shards, events, chunk, half, to)
 	addrs := []string{""}
 	addrs[0], _ = startWorker(t)
 	r, sink := newRouter(t, intSum, shards, addrs, 4)
-	half := 1536 // chunk boundary
 	var horizon int64
 	for off := 0; off < half; off += chunk {
 		part := events[off : off+chunk]
@@ -906,22 +961,21 @@ func TestRouterExportMigratesToParallel(t *testing.T) {
 		r.Advance(horizon)
 		r.Barrier()
 	}
-	state, err := r.ExportCanonical(horizon)
+	state, err := r.Carry()
 	if err != nil {
-		t.Fatalf("router.ExportCanonical: %v", err)
+		t.Fatalf("router.Carry: %v", err)
 	}
 	if len(state.Shards) != shards {
-		t.Fatalf("%d exports for %d shards", len(state.Shards), shards)
+		t.Fatalf("%d shard states for %d shards", len(state.Shards), shards)
 	}
 	// Tear down the distributed epoch, snipping its close-flush rows —
 	// the migrated runner owns those open instances now.
 	preClose := len(sink.Results)
 	r.Close()
 	sink.Results = sink.Results[:preClose]
-	mp := refPlan(t, intSum)
-	cont, _, err := parallel.Resume(mp.Combined, sink, shards, state, horizon)
+	cont, _, err := parallel.Resume(to, sink, shards, state, horizon)
 	if err != nil {
-		t.Fatalf("parallel.Resume(router exports): %v", err)
+		t.Fatalf("parallel.Resume(router state): %v", err)
 	}
 	cont.SetOrderedDrain(true)
 	drive(cont, events[half:], chunk, nil)
@@ -946,19 +1000,18 @@ func (c *dyingConn) Write(p []byte) (int, error) {
 }
 
 // TestRouterKillDuringStateFetch kills the hosting worker while the
-// router is fetching state from it — after the snapshot (or export)
-// request is written, before the reply. The fetch must fail over and
-// succeed, and what it returns must be the real thing: the snapshot
-// restores into the in-process engine, the export migrates into it, and
-// the continued run is byte-identical to the uninterrupted reference.
+// router is fetching state from it — after the snapshot request is
+// written, before the reply. The fetch must fail over and succeed, and
+// what it returns must be the real thing: a checkpoint (Snapshot)
+// restores into the in-process engine and continues byte-identical to
+// the uninterrupted reference; a re-plan handover (Carry into another
+// plan) continues byte-identical to an in-process run that re-plans at
+// the same horizon — on order-sensitive data too, since both
+// canonicalise the same operator state.
 //
-// The snapshot fetch runs under every load — with compaction every 3
-// barriers the first request to die holding is the compaction's own, so
-// the failover replays from a fetched state and the fetch is asked
-// again. The export fetch runs under the integer load only: an export
-// enters a plan by folding open parents early, so on order-sensitive
-// data it is exact against a reference that re-plans at the same
-// horizon (*/migrate_test.go), not against an uninterrupted one.
+// With compaction every 3 barriers the first request to die holding is
+// the compaction's own, so the failover replays from a fetched state and
+// the fetch is asked again.
 func TestRouterKillDuringStateFetch(t *testing.T) {
 	const chunk = 256
 	const shards = 4
@@ -969,11 +1022,10 @@ func TestRouterKillDuringStateFetch(t *testing.T) {
 		t.Logf("%s: fetch after event %d of %d", ld.name, half, len(events))
 		want, wantUpdates := reference(t, ld, shards, events, chunk)
 		mp := refPlan(t, ld)
-		for _, op := range []string{wire.CtrlSnapshot, wire.CtrlExport} {
-			if op == wire.CtrlExport && ld.name != intSum.name {
-				continue
-			}
-			t.Run(ld.name+"/"+op, func(t *testing.T) {
+		to := otherPlan(t, ld)
+		wantReplan := replanReference(t, ld, shards, events, chunk, half, to)
+		for _, mode := range []string{"snapshot", "replan"} {
+			t.Run(ld.name+"/"+mode, func(t *testing.T) {
 				addrs := make([]string, 2)
 				for i := range addrs {
 					addrs[i], _ = startWorker(t)
@@ -989,7 +1041,7 @@ func TestRouterKillDuringStateFetch(t *testing.T) {
 					return &dyingConn{
 						failingConn: failingConn{Conn: conn, armed: new(atomic.Bool)},
 						trigger:     &trigger,
-						op:          op,
+						op:          wire.CtrlSnapshot,
 					}, nil
 				}
 				r, err := router.New(spec, sink)
@@ -1006,7 +1058,7 @@ func TestRouterKillDuringStateFetch(t *testing.T) {
 				}
 				trigger.Store(true)
 				var resume func() (*parallel.Runner, error)
-				if op == wire.CtrlSnapshot {
+				if mode == "snapshot" {
 					blob, err := r.Snapshot()
 					if err != nil {
 						t.Fatalf("router.Snapshot through worker death: %v", err)
@@ -1014,12 +1066,12 @@ func TestRouterKillDuringStateFetch(t *testing.T) {
 					events := r.Events()
 					resume = func() (*parallel.Runner, error) { return restore(mp.Combined, sink, blob, events) }
 				} else {
-					state, err := r.ExportCanonical(horizon)
+					state, err := r.Carry()
 					if err != nil {
-						t.Fatalf("router.ExportCanonical through worker death: %v", err)
+						t.Fatalf("router.Carry through worker death: %v", err)
 					}
 					resume = func() (*parallel.Runner, error) {
-						cont, _, err := parallel.Resume(mp.Combined, sink, shards, state, horizon)
+						cont, _, err := parallel.Resume(to, sink, shards, state, horizon)
 						return cont, err
 					}
 				}
@@ -1044,10 +1096,13 @@ func TestRouterKillDuringStateFetch(t *testing.T) {
 				if err := cont.Err(); err != nil {
 					t.Fatalf("resumed runner: %v", err)
 				}
+				if mode == "replan" {
+					assertSameResults(t, sink.Results, wantReplan)
+					return
+				}
 				assertSameResults(t, sink.Results, want)
-				// A snapshot carries the operators' counters; an export
-				// describes windows and starts them afresh.
-				if got := cont.TotalUpdates(); op == wire.CtrlSnapshot && got != wantUpdates {
+				// A restore carries the operators' counters.
+				if got := cont.TotalUpdates(); got != wantUpdates {
 					t.Fatalf("TotalUpdates = %d after resuming the snapshot, reference %d", got, wantUpdates)
 				}
 			})

@@ -10,8 +10,9 @@
 // transient, and restored queries start a fresh sequence space. The
 // optimizer options (including the adaptive cost-model η) and shard
 // count are part of the snapshot's identity: the plan is rebuilt from
-// the query SQL and must fingerprint-match the shard engines, and key
-// placement is a function of the shard count.
+// the query SQL and must be the plan the shard snapshots name
+// (engine.Snapshots), and key placement is a function of the shard
+// count.
 
 package server
 
@@ -20,10 +21,12 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 
 	"factorwindows/internal/agg"
 	"factorwindows/internal/engine"
+	"factorwindows/internal/multiquery"
 	"factorwindows/internal/reorder"
 )
 
@@ -126,8 +129,8 @@ func (s *Server) checkpointLocked(withRings bool) ([]byte, error) {
 // checkpoint: queries are re-registered from their SQL, the joint plan
 // is rebuilt deterministically, and the shard engines resume their open
 // window instances. The restoring server must run with the same Factors
-// option as the one that checkpointed (the engine fingerprint check
-// rejects a mismatched plan). Result rings start empty.
+// option as the one that checkpointed (engine.Snapshots rejects shard
+// states of another plan). Result rings start empty.
 func (s *Server) RestoreCheckpoint(data []byte) error { return s.restoreCheckpoint(data, false) }
 
 // restoreCheckpoint is RestoreCheckpoint's body; withRings also loads
@@ -195,9 +198,28 @@ func (s *Server) restoreCheckpoint(data []byte, withRings bool) error {
 		}
 	}
 
+	// The shard states are checked against the plan the checkpoint's
+	// registry optimizes to. States of another snapshot generation make
+	// the checkpoint another generation's, refused here untouched; states
+	// that are no snapshot, or belong to another plan, replace the
+	// registry and resume it on fresh state, as corrupt state does.
+	var mp *multiquery.Plan
+	var state engine.Carried
+	var stateErr error
+	if len(cp.Shards) > 0 {
+		var err error
+		if mp, err = s.jointPlan(queries, cp.Fn, cp.Param, cp.PlanEta); err != nil {
+			return fmt.Errorf("server: checkpointed query set: %w", err)
+		}
+		state, stateErr = engine.Snapshots(mp.Combined, cp.Shards, cp.Events)
+		if errors.Is(stateErr, engine.ErrSnapshotVersion) {
+			return fmt.Errorf("server: checkpoint shard state: %w", stateErr)
+		}
+	}
+
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	err := s.applyCheckpointLocked(&cp, queries)
+	err := s.applyCheckpointLocked(&cp, queries, mp, state, stateErr)
 	if errors.Is(err, ErrClosed) {
 		return err
 	}
@@ -213,9 +235,10 @@ func (s *Server) restoreCheckpoint(data []byte, withRings bool) error {
 	return err
 }
 
-// applyCheckpointLocked swaps the validated checkpoint state in.
-// Callers hold s.mu.
-func (s *Server) applyCheckpointLocked(cpp *checkpoint, queries map[string]*registration) error {
+// applyCheckpointLocked swaps the validated checkpoint state in: mp is
+// the plan its registry optimizes to and state its shards' engines, or
+// stateErr why they cannot resume it. Callers hold s.mu.
+func (s *Server) applyCheckpointLocked(cpp *checkpoint, queries map[string]*registration, mp *multiquery.Plan, state engine.Carried, stateErr error) error {
 	cp := *cpp
 	if s.closed {
 		return ErrClosed
@@ -257,10 +280,10 @@ func (s *Server) applyCheckpointLocked(cpp *checkpoint, queries map[string]*regi
 		}
 		return nil
 	}
-	state, err := engine.Snapshots(cp.Shards, cp.Events)
+	err := stateErr
 	var np *pipeline
 	if err == nil {
-		np, _, err = s.buildPipeline(cp.Reorder.Released, &cp.Reorder, state)
+		np, _, err = s.buildPipeline(mp, cp.Reorder.Released, &cp.Reorder, state)
 	}
 	if err != nil {
 		// The registry is already replaced; fall back to a fresh plan so
@@ -287,11 +310,4 @@ func (s *Server) applyCheckpointLocked(cpp *checkpoint, queries map[string]*regi
 	return nil
 }
 
-func (s *Server) sortedIDs() []string {
-	ids := make([]string, 0, len(s.queries))
-	for id := range s.queries {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	return ids
-}
+func (s *Server) sortedIDs() []string { return slices.Sorted(maps.Keys(s.queries)) }

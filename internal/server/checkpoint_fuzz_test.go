@@ -14,18 +14,23 @@ import (
 // them. The contract: RestoreCheckpoint returns success or an error,
 // nothing downstream of it panics, and a server that refused (or only
 // partly accepted) a blob keeps serving — it still registers, ingests
-// and reports stats. Seeds, each with two truncations: the current
-// generation's mid-disorder checkpoint (the shape of the committed
-// heap-era fixture: events still held back), a checkpoint of
-// sketch-backed queries with open instances, the same with exports where
-// its engine snapshots belong, and a durable snapshot capture, rings
-// included; plus the committed heap-era fixture itself, a previous
-// generation.
+// and reports stats. Seeds, each with two truncations, all over FWSNAP4
+// shard states: the current generation's mid-disorder checkpoint (the
+// shape of the committed heap-era fixture: events still held back), a
+// checkpoint of sketch-backed queries with open instances, one whose
+// shard states belong to another plan than its queries rebuild to, and
+// a durable snapshot capture, rings included; plus two committed
+// previous generations, the heap-era fixture and a current checkpoint
+// over FWSNAP3 shard states.
 func FuzzRestoreCheckpoint(f *testing.F) {
 	cfg := Config{Shards: 2, Factors: true, ReorderBound: 16}
-	fixture, err := os.ReadFile(filepath.Join("testdata", "checkpoint_pr13_mid_disorder.bin"))
-	if err != nil {
-		f.Fatal(err)
+	var fixtures [][]byte
+	for _, name := range []string{"checkpoint_pr13_mid_disorder.bin", "checkpoint_v4_fwsnap3.bin"} {
+		fixture, err := os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			f.Fatal(err)
+		}
+		fixtures = append(fixtures, fixture)
 	}
 	disorder := New(cfg)
 	for id, q := range map[string]string{"a": demoQuery1, "b": demoQuery2} {
@@ -55,14 +60,26 @@ func FuzzRestoreCheckpoint(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	exportForm, _ := exportFormCheckpoint(f, src)
 	src.Close()
-	for _, blob := range [][]byte{midDisorder, sketched, exportForm, capturedSnapshot(f, 64)} {
+	flat := New(Config{Shards: 2, ReorderBound: 16})
+	for id, q := range map[string]string{"a": demoQuery1, "b": demoQuery2} {
+		if _, err := flat.Register(id, q); err != nil {
+			f.Fatal(err)
+		}
+	}
+	if _, err := flat.Ingest(genEvents(300, 5, 12)); err != nil {
+		f.Fatal(err)
+	}
+	otherPlan, _ := otherPlanCheckpoint(f, flat)
+	flat.Close()
+	for _, blob := range [][]byte{midDisorder, sketched, otherPlan, capturedSnapshot(f, 64)} {
 		f.Add(blob)
 		f.Add(blob[:len(blob)/2])
 		f.Add(blob[:len(blob)-1])
 	}
-	f.Add(fixture)
+	for _, fixture := range fixtures {
+		f.Add(fixture)
+	}
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -9,10 +9,12 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 
 	"factorwindows/internal/engine"
+	"factorwindows/internal/plan"
 	"factorwindows/internal/router"
 	"factorwindows/internal/shardworker"
 	"factorwindows/internal/stream"
@@ -373,11 +375,21 @@ func TestDistributedCheckpointInterop(t *testing.T) {
 	}
 }
 
-// exportFormCheckpoint takes s's checkpoint and rebuilds its shard
-// states from the same moment's canonical export, so every shard's blob
-// is an encoded export where a snapshot belongs. It returns the
-// blob and the checkpoint's release horizon.
-func exportFormCheckpoint(t testing.TB, s *Server) ([]byte, int64) {
+// planShape is the shape of the plan s runs (nil without a pipeline).
+func planShape(s *Server) []plan.Node {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.pipe == nil {
+		return nil
+	}
+	return s.pipe.plan.Combined.Nodes()
+}
+
+// otherPlanCheckpoint takes s's checkpoint and flips its Factors flag, so
+// a server running the other setting accepts it and rebuilds the other
+// plan from its queries, while its shard states still name s's plan. It
+// returns the blob and the checkpoint's release horizon.
+func otherPlanCheckpoint(t testing.TB, s *Server) ([]byte, int64) {
 	t.Helper()
 	data, err := s.Checkpoint()
 	if err != nil {
@@ -387,17 +399,7 @@ func exportFormCheckpoint(t testing.TB, s *Server) ([]byte, int64) {
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&cp); err != nil {
 		t.Fatal(err)
 	}
-	s.mu.Lock()
-	state, err := s.pipe.runner.ExportCanonical(cp.Reorder.Released)
-	s.mu.Unlock()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, sh := range state.Shards {
-		if cp.Shards[i], err = sh.Bytes(); err != nil {
-			t.Fatal(err)
-		}
-	}
+	cp.Factors = !cp.Factors
 	var out bytes.Buffer
 	if err := gob.NewEncoder(&out).Encode(cp); err != nil {
 		t.Fatal(err)
@@ -405,22 +407,23 @@ func exportFormCheckpoint(t testing.TB, s *Server) ([]byte, int64) {
 	return out.Bytes(), cp.Reorder.Released
 }
 
-// TestDistributedCheckpointRefusesExportForm: a checkpoint whose shard
-// states are exports where snapshots belong is refused alike in
-// both tiers. An export would resume — it enters any plan — but a
-// restore promises the same plan bit-exact, which only a snapshot's
-// fingerprint check holds it to. So both tiers take the tampered
-// checkpoint's path: an error wrapping engine.ErrSnapshotVersion, the
-// checkpoint's queries live on fresh state at its horizon, and from
-// there byte-identical continuations.
-func TestDistributedCheckpointRefusesExportForm(t *testing.T) {
+// TestDistributedCheckpointRefusesOtherPlan: a checkpoint whose shard
+// states belong to another plan than the one its queries rebuild to is
+// refused alike in both tiers. The states would resume — a re-plan
+// canonicalises them into any plan — but a restore promises the same
+// plan bit-exact, which engine.Snapshots holds it to before either tier
+// builds a shard. So both tiers take the tampered checkpoint's path: an
+// error wrapping engine.ErrOtherPlan, the checkpoint's queries live on
+// fresh state at its horizon, and from there byte-identical
+// continuations.
+func TestDistributedCheckpointRefusesOtherPlan(t *testing.T) {
 	batches := distBatches(43, 10, 150)
 	const half = 5
-	src := New(Config{Shards: 4, ResultBuffer: 1 << 12})
+	src := New(Config{Shards: 4, Factors: true, ResultBuffer: 1 << 12})
 	defer src.Close()
 	registerDistQueries(t, src.Handler(), distQueries)
 	playDist(t, src, batches[:half], 0, nil)
-	cp, horizon := exportFormCheckpoint(t, src)
+	cp, horizon := otherPlanCheckpoint(t, src)
 
 	addrs, _ := startShardWorkers(t, 2)
 	var want map[string][]byte
@@ -430,12 +433,15 @@ func TestDistributedCheckpointRefusesExportForm(t *testing.T) {
 	} {
 		s := New(cfg)
 		h := s.Handler()
-		if err := s.RestoreCheckpoint(cp); !errors.Is(err, engine.ErrSnapshotVersion) {
+		if err := s.RestoreCheckpoint(cp); !errors.Is(err, engine.ErrOtherPlan) {
 			s.Close()
-			t.Fatalf("workers=%d: restore error = %v, want one wrapping engine.ErrSnapshotVersion", len(cfg.Workers), err)
+			t.Fatalf("workers=%d: restore error = %v, want one wrapping engine.ErrOtherPlan", len(cfg.Workers), err)
 		}
 		if got := len(s.Queries()); got != len(distQueries) {
 			t.Fatalf("workers=%d: %d queries after the refused restore, want %d", len(cfg.Workers), got, len(distQueries))
+		}
+		if reflect.DeepEqual(planShape(s), planShape(src)) {
+			t.Fatalf("workers=%d: the restoring server runs the checkpoint's own plan; the test is vacuous", len(cfg.Workers))
 		}
 		if rel := s.StatsNow().Released; rel != horizon {
 			t.Fatalf("workers=%d: fallback released=%d, checkpoint had %d", len(cfg.Workers), rel, horizon)
@@ -450,14 +456,60 @@ func TestDistributedCheckpointRefusesExportForm(t *testing.T) {
 	}
 }
 
+// TestDistributedReplanSamePlanBitExact: a re-plan onto the identical
+// plan (Replan(0) keeps η, so the optimizer returns the same plan)
+// restores every shard's engine instead of canonicalising it, so on the
+// order-sensitive loads — float sums that round differently when
+// regrouped, compacting quantile sketches — the run stays byte-identical
+// to a server that never re-plans, in both tiers. migrated_instances
+// still counts what the restore carried.
+func TestDistributedReplanSamePlanBitExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(4141))
+	addrs, _ := startShardWorkers(t, 2)
+	for _, ld := range distLoads[1:] {
+		t.Run(ld.name, func(t *testing.T) {
+			script := ld.batches(61, 8, 0)
+			cut := cutAt(rng, script)
+			t.Logf("re-plan before batch %d of %d", cut, len(script))
+			want := runDistScript(t, Config{Shards: 4, Factors: true, ResultBuffer: 1 << 14}, ld.queries, script, nil)
+			for _, cfg := range []Config{
+				{Shards: 4, Factors: true, ResultBuffer: 1 << 14},
+				{Shards: 4, Factors: true, ResultBuffer: 1 << 14, Workers: addrs},
+			} {
+				s := New(cfg)
+				h := s.Handler()
+				registerDistQueries(t, h, ld.queries)
+				playDist(t, s, script, 0, func(i int) {
+					if i != cut {
+						return
+					}
+					before := planShape(s)
+					if err := s.Replan(0); err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(planShape(s), before) {
+						t.Fatal("Replan(0) changed the plan; the case is not a same-plan re-plan")
+					}
+					if s.StatsNow().Migrated == 0 {
+						t.Fatalf("workers=%d: the same-plan re-plan carried no instances", len(cfg.Workers))
+					}
+				})
+				assertSameStreams(t, collectStreams(t, s, h), want)
+			}
+		})
+	}
+}
+
 // TestDistributedMigratedInstances: registering a query mid-stream
-// re-plans with open state, and /stats' migrated_instances counts the
-// instances handed over identically in process and on workers — whose
-// hello acks report what each shard's resume handed over.
+// re-plans onto another plan with open state, and /stats'
+// migrated_instances counts the instances handed over identically in
+// process and on workers — whose hello acks report what each shard's
+// resume handed over. A later re-plan onto the same plan restores, and
+// counts what it carried alike too.
 func TestDistributedMigratedInstances(t *testing.T) {
 	batches := distBatches(47, 8, 150)
 	addrs, _ := startShardWorkers(t, 2)
-	var want int64
+	var want [2]int64
 	var wantStreams map[string][]byte
 	for _, cfg := range []Config{
 		{Shards: 4, ResultBuffer: 1 << 12},
@@ -469,21 +521,30 @@ func TestDistributedMigratedInstances(t *testing.T) {
 			t.Fatal(err)
 		}
 		playDist(t, s, batches[:4], 0, nil)
+		before := planShape(s)
 		if _, err := s.Register("q2", distQueries[1]); err != nil {
 			t.Fatal(err)
 		}
-		playDist(t, s, batches, 4, nil)
-		got := s.StatsNow().Migrated
+		if reflect.DeepEqual(planShape(s), before) {
+			t.Fatal("registering q2 kept the plan; the cross-plan handover is not exercised")
+		}
+		crossPlan := s.StatsNow().Migrated
+		playDist(t, s, batches[:6], 4, nil)
+		if err := s.Replan(0); err != nil {
+			t.Fatal(err)
+		}
+		playDist(t, s, batches, 6, nil)
+		got := [2]int64{crossPlan, s.StatsNow().Migrated - crossPlan}
 		streams := collectStreams(t, s, h)
 		if wantStreams == nil {
-			if got == 0 {
-				t.Fatal("registering mid-stream migrated no instances; the property is vacuous")
+			if got[0] == 0 || got[1] == 0 {
+				t.Fatalf("re-plans carried %v instances; the property is vacuous", got)
 			}
 			want, wantStreams = got, streams
 			continue
 		}
 		if got != want {
-			t.Fatalf("workers=%d: migrated_instances = %d, in process %d", len(cfg.Workers), got, want)
+			t.Fatalf("workers=%d: migrated_instances by re-plan = %v, in process %v", len(cfg.Workers), got, want)
 		}
 		assertSameStreams(t, streams, wantStreams)
 	}

@@ -3,6 +3,7 @@ package server
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"factorwindows/internal/stream"
@@ -218,10 +219,14 @@ func TestCheckpointAcrossMigration(t *testing.T) {
 	if _, err := s.Ingest(events[:600]); err != nil {
 		t.Fatal(err)
 	}
-	// Re-plan so the pipeline holds imported straddlers (frozen spans),
-	// then checkpoint mid-straddle.
+	// Re-plan onto another plan so the pipeline holds imported
+	// straddlers (frozen spans), then checkpoint mid-straddle.
+	before := planShape(s)
 	if err := s.Replan(4); err != nil {
 		t.Fatal(err)
+	}
+	if reflect.DeepEqual(planShape(s), before) {
+		t.Fatal("Replan(4) kept the plan; a restore carries no frozen state")
 	}
 	if st := s.StatsNow(); st.Migrated == 0 {
 		t.Fatal("re-plan migrated nothing; checkpoint would not cover frozen state")

@@ -17,11 +17,12 @@
 // A plan change starts a new epoch at the current release horizon R
 // (every event strictly below R has already been executed; every future
 // event arrives at or above it). The swap is zero-gap: before the old
-// pipeline is torn down, every shard engine exports the canonical state
-// of its open window instances (parallel.ExportCanonical), and the new
-// pipeline resumes them wherever the window survives into the new plan
-// — whatever the sharing structure on either side (see
-// engine/migrate.go for the exactness argument). The visible contract:
+// pipeline is torn down, every shard carries its engine state out
+// (parallel.Carry), and the new pipeline resumes it: an unchanged plan
+// restores it exactly, and a changed one imports its canonical form
+// wherever a window survives into the new plan — whatever the sharing
+// structure on either side (see engine/migrate.go for the exactness
+// argument). The visible contract:
 // every delivered result is exact and complete, each window instance is
 // delivered at most once, and a window that exists across a re-plan
 // loses nothing. Only windows genuinely new to the plan (a query
@@ -36,9 +37,11 @@ package server
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"math"
 	"net"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -188,7 +191,7 @@ type Config struct {
 	// WorkerCheckpointEvery is the router's journal-compaction cadence
 	// in barriers (0 selects the router default). Smaller values bound
 	// failover replay work; larger ones trade that for fewer state
-	// exports on the barrier path.
+	// snapshots on the barrier path.
 	WorkerCheckpointEvery int64
 }
 
@@ -297,7 +300,7 @@ type Server struct {
 }
 
 // ReplanCounts breaks plan swaps down by what triggered them. Degraded
-// counts swaps that could not export the old pipeline's state (a failed
+// counts swaps that could not carry the old pipeline's state (a failed
 // shard) and fell back to a fresh epoch at the horizon — those swaps
 // skip straddling windows instead of migrating them, so a non-zero
 // count means the zero-gap guarantee was waived for visible reasons.
@@ -601,29 +604,30 @@ func (s *Server) replan() error {
 	if carried != nil {
 		horizon = carried.Released
 	}
-	var state engine.Carried
-	degraded := false
-	if s.pipe != nil && len(s.queries) > 0 {
-		// Export the old plan's canonical open-instance state for the
-		// handover. A failed shard has nothing consistent to export; the
-		// swap then falls back to a fresh epoch at the horizon — the
-		// pre-migration semantics, already the contract for failures —
-		// and is counted as degraded so the waived zero-gap guarantee is
-		// visible in /stats rather than indistinguishable from a clean
-		// migration.
-		if st, err := s.pipe.runner.ExportCanonical(horizon); err == nil {
-			state = st
-		} else {
-			degraded = true
-		}
-	}
-
 	var np *pipeline
 	migrated := 0
+	degraded := false
 	if len(s.queries) > 0 {
-		var err error
-		np, migrated, err = s.buildPipeline(horizon, carried, state)
+		mp, err := s.jointPlan(s.queries, s.fn, s.param, s.planEta)
 		if err != nil {
+			return err
+		}
+		var state engine.Carried
+		if s.pipe != nil {
+			// Carry the old plan's open-instance state over. A failed
+			// shard has nothing consistent to carry; the swap then falls
+			// back to a fresh epoch at the horizon — the pre-migration
+			// semantics, already the contract for failures — and is
+			// counted as degraded so the waived zero-gap guarantee is
+			// visible in /stats rather than indistinguishable from a
+			// clean migration.
+			if st, err := s.pipe.runner.Carry(); err == nil {
+				state = st
+			} else {
+				degraded = true
+			}
+		}
+		if np, migrated, err = s.buildPipeline(mp, horizon, carried, state); err != nil {
 			return err
 		}
 	}
@@ -647,50 +651,54 @@ func (s *Server) replan() error {
 
 // optimizeOptions is the optimizer configuration every (re)plan and
 // checkpoint-restore must share: the plan is part of the engine state's
-// identity, so it has to rebuild deterministically from cfg + planEta.
-func (s *Server) optimizeOptions() core.Options {
-	eta := s.planEta
-	if eta < 1 {
-		eta = 1
-	}
-	return core.Options{Factors: s.cfg.Factors, Model: cost.Model{Eta: eta}}
+// identity, so it has to rebuild deterministically from cfg + η.
+func (s *Server) optimizeOptions(eta int64) core.Options {
+	return core.Options{Factors: s.cfg.Factors, Model: cost.Model{Eta: max(eta, 1)}}
 }
 
-// buildPipeline assembles one epoch's stack for the current query set.
-// carried restores the reorder buffer (pending events, sealed horizon);
-// state resumes the shard engines — a re-plan's export, a checkpoint's
-// snapshots, or nothing — and freshFloor is the exposed-result floor for
-// windows it does not cover (the release horizon). Which form the state
-// is, only the engine tells. It returns the migrated-instance count.
-// Callers hold s.mu.
-func (s *Server) buildPipeline(freshFloor int64, carried *reorder.State, state engine.Carried) (*pipeline, int, error) {
-	ids := s.sortedIDs()
-	qs := make([]multiquery.Query, 0, len(ids))
-	for _, id := range ids {
-		reg := s.queries[id]
+// jointPlan optimizes a query registry — the server's, or a checkpoint's
+// before it replaces the server's — aggregating with fn under the
+// finalize parameter param and the cost-model η eta.
+func (s *Server) jointPlan(queries map[string]*registration, fn agg.Fn, param float64, eta int64) (*multiquery.Plan, error) {
+	qs := make([]multiquery.Query, 0, len(queries))
+	for _, id := range slices.Sorted(maps.Keys(queries)) {
+		reg := queries[id]
 		ws := make([]window.Window, 0, len(reg.q.Windows))
 		for _, nw := range reg.q.Windows {
 			ws = append(ws, nw.W)
 		}
 		qs = append(qs, multiquery.Query{ID: id, Windows: ws})
 	}
-	mp, err := multiquery.Optimize(qs, s.fn, s.optimizeOptions())
+	mp, err := multiquery.Optimize(qs, fn, s.optimizeOptions(eta))
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	// The finalize parameter (φ / k) rides the combined plan down into
-	// every shard engine; it is not part of the plan's fingerprint, so
-	// state migrates unchanged across plans differing only in Param.
-	mp.Combined.Param = s.param
+	// every shard engine; it is not part of the plan's shape, so state
+	// carries unchanged across plans differing only in Param.
+	mp.Combined.Param = param
+	return mp, nil
+}
+
+// buildPipeline assembles mp's stack for the current query set. carried
+// restores the reorder buffer (pending events, sealed horizon); state
+// resumes the shard engines — a re-plan's carried engines, a
+// checkpoint's snapshots, or nothing — and freshFloor is the re-plan
+// horizon: the exposed-result floor for windows the state does not
+// cover, and the cut a changed plan's state is canonicalised at. It
+// returns the migrated-instance count. Callers hold s.mu.
+func (s *Server) buildPipeline(mp *multiquery.Plan, freshFloor int64, carried *reorder.State, state engine.Carried) (*pipeline, int, error) {
+	qs := mp.Queries
 	g := &gate{}
-	rings := make(map[string]*ring, len(ids))
-	for _, id := range ids {
-		rings[id] = s.queries[id].ring
+	rings := make(map[string]*ring, len(qs))
+	for _, q := range qs {
+		rings[q.ID] = s.queries[q.ID].ring
 	}
 	sink := routeSink(mp, g, rings)
 	var runner *parallel.Runner
 	var rr *router.Runner
 	migrated := 0
+	var err error
 	if len(s.workers) > 0 {
 		// Distributed tier: the same plan inputs go to every worker so
 		// each shard rebuilds the identical plan, and the carried state
@@ -952,9 +960,9 @@ func (s *Server) AddWorker(addr string) error {
 }
 
 // MoveShard reassigns one shard to the worker at addr through the
-// zero-gap migration: the router barriers, exports the shard's
-// canonical state at the horizon, transfers it, and the target resumes
-// behind the same emit floors — the result stream continues exactly.
+// zero-gap migration: the router barriers, snapshots the shard's
+// engine, transfers it, and the target restores it — the result stream
+// continues exactly.
 // Serializes with ingest on s.mu, so no batch is in flight mid-move.
 func (s *Server) MoveShard(shard int, addr string) error {
 	s.mu.Lock()
@@ -1156,7 +1164,7 @@ func (s *Server) advise(eta int64) (adaptive.Advice, error) {
 	if s.pipe == nil {
 		return adaptive.Advice{}, fmt.Errorf("server: no deployed plan")
 	}
-	adv, err := adaptive.NewAdvisor(s.pipe.plan.Union, s.fn, s.optimizeOptions(), s.pipe.plan.Optimization)
+	adv, err := adaptive.NewAdvisor(s.pipe.plan.Union, s.fn, s.optimizeOptions(s.planEta), s.pipe.plan.Optimization)
 	if err != nil {
 		return adaptive.Advice{}, err
 	}

@@ -5,19 +5,19 @@
 // One accepted connection is one shard session. The router opens a
 // session with a hello control frame carrying the plan inputs (query
 // set, aggregate, cost-model η, factor toggle) and optionally carried
-// state — one shard's bytes for engine.Resume: an engine snapshot when
-// the shard continues the same plan (checkpoint restore, failover,
-// rebalance), a canonical export when a re-plan handed it over. The
-// worker rebuilds the joint plan deterministically from those inputs (the
-// same multiquery.Optimize call the server makes, so the plan — and
-// therefore every emitted row — is a pure function of the inputs), then
-// streams:
+// state — one shard's engine snapshot for engine.Resume, which restores
+// it when the shard continues the same plan (checkpoint restore,
+// failover, rebalance) and canonicalises it when a re-plan changed the
+// plan. The worker rebuilds the joint plan deterministically from those
+// inputs (the same multiquery.Optimize call the server makes, so the
+// plan — and therefore every emitted row — is a pure function of the
+// inputs), then streams:
 //
 //	router → worker: event frames (this shard's key subsequence, in
-//	                 arrival order), advance/barrier/export/snapshot/
+//	                 arrival order), advance/barrier/snapshot/
 //	                 release/close control frames
 //	worker → router: result frames + ack (barrier), state envelopes
-//	                 (export, snapshot), bye (release, close)
+//	                 (snapshot), bye (release, close)
 //
 // The worker holds results between barriers in a stream.RunBuffer and
 // flushes them only when the router asks: the router merges per-shard
@@ -195,7 +195,7 @@ func (w *Worker) session(conn net.Conn) {
 // handle executes one complete control envelope; quit ends the session.
 func (s *session) handle(c *wire.Ctrl) (quit bool) {
 	switch c.Op {
-	case wire.CtrlAdvance, wire.CtrlBarrier, wire.CtrlExport, wire.CtrlSnapshot:
+	case wire.CtrlAdvance, wire.CtrlBarrier, wire.CtrlSnapshot:
 		// These act on the engine only a hello builds.
 		if s.eng == nil {
 			s.fail(c.Op + " before hello")
@@ -226,18 +226,6 @@ func (s *session) handle(c *wire.Ctrl) (quit bool) {
 			Updates: s.eng.TotalUpdates(),
 			Events:  s.eng.Events(),
 		})
-	case wire.CtrlExport:
-		ex, err := s.eng.ExportCanonical(c.Horizon)
-		if err != nil {
-			s.fail(err.Error())
-			return true
-		}
-		blob, err := engine.EncodeExport(ex)
-		if err != nil {
-			s.fail(err.Error())
-			return true
-		}
-		return !s.sendCtrl(&wire.Ctrl{Op: wire.CtrlExport, State: blob})
 	case wire.CtrlSnapshot:
 		blob, err := s.eng.Snapshot()
 		if err != nil {

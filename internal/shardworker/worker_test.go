@@ -2,10 +2,10 @@ package shardworker
 
 import (
 	"bytes"
-	"encoding/gob"
 	"io"
 	"net"
 	"os"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -139,44 +139,45 @@ func (p *peer) hungUp() {
 }
 
 // stateAfter runs events through a fresh engine over p and returns its
-// snapshot and its encoded export at the stream position.
-func stateAfter(t *testing.T, p *plan.Plan, events []stream.Event) (snap, export []byte) {
+// snapshot at the stream position.
+func stateAfter(t *testing.T, p *plan.Plan, events []stream.Event) []byte {
 	t.Helper()
 	r, err := engine.New(p, &stream.CountingSink{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	r.Process(events)
-	if snap, err = r.Snapshot(); err != nil {
-		t.Fatal(err)
-	}
-	ex, err := r.ExportCanonical(events[len(events)-1].Time + 1)
+	snap, err := r.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if export, err = engine.EncodeExport(ex); err != nil {
-		t.Fatal(err)
-	}
-	return snap, export
+	return snap
 }
 
 // TestHelloStateForms: whatever bytes a hello carries, the session
 // either acks with a whole engine behind it or reports a CtrlError and
-// hangs up — never a panic, never an engine half built. The worker does
-// not know the forms apart (engine.Resume reads the header); bytes of
-// no known generation name engine.ErrSnapshotVersion in the error text,
-// so the router's poison message says what was wrong.
+// hangs up — never a panic, never an engine half built. An acked engine
+// is the one an in-process engine.Resume of the same bytes builds: a
+// snapshot of the session's plan restores, one of another plan is
+// canonicalised into it, and its rows and counters match through a
+// barrier and the close flush. Bytes of no known generation name
+// engine.ErrSnapshotVersion in the error text, so the router's poison
+// message says what was wrong.
 func TestHelloStateForms(t *testing.T) {
 	events := workload.OrderSensitive(workload.StreamConfig{Events: 500, Keys: 5, EventsPerTick: 3, Seed: 1})
-	snap, export := stateAfter(t, testPlan(t, testQueries), events)
-	otherQueries := []multiquery.Query{{ID: "q1", Windows: []window.Window{{Range: 10, Slide: 10}, {Range: 30, Slide: 30}}}}
-	otherSnap, _ := stateAfter(t, testPlan(t, otherQueries), events)
-	foreign, err := os.ReadFile("../engine/testdata/snapshot_v1_factored_sum.bin")
+	floor := events[len(events)-1].Time + 1
+	pl := testPlan(t, testQueries)
+	snap := stateAfter(t, pl, events)
+	unshared, err := plan.NewOriginal(window.MustSet(window.Tumbling(20), window.Tumbling(40), window.Tumbling(80)), agg.Sum)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var bareExport bytes.Buffer // an export as encoded before exports had a header
-	if err := gob.NewEncoder(&bareExport).Encode(&engine.Export{Fn: agg.Sum, Horizon: 3}); err != nil {
+	if reflect.DeepEqual(unshared.Nodes(), pl.Nodes()) {
+		t.Fatal("the unshared plan is the session's plan; the other-plan case would restore")
+	}
+	otherSnap := stateAfter(t, unshared, events)
+	foreign, err := os.ReadFile("../engine/testdata/snapshot_v1_factored_sum.bin")
+	if err != nil {
 		t.Fatal(err)
 	}
 	version := engine.ErrSnapshotVersion.Error()
@@ -188,32 +189,46 @@ func TestHelloStateForms(t *testing.T) {
 	}{
 		{"no state", nil, ""},
 		{"snapshot", snap, ""},
-		{"export", export, ""},
-		{"snapshot of another plan", otherSnap, "different plan"},
+		{"snapshot of another plan", otherSnap, ""},
 		{"boxed-era snapshot", foreign, version},
-		{"header-less export", bareExport.Bytes(), version},
 		{"garbage", []byte("not a state blob at all"), version},
 		{"truncated snapshot", snap[:len(snap)/2], "decoding snapshot"},
-		{"truncated export", export[:len(export)/2], "decoding export"},
 		{"snapshot header over garbage", append(bytes.Clone(snap[:bytes.IndexByte(snap, '\n')+1]), "junk"...), "decoding snapshot"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			p := dial(t)
-			p.send(helloFor(testQueries, tc.state))
+			hello := helloFor(testQueries, tc.state)
+			hello.Floor = floor
+			p.send(hello)
 			rows, c := p.reply()
 			if len(rows) != 0 {
 				t.Fatalf("hello answered with %d result rows", len(rows))
 			}
 			if tc.wantErr == "" {
-				if c.Op != wire.CtrlAck {
-					t.Fatalf("hello answered %q (%s), want an ack", c.Op, c.Error)
+				local := &stream.CollectingSink{}
+				ref, migrated, err := engine.Resume(pl, local, engine.Encoded(tc.state), floor)
+				if err != nil {
+					t.Fatal(err)
 				}
-				// The engine is whole: it takes events and flushes.
-				p.sendEvents([]stream.Event{{Time: 1 << 20, Key: 1, Value: 1}})
+				if c.Op != wire.CtrlAck || c.Migrated != migrated {
+					t.Fatalf("hello answered %q (%s) handing over %d instances, want an ack handing over %d", c.Op, c.Error, c.Migrated, migrated)
+				}
+				// The engine is whole: it takes events and flushes, as the
+				// local one does.
+				late := []stream.Event{{Time: floor + 40, Key: 1, Value: 1.25}, {Time: 1 << 20, Key: 2, Value: 1}}
+				ref.Process(late)
+				p.sendEvents(late)
 				p.send(&wire.Ctrl{Op: wire.CtrlBarrier})
-				if _, c := p.reply(); c.Op != wire.CtrlAck || c.Events == 0 {
-					t.Fatalf("barrier after hello answered %+v", c)
+				rows, c := p.reply()
+				if c.Op != wire.CtrlAck || c.Events != ref.Events() || c.Updates != ref.TotalUpdates() {
+					t.Fatalf("barrier after hello answered %+v, local engine has %d updates over %d events", c, ref.TotalUpdates(), ref.Events())
 				}
+				sameRows(t, "barrier", rows, local.Results)
+				flushed := len(local.Results)
+				ref.Close()
+				p.send(&wire.Ctrl{Op: wire.CtrlClose})
+				rows, _ = p.reply()
+				sameRows(t, "close", rows, local.Results[flushed:])
 				return
 			}
 			if c.Op != wire.CtrlError || !strings.Contains(c.Error, tc.wantErr) {
@@ -228,7 +243,7 @@ func TestHelloStateForms(t *testing.T) {
 // builds are refused before it exists, and a second hello is refused
 // after — each with a CtrlError, then the session ends.
 func TestProtocolViolationsHangUp(t *testing.T) {
-	for _, op := range []string{wire.CtrlAdvance, wire.CtrlBarrier, wire.CtrlExport, wire.CtrlSnapshot} {
+	for _, op := range []string{wire.CtrlAdvance, wire.CtrlBarrier, wire.CtrlSnapshot} {
 		p := dial(t)
 		p.send(&wire.Ctrl{Op: op})
 		if _, c := p.reply(); c.Op != wire.CtrlError || !strings.Contains(c.Error, "before hello") {
@@ -263,7 +278,7 @@ func TestHelloSnapshotResumesLikeLocalRestore(t *testing.T) {
 	events := workload.OrderSensitive(workload.StreamConfig{Events: 80000, Keys: 20000, EventsPerTick: 1000, Seed: 2})
 	cut := len(events)/2 + 17
 	pl := testPlan(t, testQueries)
-	snap, _ := stateAfter(t, pl, events[:cut])
+	snap := stateAfter(t, pl, events[:cut])
 	if len(snap) <= 256<<10 {
 		t.Fatalf("snapshot of %d bytes fits one control frame; the chunked path is not exercised", len(snap))
 	}

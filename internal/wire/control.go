@@ -25,10 +25,10 @@ import (
 const (
 	// CtrlHello opens a shard session: plan inputs (queries, fn, param,
 	// η, factors), the shard's identity, and optionally carried state —
-	// one shard's part of an engine.Carried, as bytes (a snapshot
-	// continues the same plan, an export enters a new one). The worker
-	// replies with an ack carrying the instances engine.Resume handed
-	// over, or an error naming what failed.
+	// one shard's part of an engine.Carried: an engine snapshot, which
+	// continues its own plan or, after a re-plan, is canonicalised into
+	// the new one. The worker replies with an ack carrying the instances
+	// engine.Resume handed over, or an error naming what failed.
 	CtrlHello = "hello"
 	// CtrlAdvance broadcasts the release horizon (watermark). Pipelined:
 	// no reply.
@@ -37,15 +37,10 @@ const (
 	// emitted since the last barrier as result frames, terminated by an
 	// ack carrying the engine's update counter.
 	CtrlBarrier = "barrier"
-	// CtrlExport asks for the engine's canonical migration state at the
-	// given horizon; the reply is an export envelope whose State is the
-	// encoded export, which the router carries on to the next epoch's
-	// hello untouched. Sent for one job only: the re-plan handover, where
-	// the state must enter a different plan.
-	CtrlExport = "export"
 	// CtrlSnapshot asks for an engine snapshot blob (checkpoint codec) —
-	// what every same-plan move carries: server checkpoints, journal
-	// compaction (hence failover replay), rebalance and drain.
+	// what every state move carries: server checkpoints, journal
+	// compaction (hence failover replay), rebalance, drain and the
+	// re-plan handover.
 	CtrlSnapshot = "snapshot"
 	// CtrlRelease ends the session discarding the engine without a
 	// flush — the state has moved elsewhere and a flush would emit rows
@@ -91,15 +86,16 @@ type Ctrl struct {
 	Factors bool        `json:"factors,omitempty"`
 	Queries []CtrlQuery `json:"queries,omitempty"`
 
-	// Horizon carries the watermark (advance) or the re-plan cut (export).
+	// Horizon carries the watermark (advance).
 	Horizon int64 `json:"horizon,omitempty"`
 	// Floor is a hello's exposed-result floor for windows the carried
-	// state does not cover (or all windows, when State is empty).
+	// state does not cover (or all windows, when State is empty), and the
+	// re-plan cut a snapshot of another plan is canonicalised at.
 	Floor int64 `json:"floor,omitempty"`
 
-	// State is one shard's carried state as bytes — an engine snapshot
-	// or an encoded export; only the engine tells which, no carrier does.
-	// Split across frames when it exceeds the chunk bound.
+	// State is one shard's carried state as bytes — an engine snapshot,
+	// opaque to every carrier. Split across frames when it exceeds the
+	// chunk bound.
 	State []byte `json:"state,omitempty"`
 	// More marks a continuation: the next control frame on this stream
 	// extends State.

@@ -96,7 +96,7 @@ func TestCtrlRoundTripChunkedState(t *testing.T) {
 	for i := range state {
 		state[i] = byte(i * 31)
 	}
-	in := Ctrl{Op: CtrlExport, Horizon: 77, State: state}
+	in := Ctrl{Op: CtrlSnapshot, Horizon: 77, State: state}
 	buf := AppendCtrl(nil, 9, &in)
 
 	// Count frames: must be 3, all control frames.
@@ -120,7 +120,7 @@ func TestCtrlRoundTripChunkedState(t *testing.T) {
 		t.Fatalf("decoded %d envelopes, want 1", len(out))
 	}
 	got := out[0]
-	if got.Op != CtrlExport || got.Horizon != 77 {
+	if got.Op != CtrlSnapshot || got.Horizon != 77 {
 		t.Fatalf("head fields lost across chunks: op=%q horizon=%d", got.Op, got.Horizon)
 	}
 	if got.More {
@@ -218,7 +218,7 @@ func TestCtrlAssemblerStateCap(t *testing.T) {
 
 func TestCtrlAssemblerRejectsMixedContinuation(t *testing.T) {
 	state := make([]byte, ctrlStateChunk+1)
-	buf := AppendCtrl(nil, 1, &Ctrl{Op: CtrlExport, State: state})
+	buf := AppendCtrl(nil, 1, &Ctrl{Op: CtrlSnapshot, State: state})
 	head, _, err := Decode(buf)
 	if err != nil {
 		t.Fatalf("Decode head: %v", err)

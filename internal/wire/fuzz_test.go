@@ -374,7 +374,7 @@ func FuzzCtrlAssembler(f *testing.F) {
 			}
 			state[i] += byte(i >> 8) // the chunks differ even under a short data
 		}
-		in := Ctrl{Op: CtrlExport, Horizon: 7, Updates: int64(n), State: state}
+		in := Ctrl{Op: CtrlSnapshot, Horizon: 7, Updates: int64(n), State: state}
 		buf := AppendCtrl(nil, 5, &in)
 		var (
 			rt     CtrlAssembler
