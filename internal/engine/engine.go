@@ -86,14 +86,15 @@ type node struct {
 	base  int64
 
 	// curInst/curEnd cache the single active instance of tumbling (k=1)
-	// operators, giving the raw path the same per-event shape as a plain
-	// slice store: one comparison, one map access.
+	// operators, so the raw path resolves its instance once per run of
+	// events inside it: one comparison per run.
 	curInst *instance
 	curEnd  int64
 
-	// shared points at the Runner's canonical key table. Raw readers
-	// still pay one grouping lookup per event (as Trill's per-operator
-	// GroupAggregate does); sub-aggregates arrive pre-slotted.
+	// shared points at the Runner's canonical key table. The Runner's
+	// pre-pass resolves each raw event's key once, for every node (Trill
+	// pays a grouping lookup per GroupAggregate); sub-aggregates arrive
+	// pre-slotted.
 	shared *keyTable
 
 	instPool []*instance
@@ -138,24 +139,6 @@ type Runner struct {
 	shape []plan.Node // the plan's Nodes, parallel to all
 }
 
-// keyTable assigns dense canonical slots to group keys, shared by every
-// operator of a plan so sub-aggregate slots mean the same thing
-// everywhere.
-type keyTable struct {
-	slots map[uint64]int32
-	keys  []uint64
-}
-
-func (t *keyTable) slot(key uint64) int32 {
-	if s, ok := t.slots[key]; ok {
-		return s
-	}
-	s := int32(len(t.keys))
-	t.slots[key] = s
-	t.keys = append(t.keys, key)
-	return s
-}
-
 // New compiles a plan into an executable Runner delivering results to
 // sink. The plan must validate.
 func New(p *plan.Plan, sink stream.Sink) (*Runner, error) {
@@ -165,7 +148,7 @@ func New(p *plan.Plan, sink stream.Sink) (*Runner, error) {
 	if sink == nil {
 		return nil, fmt.Errorf("engine: nil sink")
 	}
-	r := &Runner{fn: p.Fn, shape: p.Nodes(), sink: sink, keyed: keyTable{slots: make(map[uint64]int32)}}
+	r := &Runner{fn: p.Fn, shape: p.Nodes(), sink: sink}
 	byOp := make(map[*plan.Operator]*node)
 	ops := p.Operators()
 	for _, op := range ops {
@@ -199,9 +182,9 @@ const batchChunk = 4096
 // be globally in non-decreasing time order across calls.
 //
 // A per-chunk pre-pass resolves every event's key to its canonical slot
-// (one hash per event, total — every plan node reuses the resolution
-// instead of re-hashing) and stages the values columnar, so the
-// per-node hot loops index two flat arrays.
+// (one key-index probe per event, total — every plan node reuses the
+// resolution instead of re-hashing) and stages the values columnar, so
+// the per-node hot loops index two flat arrays.
 func (r *Runner) Process(events []stream.Event) {
 	if r.closed {
 		panic("engine: Process after Close")
@@ -218,10 +201,9 @@ func (r *Runner) Process(events []stream.Event) {
 			end = len(events)
 		}
 		chunk := events[off:end]
-		slots := r.slotBuf[:0]
+		slots := r.keyed.appendSlots(r.slotBuf[:0], chunk)
 		vals := r.valBuf[:0]
 		for i := range chunk {
-			slots = append(slots, r.keyed.slot(chunk[i].Key))
 			vals = append(vals, chunk[i].Value)
 		}
 		r.slotBuf, r.valBuf = slots, vals

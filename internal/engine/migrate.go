@@ -440,17 +440,23 @@ func (n *node) loadSpan(inst *instance, is *InstanceState, frozen bool, keyCount
 }
 
 // loadKeys installs a carried slot→key table (a snapshot's or an
-// export's) on a fresh Runner. A key listed twice would own two slots,
-// and every instance holding both would fire two rows for it.
+// export's) on a fresh Runner, indexing it once at its final size. A key
+// listed twice would own two slots, and every instance holding both
+// would fire two rows for it.
 func (r *Runner) loadKeys(keys []uint64) error {
-	r.keyed.keys = append([]uint64(nil), keys...)
-	r.keyed.slots = make(map[uint64]int32, len(keys))
+	t := keyTable{keys: make([]uint64, 0, len(keys))}
+	size := minIndex
+	for size < 2*len(keys) {
+		size *= 2
+	}
+	t.rebuild(size)
 	for slot, key := range keys {
-		if prev, dup := r.keyed.slots[key]; dup {
+		if prev, dup := t.lookup(key); dup {
 			return fmt.Errorf("engine: key %d appears in slots %d and %d of the carried key table", key, prev, slot)
 		}
-		r.keyed.slots[key] = int32(slot)
+		t.add(key)
 	}
+	r.keyed = t
 	return nil
 }
 

@@ -182,7 +182,7 @@ func (p *Plan) Run(events []stream.Event, emit func(Routed)) error {
 // compare, because a run has exactly one window. Unsubscribed runs
 // (factor windows, internals) are dropped. Like the run itself, ids and
 // the columns are only valid for the duration of the callback.
-func (p *Plan) RunSink(emit func(ids []string, run stream.Run)) stream.Sink {
+func (p *Plan) RunSink(emit func(ids []string, run stream.Run)) stream.RunSink {
 	return &routingRunSink{plan: p, emit: emit}
 }
 

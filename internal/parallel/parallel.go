@@ -14,9 +14,9 @@
 // Runner is the repository's one shard-execution tier. It owns what
 // every sharded execution shares: the key partition (ShardOf) into a
 // recycled scatter, the watermark broadcast, the barrier (started on
-// every shard, then awaited in shard index order), the drain of each
-// shard's buffered runs into the sink in shard index order with the
-// egress peak, the carried state (Carry) and Close.
+// every shard, then awaited in shard index order, each shard's buffered
+// runs drained into the sink as soon as it is awaited) with the egress
+// peak, the carried state (Carry) and Close.
 // It drives its shards through the Shard interface and never asks which
 // kind it drives:
 //
@@ -91,6 +91,17 @@ func (p Part) Done() {
 	}
 }
 
+// DeliverySink is a Runner sink told where each delivery ends: after
+// every buffer a Runner drains into it (a shard's results at a barrier
+// or Close, or a goroutine shard's own flush or spill) and every run a
+// shard passes straight through, Delivered runs under the same lock as
+// the delivery. A sink that hands rows on to readers can wake them once
+// per delivery instead of once per run.
+type DeliverySink interface {
+	stream.Sink
+	Delivered()
+}
+
 // lockedSink serializes delivery onto the user's sink: the Runner's
 // drain and, for goroutine shards flushing on their own, the shards. One
 // lock acquisition per drained buffer or passed-through run. Run-capable
@@ -99,8 +110,15 @@ func (p Part) Done() {
 type lockedSink struct {
 	mu   sync.Mutex
 	sink stream.Sink
+	// notify is sink as a DeliverySink, or nil.
+	notify DeliverySink
 	// ordered is the goroutine shards' delivery policy (SetOrderedDrain).
 	ordered bool
+}
+
+func newLockedSink(sink stream.Sink) *lockedSink {
+	notify, _ := sink.(DeliverySink)
+	return &lockedSink{sink: sink, notify: notify}
 }
 
 // drain delivers and resets one buffer of runs under the lock.
@@ -110,15 +128,25 @@ func (s *lockedSink) drain(buf *stream.RunBuffer) {
 	}
 	s.mu.Lock()
 	// Unlock via defer: a panicking user sink poisons the runner, and the
-	// mutex must not stay held or every shard wedges behind it.
+	// mutex must not stay held or every shard wedges behind it. The
+	// delivery ends even then: rows the sink took before panicking are
+	// delivered.
 	defer s.mu.Unlock()
+	defer s.delivered()
 	buf.Drain(s.sink)
 }
 
 func (s *lockedSink) emitRun(r stream.Run) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	defer s.delivered()
 	stream.EmitRun(s.sink, r)
+}
+
+func (s *lockedSink) delivered() {
+	if s.notify != nil {
+		s.notify.Delivered()
+	}
 }
 
 // shardSink buffers one goroutine shard's emissions as runs. Unordered,
@@ -461,7 +489,6 @@ func (sh *shard) Err() error {
 // across shards, unless SetOrderedDrain is on.
 type Runner struct {
 	shards []Shard
-	bufs   []*stream.RunBuffer // the buffers the last barrier or close returned
 	out    *lockedSink
 	closed bool
 	events int64
@@ -483,13 +510,12 @@ type Runner struct {
 // ingest counter (a restored checkpoint's). sink receives every drained
 // result, from the driving goroutine.
 func Drive(shards []Shard, sink stream.Sink, events int64) *Runner {
-	return newRunner(shards, &lockedSink{sink: sink}, events)
+	return newRunner(shards, newLockedSink(sink), events)
 }
 
 func newRunner(shards []Shard, out *lockedSink, events int64) *Runner {
 	return &Runner{
 		shards:      shards,
-		bufs:        make([]*stream.RunBuffer, len(shards)),
 		out:         out,
 		events:      events,
 		freeScatter: make(chan *scatter, scatterDepth),
@@ -523,7 +549,7 @@ func Resume(p *plan.Plan, sink stream.Sink, n int, state engine.Carried, freshFl
 		}
 		carried = make([]engine.ShardState, n)
 	}
-	ls := &lockedSink{sink: sink}
+	ls := newLockedSink(sink)
 	local := make([]*shard, len(carried))
 	shards := make([]Shard, len(carried))
 	migrated := 0
@@ -590,29 +616,40 @@ func (r *Runner) Err() error {
 // mid-stream races with the shard goroutines.
 func (r *Runner) SetOrderedDrain(on bool) { r.out.ordered = on }
 
-// drain delivers the buffers the last barrier or close collected, in
-// shard index order, and records the largest as the egress peak. A sink
-// that panics poisons the Runner (Err) instead of unwinding through the
-// caller; the undelivered results are dropped.
-func (r *Runner) drain() {
+// deliver awaits every shard in index order and drains each one's
+// buffered runs into the sink as soon as it is awaited: the sink sees
+// shard index order, as from a drain after the last await, but its
+// readers can start on shard 0's results while later shards still
+// compute. The egress peak is the largest buffer. A sink that panics
+// poisons the Runner (Err) instead of unwinding through the caller; the
+// rest of that delivery is still awaited, and dropped.
+func (r *Runner) deliver(await func(Shard) *stream.RunBuffer) {
+	failed := false
+	for _, sh := range r.shards {
+		buf := await(sh)
+		if p := int64(buf.Rows()); p > r.egressPeak.Load() {
+			r.egressPeak.Store(p)
+		}
+		if failed {
+			buf.Reset()
+			continue
+		}
+		failed = !r.drain(buf)
+	}
+}
+
+// drain delivers one shard's buffer, reporting false (and dropping the
+// buffer) if the sink panicked.
+func (r *Runner) drain(buf *stream.RunBuffer) (ok bool) {
 	defer func() {
 		if p := recover(); p != nil {
 			r.fail(fmt.Errorf("parallel: sink failed: %v", p))
-			for _, buf := range r.bufs {
-				buf.Reset()
-			}
+			buf.Reset()
+			ok = false
 		}
 	}()
-	peak := 0
-	for _, buf := range r.bufs {
-		peak = max(peak, buf.Rows())
-	}
-	if p := int64(peak); p > r.egressPeak.Load() {
-		r.egressPeak.Store(p)
-	}
-	for _, buf := range r.bufs {
-		r.out.drain(buf)
-	}
+	r.out.drain(buf)
+	return true
 }
 
 // EgressPeak reports the high-water mark of per-shard buffered result
@@ -704,11 +741,12 @@ func (r *Runner) Advance(t int64) {
 }
 
 // Barrier blocks until every shard has processed all batches handed to
-// Process before the call, then delivers their buffered results in shard
-// index order. The barrier starts on every shard before any is awaited,
-// so the shards finish concurrently. After it returns the shards are
-// quiescent, so reading aggregate counters such as TotalUpdates — or
-// taking a Snapshot — is race-free until the next Process call.
+// Process before the call, delivering each shard's buffered results as
+// it finishes, in shard index order. The barrier starts on every shard
+// before any is awaited, so the shards finish concurrently. After it
+// returns the shards are quiescent, so reading aggregate counters such
+// as TotalUpdates — or taking a Snapshot — is race-free until the next
+// Process call.
 // Long-running callers (servers) use it to make results visible
 // promptly instead of waiting for the per-shard batch buffers to fill.
 func (r *Runner) Barrier() {
@@ -718,10 +756,7 @@ func (r *Runner) Barrier() {
 	for _, sh := range r.shards {
 		sh.StartBarrier()
 	}
-	for i, sh := range r.shards {
-		r.bufs[i] = sh.AwaitBarrier()
-	}
-	r.drain()
+	r.deliver(Shard.AwaitBarrier)
 }
 
 // Close flushes every shard and delivers the final results.
@@ -733,10 +768,7 @@ func (r *Runner) Close() {
 	for _, sh := range r.shards {
 		sh.StartClose()
 	}
-	for i, sh := range r.shards {
-		r.bufs[i] = sh.AwaitClose()
-	}
-	r.drain()
+	r.deliver(Shard.AwaitClose)
 }
 
 // Events returns the number of raw events accepted.

@@ -455,8 +455,9 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 // sequence number still held; a nil gap ignores them. With nothing left
 // to drain, follow returns true once the ring is closed (the query
 // unregistered or the server shut down) and otherwise parks until the
-// ring grows or done or stop fires (a nil channel never fires). It
-// returns false when done or stop fired or send failed.
+// ring wakes it (a delivery appended rows, or a full poll accumulated)
+// or done or stop fires (a nil channel never fires). It returns false
+// when done or stop fired or send failed.
 func follow(rg *ring, after int64, done, stop <-chan struct{}, gap func(missed, first int64), send func(dst []byte, c *runChunk) ([]byte, error)) bool {
 	chunk := runChunkPool.Get().(*runChunk)
 	defer runChunkPool.Put(chunk)

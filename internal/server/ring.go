@@ -67,8 +67,14 @@ type ring struct {
 	// readers drain it. What a reader actually lost is the missed count
 	// its read hands it.
 	evicted int64
-	wait    chan struct{} // closed on append, but only once fetched
-	waited  bool          // a waiter fetched wait since its last rotation
+	// wait is closed to wake the readers parked on it, but only once
+	// fetched: when a full stream poll has been appended since the last
+	// wake, or when the runner ends a delivery (delivered) that appended
+	// rows. Readers then wake once per delivered shard buffer, not once
+	// per run, and a large delivery still starts them early.
+	wait    chan struct{}
+	waited  bool // a waiter fetched wait since its last rotation
+	unwoken int  // rows appended since the last wake
 	closed  bool
 }
 
@@ -83,20 +89,22 @@ func (g *ring) append(res stream.Result) {
 }
 
 // appendRun delivers one fired window instance under a single lock
-// acquisition and a single waiter wakeup, so a 1000-key instance costs
-// one lock, one header and two column copies. The columns land as
-// contiguous segments: the tail of a ring still filling, then at most
-// two stretches over the oldest rows (up to the end of the buffer, and
-// from its start), with the sequence and eviction counters moved once
-// per run. The run is copied; the caller keeps its columns.
-func (g *ring) appendRun(r stream.Run) {
+// acquisition, so a 1000-key instance costs one lock, one header and
+// two column copies. The columns land as contiguous segments: the tail
+// of a ring still filling, then at most two stretches over the oldest
+// rows (up to the end of the buffer, and from its start), with the
+// sequence and eviction counters moved once per run. The run is copied;
+// the caller keeps its columns. It wakes readers only once a full poll
+// has accumulated, and reports whether the ring newly owes them the
+// wake that delivered gives.
+func (g *ring) appendRun(r stream.Run) (owed bool) {
 	if len(r.Keys) == 0 {
-		return
+		return false
 	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if g.closed {
-		return
+		return false
 	}
 	seq := g.nextSeq
 	g.nextSeq += int64(len(r.Keys))
@@ -130,7 +138,21 @@ func (g *ring) appendRun(r stream.Run) {
 		g.popEvictedHeaders(seq)
 	}
 	g.pushHeader(runHdr{firstSeq: seq, rng: r.W.Range, slide: r.W.Slide, start: r.Start, end: r.End})
-	g.wakeLocked()
+	owed = g.unwoken == 0
+	if g.unwoken += len(r.Keys); g.unwoken >= streamChunk {
+		g.wakeLocked()
+	}
+	return owed
+}
+
+// delivered ends a delivery: readers wake if rows arrived since the
+// last wake.
+func (g *ring) delivered() {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if g.unwoken > 0 {
+		g.wakeLocked()
+	}
 }
 
 // growRows extends the row columns to n rows (n ≤ capacity), doubling
@@ -194,7 +216,10 @@ func (g *ring) pushHeader(h runHdr) {
 
 // wakeLocked rotates the wait channel only when someone may be parked
 // on it — with no stream readers attached, appends stay allocation-free.
+// Either way the rows appended so far are owed no wake: a parked reader
+// is woken, and a later one reads them before it parks.
 func (g *ring) wakeLocked() {
+	g.unwoken = 0
 	if g.waited {
 		close(g.wait)
 		g.wait = make(chan struct{})
@@ -311,7 +336,8 @@ func (g *ring) readRunsLocked(after int64, limit int, c *runChunk) (missed int64
 	return missed
 }
 
-// waitCh returns a channel closed on the next append or close. Fetch it
+// waitCh returns a channel closed once rows appended after the call are
+// delivered (or a full poll of them is appended), or on close. Fetch it
 // before reading to avoid missing a wakeup.
 func (g *ring) waitCh() <-chan struct{} {
 	g.mu.Lock()

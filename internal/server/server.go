@@ -694,7 +694,7 @@ func (s *Server) buildPipeline(mp *multiquery.Plan, freshFloor int64, carried *r
 	for _, q := range qs {
 		rings[q.ID] = s.queries[q.ID].ring
 	}
-	sink := routeSink(mp, g, rings)
+	sink := newRouteSink(mp, g, rings)
 	var runner *parallel.Runner
 	var rr *router.Runner
 	migrated := 0
@@ -766,24 +766,42 @@ func (s *Server) teardown() {
 	s.pipe = nil
 }
 
-// routeSink builds the epoch's result path: the multiquery run sink
-// tags each fired instance's run with its subscribers (one lookup per
-// run), the gate mutes the stream during teardown, and each
-// subscriber's ring copies the run's columns in one appendRun.
-// Epoch-boundary suppression needs no filtering here any more — the
-// engine's per-node emit floors keep partial instances from ever being
-// emitted.
-func routeSink(mp *multiquery.Plan, g *gate, rings map[string]*ring) stream.Sink {
-	return mp.RunSink(func(ids []string, run stream.Run) {
+// routeSink is the epoch's result path: the multiquery run sink tags
+// each fired instance's run with its subscribers (one lookup per run),
+// the gate mutes the stream during teardown, and each subscriber's ring
+// copies the run's columns in one appendRun. Epoch-boundary suppression
+// needs no filtering here any more — the engine's per-node emit floors
+// keep partial instances from ever being emitted. As the runner's
+// parallel.DeliverySink it wakes the readers of every ring a delivery
+// appended to once that delivery ends: one wake per delivered shard
+// buffer, not one per run.
+type routeSink struct {
+	stream.RunSink
+	touched []*ring // rings owed a wake when the current delivery ends
+}
+
+func newRouteSink(mp *multiquery.Plan, g *gate, rings map[string]*ring) *routeSink {
+	s := &routeSink{}
+	s.RunSink = mp.RunSink(func(ids []string, run stream.Run) {
 		if g.muted.Load() {
 			return
 		}
 		for _, id := range ids {
-			if rg := rings[id]; rg != nil {
-				rg.appendRun(run)
+			if rg := rings[id]; rg != nil && rg.appendRun(run) {
+				s.touched = append(s.touched, rg)
 			}
 		}
 	})
+	return s
+}
+
+// Delivered implements parallel.DeliverySink.
+func (s *routeSink) Delivered() {
+	for i, rg := range s.touched {
+		rg.delivered()
+		s.touched[i] = nil
+	}
+	s.touched = s.touched[:0]
 }
 
 // onLate counts events beyond the reorder bound. It runs inside

@@ -73,8 +73,9 @@ func TestZeroAllocWireSteadyState(t *testing.T) {
 
 	// The egress half, from the ordered drain to the encoded bytes: a
 	// shard's buffered runs drain through the routing sink into the
-	// ring (RunBuffer → multiquery.RunSink → ring.appendRun), a stream
-	// reader copies them out as runs and encodes them, in both formats.
+	// ring (RunBuffer → multiquery.RunSink → ring.appendRun), the
+	// delivery ends (routeSink.Delivered), a stream reader copies them
+	// out as runs and encodes them, in both formats.
 	for _, format := range []string{"frame", "ndjson"} {
 		t.Run("stream/"+format, func(t *testing.T) {
 			w := window.Tumbling(20)
@@ -83,7 +84,7 @@ func TestZeroAllocWireSteadyState(t *testing.T) {
 				t.Fatal(err)
 			}
 			rg := newRing(streamChunk)
-			sink := routeSink(mp, &gate{}, map[string]*ring{"q": rg})
+			sink := newRouteSink(mp, &gate{}, map[string]*ring{"q": rg})
 			// One drain's worth: 16 instances of 64 keys.
 			var fired, shard stream.RunBuffer
 			keys, vals := make([]uint64, 64), make([]float64, 64)
@@ -101,6 +102,7 @@ func TestZeroAllocWireSteadyState(t *testing.T) {
 					shard.Append(fired.Run(i))
 				}
 				shard.Drain(sink)
+				sink.Delivered()
 				if rg.readRuns(after, streamChunk, chunk); chunk.rows() != streamChunk || len(chunk.runs) != streamChunk/64 {
 					t.Fatalf("drained %d rows in %d runs, want %d in %d", chunk.rows(), len(chunk.runs), streamChunk, streamChunk/64)
 				}

@@ -145,7 +145,7 @@ type Frame struct {
 func (f Frame) Rows() int { return f.rows }
 
 // u64 reads the i-th element of the column starting at byte offset col.
-func (f Frame) u64(col, i int) uint64 {
+func (f *Frame) u64(col, i int) uint64 {
 	off := col + i*colWidth
 	return binary.LittleEndian.Uint64(f.payload[off : off+colWidth])
 }
@@ -266,8 +266,10 @@ func getKeys(out []stream.Event, col []byte, w int, base uint64) {
 	}
 }
 
-// Result returns row i of a results frame; seq is Seq+i.
-func (f Frame) Result(i int) (seq, rng, slide, start, end int64, key uint64, value float64) {
+// Result returns row i of a results frame; seq is Seq+i. Readers call
+// it per row, so it and u64 take the frame by pointer: a Frame is too
+// large to copy per call.
+func (f *Frame) Result(i int) (seq, rng, slide, start, end int64, key uint64, value float64) {
 	if f.Kind != KindResults || i < 0 || i >= f.rows {
 		panic("wire: Result out of range")
 	}
