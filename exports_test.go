@@ -17,10 +17,13 @@ import (
 // once lingered beside its replacement with only tests calling it, and
 // the execution and state-carrying tiers (engine, parallel, router,
 // shardworker, stream), where a superseded constructor or typed-state
-// helper would otherwise survive for tests alone.
+// helper would otherwise survive for tests alone, and the serving layer
+// and what it is built on (server, reorder, wal, multiquery, admit),
+// where an accessor once stayed exported for tests alone.
 var exportGuardPackages = []string{
 	"internal/agg", "internal/streamio", "internal/wire",
 	"internal/engine", "internal/parallel", "internal/router", "internal/shardworker", "internal/stream",
+	"internal/server", "internal/reorder", "internal/wal", "internal/multiquery", "internal/admit",
 }
 
 // testOnlyExports are the exported names the guard exempts, each with

@@ -240,13 +240,6 @@ func (c *Controller) release(source string, n int64) {
 	}
 }
 
-// Sources reports how many sources currently hold in-flight bytes.
-func (c *Controller) Sources() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.bySource)
-}
-
 // Stats snapshots the controller's counters.
 func (c *Controller) Stats() Stats {
 	c.mu.Lock()

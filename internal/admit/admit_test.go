@@ -164,14 +164,14 @@ func TestSourceMapCleanup(t *testing.T) {
 		}
 		grants = append(grants, g)
 	}
-	if n := c.Sources(); n != 10 {
-		t.Fatalf("Sources() = %d, want 10", n)
+	if n := len(c.bySource); n != 10 {
+		t.Fatalf("sources = %d, want 10", n)
 	}
 	for _, g := range grants {
 		g.Release()
 	}
-	if n := c.Sources(); n != 0 {
-		t.Fatalf("Sources() = %d after release, want 0 (map leak)", n)
+	if n := len(c.bySource); n != 0 {
+		t.Fatalf("sources = %d after release, want 0 (map leak)", n)
 	}
 }
 
@@ -222,8 +222,8 @@ func TestInvariantUnderConcurrency(t *testing.T) {
 	if st.Admitted == 0 {
 		t.Fatalf("nothing admitted")
 	}
-	if n := c.Sources(); n != 0 {
-		t.Fatalf("Sources() = %d, want 0", n)
+	if n := len(c.bySource); n != 0 {
+		t.Fatalf("sources = %d, want 0", n)
 	}
 }
 

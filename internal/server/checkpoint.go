@@ -68,20 +68,21 @@ type checkpointQuery struct {
 // Checkpoint serializes the server's full streaming state. It is
 // consistent at ingest-batch boundaries: the pipeline is barriered and
 // no batch is in flight while the snapshot is taken.
-func (s *Server) Checkpoint() ([]byte, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.checkpointLocked(false)
+func (s *Server) Checkpoint() (data []byte, err error) {
+	err = s.mutate(0, func() (err error) {
+		data, err = s.checkpointLocked(false)
+		return err
+	})
+	return data, err
 }
 
 // checkpointLocked is Checkpoint's body for callers already holding
-// s.mu; the durable snapshot capture asks withRings.
+// s.mu; the durable snapshot capture asks withRings. A failed pipeline
+// has nothing consistent to checkpoint, so it refuses every capture
+// through the gate.
 func (s *Server) checkpointLocked(withRings bool) ([]byte, error) {
-	if s.closed {
-		return nil, ErrClosed
-	}
-	if s.engineErr != nil {
-		return nil, fmt.Errorf("%w: %v; nothing consistent to checkpoint", ErrEngine, s.engineErr)
+	if err := s.refuseLocked(refuseEngine); err != nil {
+		return nil, err
 	}
 	cp := checkpoint{
 		Version:  checkpointVersion,
@@ -96,7 +97,7 @@ func (s *Server) checkpointLocked(withRings bool) ([]byte, error) {
 		Dropped:  s.dropped,
 		Late:     s.late,
 	}
-	for _, qi := range s.sortedIDs() {
+	for _, qi := range slices.Sorted(maps.Keys(s.queries)) {
 		cp.Queries = append(cp.Queries, checkpointQuery{ID: qi, SQL: s.queries[qi].sql})
 	}
 	switch {
@@ -217,22 +218,19 @@ func (s *Server) restoreCheckpoint(data []byte, withRings bool) error {
 		}
 	}
 
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	err := s.applyCheckpointLocked(&cp, queries, mp, state, stateErr)
-	if errors.Is(err, ErrClosed) {
-		return err
-	}
-	// The restored state replaced everything the log's earlier records
-	// describe, successfully or (fresh-state fallback) partially; either
-	// way a durable server must fence the log here — see
-	// restoreBarrierLocked.
-	if s.wal != nil && !s.walReplaying {
-		if berr := s.restoreBarrierLocked(); berr != nil && err == nil {
-			err = berr
+	return s.mutate(0, func() error {
+		err := s.applyCheckpointLocked(&cp, queries, mp, state, stateErr)
+		// The restored state replaced everything the log's earlier records
+		// describe, successfully or (fresh-state fallback) partially;
+		// either way a durable server must fence the log here — see
+		// restoreBarrierLocked.
+		if s.wal != nil && !s.walReplaying {
+			if berr := s.restoreBarrierLocked(); berr != nil && err == nil {
+				err = berr
+			}
 		}
-	}
-	return err
+		return err
+	})
 }
 
 // applyCheckpointLocked swaps the validated checkpoint state in: mp is
@@ -240,9 +238,6 @@ func (s *Server) restoreCheckpoint(data []byte, withRings bool) error {
 // stateErr why they cannot resume it. Callers hold s.mu.
 func (s *Server) applyCheckpointLocked(cpp *checkpoint, queries map[string]*registration, mp *multiquery.Plan, state engine.Carried, stateErr error) error {
 	cp := *cpp
-	if s.closed {
-		return ErrClosed
-	}
 	if s.pipe != nil {
 		s.teardown()
 	}
@@ -309,5 +304,3 @@ func (s *Server) applyCheckpointLocked(cpp *checkpoint, queries map[string]*regi
 	s.pipe = np
 	return nil
 }
-
-func (s *Server) sortedIDs() []string { return slices.Sorted(maps.Keys(s.queries)) }

@@ -145,6 +145,12 @@ func (s *Server) stageEventsLocked(events []stream.Event) (*wal.Commit, error) {
 		s.walErr = err
 		return nil, fmt.Errorf("server: %w: wal append: %v", ErrDegraded, err)
 	}
+	if s.cfg.Fsync != wal.FsyncEvery {
+		// Only fsync=every holds the ack for the group commit; otherwise
+		// the ack is non-durable by contract, and a write failure
+		// fail-stops the next mutation through the gate.
+		return nil, nil
+	}
 	return c, nil
 }
 
@@ -166,38 +172,6 @@ func (s *Server) stageControlLocked(op walControl) (*wal.Commit, error) {
 	return c, nil
 }
 
-// awaitCommit blocks on one record's group commit (without s.mu). A
-// commit failure fail-stops the durable path: the in-memory state has
-// already advanced past what the log can ever replay, so every later
-// mutation is rejected until the process restarts and recovers.
-func (s *Server) awaitCommit(c *wal.Commit) (durable bool, err error) {
-	if c == nil {
-		return false, nil
-	}
-	durable, err = c.Wait()
-	if err != nil {
-		s.mu.Lock()
-		if s.walErr == nil {
-			s.walErr = err
-		}
-		s.mu.Unlock()
-		return false, fmt.Errorf("server: %w: wal commit: %v", ErrDegraded, err)
-	}
-	return durable, nil
-}
-
-// walGateLocked rejects mutations once the durable path has failed:
-// applying changes the log cannot hold would silently void the
-// recovery guarantee. The wrapped ErrDegraded maps to 503 with a
-// Retry-After at the transport — ingest sheds while reads keep
-// serving (read-only degraded mode). Callers hold s.mu.
-func (s *Server) walGateLocked() error {
-	if s.walErr != nil {
-		return fmt.Errorf("server: %w: %v (ingest sheds; reads still serve; restart to recover)", ErrDegraded, s.walErr)
-	}
-	return nil
-}
-
 // captureSnapshotLocked serializes the durable snapshot payload and
 // the offset it covers. Callers hold s.mu with no batch in flight, so
 // the state is consistent exactly at the log's next-record offset.
@@ -212,30 +186,25 @@ func (s *Server) captureSnapshotLocked() (offset int64, data []byte, err error) 
 // completion shows up in /stats as last_snapshot_offset. At most one
 // write is in flight; a second request while busy returns ErrConflict.
 func (s *Server) Snapshot() (int64, error) {
-	s.mu.Lock()
-	if s.wal == nil {
-		s.mu.Unlock()
-		return 0, fmt.Errorf("%w: server is not durable", ErrNotFound)
-	}
-	if s.closed {
-		s.mu.Unlock()
-		return 0, ErrClosed
-	}
-	if err := s.walGateLocked(); err != nil {
-		s.mu.Unlock()
-		return 0, err
-	}
-	if s.snapBusy {
-		s.mu.Unlock()
-		return 0, fmt.Errorf("%w: a snapshot write is already in flight", ErrConflict)
-	}
-	offset, data, err := s.captureSnapshotLocked()
+	var offset int64
+	err := s.mutate(refuseDegraded, func() error {
+		if s.wal == nil {
+			return fmt.Errorf("%w: server is not durable", ErrNotFound)
+		}
+		if s.snapBusy {
+			return fmt.Errorf("%w: a snapshot write is already in flight", ErrConflict)
+		}
+		o, data, err := s.captureSnapshotLocked()
+		if err != nil {
+			return err
+		}
+		s.startSnapshotWriteLocked(o, data)
+		offset = o
+		return nil
+	})
 	if err != nil {
-		s.mu.Unlock()
 		return 0, err
 	}
-	s.startSnapshotWriteLocked(offset, data)
-	s.mu.Unlock()
 	return offset, nil
 }
 
@@ -325,7 +294,7 @@ func (s *Server) Shutdown() error {
 		capErr  error
 		capture bool
 	)
-	if s.wal != nil && !s.closed && s.walErr == nil {
+	if s.wal != nil && s.refuseLocked(refuseDegraded) == nil {
 		offset, data, capErr = s.captureSnapshotLocked()
 		capture = capErr == nil
 	}

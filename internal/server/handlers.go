@@ -35,16 +35,6 @@ import (
 // concurrent clients interleave.
 const ingestChunk = 8192
 
-// ingestBatchPool recycles the per-request event staging batch (the
-// scanner's line buffer comes from streamio's shared pool). The
-// pipeline copies events out synchronously (Ingest returns only after
-// the batch is staged into the reorder buffer / shard scatters), so
-// returning the buffers after the handler finishes is safe.
-var ingestBatchPool = sync.Pool{New: func() any {
-	s := make([]stream.Event, 0, ingestChunk)
-	return &s
-}}
-
 // Handler returns the server's HTTP API:
 //
 //	POST   /queries              register a query (JSON {"id","query"} or raw ASAQL text)
@@ -593,13 +583,15 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// frameBatchPool recycles the event staging batch of the ingest paths
-// that stage more than one ingestChunk at a time: binary frames carry
-// whole client-side batches (up to wire.MaxFrameRows) and the buffering
-// codecs a whole body, so the slices grow larger than the NDJSON
-// staging; oversized ones are dropped instead of pooled.
+// frameBatchPool recycles the per-request event staging batch (the
+// scanner's line buffer comes from streamio's shared pool). Ingest
+// copies events out before it returns, so a batch goes back once its
+// handler finishes. Binary frames carry whole client-side batches (up
+// to wire.MaxFrameRows) and the buffering codecs a whole body, so
+// batches may grow past ingestChunk; oversized ones are dropped instead
+// of pooled.
 var frameBatchPool = sync.Pool{New: func() any {
-	s := make([]stream.Event, 0, 4096)
+	s := make([]stream.Event, 0, ingestChunk)
 	return &s
 }}
 
@@ -614,11 +606,30 @@ func putFrameBatch(batchp *[]stream.Event) {
 	}
 }
 
-// ingestTotal accumulates the status of one chunked ingest request over
-// the chunks applied so far.
+// ingestTotal is the one chunking loop behind every ingest codec: it
+// applies a request's staged events to the server in ingestChunk
+// batches and accumulates their status over the chunks applied so far.
 type ingestTotal struct {
 	IngestStatus
 	chunks int
+}
+
+// flush applies batch in ingestChunk batches — only whole ones unless
+// final — and returns the unapplied rest, moved to the front of batch's
+// array for more staging. A final flush of a request that applied
+// nothing at all — an empty body — still makes one Ingest call, so
+// every codec replies with the server's live status.
+func (t *ingestTotal) flush(s *Server, batch []stream.Event, final bool) ([]stream.Event, error) {
+	off := 0
+	for ; len(batch)-off >= ingestChunk || final && (off < len(batch) || t.chunks == 0); off += ingestChunk {
+		if err := t.apply(s, batch[off:min(off+ingestChunk, len(batch))]); err != nil {
+			return batch, err
+		}
+	}
+	if off == 0 {
+		return batch, nil
+	}
+	return append(batch[:0], batch[min(off, len(batch)):]...), nil
 }
 
 // apply ingests one chunk and folds its status into the total: counts
@@ -673,20 +684,14 @@ func (s *Server) ingestFrames(w http.ResponseWriter, r *http.Request) {
 			s.ingestError(w, fmt.Errorf("server: frame %d: kind %d is not an event frame", frames, f.Kind), total.IngestStatus)
 			return
 		}
-		batch = f.AppendEvents(batch)
-		for len(batch) >= ingestChunk {
-			if err := total.apply(s, batch[:ingestChunk]); err != nil {
-				s.ingestError(w, err, total.IngestStatus)
-				return
-			}
-			batch = append(batch[:0], batch[ingestChunk:]...)
-		}
-	}
-	if len(batch) > 0 {
-		if err := total.apply(s, batch); err != nil {
+		if batch, err = total.flush(s, f.AppendEvents(batch), false); err != nil {
 			s.ingestError(w, err, total.IngestStatus)
 			return
 		}
+	}
+	if _, err := total.flush(s, batch, true); err != nil {
+		s.ingestError(w, err, total.IngestStatus)
+		return
 	}
 	writeJSON(w, http.StatusOK, total.IngestStatus)
 }
@@ -707,12 +712,9 @@ func (s *Server) ingestBuffered(w http.ResponseWriter, r *http.Request, decode f
 		return
 	}
 	var total ingestTotal
-	// An empty body still makes one Ingest call: its status is the reply.
-	for off := 0; off == 0 || off < len(events); off += ingestChunk {
-		if err := total.apply(s, events[off:min(off+ingestChunk, len(events))]); err != nil {
-			s.ingestError(w, err, total.IngestStatus)
-			return
-		}
+	if _, err := total.flush(s, events, true); err != nil {
+		s.ingestError(w, err, total.IngestStatus)
+		return
 	}
 	writeJSON(w, http.StatusOK, total.IngestStatus)
 }
@@ -724,8 +726,8 @@ func (s *Server) ingestBuffered(w http.ResponseWriter, r *http.Request, decode f
 func (s *Server) ingestNDJSON(w http.ResponseWriter, r *http.Request) {
 	sc, putScanBuf := streamio.NewLineScanner(r.Body)
 	defer putScanBuf()
-	batchp := ingestBatchPool.Get().(*[]stream.Event)
-	defer ingestBatchPool.Put(batchp)
+	batchp := frameBatchPool.Get().(*[]stream.Event)
+	defer putFrameBatch(batchp)
 	var total ingestTotal
 	if err := s.decodeNDJSON(sc, (*batchp)[:0], &total); err != nil {
 		s.ingestError(w, err, total.IngestStatus)
@@ -735,9 +737,8 @@ func (s *Server) ingestNDJSON(w http.ResponseWriter, r *http.Request) {
 }
 
 // decodeNDJSON is ingestNDJSON's loop: it stages sc's event lines into
-// batch (capacity ingestChunk, so it never grows) and applies every full
-// chunk, then the remainder. A decode error leaves the chunk being
-// staged unapplied.
+// batch (never past ingestChunk) and applies every full chunk, then the
+// remainder. A decode error leaves the chunk being staged unapplied.
 func (s *Server) decodeNDJSON(sc *bufio.Scanner, batch []stream.Event, total *ingestTotal) error {
 	for line := 1; sc.Scan(); line++ {
 		text := bytes.TrimSpace(sc.Bytes())
@@ -748,21 +749,15 @@ func (s *Server) decodeNDJSON(sc *bufio.Scanner, batch []stream.Event, total *in
 		if err != nil {
 			return fmt.Errorf("server: line %d: %w", line, err)
 		}
-		batch = append(batch, e)
-		if len(batch) >= ingestChunk {
-			if err := total.apply(s, batch); err != nil {
-				return err
-			}
-			batch = batch[:0]
+		if batch, err = total.flush(s, append(batch, e), false); err != nil {
+			return err
 		}
 	}
 	if err := sc.Err(); err != nil {
 		return err
 	}
-	if len(batch) > 0 {
-		return total.apply(s, batch)
-	}
-	return nil
+	_, err := total.flush(s, batch, true)
+	return err
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {

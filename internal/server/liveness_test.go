@@ -125,13 +125,12 @@ func TestRingWakesPerFullPollOrDelivery(t *testing.T) {
 
 // TestReadersWakeOnEveryDelivery: a /stream reader and a listener
 // subscriber, each parked on its own query's ring, wake for the rows of
-// every path that delivers results — an ingest barrier, StatsNow's
-// barrier, a re-plan's carry, the runner's Close, and in the
-// distributed tier a shard move and a failover (workers over
-// net.Pipe). Each path delivers fewer rows than a stream poll, so only
-// the end-of-delivery wake can wake the readers. The pending rows are
-// pushed into the runner without a barrier, so the path under test is
-// the one delivering them.
+// every path that delivers results — an ingest barrier, a re-plan's
+// carry, the runner's Close, and in the distributed tier a shard move
+// and a failover (workers over net.Pipe). Each path delivers fewer rows
+// than a stream poll, so only the end-of-delivery wake can wake the
+// readers. The pending rows are pushed into the runner without a
+// barrier, so the path under test is the one delivering them.
 func TestReadersWakeOnEveryDelivery(t *testing.T) {
 	const sql = "SELECT DeviceID, SUM(T) FROM In GROUP BY DeviceID, Windows(TumblingWindow(tick, 10))"
 	const keys = 4
@@ -158,11 +157,9 @@ func TestReadersWakeOnEveryDelivery(t *testing.T) {
 		deliver func(t *testing.T, s *Server, addrs []string, ws []*shardworker.Worker)
 	}{
 		{"ingest", 0, nil},
-		{"stats", 0, func(t *testing.T, s *Server, _ []string, _ []*shardworker.Worker) { s.StatsNow() }},
 		{"replan", 0, nil},
 		{"close", 0, nil},
 		{"ingest/distributed", 2, nil},
-		{"stats/distributed", 2, func(t *testing.T, s *Server, _ []string, _ []*shardworker.Worker) { s.StatsNow() }},
 		{"replan/distributed", 2, nil},
 		{"close/distributed", 2, nil},
 		{"move", 2, func(t *testing.T, s *Server, addrs []string, _ []*shardworker.Worker) {
@@ -172,7 +169,9 @@ func TestReadersWakeOnEveryDelivery(t *testing.T) {
 		}},
 		{"failover", 2, func(t *testing.T, s *Server, _ []string, ws []*shardworker.Worker) {
 			ws[0].Close() // shard 0's host; the barrier fails it over
-			s.StatsNow()
+			if _, err := s.Ingest(nil); err != nil {
+				t.Fatal(err)
+			}
 			if topo := s.TopologyNow(); topo == nil || topo.Failovers == 0 {
 				t.Fatalf("no failover: %+v", topo)
 			}

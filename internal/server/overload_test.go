@@ -63,7 +63,7 @@ func TestIngestAdmissionShedsAndRecovers(t *testing.T) {
 	}
 
 	// A grant holding the whole global budget sheds the next request.
-	blocker, err := s.Admission().Acquire("blocker", 1<<10)
+	blocker, err := s.admit.Acquire("blocker", 1<<10)
 	if err != nil {
 		t.Fatalf("blocker grant: %v", err)
 	}
@@ -97,7 +97,7 @@ func TestIngestAdmissionBoundedWait(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	blocker, err := s.Admission().Acquire("blocker", 1<<10)
+	blocker, err := s.admit.Acquire("blocker", 1<<10)
 	if err != nil {
 		t.Fatalf("blocker grant: %v", err)
 	}
@@ -438,7 +438,7 @@ func TestStreamIngestShedAck(t *testing.T) {
 	defer ss.Close()
 	go ss.Serve(ln)
 
-	blocker, err := s.Admission().Acquire("blocker", 1<<10)
+	blocker, err := s.admit.Acquire("blocker", 1<<10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -543,7 +543,7 @@ func TestChaosShedOrServeByteIdentical(t *testing.T) {
 				var blocker *admit.Grant
 				if rng.Float64() < 0.3 {
 					var err error
-					if blocker, err = s.Admission().Acquire("blocker", 1<<20); err != nil {
+					if blocker, err = s.admit.Acquire("blocker", 1<<20); err != nil {
 						t.Fatalf("blocker grant: %v", err)
 					}
 				}

@@ -295,13 +295,8 @@ func (sc *streamConn) ingestFrame(f wire.Frame) {
 	}
 	batchp := frameBatchPool.Get().(*[]stream.Event)
 	batch := f.AppendEvents((*batchp)[:0])
-	var (
-		total ingestTotal
-		ierr  error
-	)
-	for off := 0; off < len(batch) && ierr == nil; off += ingestChunk {
-		ierr = total.apply(sc.ss.s, batch[off:min(off+ingestChunk, len(batch))])
-	}
+	var total ingestTotal
+	_, ierr := total.flush(sc.ss.s, batch, true)
 	*batchp = batch
 	putFrameBatch(batchp)
 	ack := ingestAck{Stream: f.StreamID, Ingest: true, Accepted: total.Accepted, Dropped: total.Dropped}

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"io"
+	"sync/atomic"
 	"testing"
 
 	"factorwindows/internal/agg"
@@ -84,7 +85,7 @@ func TestZeroAllocWireSteadyState(t *testing.T) {
 				t.Fatal(err)
 			}
 			rg := newRing(streamChunk)
-			sink := newRouteSink(mp, &gate{}, map[string]*ring{"q": rg})
+			sink := newRouteSink(mp, new(atomic.Bool), map[string]*ring{"q": rg})
 			// One drain's worth: 16 instances of 64 keys.
 			var fired, shard stream.RunBuffer
 			keys, vals := make([]uint64, 64), make([]float64, 64)

@@ -124,9 +124,36 @@ func checkConfig(cfg GenConfig) error {
 		return fmt.Errorf("workload: no seed slides")
 	case cfg.Kr < 2 || cfg.Ks < 2:
 		return fmt.Errorf("workload: multipliers must be ≥ 2")
-	default:
-		return nil
 	}
+	seeds, k := cfg.SeedSlides, cfg.Ks
+	if cfg.Tumbling {
+		seeds, k = cfg.SeedRanges, cfg.Kr
+	}
+	if n := distinctDraws(seeds, k, cfg.N); n < cfg.N {
+		// RandomGen would redraw duplicates forever.
+		return fmt.Errorf("workload: window-set size %d exceeds the %d distinct windows the seeds and multiplier %d can draw", cfg.N, n, k)
+	}
+	return nil
+}
+
+// distinctDraws counts the distinct products seed·m, 2 ≤ m ≤ k, over the
+// seeds — the windows RandomGen can draw — stopping once it reaches
+// enough. With k−1 ≥ enough one nonzero seed alone draws that many.
+func distinctDraws(seeds []int64, k int64, enough int) int {
+	if k-1 >= int64(enough) {
+		for _, s := range seeds {
+			if s != 0 {
+				return enough
+			}
+		}
+	}
+	seen := make(map[int64]struct{})
+	for _, s := range seeds {
+		for m := int64(2); m <= k; m++ {
+			seen[s*m] = struct{}{}
+		}
+	}
+	return len(seen)
 }
 
 // StreamConfig describes a synthetic event stream.

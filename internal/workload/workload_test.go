@@ -1,8 +1,10 @@
 package workload
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
+	"time"
 
 	"factorwindows/internal/stream"
 	"factorwindows/internal/window"
@@ -108,6 +110,39 @@ func TestGenConfigErrors(t *testing.T) {
 	cfg.Kr = 10
 	if _, err := SequentialGen(cfg, rng); err == nil {
 		t.Fatal("sequential multiplier overflow must fail")
+	}
+}
+
+// TestRandomGenRefusesUndrawableSizes: RandomGen redraws duplicates until
+// the set is full, so a size above the number of distinct windows the
+// config can draw must be refused up front instead of looping forever.
+// PaperDefaults draws 113 distinct tumbling ranges and 99 distinct
+// hopping slides. Each call runs under a deadline so a hang fails.
+func TestRandomGenRefusesUndrawableSizes(t *testing.T) {
+	for _, c := range []struct {
+		n        int
+		tumbling bool
+		ok       bool
+	}{
+		{113, true, true}, {114, true, false},
+		{99, false, true}, {100, false, false},
+	} {
+		done := make(chan error, 1)
+		go func() {
+			set, err := RandomGen(PaperDefaults(c.n, c.tumbling), rand.New(rand.NewSource(5)))
+			if err == nil && set.Len() != c.n {
+				err = fmt.Errorf("drew %d windows", set.Len())
+			}
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if (err == nil) != c.ok {
+				t.Errorf("RandomGen(n=%d, tumbling=%t): err = %v, want ok=%t", c.n, c.tumbling, err, c.ok)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("RandomGen(n=%d, tumbling=%t) still running after 10s", c.n, c.tumbling)
+		}
 	}
 }
 
